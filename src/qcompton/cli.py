@@ -14,8 +14,6 @@ resolved config, so a run can be reproduced bit for bit.
 
 Exit codes: 1 config schema error (the message names the offending
 path), 2 kinematic or physics error, 3 numerical non-convergence.
-The QCOMPTON_THREADS environment variable caps the worker threads used
-for angular scans (default 1; the output is identical for any value).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -41,17 +38,7 @@ EXIT_SCHEMA = 1
 EXIT_PHYSICS = 2
 EXIT_NONCONVERGENCE = 3
 
-STATE_NAMES = ("coherent", "thermal", "bsv", "fock", "cat",
-               "mixed_diagonal", "custom")
-
-_STATS_FACTORY = {
-    "coherent": ps.coherent_stats,
-    "thermal": ps.thermal_stats,
-    "bsv": ps.bsv_stats,
-    "fock": ps.fock_limit_stats,
-    "cat": ps.cat_limit_stats,
-    "mixed_diagonal": ps.mixed_diagonal_stats,
-}
+STATE_NAMES = tuple(ps.FAMILIES)
 
 
 class SchemaError(ValueError):
@@ -91,7 +78,7 @@ def _number(obj: dict, path: str, key: str, *, lo=None, hi=None,
     return v
 
 
-def _integer(obj: dict, path: str, key: str, *, lo=1, default=None,
+def _integer(obj: dict, path: str, key: str, *, lo=1, hi=None, default=None,
              required=True):
     if key not in obj:
         if required:
@@ -102,6 +89,8 @@ def _integer(obj: dict, path: str, key: str, *, lo=1, default=None,
         raise SchemaError(f"{path}.{key}", f"must be an integer, got {v!r}")
     if v < lo:
         raise SchemaError(f"{path}.{key}", f"must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        raise SchemaError(f"{path}.{key}", f"must be <= {hi}, got {v}")
     return v
 
 
@@ -239,7 +228,7 @@ def validate_config(cfg: dict) -> dict:
                               default="literal", required=False),
         "rel_tol": _number(nm, "numerics", "rel_tol", lo=0.0, lo_open=True,
                            default=DEFAULT_REL_TOL, required=False),
-        "s_max": _integer(nm, "numerics", "s_max", lo=1,
+        "s_max": _integer(nm, "numerics", "s_max", lo=1, hi=DEFAULT_S_MAX,
                           default=DEFAULT_S_MAX, required=False),
     }
 
@@ -274,7 +263,7 @@ def _build_stats(resolved: dict):
         stats = ps.tabulated_stats_from_file(drv["custom_table"],
                                              nat.omega, nat.rho)
     else:
-        stats = _STATS_FACTORY[state](nat.omega, nat.rho)
+        stats = ps.FAMILIES[state](nat.omega, nat.rho)
     return nat, stats
 
 
@@ -300,15 +289,6 @@ def _build_scenario(resolved: dict) -> tuple[Scenario, dict]:
         rel_tol=resolved["numerics"]["rel_tol"],
         s_max=resolved["numerics"]["s_max"])
     return scenario, resolved
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QCOMPTON_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _metadata_lines(resolved: dict) -> list[str]:
@@ -383,7 +363,6 @@ def run_config(resolved: dict, out_path: str | None,
     else:
         ang = angular_distribution(scenario, tuple(scan["band_eV"]),
                                    jacobian=scan["jacobian"],
-                                   workers=_worker_count(),
                                    diagnostics=diagnostics)
         columns = ("theta_prime_deg", "band_energy_per_sr")
         rows = list(zip([math.degrees(t) for t in ang.theta.tolist()],
@@ -396,7 +375,6 @@ def run_config(resolved: dict, out_path: str | None,
         "wall_time_s": wall,
         "diagnostics": diagnostics,
         "moment_check": _moment_check(scenario.stats),
-        "threads": _worker_count(),
         "output_path": path,
         "config": resolved,
     }

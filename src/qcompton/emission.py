@@ -29,11 +29,11 @@ from .constants import E_CHARGE, E_SQUARED
 from .minkowski import (EmissionGeometry, FourVector, circular_polarization,
                         mdot, photon_wavevector, scattered_momentum)
 from .photon_statistics import PhaseAveragedStatistics
-from .special_functions import bessel_j_triple
+from .special_functions import MAX_ORDER, bessel_j_triple
 
 DEFAULT_REL_TOL = 1e-10     # truncation: term / accumulated sum
 DEFAULT_PATIENCE = 5        # consecutive below-tolerance orders required
-DEFAULT_S_MAX = 100_000     # hard cap on the harmonic order
+DEFAULT_S_MAX = MAX_ORDER - 1   # hard order cap: J_{s+1} stays in contract
 
 # Below this fraction of sqrt(2 omega rho) the effective field counts as
 # sitting on the kinematic edge: the squared amplitude in the emission
@@ -386,10 +386,11 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         s += 1
 
     if not np.all(converged):
-        n_bad = int((~converged).sum())
+        bad = np.nonzero(~converged)[0]
         raise TruncationNotConverged(
-            f"{n_bad} of {n_pts} points still above rel_tol={rel_tol} "
-            f"at order cap s_max={s_max}")
+            f"{bad.size} of {n_pts} points still above rel_tol={rel_tol} "
+            f"at order cap s_max={s_max}; first at theta'="
+            f"{math.degrees(th[bad[0]]):.6g} deg, omega'={wp[bad[0]]:.6g} eV")
 
     out = np.where(alive, prefactor * acc * np.exp(shift), 0.0)
     if diagnostics is not None:

@@ -82,7 +82,7 @@ class PhaseAveragedStatistics:
 
     def with_drive(self, omega: float, rho: float) -> "PhaseAveragedStatistics":
         """Same family of statistics rebuilt at a different (omega, rho)."""
-        maker = _FAMILIES[self.label]
+        maker = FAMILIES[self.label]
         if self.label == "custom":
             return maker(omega, rho, np.column_stack(self.source_samples))
         return maker(omega, rho)
@@ -105,14 +105,14 @@ def coherent_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
 def fock_limit_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
     """Large-n Fock state: same phase-averaged statistics as coherent."""
     _require_drive(omega, rho, allow_zero_rho=True)
-    return PhaseAveragedStatistics(label="fock-limit", omega=omega, rho=rho,
+    return PhaseAveragedStatistics(label="fock", omega=omega, rho=rho,
                                    peak_amplitude=math.sqrt(2.0 * omega * rho))
 
 
 def cat_limit_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
     """Schrodinger-cat superposition: phase averaging erases the coherence."""
     _require_drive(omega, rho, allow_zero_rho=True)
-    return PhaseAveragedStatistics(label="cat-limit", omega=omega, rho=rho,
+    return PhaseAveragedStatistics(label="cat", omega=omega, rho=rho,
                                    peak_amplitude=math.sqrt(2.0 * omega * rho))
 
 
@@ -175,7 +175,7 @@ def mixed_diagonal_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
                 + bessel_i0_log_scaled(nbar * alpha2 / denom))
 
     return PhaseAveragedStatistics(
-        label="mixed-diagonal", omega=omega, rho=rho, log_r_fn=log_r,
+        label="mixed_diagonal", omega=omega, rho=rho, log_r_fn=log_r,
         support_max=_SUPPORT_SIGMAS * math.sqrt(4.0 * omega * rho))
 
 
@@ -239,13 +239,14 @@ def tabulated_stats_from_file(path, omega: float,
     return custom_tabulated_stats(omega, rho, data)
 
 
-_FAMILIES = {
+# Drive-state families by config name, which is also each family's label.
+FAMILIES = {
     "coherent": coherent_stats,
-    "fock-limit": fock_limit_stats,
-    "cat-limit": cat_limit_stats,
     "thermal": thermal_stats,
     "bsv": bsv_stats,
-    "mixed-diagonal": mixed_diagonal_stats,
+    "fock": fock_limit_stats,
+    "cat": cat_limit_stats,
+    "mixed_diagonal": mixed_diagonal_stats,
     "custom": custom_tabulated_stats,
 }
 

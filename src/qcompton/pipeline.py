@@ -334,8 +334,6 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
         "gamma": scenario.electron.gamma,
         "direction": list(scenario.electron.direction),
     }
-    engine = dict(rel_tol=scenario.rel_tol, s_max=scenario.s_max)
-
     if scenario.stats.is_atomic:
         w_top = min(grid[-1] + KERNEL_REACH * sigma * 2.0, ceiling)
         entries = _ladder(scenario.stats, p, k, geometry, w_top,
@@ -354,34 +352,57 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
             "orders_scanned": max((q.order for q in entries), default=0),
             "edge_guarded": 0,
         })
-        smooth = np.zeros_like(grid)
-        return SpectralCurve(omega=grid, smooth=smooth, peaks=peaks,
-                             metadata=meta)
+        return SpectralCurve(omega=grid, smooth=np.zeros_like(grid),
+                             peaks=peaks, metadata=meta)
+
+    [curve] = _smooth_curves(scenario, [(geometry, scenario.omega_grid)],
+                             diagnostics)
+    return replace(curve, metadata=meta)
+
+
+def _smooth_curves(scenario: Scenario, blocks, diagnostics: dict | None):
+    """Energy curves of a smooth drive for (geometry, OmegaGrid) blocks.
+
+    All blocks share one spectral_density_points call (one per Hermite
+    node for drive_average), so a scan pays the engine's order loop once,
+    not once per direction.  Curves include the pulse duration factor.
+    """
+    if not blocks:
+        return []
+    sigma = scenario.drive.delta_omega
+    t_pulse = pulse_duration(sigma).per_eV
+    grids = [grid.points() for _, grid in blocks]
+    angles = [(geometry.theta, geometry.phi) for geometry, _ in blocks]
+
+    def density(stats, k, point_sets):
+        sizes = [x.size for x in point_sets]
+        theta, phi = (np.repeat(a, sizes) for a in zip(*angles))
+        diag: dict = {}
+        out = emission.spectral_density_points(
+            stats, scenario.electron.p, k, theta, phi,
+            np.concatenate(point_sets), rel_tol=scenario.rel_tol,
+            s_max=scenario.s_max, diagnostics=diag)
+        _merge_diagnostics(diagnostics, diag)
+        return np.split(out, np.cumsum(sizes)[:-1])
 
     if scenario.broadening == "drive_average":
         nodes, wts = hermgauss(_HERMITE_ORDER)
         u = scenario.drive.omega * scenario.drive.rho
-        acc = np.zeros_like(grid)
+        acc = [np.zeros_like(grid) for grid in grids]
         for x, w in zip(nodes, wts):
             nu = scenario.drive.omega + math.sqrt(2.0) * sigma * x
             k_nu = photon_wavevector(nu, 0.0, 0.0)
             stats_nu = scenario.stats.with_drive(nu, u / nu)
-            diag = {} if diagnostics is not None else None
-            acc += (w / math.sqrt(math.pi)) * emission.smooth_spectral_density(
-                stats_nu, p, k_nu, geometry, grid, diagnostics=diag, **engine)
-            if diag is not None:
-                _merge_diagnostics(diagnostics, diag)
-        smooth = t_pulse * acc
+            for a, d in zip(acc, density(stats_nu, k_nu, grids)):
+                a += (w / math.sqrt(math.pi)) * d
+        smooth = [t_pulse * a for a in acc]
     else:
-        nodes = _extended_nodes(grid, sigma)
-        diag = {} if diagnostics is not None else None
-        density = emission.smooth_spectral_density(
-            scenario.stats, p, k, geometry, nodes, diagnostics=diag, **engine)
-        if diag is not None:
-            _merge_diagnostics(diagnostics, diag)
-        smooth = t_pulse * _gaussian_convolve_linear(nodes, density,
-                                                     sigma, grid)
-    return SpectralCurve(omega=grid, smooth=smooth, metadata=meta)
+        wings = [_extended_nodes(grid, sigma) for grid in grids]
+        dens = density(scenario.stats, scenario.wavevector(), wings)
+        smooth = [t_pulse * _gaussian_convolve_linear(x, d, sigma, grid)
+                  for x, d, grid in zip(wings, dens, grids)]
+    return [SpectralCurve(omega=grid, smooth=y)
+            for grid, y in zip(grids, smooth)]
 
 
 def band_integrate(curve: SpectralCurve, band) -> float:
@@ -410,16 +431,16 @@ def band_integrate(curve: SpectralCurve, band) -> float:
 
 
 def angular_distribution(scenario: Scenario, band, *,
-                         jacobian: bool = False, workers: int = 1,
+                         jacobian: bool = False,
                          diagnostics: dict | None = None) -> AngularCurve:
     """Band-integrated energy per steradian across the polar-angle scan.
 
     For each scan angle the energy spectrum is rebuilt on an internal
     grid covering the band (clipped to the kinematic ceiling) and
     integrated over [lo, hi].  Values are per steradian; jacobian=True
-    multiplies by sin(theta') for per-polar-angle reading.  Angles are
-    independent, so workers > 1 spreads them over a thread pool; the
-    reduction is by index and the result identical for any worker count.
+    multiplies by sin(theta') for per-polar-angle reading.  For a smooth
+    drive the whole scan is one engine pass over all angles' points;
+    coherent-like drives resolve each angle's line ladder in turn.
     """
     lo, hi = float(band[0]), float(band[1])
     if not hi > lo:
@@ -430,31 +451,25 @@ def angular_distribution(scenario: Scenario, band, *,
     k = scenario.wavevector()
     count = max(scenario.omega_grid.count, 64)
 
-    def one_angle(th: float) -> tuple[float, dict]:
+    live, blocks = [], []
+    for i, th in enumerate(scenario.thetas):
         geometry = EmissionGeometry(theta=th, phi=scenario.phi)
         ceiling = emission.absolute_frequency_ceiling(p, k, geometry)
         g_lo = max(lo, 1e-6 * scenario.drive.omega)
         g_hi = min(hi, ceiling)
-        if not g_hi > g_lo:
-            return 0.0, {}
-        local = replace(scenario, omega_grid=OmegaGrid(g_lo, g_hi, count))
-        diag: dict = {}
-        curve = energy_spectrum(local, geometry, diagnostics=diag)
-        value = band_integrate(curve, (lo, hi))
-        if jacobian:
-            value *= math.sin(th)
-        return value, diag
-
-    values = np.empty(len(scenario.thetas))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_angle, scenario.thetas))
+        if g_hi > g_lo:
+            live.append(i)
+            blocks.append((geometry, OmegaGrid(g_lo, g_hi, count)))
+    if scenario.stats.is_atomic:
+        curves = [energy_spectrum(replace(scenario, omega_grid=grid),
+                                  geometry, diagnostics=diagnostics)
+                  for geometry, grid in blocks]
     else:
-        results = [one_angle(th) for th in scenario.thetas]
-    for i, (value, diag) in enumerate(results):
-        values[i] = value
-        _merge_diagnostics(diagnostics, diag)
+        curves = _smooth_curves(scenario, blocks, diagnostics)
+    values = np.zeros(len(scenario.thetas))
+    for i, curve in zip(live, curves):
+        values[i] = band_integrate(curve, (lo, hi)) * (
+            math.sin(scenario.thetas[i]) if jacobian else 1.0)
     meta = {
         "state": scenario.stats.label,
         "omega_eV": scenario.drive.omega,

@@ -33,7 +33,7 @@ def _write_config(tmp_path, cfg, name="cfg.json"):
 def test_validate_fills_defaults():
     out = cli.validate_config(_base_config())
     assert out["numerics"] == {"broadening": "literal",
-                               "rel_tol": 1e-10, "s_max": 100_000}
+                               "rel_tol": 1e-10, "s_max": 9_999}
     assert out["output"]["format"] == "csv"
     assert out["scan"]["grid"] == "linear"
     assert out["scan"]["phi_prime_deg"] == 0.0
@@ -145,6 +145,16 @@ def test_exit_code_on_nonconvergence(tmp_path, capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
+def test_exit_code_on_s_max_beyond_bessel_contract(tmp_path, capsys):
+    cfg = _base_config(numerics={"s_max": 10000})
+    code = cli.main(["run", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == cli.EXIT_SCHEMA
+    assert "numerics.s_max" in capsys.readouterr().err
+    cfg["numerics"]["s_max"] = 9999
+    assert cli.validate_config(cfg)["numerics"]["s_max"] == 9999
+
+
 def test_exit_code_on_missing_custom_table(tmp_path, capsys):
     cfg = _base_config()
     cfg["drive"]["state"] = "custom"
@@ -183,7 +193,7 @@ def test_spectrum_run_writes_curve_and_report(tmp_path):
 
     report = json.loads((tmp_path / "curve.csv.report.json").read_text())
     for key in ("code_version", "wall_time_s", "diagnostics",
-                "moment_check", "threads", "output_path", "config"):
+                "moment_check", "output_path", "config"):
         assert key in report
     assert report["moment_check"]["m1_rel_err"] < 1e-8
     assert report["diagnostics"]["highest_order"] >= 1
@@ -223,36 +233,17 @@ def test_rerun_is_bitwise_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_angular_run_and_thread_env(tmp_path, monkeypatch):
+def test_angular_run_writes_csv_header(tmp_path):
     cfg = _base_config()
     cfg["drive"]["state"] = "thermal"
     cfg["scan"] = {"mode": "angular", "theta_range_deg": [150.0, 170.0, 3],
                    "band_eV": [1.0, 4.0], "samples": 64}
-    path = _write_config(tmp_path, cfg)
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    monkeypatch.delenv("QCOMPTON_THREADS", raising=False)
-    assert cli.main(["run", "--config", path, "--out", str(serial)]) == 0
-    monkeypatch.setenv("QCOMPTON_THREADS", "4")
-    assert cli.main(["run", "--config", path, "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-    lines = serial.read_text().splitlines()
+    out = tmp_path / "angular.csv"
+    assert cli.main(["run", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "theta_prime_deg,band_energy_per_sr"
-    report = json.loads((tmp_path / "threaded.csv.report.json").read_text())
-    assert report["threads"] == 4
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("QCOMPTON_THREADS", raising=False)
-    assert cli._worker_count() == 1
-    monkeypatch.setenv("QCOMPTON_THREADS", "6")
-    assert cli._worker_count() == 6
-    monkeypatch.setenv("QCOMPTON_THREADS", "junk")
-    assert cli._worker_count() == 1
-    monkeypatch.setenv("QCOMPTON_THREADS", "-3")
-    assert cli._worker_count() == 1
 
 
 def test_custom_state_run(tmp_path):

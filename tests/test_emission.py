@@ -163,6 +163,18 @@ def test_truncation_cap_raises():
                                   s_max=2000)
 
 
+def test_order_cap_stays_inside_bessel_contract():
+    # a point whose first allowed order is 9991 needs orders past the
+    # Bessel layer's range; the default cap must stop the scan there and
+    # report non-convergence, not let the Bessel contract error escape
+    drive = drive_for(9e15)
+    stats = thermal_stats(drive.omega, drive.rho)
+    geom = EmissionGeometry(theta=math.radians(30.0))
+    wp = kinematic_max_frequency(9990, AT_REST, K_DRIVE, geom) * (1 + 1e-9)
+    with pytest.raises(TruncationNotConverged, match="s_max=9999"):
+        smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, wp)
+
+
 def test_engine_diagnostics_keys():
     drive = drive_for(9e15)
     stats = thermal_stats(drive.omega, drive.rho)

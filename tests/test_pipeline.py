@@ -1,6 +1,7 @@
 """Observable assembly: broadening, band integrals, angular scans."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from helpers import drive_for
-from qcompton.emission import TruncationNotConverged, coherent_peaks
+from qcompton.emission import (TruncationNotConverged,
+                               absolute_frequency_ceiling, coherent_peaks)
 from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
                                 electron_momentum, photon_wavevector)
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
@@ -226,7 +228,7 @@ def test_angular_distribution_against_direct_spectra():
     # spot-check one angle against an explicitly assembled spectrum
     geom = EmissionGeometry(theta=thetas[1])
     direct = band_integrate(energy_spectrum(sc, geom), band)
-    assert curve.values[1] == pytest.approx(direct, rel=1e-9)
+    assert curve.values[1] == direct     # the batched pass is bitwise
     # jacobian flag multiplies by sin(theta')
     jac = angular_distribution(sc, band, jacobian=True)
     np.testing.assert_allclose(jac.values,
@@ -235,14 +237,39 @@ def test_angular_distribution_against_direct_spectra():
     assert curve.metadata["band_eV"] == [band[0], band[1]]
 
 
-def test_angular_distribution_worker_count_invariant():
-    thetas = tuple(math.radians(d) for d in np.linspace(100.0, 170.0, 6))
-    band = (1719.4, 3438.8)
-    sc = _scenario(9e16, bsv_stats, OmegaGrid(band[0], band[1], 64),
-                   electron=HEAD_ON, thetas=thetas)
-    serial = angular_distribution(sc, band, workers=1)
-    threaded = angular_distribution(sc, band, workers=4)
-    assert np.array_equal(serial.values, threaded.values)
+@pytest.mark.parametrize("maker", [thermal_stats, bsv_stats])
+@pytest.mark.parametrize("broadening", ["literal", "drive_average"])
+def test_angular_scan_equals_per_angle_spectra(maker, broadening):
+    # one engine pass over all angles gives each angle exactly what its
+    # own energy_spectrum + band_integrate gives.  An electron riding
+    # with the drive at gamma = 1e5 puts the first harmonics of its
+    # forward cone into the band, while at 180 deg the ceiling m/4gamma
+    # ~ 1.3 eV lies below it: that angle adds no points and reads 0.
+    band = (1.5, 3.0)
+    thetas = (0.3e-5, 0.5e-5, 0.7e-5, 1e-5, math.pi)
+    sc = _scenario(9e15, maker, OmegaGrid(band[0], band[1], 64),
+                   electron=electron_momentum(1e5, (0.0, 0.0, 1.0)),
+                   thetas=thetas, broadening=broadening)
+    p, k = sc.electron.p, sc.wavevector()
+    expect = []
+    for th in thetas:
+        geom = EmissionGeometry(theta=th)
+        top = min(band[1], absolute_frequency_ceiling(p, k, geom))
+        if top <= band[0]:
+            expect.append(0.0)
+            continue
+        local = replace(sc, omega_grid=OmegaGrid(band[0], top, 64))
+        expect.append(band_integrate(energy_spectrum(local, geom), band))
+    expect = np.array(expect)
+    assert np.all(expect[:-1] > 0.0) and expect[-1] == 0.0
+    assert absolute_frequency_ceiling(
+        p, k, EmissionGeometry(theta=math.pi)) < band[0]
+
+    got = angular_distribution(sc, band)
+    assert np.array_equal(got.values, expect)
+    jac = angular_distribution(sc, band, jacobian=True)
+    assert np.array_equal(jac.values,
+                          [v * math.sin(th) for v, th in zip(expect, thetas)])
 
 
 def test_dead_band_returns_zero():
@@ -259,7 +286,7 @@ def test_unreachable_band_raises_nonconvergence():
     thetas = (math.radians(30.0),)
     sc = _scenario(9e15, thermal_stats, OmegaGrid(1.0, 5.0, 64),
                    thetas=thetas)
-    with pytest.raises(TruncationNotConverged):
+    with pytest.raises(TruncationNotConverged, match="theta'=30 deg"):
         angular_distribution(sc, (1.0e6, 2.0e6))
 
 
