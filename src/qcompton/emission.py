@@ -27,7 +27,7 @@ from scipy.special import gammaln
 
 from .constants import E_CHARGE, E_SQUARED
 from .minkowski import (EmissionGeometry, FourVector, circular_polarization,
-                        mdot, photon_wavevector, scattered_momentum)
+                        mdot, photon_wavevector)
 from .photon_statistics import PhaseAveragedStatistics
 from .special_functions import MAX_ORDER, bessel_j_triple
 
@@ -45,27 +45,9 @@ EDGE_FIELD_FRACTION = 1e-8
 # their leading-order expansions; the direct difference loses all digits.
 SMALL_XI = 1e-8
 
-_EPS = np.finfo(float).eps
-
-# Kinematically forbidden orders are reported as this marker, not as an
-# exception: hitting the theta cutoff is an ordinary outcome.
-NOT_ALLOWED = None
-
 
 class TruncationNotConverged(RuntimeError):
     """Harmonic sum hit the order cap before meeting the tolerance."""
-
-
-@dataclass(frozen=True)
-class HarmonicTerm:
-    """Per-order quantities of the emission amplitude at one (k', p)."""
-
-    order: int
-    effective_field: float    # E_s, eV^2 (0 when not allowed)
-    zeta: float
-    xi: float
-    t2: float                 # spin/phase-averaged squared amplitude
-    allowed: bool
 
 
 @dataclass(frozen=True)
@@ -95,31 +77,6 @@ def _check_polarization(k: FourVector) -> None:
                          "to propagate along +z")
 
 
-def effective_field(s: int, p: FourVector, k: FourVector,
-                    kprime: FourVector):
-    """Effective field amplitude E_s (eV^2) for order-s emission into k'.
-
-    Returns NOT_ALLOWED (None) when the order is kinematically forbidden,
-    i.e. the cutoff combination s(k.p - k.k') - p.k' is negative beyond
-    roundoff; an exact zero at the cutoff itself.
-    """
-    if s < 1:
-        raise ValueError(f"harmonic order must be >= 1, got {s}")
-    kp = mdot(k, p)
-    kkp = mdot(k, kprime)
-    pkp = mdot(p, kprime)
-    theta_arg = s * (kp - kkp) - pkp
-    scale = s * (abs(kp) + abs(kkp)) + abs(pkp)
-    if theta_arg <= -32.0 * _EPS * scale:
-        return NOT_ALLOWED
-    theta_arg = max(theta_arg, 0.0)
-    if kkp == 0.0:
-        return math.inf
-    omega = k.t
-    return math.sqrt(4.0 * omega * omega * kp * theta_arg
-                     / (E_SQUARED * kkp))
-
-
 def kinematic_max_frequency(s: int, p: FourVector, k: FourVector,
                             geometry: EmissionGeometry) -> float:
     """Largest emitted frequency (eV) with order-s support in direction k'.
@@ -144,32 +101,6 @@ def absolute_frequency_ceiling(p: FourVector, k: FourVector,
     if kappa <= 0.0:
         return math.inf
     return mdot(k, p) / kappa
-
-
-def harmonic_coefficients(s: int, p: FourVector, k: FourVector,
-                          kprime: FourVector, e_s):
-    """(zeta_s, xi_s) for the order-s amplitude; propagates NOT_ALLOWED.
-
-    zeta_s scales the sideband combination, xi_s is the Bessel argument;
-    the modulus inside xi_s is a complex modulus (the polarization is
-    complex for circular light).
-    """
-    if e_s is NOT_ALLOWED:
-        return NOT_ALLOWED
-    pprime = scattered_momentum(p, k, kprime)
-    omega = k.t
-    kp = mdot(k, p)
-    kpp = mdot(k, kprime)
-    kppr = mdot(k, pprime)
-    # 1/(k.p') - 1/(k.p) written as k.k'/((k.p')(k.p)): identical because
-    # k.p' = k.p - k.k' exactly for lightlike k, but free of the digit
-    # loss the raw reciprocal difference suffers when k.k' << k.p
-    zeta = (E_SQUARED * e_s * e_s / (4.0 * omega * omega)) \
-        * kpp / (kppr * kp)
-    eps = circular_polarization()
-    d = mdot(p, eps) / kp - mdot(pprime, eps) / kppr
-    xi = E_CHARGE * (e_s / omega) * abs(d)
-    return zeta, xi
 
 
 def bessel_bracket(s: int, xi, zeta_x):
@@ -205,39 +136,6 @@ def bessel_bracket(s: int, xi, zeta_x):
         dj = jm * jm + jp * jp - 2.0 * jc * jc
         out[big] = zeta_x[big] * dj - jc * jc
     return out
-
-
-def t_squared(s: int, p: FourVector, k: FourVector, kprime: FourVector,
-              e_s):
-    """Spin/phase-averaged squared emission amplitude of order s.
-
-    Literal transcription: e^2 m^2/(p^t p^t') [zeta_s X (J_{s-1}^2 +
-    J_{s+1}^2 - 2 J_s^2) - J_s^2] with X = ((p'.k)^2 + (p.k)^2) /
-    (2 m^2 k.k').  Propagates NOT_ALLOWED.
-    """
-    if e_s is NOT_ALLOWED:
-        return NOT_ALLOWED
-    pprime = scattered_momentum(p, k, kprime)
-    zeta, xi = harmonic_coefficients(s, p, k, kprime, e_s)
-    kp = mdot(k, p)
-    kkp = mdot(k, kprime)
-    kpp = mdot(k, pprime)
-    m2 = mdot(p, p)
-    x = (kpp * kpp + kp * kp) / (2.0 * m2 * kkp)
-    bracket = float(bessel_bracket(s, xi, zeta * x)[0])
-    return E_SQUARED * m2 / (p.t * pprime.t) * bracket
-
-
-def harmonic_term(s: int, p: FourVector, k: FourVector,
-                  kprime: FourVector) -> HarmonicTerm:
-    """All order-s quantities at one emission four-momentum."""
-    e_s = effective_field(s, p, k, kprime)
-    if e_s is NOT_ALLOWED:
-        return HarmonicTerm(order=s, effective_field=0.0, zeta=0.0, xi=0.0,
-                            t2=0.0, allowed=False)
-    zeta, xi = harmonic_coefficients(s, p, k, kprime, e_s)
-    return HarmonicTerm(order=s, effective_field=e_s, zeta=zeta, xi=xi,
-                        t2=t_squared(s, p, k, kprime, e_s), allowed=True)
 
 
 def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
@@ -416,112 +314,25 @@ def smooth_spectral_density(stats: PhaseAveragedStatistics, p: FourVector,
     return float(out[0]) if scalar else out
 
 
-def _reference_density(p, k, geometry, omega_prime, omega, rho, log_weight,
-                       support_max, rel_tol, s_max, patience):
-    """Shared harness for the transcribed closed-form spectra.
-
-    Deliberately naive: builds k' as a four-vector, keeps the explicit
-    p^t' factor of the printed prefactor (instead of cancelling it), and
-    sums harmonics in plain linear arithmetic using the per-order
-    operations.  Serves as an independent cross-check of the fused
-    engine.
-    """
-    kprime = photon_wavevector(omega_prime, geometry.theta, geometry.phi)
-    kp = mdot(k, p)
-    kkp = mdot(k, kprime)
-    if kp - kkp <= 0.0:
-        return 0.0
-    pprime = scattered_momentum(p, k, kprime)
-    pref = (omega * omega * omega_prime * omega_prime
-            / (4.0 * math.pi ** 2)) * kp / (E_SQUARED * kkp) * pprime.t
-
-    edge_field = EDGE_FIELD_FRACTION * math.sqrt(2.0 * omega * rho)
-    total = 0.0
-    streak = 0
-    s = 1
-    while s <= s_max:
-        e_s = effective_field(s, p, k, kprime)
-        if e_s is NOT_ALLOWED:
-            s += 1
-            continue
-        if e_s < edge_field:
-            term = 0.0
-        else:
-            term = t_squared(s, p, k, kprime, e_s) * math.exp(log_weight(e_s))
-        total += term
-
-        if total != 0.0:
-            small = abs(term) <= rel_tol * abs(total)
-        else:
-            small = term == 0.0 and e_s > support_max
-        streak = streak + 1 if small else 0
-        if streak >= patience:
-            return pref * total
-        s += 1
-    raise TruncationNotConverged(
-        f"reference sum above rel_tol={rel_tol} at order cap {s_max}")
-
-
-def reference_thermal_density(p: FourVector, k: FourVector,
-                              geometry: EmissionGeometry,
-                              omega_prime: float, rho: float, *,
-                              rel_tol: float = DEFAULT_REL_TOL,
-                              s_max: int = DEFAULT_S_MAX,
-                              patience: int = DEFAULT_PATIENCE) -> float:
-    """Transcribed thermal-drive spectral density (independent path).
-
-    Per-order weight exp(-E_s^2 / 2 omega rho) / (omega rho) with the
-    printed prefactor, for cross-validation of the generic engine.
-    """
-    omega = k.t
-    wr = omega * rho
-
-    def log_weight(e):
-        return -e * e / (2.0 * wr) - math.log(wr)
-
-    return _reference_density(p, k, geometry, omega_prime, omega, rho,
-                              log_weight, 40.0 * math.sqrt(2.0 * wr),
-                              rel_tol, s_max, patience)
-
-
-def reference_bsv_density(p: FourVector, k: FourVector,
-                          geometry: EmissionGeometry,
-                          omega_prime: float, rho: float, *,
-                          rel_tol: float = DEFAULT_REL_TOL,
-                          s_max: int = DEFAULT_S_MAX,
-                          patience: int = DEFAULT_PATIENCE) -> float:
-    """Transcribed squeezed-vacuum spectral density (independent path).
-
-    Per-order weight exp(-E_s^2 / 4 omega rho) / (E_s sqrt(pi omega rho)).
-    """
-    omega = k.t
-    wr = omega * rho
-    half_log = 0.5 * math.log(math.pi * wr)
-
-    def log_weight(e):
-        return -e * e / (4.0 * wr) - math.log(e) - half_log
-
-    return _reference_density(p, k, geometry, omega_prime, omega, rho,
-                              log_weight, 40.0 * math.sqrt(4.0 * wr),
-                              rel_tol, s_max, patience)
-
-
-def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
-                   k: FourVector, geometry: EmissionGeometry,
-                   s_range) -> tuple:
-    """Delta-line spectrum for coherent-like drives, resolved analytically.
+def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
+                            k: FourVector, geometry: EmissionGeometry,
+                            s_range) -> list:
+    """Closed-form line positions of a coherent-like drive, no Bessel work.
 
     For each order s the statistics pin the effective field to the single
     amplitude A, and E_s(omega') = A solves in closed form because
-    E_s^2 is a ratio of functions linear in omega'.  Integrating the
-    omega'-delta gives each line's weight without any quadrature:
+    E_s^2 is a ratio of functions linear in omega':
 
         omega'_s = s (k.p) / (s kappa + pi' + mu),
         mu       = e^2 A^2 kappa / (4 omega^2 k.p),
-        weight_s = e^2 m^2 omega'_s^3 bracket_s / (8 pi^2 s (k.p) p^t).
 
-    mu is the intensity-dependent redshift; as A -> 0 each line moves to
-    its kinematic cutoff.  Returns a tuple of PeakEntry sorted by order.
+    with kappa, pi' the direction invariants k.n' and p.n'.  mu is the
+    intensity-dependent redshift; as A -> 0 each line moves to its
+    kinematic cutoff s (k.p) / (s kappa + pi').  Returns (s, omega'_s,
+    Theta_s) for the orders whose line lies strictly between 0 and that
+    cutoff, in the order of s_range; Theta_s = s (k.p) mu / (s kappa +
+    pi' + mu) is the cutoff combination at the line, free of
+    cancellation.
     """
     if not stats.is_atomic:
         raise TypeError("smooth statistics have no delta lines; use "
@@ -535,29 +346,50 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
 
     omega = k.t
     kp = mdot(k, p)
+    nprime = photon_wavevector(1.0, geometry.theta, geometry.phi)
+    kappa = mdot(k, nprime)
+    piprime = mdot(p, nprime)
+    if kappa <= 0.0:
+        return []
+
+    mu = E_SQUARED * amp * amp * kappa / (4.0 * omega * omega * kp)
+    lines = []
+    for s in s_range:
+        if s < 1:
+            raise ValueError(f"harmonic order must be >= 1, got {s}")
+        denom = s * kappa + piprime + mu
+        wps = s * kp / denom
+        if 0.0 < wps < s * kp / (s * kappa + piprime):
+            lines.append((int(s), wps, s * kp * mu / denom))
+    return lines
+
+
+def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
+                   k: FourVector, geometry: EmissionGeometry,
+                   s_range) -> tuple:
+    """Delta-line spectrum for coherent-like drives, resolved analytically.
+
+    Lines sit at coherent_line_positions.  Integrating the omega'-delta
+    gives each line's weight without any quadrature:
+
+        weight_s = e^2 m^2 omega'_s^3 bracket_s / (8 pi^2 s (k.p) p^t).
+
+    Returns a tuple of PeakEntry sorted by order.
+    """
+    lines = coherent_line_positions(stats, p, k, geometry, s_range)
+    amp = stats.peak_amplitude
+    omega = k.t
+    kp = mdot(k, p)
     m2 = mdot(p, p)
     pt = p.t
     eps = circular_polarization()
     pe = mdot(p, eps)
-
     nprime = photon_wavevector(1.0, geometry.theta, geometry.phi)
     kappa = mdot(k, nprime)
-    piprime = mdot(p, nprime)
     ke_unit = -(eps.x * nprime.x + eps.y * nprime.y + eps.z * nprime.z)
-    if kappa <= 0.0:
-        return ()
 
-    mu = E_SQUARED * amp * amp * kappa / (4.0 * omega * omega * kp)
     entries = []
-    for s in s_range:
-        if s < 1:
-            raise ValueError(f"harmonic order must be >= 1, got {s}")
-        wps = s * kp / (s * kappa + piprime + mu)
-        cutoff = s * kp / (s * kappa + piprime)
-        if not 0.0 < wps < cutoff:
-            continue
-        # cancellation-free theta argument at the line position
-        theta_arg = s * kp * mu / (s * kappa + piprime + mu)
+    for s, wps, theta_arg in lines:
         kpprime = kp - wps * kappa
         zeta = theta_arg / kpprime
         x_fac = (kpprime * kpprime + kp * kp) / (2.0 * m2 * wps * kappa)
@@ -566,6 +398,5 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
         bracket = float(bessel_bracket(s, xi, zeta * x_fac)[0])
         weight = (E_SQUARED * m2 * wps ** 3 * bracket
                   / (8.0 * math.pi ** 2 * s * kp * pt))
-        entries.append(PeakEntry(order=int(s), omega_prime=wps,
-                                 weight=weight))
+        entries.append(PeakEntry(order=s, omega_prime=wps, weight=weight))
     return tuple(entries)

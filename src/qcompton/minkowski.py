@@ -50,10 +50,6 @@ class ComplexFourVector:
     y: complex
     z: complex
 
-    def conjugate(self) -> "ComplexFourVector":
-        return ComplexFourVector(self.t.conjugate(), self.x.conjugate(),
-                                 self.y.conjugate(), self.z.conjugate())
-
 
 @dataclass(frozen=True)
 class ElectronState:
@@ -79,11 +75,6 @@ class EmissionGeometry:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
-
-    def unit_vector(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return (st * math.cos(self.phi), st * math.sin(self.phi),
-                math.cos(self.theta))
 
 
 def mdot(a, b):

@@ -95,25 +95,27 @@ def _require_drive(omega: float, rho: float, allow_zero_rho: bool) -> None:
         raise ValueError(f"photon density must be positive, got {rho}")
 
 
+def _atomic_stats(label: str, omega: float,
+                  rho: float) -> PhaseAveragedStatistics:
+    """Coherent-like statistics under `label`: one atomic peak at A."""
+    _require_drive(omega, rho, allow_zero_rho=True)
+    return PhaseAveragedStatistics(label=label, omega=omega, rho=rho,
+                                   peak_amplitude=math.sqrt(2.0 * omega * rho))
+
+
 def coherent_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
     """Coherent drive: all weight at the single amplitude A = sqrt(2 omega rho)."""
-    _require_drive(omega, rho, allow_zero_rho=True)
-    return PhaseAveragedStatistics(label="coherent", omega=omega, rho=rho,
-                                   peak_amplitude=math.sqrt(2.0 * omega * rho))
+    return _atomic_stats("coherent", omega, rho)
 
 
 def fock_limit_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
     """Large-n Fock state: same phase-averaged statistics as coherent."""
-    _require_drive(omega, rho, allow_zero_rho=True)
-    return PhaseAveragedStatistics(label="fock", omega=omega, rho=rho,
-                                   peak_amplitude=math.sqrt(2.0 * omega * rho))
+    return _atomic_stats("fock", omega, rho)
 
 
 def cat_limit_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
     """Schrodinger-cat superposition: phase averaging erases the coherence."""
-    _require_drive(omega, rho, allow_zero_rho=True)
-    return PhaseAveragedStatistics(label="cat", omega=omega, rho=rho,
-                                   peak_amplitude=math.sqrt(2.0 * omega * rho))
+    return _atomic_stats("cat", omega, rho)
 
 
 def thermal_stats(omega: float, rho: float) -> PhaseAveragedStatistics:

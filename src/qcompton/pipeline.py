@@ -255,7 +255,8 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max):
             return entries
         s_lo = s_hi + 1
     raise emission.TruncationNotConverged(
-        f"coherent ladder still gaining weight at order {s_max}")
+        f"coherent ladder still gaining weight at order {s_max}; "
+        f"theta'={math.degrees(geometry.theta):.6g} deg")
 
 
 def _peak_sigmas(scenario: Scenario, geometry, entries):
@@ -273,9 +274,9 @@ def _peak_sigmas(scenario: Scenario, geometry, entries):
         nu = omega + sgn * sigma
         k_nu = photon_wavevector(nu, 0.0, 0.0)
         stats_nu = scenario.stats.with_drive(nu, u / nu)
-        pk = emission.coherent_peaks(stats_nu, p, k_nu, geometry,
-                                     range(min(orders), max(orders) + 1))
-        sides[sgn] = {q.order: q.omega_prime for q in pk}
+        lines = emission.coherent_line_positions(
+            stats_nu, p, k_nu, geometry, range(min(orders), max(orders) + 1))
+        sides[sgn] = {s: wps for s, wps, _ in lines}
     widths = {}
     for q in entries:
         hi = sides[+1.0].get(q.order)

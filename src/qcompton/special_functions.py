@@ -1,14 +1,17 @@
-"""Bessel J of integer order and log of modified Bessel I0.
+"""Bessel J of integer order and the scaled log of modified Bessel I0.
 
 These are the only special functions the emission formulas need:
 J_{s-1}, J_s, J_{s+1} at the harmonic argument xi_s (orders into the
 thousands at high intensity) and I0 inside one of the photon-statistics
 limits.  J_n is evaluated in-package rather than through a platform
-math library so results are bit-stable across OSes: ascending series
-for small argument, Miller backward recurrence with sum-rule
-normalization elsewhere.  Regime boundaries were fixed by
+math library so results are bit-stable across OSes.  One evaluator,
+_bessel_rows, serves bessel_j_triple: it owns the contract check and
+splits points into x = 0, the ascending series for small argument (all
+rows summed in one pass) and Miller backward recurrence with sum-rule
+normalization elsewhere (DLMF 10.74).  Regime boundaries were fixed by
 cross-validation against an arbitrary-precision oracle and are
-constants, not runtime heuristics.
+constants, not runtime heuristics.  I0 is offered only exponentially
+scaled, as log(e^-x I0(x)), the form its one caller must cancel in.
 """
 
 from __future__ import annotations
@@ -44,35 +47,44 @@ def _series_threshold(n: int) -> float:
     return max(_SERIES_CAP, 2.0 * math.sqrt(n)) if n > 0 else _SERIES_CAP
 
 
-def _jn_series(n: int, x: np.ndarray) -> np.ndarray:
-    """Ascending power series; valid for x below _series_threshold(n)."""
-    out = np.zeros_like(x)
-    nonzero = x > 0.0
-    if n == 0:
-        out[~nonzero] = 1.0
-    if not np.any(nonzero):
-        return out
-    xs = x[nonzero]
+def _jn_series(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """Ascending power series for every row at once, x > 0.
+
+    Valid for x below _series_threshold(min(rows)).  One loop over k
+    serves all rows; it stops once the slowest row has converged.  A
+    row that converged earlier only sees further terms below 1e-18 of
+    its sum (past the peak of its terms), which is under half an ulp,
+    so its value is the one a loop of its own would give.
+    """
+    n = np.array(rows)[:, None]
     # leading term (x/2)^n / n! in log space; flush underflow to 0
-    log_lead = n * np.log(xs / 2.0) - math.lgamma(n + 1)
+    lgam = np.array([math.lgamma(r + 1) for r in rows])[:, None]
+    log_lead = n * np.log(x / 2.0) - lgam
     lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
-    q = xs * xs / 4.0
-    term = np.ones_like(xs)
-    total = np.ones_like(xs)
+    neg_q = -(x * x / 4.0)
+    term = np.ones((len(rows), x.size))
+    total = np.ones_like(term)
+    # updated in place: on wide calls, fresh (rows x points) temporaries
+    # every step cost more than the arithmetic
+    mag = np.empty_like(term)
+    tol = np.empty_like(term)
     for k in range(1, 200):
-        term = -term * q / (k * (n + k))
+        term *= neg_q
+        term /= k * (n + k)
         total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
+        np.abs(term, out=mag)
+        np.abs(total, out=tol)
+        tol *= 1e-18
+        if np.all(mag <= tol):
             break
-    out[nonzero] = lead * total
-    return out
+    return lead * total
 
 
-def _miller_rows(rows: tuple[int, ...], x: np.ndarray) -> dict[int, np.ndarray]:
+def _miller_rows(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     """Backward recurrence with sum-rule normalization, vectorized over x.
 
-    Returns normalized J_r(x) for each requested row r.  All x must be
-    positive; the caller routes small arguments to the series.
+    Returns normalized J_r(x) as a (len(rows), x.size) array.  All x
+    must be positive; the caller routes small arguments to the series.
     """
     base = max(max(rows), int(math.ceil(float(x.max()))))
     m_start = base + _MILLER_PAD + int(_MILLER_PAD_SCALE * base ** (1.0 / 3.0))
@@ -83,7 +95,8 @@ def _miller_rows(rows: tuple[int, ...], x: np.ndarray) -> dict[int, np.ndarray]:
     j_hi = np.zeros_like(x)                 # unnormalized J at m+1
     j_lo = np.full_like(x, 1e-30)           # unnormalized J at m
     norm = np.zeros_like(x)                 # accumulates J_0 + 2 sum J_{2k}
-    out = {r: np.zeros_like(x) for r in rows}
+    out = np.zeros((len(rows), x.size))
+    slot = {r: i for i, r in enumerate(rows)}
     for m in range(m_start, 0, -1):
         j_hi, j_lo = j_lo, (2.0 * m) * inv_x * j_lo - j_hi   # J_{m-1}
         big = np.abs(j_lo) > _RESCALE_THRESHOLD
@@ -91,48 +104,46 @@ def _miller_rows(rows: tuple[int, ...], x: np.ndarray) -> dict[int, np.ndarray]:
             j_lo[big] *= _RESCALE_FACTOR
             j_hi[big] *= _RESCALE_FACTOR
             norm[big] *= _RESCALE_FACTOR
-            for r in rows:
-                out[r][big] *= _RESCALE_FACTOR
+            out[:, big] *= _RESCALE_FACTOR
         idx = m - 1
-        if idx in out:
-            out[idx][:] = j_lo
+        if idx in slot:
+            out[slot[idx]] = j_lo
         if idx == 0:
             norm += j_lo
         elif idx % 2 == 0:
             norm += 2.0 * j_lo
-    return {r: out[r] / norm for r in rows}
+    return out / norm
 
 
-def _check_contract(n: int, x: np.ndarray) -> None:
-    if n < 0 or n != int(n) or n > MAX_ORDER:
-        raise OutOfContract(f"order must be an integer in [0, {MAX_ORDER}], got {n}")
+def _bessel_rows(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """J_r(x) for each order r in rows at 1-D x: a (len(rows), x.size) array.
+
+    The one regime dispatch of the module.  x = 0 is exact, x up to
+    _series_threshold(min(rows)) takes the series, the rest Miller's
+    recurrence.  A call whose points all share a regime returns that
+    regime's array directly; only mixed calls scatter.
+    """
+    if any(r != int(r) or not 0 <= r <= MAX_ORDER for r in rows):
+        raise OutOfContract(
+            f"orders must be integers in [0, {MAX_ORDER}], got {rows}")
     if np.any(x < 0.0) or np.any(x > MAX_ARGUMENT):
         raise OutOfContract(f"argument must lie in [0, {MAX_ARGUMENT:g}]")
 
+    zero = x == 0.0
+    small = ~zero & (x <= _series_threshold(min(rows)))
+    if small.all():
+        return _jn_series(rows, x)
+    rest = ~zero & ~small
+    if rest.all():
+        return _miller_rows(rows, x)
 
-def bessel_j(n: int, x):
-    """Bessel function of the first kind J_n(x), n integer >= 0, x >= 0.
-
-    Accepts a scalar or array argument.  Accuracy per the module
-    contract; values below the double-precision floor flush to zero.
-    """
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_contract(int(n), xa)
-    n = int(n)
-    out = np.empty_like(xa)
-
-    zero = xa == 0.0
-    out[zero] = 1.0 if n == 0 else 0.0
-
-    small = (~zero) & (xa <= _series_threshold(n))
+    out = np.zeros((len(rows), x.size))
+    out[:, zero] = (np.array(rows) == 0)[:, None]
     if small.any():
-        out[small] = _jn_series(n, xa[small])
-
-    rest = (~zero) & (~small)
+        out[:, small] = _jn_series(rows, x[small])
     if rest.any():
-        out[rest] = _miller_rows((n,), xa[rest])[n]
-    return float(out[0]) if scalar else out
+        out[:, rest] = _miller_rows(rows, x[rest])
+    return out
 
 
 def bessel_j_triple(s: int, x):
@@ -140,34 +151,17 @@ def bessel_j_triple(s: int, x):
 
     The harmonic formulas need this combination; evaluating all three
     from one backward-recurrence pass keeps their relative normalization
-    consistent, which matters for the near-cancelling bracket.
+    consistent, which matters for the near-cancelling bracket.  Accepts
+    a scalar or array argument; accuracy per the module contract, and
+    values below the double-precision floor flush to zero.
     """
     if s < 1:
         raise OutOfContract(f"triple needs s >= 1, got {s}")
-    scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_contract(s + 1, xa)
-    rows = (s - 1, s, s + 1)
-    outs = [np.empty_like(xa) for _ in rows]
-
-    zero = xa == 0.0
-    for r, o in zip(rows, outs):
-        o[zero] = 1.0 if r == 0 else 0.0
-
-    small = (~zero) & (xa <= _series_threshold(max(s - 1, 0)))
-    if small.any():
-        xs = xa[small]
-        for r, o in zip(rows, outs):
-            o[small] = _jn_series(r, xs)
-
-    rest = (~zero) & (~small)
-    if rest.any():
-        got = _miller_rows(rows, xa[rest])
-        for r, o in zip(rows, outs):
-            o[rest] = got[r]
-    if scalar:
-        return tuple(float(o[0]) for o in outs)
-    return tuple(outs)
+    out = _bessel_rows((s - 1, s, s + 1), xa.ravel())
+    if np.isscalar(x):
+        return tuple(float(v) for v in out[:, 0])
+    return tuple(out.reshape((3,) + xa.shape))
 
 
 _I0_SERIES_MAX = 30.0
@@ -196,7 +190,15 @@ def _i0_asymptotic_tail(xl: np.ndarray) -> np.ndarray:
     return -0.5 * np.log(2.0 * math.pi * xl) + np.log1p(corr)
 
 
-def _i0_dispatch(x, scaled: bool):
+def bessel_i0_log_scaled(x):
+    """log(e^-x I0(x)) for x >= 0, overflow-free to arbitrarily large x.
+
+    Power series up to x = 30 (I0(30) still fits a double), then the
+    large-argument expansion -log(2 pi x)/2 + log1p(sum of 1/x
+    corrections).  The leading exponential is removed analytically, so
+    callers that must cancel a large e^-x factor never form the two big
+    numbers that would otherwise eat their precision.
+    """
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xa < 0.0):
@@ -206,31 +208,9 @@ def _i0_dispatch(x, scaled: bool):
     small = (xa > 0.0) & (xa <= _I0_SERIES_MAX)
     if small.any():
         xs = xa[small]
-        out[small] = _i0_series_log(xs) - (xs if scaled else 0.0)
+        out[small] = _i0_series_log(xs) - xs
 
     large = xa > _I0_SERIES_MAX
     if large.any():
-        xl = xa[large]
-        out[large] = _i0_asymptotic_tail(xl) + (0.0 if scaled else xl)
+        out[large] = _i0_asymptotic_tail(xa[large])
     return float(out[0]) if scalar else out
-
-
-def bessel_i0_log(x):
-    """log I0(x) for x >= 0, overflow-free to arbitrarily large argument.
-
-    Power series up to x = 30 (I0(30) still fits a double), then the
-    large-argument expansion x - log(2 pi x)/2 + log1p(sum of 1/x
-    corrections).
-    """
-    return _i0_dispatch(x, scaled=False)
-
-
-def bessel_i0_log_scaled(x):
-    """log(e^-x I0(x)) for x >= 0.
-
-    Same machinery as bessel_i0_log but with the leading exponential
-    removed analytically, so callers that must cancel a large e^-x
-    factor never form the two big numbers that would otherwise eat
-    their precision.
-    """
-    return _i0_dispatch(x, scaled=True)

@@ -18,12 +18,11 @@ import numpy as np
 from scipy.integrate import quad
 
 import helpers
+from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
+                     reference_bsv_density, reference_thermal_density)
 from qcompton import constants
-from qcompton.emission import (NOT_ALLOWED, coherent_peaks, effective_field,
-                               bessel_bracket, harmonic_coefficients,
+from qcompton.emission import (bessel_bracket, coherent_peaks,
                                kinematic_max_frequency,
-                               reference_bsv_density,
-                               reference_thermal_density,
                                smooth_spectral_density)
 from qcompton.minkowski import (EmissionGeometry, electron_momentum, mdot,
                                 photon_wavevector, scattered_momentum)

@@ -8,13 +8,12 @@ import pytest
 
 from helpers import (drive_for, dual_path_worst_error, linear_compton_line,
                      sample_triples)
+from oracles import (NOT_ALLOWED, effective_field, harmonic_term,
+                     reference_bsv_density, reference_thermal_density)
 from qcompton.constants import ELECTRON_MASS_EV
-from qcompton.emission import (NOT_ALLOWED, TruncationNotConverged,
+from qcompton.emission import (TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
-                               coherent_peaks, effective_field,
-                               harmonic_term, kinematic_max_frequency,
-                               reference_bsv_density,
-                               reference_thermal_density,
+                               coherent_peaks, kinematic_max_frequency,
                                smooth_spectral_density,
                                spectral_density_points)
 from qcompton.minkowski import (EmissionGeometry, electron_momentum,

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from helpers import drive_for
+from qcompton import emission
 from qcompton.emission import (TruncationNotConverged,
                                absolute_frequency_ceiling, coherent_peaks)
 from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
@@ -140,12 +141,23 @@ def test_line_band_masses_are_error_function_exact():
                       peaks=(pk,)), (lo, hi)) == pytest.approx(want, rel=1e-12)
 
 
-def test_drive_average_linewidths_grow_with_order():
+def test_drive_average_linewidths_grow_with_order(monkeypatch):
+    calls = []
+    bracket = emission.bessel_bracket
+
+    def counted(*args):
+        calls.append(args[0])
+        return bracket(*args)
+
+    monkeypatch.setattr(emission, "bessel_bracket", counted)
     grid = OmegaGrid(0.5, 12.0, 200)
     lit = _scenario(9e16, coherent_stats, grid)
     avg = _scenario(9e16, coherent_stats, grid, broadening="drive_average")
     curve_lit = energy_spectrum(lit, BACK)
+    n_lit = len(calls)
     curve_avg = energy_spectrum(avg, BACK)
+    # widths come from closed-form line positions: no extra Bessel work
+    assert 0 < len(calls) - n_lit <= n_lit
     assert all(pk.sigma == lit.drive.delta_omega for pk in curve_lit.peaks)
     sig = {i + 1: pk.sigma for i, pk in enumerate(curve_avg.peaks[:3])}
     # d omega'_s / d nu ~ s near backscatter, so widths scale with order
@@ -288,6 +300,15 @@ def test_unreachable_band_raises_nonconvergence():
                    thetas=thetas)
     with pytest.raises(TruncationNotConverged, match="theta'=30 deg"):
         angular_distribution(sc, (1.0e6, 2.0e6))
+
+
+def test_coherent_nonconvergence_names_the_angle():
+    thetas = (math.radians(120.0), math.radians(159.9))
+    sc = _scenario(9e16, coherent_stats, OmegaGrid(1.0, 20.0, 64),
+                   thetas=thetas, s_max=3)
+    with pytest.raises(TruncationNotConverged,
+                       match=r"order 3; theta'=120 deg"):
+        angular_distribution(sc, (1.0, 20.0))
 
 
 def test_angular_scan_requires_thetas():

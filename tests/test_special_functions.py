@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from qcompton.special_functions import (MAX_ARGUMENT, MAX_ORDER,
-                                        OutOfContract, bessel_i0_log,
-                                        bessel_i0_log_scaled, bessel_j,
+                                        OutOfContract, bessel_i0_log_scaled,
                                         bessel_j_triple)
 
 
@@ -24,6 +23,13 @@ def _oracle_i0_log(x: float) -> float:
         return float(mp.log(mp.besseli(0, mp.mpf(x))))
 
 
+def _jn(n: int, x):
+    """J_n as one row of a triple: J_0 is row 0 of s = 1, J_MAX_ORDER
+    row 2 of s = MAX_ORDER - 1, every other order the middle row."""
+    s = min(max(n, 1), MAX_ORDER - 1)
+    return bessel_j_triple(s, x)[n - s + 1]
+
+
 def _close(got: float, want: float, rel: float) -> bool:
     if want == 0.0:
         return abs(got) < 1e-300
@@ -34,7 +40,7 @@ def test_bessel_j_small_arguments():
     for n in (0, 1, 2, 5, 9):
         for x in (0.0, 1e-8, 1e-3, 0.5, 2.0, 7.5):
             want = _oracle_jn(n, x)
-            got = bessel_j(n, x)
+            got = _jn(n, x)
             if abs(want) < 1e-280:        # below the documented flush floor
                 assert abs(got) < 1e-270
             else:
@@ -47,7 +53,7 @@ def test_bessel_j_oscillatory_region():
         n = int(rng.integers(0, 60))
         x = float(rng.uniform(8.0, 400.0))
         want = _oracle_jn(n, x)
-        got = bessel_j(n, x)
+        got = _jn(n, x)
         # near zeros of J_n compare absolutely at the local amplitude scale
         amp = math.sqrt(2.0 / (math.pi * x))
         assert abs(got - want) <= 1e-11 * amp, (n, x, got, want)
@@ -60,7 +66,7 @@ def test_bessel_j_huge_orders():
              (10000, 9990.0), (2000, 1999.5), (300, 10.0)]
     for n, x in cases:
         want = _oracle_jn(n, x)
-        got = bessel_j(n, x)
+        got = _jn(n, x)
         if want == 0.0 or abs(want) < 1e-290:
             assert abs(got) <= 1e-280
         else:
@@ -71,21 +77,30 @@ def test_bessel_j_array_matches_scalar():
     # the backward recurrence starts from the batch-wide maximum, so
     # batching may move the last ulp; anything beyond that is a bug
     xs = np.linspace(0.0, 120.0, 97)
-    arr = bessel_j(7, xs)
+    rows = bessel_j_triple(7, xs)
     amp = math.sqrt(2.0 / math.pi) / 3.0   # loose amplitude floor
-    for x, v in zip(xs, arr):
-        assert abs(v - bessel_j(7, float(x))) <= 1e-14 * amp
+    for i, x in enumerate(xs):
+        single = bessel_j_triple(7, float(x))
+        for row, v in zip(rows, single):
+            assert abs(row[i] - v) <= 1e-14 * amp
 
 
 def test_bessel_triple_consistency():
+    # J_s also appears as the top row of triple s-1 and the bottom row
+    # of triple s+1; their series thresholds and recurrence start
+    # orders differ, so agreement cross-checks the regimes
     rng = np.random.default_rng(19)
     for _ in range(60):
         s = int(rng.integers(1, 800))
         x = float(rng.uniform(0.0, min(900.0, s * 1.5 + 20.0)))
         jm, j0, jp = bessel_j_triple(s, x)
-        assert jm == pytest.approx(bessel_j(s - 1, x), rel=1e-12, abs=1e-280)
-        assert j0 == pytest.approx(bessel_j(s, x), rel=1e-12, abs=1e-280)
-        assert jp == pytest.approx(bessel_j(s + 1, x), rel=1e-12, abs=1e-280)
+        above = bessel_j_triple(s + 1, x)
+        assert j0 == pytest.approx(above[0], rel=1e-12, abs=1e-280)
+        assert jp == pytest.approx(above[1], rel=1e-12, abs=1e-280)
+        if s > 1:
+            below = bessel_j_triple(s - 1, x)
+            assert jm == pytest.approx(below[1], rel=1e-12, abs=1e-280)
+            assert j0 == pytest.approx(below[2], rel=1e-12, abs=1e-280)
         if x > 0.0 and abs(j0) > 1e-250:
             # three-term recurrence ties the triple together
             lhs = jm + jp
@@ -95,31 +110,33 @@ def test_bessel_triple_consistency():
 
 
 def test_bessel_j_contract_bounds():
-    with pytest.raises(OutOfContract):
-        bessel_j(-1, 1.0)
-    with pytest.raises(OutOfContract):
-        bessel_j(MAX_ORDER + 1, 1.0)
-    with pytest.raises(OutOfContract):
-        bessel_j(2, -0.5)
-    with pytest.raises(OutOfContract):
-        bessel_j(2, MAX_ARGUMENT * 1.01)
-    with pytest.raises(OutOfContract):
+    with pytest.raises(OutOfContract):       # J_{-1}
         bessel_j_triple(0, 1.0)
+    with pytest.raises(OutOfContract):       # J_{MAX_ORDER + 1}
+        bessel_j_triple(MAX_ORDER, 1.0)
+    with pytest.raises(OutOfContract):
+        bessel_j_triple(2, -0.5)
+    with pytest.raises(OutOfContract):
+        bessel_j_triple(2, MAX_ARGUMENT * 1.01)
+    with pytest.raises(OutOfContract):       # J_{2.5} is not integer order
+        bessel_j_triple(2.5, 1.0)
 
 
 def test_i0_log_against_oracle():
     for x in (0.0, 1e-12, 1e-4, 0.3, 1.0, 5.0, 29.0, 31.0, 100.0, 1e4, 1e8):
         want = _oracle_i0_log(x)
-        got = bessel_i0_log(x)
+        got = bessel_i0_log_scaled(x) + x
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13), x
 
 
 def test_i0_log_scaled_relation():
-    xs = np.geomspace(1e-6, 1e12, 40)
-    unscaled_ok = xs[xs < 600.0]
-    for x in unscaled_ok:
+    # log(e^-x I0) itself, where the oracle cancels x in extended precision
+    for x in np.geomspace(1e-6, 1e4, 30):
+        with mp.workdps(60):
+            xm = mp.mpf(float(x))
+            want = float(mp.log(mp.besseli(0, xm)) - xm)
         assert bessel_i0_log_scaled(float(x)) == pytest.approx(
-            bessel_i0_log(float(x)) - float(x), rel=1e-10, abs=1e-12)
+            want, rel=1e-10, abs=1e-12)
     # far asymptotic: log(e^-x I0) ~ -log(2 pi x)/2
     big = 1e12
     assert bessel_i0_log_scaled(big) == pytest.approx(
@@ -128,4 +145,4 @@ def test_i0_log_scaled_relation():
 
 def test_i0_rejects_negative():
     with pytest.raises(ValueError):
-        bessel_i0_log(-1.0)
+        bessel_i0_log_scaled(-1.0)
