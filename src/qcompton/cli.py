@@ -60,6 +60,22 @@ def _section(cfg: dict, name: str) -> dict:
     return cfg[name]
 
 
+def _finite(x) -> bool:
+    """A JSON number that is a finite float; json.load admits NaN and
+    Infinity, and an integer literal may lie beyond the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _finite_list(v, n: int) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == n
+            and all(_finite(x) for x in v))
+
+
 def _number(obj: dict, path: str, key: str, *, lo=None, hi=None,
             lo_open=False, default=None, required=True):
     if key not in obj:
@@ -67,8 +83,9 @@ def _number(obj: dict, path: str, key: str, *, lo=None, hi=None,
             raise SchemaError(f"{path}.{key}", "required field is missing")
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}.{key}", f"must be a number, got {v!r}")
+    if not _finite(v):
+        raise SchemaError(f"{path}.{key}",
+                          f"must be a finite number, got {v!r}")
     v = float(v)
     if lo is not None and (v <= lo if lo_open else v < lo):
         op = ">" if lo_open else ">="
@@ -114,11 +131,9 @@ def _number_pair(obj: dict, path: str, key: str, *, required=True,
             raise SchemaError(f"{path}.{key}", "required field is missing")
         return default
     v = obj[key]
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in v)):
+    if not _finite_list(v, 2):
         raise SchemaError(f"{path}.{key}",
-                          f"must be a [lo, hi] number pair, got {v!r}")
+                          f"must be a [lo, hi] finite number pair, got {v!r}")
     lo, hi = float(v[0]), float(v[1])
     if not hi > lo:
         raise SchemaError(f"{path}.{key}", f"needs lo < hi, got [{lo}, {hi}]")
@@ -151,12 +166,10 @@ def validate_config(cfg: dict) -> dict:
         from .constants import ELECTRON_MASS_EV
         gamma = 1.0 + ke / ELECTRON_MASS_EV
     direction = el.get("direction")
-    if (not isinstance(direction, (list, tuple)) or len(direction) != 3
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in direction)):
-        raise SchemaError("electron.direction",
-                          f"must be a 3-vector of numbers, got {direction!r}")
-    norm = math.sqrt(sum(float(x) ** 2 for x in direction))
+    if not _finite_list(direction, 3):
+        raise SchemaError("electron.direction", "must be a 3-vector of "
+                          f"finite numbers, got {direction!r}")
+    norm = math.hypot(*direction)     # no overflow for huge components
     if norm == 0.0:
         raise SchemaError("electron.direction", "must be a nonzero vector")
     out["electron"] = {"gamma": gamma,
@@ -197,11 +210,9 @@ def validate_config(cfg: dict) -> dict:
                                       default="linear", required=False)
     else:
         v = sc.get("theta_range_deg")
-        if (not isinstance(v, (list, tuple)) or len(v) != 3
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in v)):
-            raise SchemaError("scan.theta_range_deg",
-                              "must be [lo_deg, hi_deg, count], got %r" % (v,))
+        if not _finite_list(v, 3):
+            raise SchemaError("scan.theta_range_deg", "must be [lo_deg, "
+                              "hi_deg, count] finite numbers, got %r" % (v,))
         lo, hi, cnt = float(v[0]), float(v[1]), v[2]
         if not (0.0 <= lo < hi <= 180.0):
             raise SchemaError("scan.theta_range_deg",
@@ -335,7 +346,7 @@ def _write_curve(path: str, fmt: str, columns, rows, meta_lines):
 
 def _moment_check(stats) -> dict:
     m1, m2 = ps.moments(stats)
-    expected = 2.0 * stats.omega * stats.rho
+    expected = 2.0 * stats.energy_density
     check = {"m1": m1, "m2": m2, "m2_expected": expected,
              "m1_rel_err": abs(m1 - 1.0)}
     check["m2_rel_err"] = (abs(m2 - expected) / expected
@@ -343,16 +354,8 @@ def _moment_check(stats) -> dict:
     return check
 
 
-def run_config(resolved: dict, out_path: str | None,
-               out_format: str | None) -> int:
-    scenario, resolved = _build_scenario(resolved)
-    fmt = out_format or resolved["output"]["format"]
-    path = out_path or resolved["output"]["path"] or f"qcompton_run.{fmt}"
-    resolved["output"] = {"format": fmt, "path": path}
-
-    diagnostics: dict = {}
-    started = time.perf_counter()
-    scan = resolved["scan"]
+def _scan_rows(scenario: Scenario, scan: dict, diagnostics: dict):
+    """The curve's CSV columns and rows for the configured scan."""
     if scan["mode"] == "spectrum":
         geometry = EmissionGeometry(
             theta=math.radians(scan["theta_prime_deg"]),
@@ -367,21 +370,49 @@ def run_config(resolved: dict, out_path: str | None,
         columns = ("theta_prime_deg", "band_energy_per_sr")
         rows = list(zip([math.degrees(t) for t in ang.theta.tolist()],
                         ang.values.tolist()))
-    wall = time.perf_counter() - started
+    return columns, rows
 
-    _write_curve(path, fmt, columns, rows, _metadata_lines(resolved))
+
+def _write_report(path: str, wall: float, diagnostics: dict, stats,
+                  resolved: dict, **outcome) -> str:
+    """Write `path`.report.json; `outcome` is output_path or error."""
     report = {
         "code_version": __version__,
         "wall_time_s": wall,
         "diagnostics": diagnostics,
-        "moment_check": _moment_check(scenario.stats),
-        "output_path": path,
+        "moment_check": _moment_check(stats),
+        **outcome,
         "config": resolved,
     }
     report_path = path + ".report.json"
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
+    return report_path
+
+
+def run_config(resolved: dict, out_path: str | None,
+               out_format: str | None) -> int:
+    """Run one resolved config; a run that does not converge still
+    writes its report, with the failure under "error", and re-raises."""
+    scenario, resolved = _build_scenario(resolved)
+    fmt = out_format or resolved["output"]["format"]
+    path = out_path or resolved["output"]["path"] or f"qcompton_run.{fmt}"
+    resolved["output"] = {"format": fmt, "path": path}
+
+    diagnostics: dict = {}
+    started = time.perf_counter()
+    try:
+        columns, rows = _scan_rows(scenario, resolved["scan"], diagnostics)
+    except TruncationNotConverged as exc:
+        _write_report(path, time.perf_counter() - started, diagnostics,
+                      scenario.stats, resolved, error=str(exc))
+        raise
+    wall = time.perf_counter() - started
+
+    _write_curve(path, fmt, columns, rows, _metadata_lines(resolved))
+    report_path = _write_report(path, wall, diagnostics, scenario.stats,
+                                resolved, output_path=path)
     print(f"wrote {path} and {report_path} ({wall:.2f} s)")
     return 0
 

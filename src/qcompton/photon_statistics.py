@@ -8,10 +8,16 @@ Two invariants make states comparable at equal mean photon density rho:
     m1 = integral E R(E) dE   = 1          (normalization)
     m2 = integral E^3 R(E) dE = 2 omega rho (equal intensity)
 
+Both invariants involve the drive only through the energy density
+u = omega rho, and so does every family here: statistics built at
+(omega, rho) and at (omega', omega rho / omega') give the same R(E) up to
+rounding.  u is therefore the one drive quantity a PhaseAveragedStatistics carries; the
+drive frequency enters the spectrum only through the wavevector k.
+
 Coherent-like states collapse to a single field amplitude ("atomic
-peak" at A = sqrt(2 omega rho), R(E) = delta(E - A)/E); genuinely
-fluctuating states carry a smooth density exposed as log R to keep the
-far tail (E^2 >> omega rho) usable without underflow.
+peak" at A = sqrt(2 u), R(E) = delta(E - A)/E); genuinely fluctuating
+states carry a smooth density exposed as log R to keep the far tail
+(E^2 >> u) usable without underflow.
 """
 
 from __future__ import annotations
@@ -53,14 +59,11 @@ class PhaseAveragedStatistics:
     """
 
     label: str
-    omega: float                  # drive photon energy, eV
-    rho: float                    # photon number density, eV^3
+    energy_density: float         # u = omega rho, eV^4
     peak_amplitude: float | None = None
     log_r_fn: Callable | None = field(default=None, repr=False, compare=False)
     support_max: float = 0.0      # R treated as negligible beyond this E
     table: tuple | None = field(default=None, repr=False, compare=False)
-    source_samples: tuple | None = field(default=None, repr=False,
-                                         compare=False)
 
     @property
     def is_atomic(self) -> bool:
@@ -75,18 +78,6 @@ class PhaseAveragedStatistics:
         out = self.log_r_fn(np.atleast_1d(np.asarray(e_field, dtype=float)))
         return float(out[0]) if scalar else out
 
-    def r(self, e_field):
-        """R(E) in linear space (may underflow to 0 in the far tail)."""
-        val = self.log_r(e_field)
-        return np.exp(val)
-
-    def with_drive(self, omega: float, rho: float) -> "PhaseAveragedStatistics":
-        """Same family of statistics rebuilt at a different (omega, rho)."""
-        maker = FAMILIES[self.label]
-        if self.label == "custom":
-            return maker(omega, rho, np.column_stack(self.source_samples))
-        return maker(omega, rho)
-
 
 def _require_drive(omega: float, rho: float, allow_zero_rho: bool) -> None:
     if omega <= 0.0:
@@ -99,7 +90,7 @@ def _atomic_stats(label: str, omega: float,
                   rho: float) -> PhaseAveragedStatistics:
     """Coherent-like statistics under `label`: one atomic peak at A."""
     _require_drive(omega, rho, allow_zero_rho=True)
-    return PhaseAveragedStatistics(label=label, omega=omega, rho=rho,
+    return PhaseAveragedStatistics(label=label, energy_density=omega * rho,
                                    peak_amplitude=math.sqrt(2.0 * omega * rho))
 
 
@@ -127,7 +118,7 @@ def thermal_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
         return -e * e / (2.0 * wr) - math.log(wr)
 
     return PhaseAveragedStatistics(
-        label="thermal", omega=omega, rho=rho, log_r_fn=log_r,
+        label="thermal", energy_density=wr, log_r_fn=log_r,
         support_max=_SUPPORT_SIGMAS * math.sqrt(2.0 * wr))
 
 
@@ -146,7 +137,7 @@ def bsv_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
             return -e * e / (4.0 * wr) - np.log(e) - half_log
 
     return PhaseAveragedStatistics(
-        label="bsv", omega=omega, rho=rho, log_r_fn=log_r,
+        label="bsv", energy_density=wr, log_r_fn=log_r,
         support_max=_SUPPORT_SIGMAS * math.sqrt(4.0 * wr))
 
 
@@ -177,7 +168,7 @@ def mixed_diagonal_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
                 + bessel_i0_log_scaled(nbar * alpha2 / denom))
 
     return PhaseAveragedStatistics(
-        label="mixed_diagonal", omega=omega, rho=rho, log_r_fn=log_r,
+        label="mixed_diagonal", energy_density=omega * rho, log_r_fn=log_r,
         support_max=_SUPPORT_SIGMAS * math.sqrt(4.0 * omega * rho))
 
 
@@ -226,9 +217,8 @@ def custom_tabulated_stats(omega: float, rho: float,
         return np.interp(e, e_nodes, log_r_nodes, left=-np.inf, right=-np.inf)
 
     return PhaseAveragedStatistics(
-        label="custom", omega=omega, rho=rho, log_r_fn=log_r,
-        support_max=float(e_nodes[-1]), table=(e_nodes, log_r_nodes),
-        source_samples=(e_in.copy(), r_in.copy()))
+        label="custom", energy_density=omega * rho, log_r_fn=log_r,
+        support_max=float(e_nodes[-1]), table=(e_nodes, log_r_nodes))
 
 
 def tabulated_stats_from_file(path, omega: float,

@@ -104,10 +104,11 @@ class Scenario:
         if self.broadening not in BROADENING_MODES:
             raise ValueError(f"broadening must be one of {BROADENING_MODES}, "
                              f"got {self.broadening!r}")
-        if abs(self.stats.omega - self.drive.omega) > 1e-9 * self.drive.omega:
+        u = self.drive.omega * self.drive.rho
+        if abs(self.stats.energy_density - u) > 1e-9 * u:
             raise ValueError(
-                "statistics were built for drive frequency %g eV but the "
-                "scenario drive is %g eV" % (self.stats.omega, self.drive.omega))
+                "statistics were built for energy density %g eV^4 but the "
+                "scenario drive has %g eV^4" % (self.stats.energy_density, u))
         for th in self.thetas:
             if not 0.0 <= th <= math.pi:
                 raise ValueError(f"scan angle {th} outside [0, pi]")
@@ -238,16 +239,17 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max):
     Lines gather toward the absolute ceiling as the order grows, so a
     frequency bound alone cannot stop the scan; batches of orders are
     resolved until a whole batch adds less than rel_tol of the running
-    total weight.
+    total weight.  Line positions are closed-form, so orders above w_max
+    are dropped before any Bessel work.
     """
     entries = []
     total = 0.0
     s_lo = 1
     while s_lo <= s_max:
         s_hi = min(s_lo + _LADDER_BATCH - 1, s_max)
-        batch = emission.coherent_peaks(stats, p, k, geometry,
-                                        range(s_lo, s_hi + 1))
-        batch = [q for q in batch if q.omega_prime <= w_max]
+        orders = [s for s, wps, _ in emission.coherent_line_positions(
+            stats, p, k, geometry, range(s_lo, s_hi + 1)) if wps <= w_max]
+        batch = emission.coherent_peaks(stats, p, k, geometry, orders)
         entries.extend(batch)
         got = sum(q.weight for q in batch)
         total += got
@@ -264,7 +266,6 @@ def _peak_sigmas(scenario: Scenario, geometry, entries):
     times the bandwidth, by centered difference at fixed energy density."""
     omega = scenario.drive.omega
     sigma = scenario.drive.delta_omega
-    u = omega * scenario.drive.rho
     p = scenario.electron.p
     sides = {}
     orders = [q.order for q in entries]
@@ -273,9 +274,9 @@ def _peak_sigmas(scenario: Scenario, geometry, entries):
     for sgn in (-1.0, +1.0):
         nu = omega + sgn * sigma
         k_nu = photon_wavevector(nu, 0.0, 0.0)
-        stats_nu = scenario.stats.with_drive(nu, u / nu)
         lines = emission.coherent_line_positions(
-            stats_nu, p, k_nu, geometry, range(min(orders), max(orders) + 1))
+            scenario.stats, p, k_nu, geometry,
+            range(min(orders), max(orders) + 1))
         sides[sgn] = {s: wps for s, wps, _ in lines}
     widths = {}
     for q in entries:
@@ -375,12 +376,12 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: dict | None):
     grids = [grid.points() for _, grid in blocks]
     angles = [(geometry.theta, geometry.phi) for geometry, _ in blocks]
 
-    def density(stats, k, point_sets):
+    def density(k, point_sets):
         sizes = [x.size for x in point_sets]
         theta, phi = (np.repeat(a, sizes) for a in zip(*angles))
         diag: dict = {}
         out = emission.spectral_density_points(
-            stats, scenario.electron.p, k, theta, phi,
+            scenario.stats, scenario.electron.p, k, theta, phi,
             np.concatenate(point_sets), rel_tol=scenario.rel_tol,
             s_max=scenario.s_max, diagnostics=diag)
         _merge_diagnostics(diagnostics, diag)
@@ -388,18 +389,16 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: dict | None):
 
     if scenario.broadening == "drive_average":
         nodes, wts = hermgauss(_HERMITE_ORDER)
-        u = scenario.drive.omega * scenario.drive.rho
         acc = [np.zeros_like(grid) for grid in grids]
         for x, w in zip(nodes, wts):
             nu = scenario.drive.omega + math.sqrt(2.0) * sigma * x
             k_nu = photon_wavevector(nu, 0.0, 0.0)
-            stats_nu = scenario.stats.with_drive(nu, u / nu)
-            for a, d in zip(acc, density(stats_nu, k_nu, grids)):
+            for a, d in zip(acc, density(k_nu, grids)):
                 a += (w / math.sqrt(math.pi)) * d
         smooth = [t_pulse * a for a in acc]
     else:
         wings = [_extended_nodes(grid, sigma) for grid in grids]
-        dens = density(scenario.stats, scenario.wavevector(), wings)
+        dens = density(scenario.wavevector(), wings)
         smooth = [t_pulse * _gaussian_convolve_linear(x, d, sigma, grid)
                   for x, d, grid in zip(wings, dens, grids)]
     return [SpectralCurve(omega=grid, smooth=y)

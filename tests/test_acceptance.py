@@ -398,8 +398,9 @@ def test_09_narrow_gaussian_matches_line_weight(acceptance_log):
             e = np.asarray(e, dtype=float)
             return _n - 0.5 * ((e - amp) / _s) ** 2 - np.log(e)
 
-        stats = PhaseAveragedStatistics(label="custom", omega=drive.omega,
-                                        rho=drive.rho, log_r_fn=log_r,
+        stats = PhaseAveragedStatistics(label="custom",
+                                        energy_density=drive.omega * drive.rho,
+                                        log_r_fn=log_r,
                                         support_max=amp + 40.0 * sigma)
         # the line position responds to the field amplitude only through
         # the intensity shift (< 2e-2 fractional here), so this window is

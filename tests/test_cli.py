@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -49,6 +50,9 @@ def test_validate_electron_forms():
     out = cli.validate_config(cfg)
     assert out["electron"]["gamma"] == pytest.approx(1.0 + 511e3 / 510998.95)
     assert np.linalg.norm(out["electron"]["direction"]) == pytest.approx(1.0)
+    for scale in (1e200, 1e-200):     # squared components over/underflow
+        cfg["electron"]["direction"] = [0, scale, 0]
+        assert cli.validate_config(cfg)["electron"]["direction"] == [0, 1, 0]
 
 
 @pytest.mark.parametrize("mutate, path", [
@@ -106,6 +110,115 @@ def test_validate_custom_state_needs_table():
     assert err.value.path == "drive.custom_table"
 
 
+def _angular_config():
+    cfg = _base_config()
+    cfg["scan"] = {"mode": "angular", "theta_range_deg": [90, 180, 10],
+                   "band_eV": [100.0, 200.0]}
+    return cfg
+
+
+_ELECTRON_FORMS = ("gamma", "beta", "kinetic_energy_eV")
+
+# values of the wrong JSON type, per kind of field
+_WRONG_TYPES = {
+    "number": ["text", [1.0], {"x": 1}, True, None],
+    "integer": ["text", [1], {"x": 1}, True, None, 8.0],
+    "list": ["text", 1.0, {"x": 1}, True, None],
+    "choice": [5, [1.0], {"x": 1}, True, None],
+    "string": [5, [1.0], {"x": 1}, True],
+    "section": ["text", 1.0, [1.0], True, None],
+}
+
+# (base config, dotted field path, kind, required, out-of-range values)
+_FUZZ_FIELDS = [
+    (_base_config, "electron", "section", True, []),
+    (_base_config, "electron.gamma", "number", True, [0.5, -3.0]),
+    (lambda: _base_config(electron={"beta": 0.5, "direction": [0, 0, 1]}),
+     "electron.beta", "number", True, [1.0, -0.1]),
+    (lambda: _base_config(electron={"kinetic_energy_eV": 1e3,
+                                    "direction": [0, 0, 1]}),
+     "electron.kinetic_energy_eV", "number", True, [-1.0]),
+    (_base_config, "electron.direction", "list", True, [[0, 0, 0], [0, 1]]),
+    (_base_config, "drive", "section", True, []),
+    (_base_config, "drive.photon_energy_eV", "number", True, [0.0, -2.25]),
+    (_base_config, "drive.intensity_W_cm2", "number", True, [0.0, -1e16]),
+    (_base_config, "drive.relative_bandwidth", "number", True, [0.0]),
+    (_base_config, "drive.state", "choice", True, ["squeezed"]),
+    (_base_config, "scan", "section", True, []),
+    (_base_config, "scan.mode", "choice", True, ["polar"]),
+    (_base_config, "scan.theta_prime_deg", "number", True, [-1.0, 180.5]),
+    (_base_config, "scan.phi_prime_deg", "number", False, []),
+    (_base_config, "scan.omega_prime_range_eV", "list", True,
+     [[0.0, 5.0], [5.0, 1.0], [1.0, 2.0, 3.0]]),
+    (_base_config, "scan.samples", "integer", True, [1, 0]),
+    (_base_config, "scan.grid", "choice", False, ["cubic"]),
+    (_angular_config, "scan.theta_range_deg", "list", True,
+     [[90, 80, 10], [-1, 180, 10], [90, 181, 10], [90, 180, 1],
+      [90, 180, 2.5]]),
+    (_angular_config, "scan.band_eV", "list", True,
+     [[0.0, 5.0], [5.0, 1.0]]),
+    (_angular_config, "scan.samples", "integer", False, [1]),
+    (_base_config, "numerics", "section", False, []),
+    (_base_config, "numerics.broadening", "choice", False, ["somehow"]),
+    (_base_config, "numerics.rel_tol", "number", False, [0.0, -1e-10]),
+    (_base_config, "numerics.s_max", "integer", False, [0, 10_000]),
+    (_base_config, "output", "section", False, []),
+    (_base_config, "output.format", "choice", False, ["xml"]),
+    (_base_config, "output.path", "string", False, []),
+]
+
+
+def _fuzz_cases(rng):
+    """(config, expected key path) for every malformed variant of each
+    field: wrong type, missing, NaN, +-Infinity and out of range.  NaN
+    and Infinity go into one seeded element of a list-valued field."""
+    for make, path, kind, required, out_of_range in _FUZZ_FIELDS:
+        *parents, key = path.split(".")
+
+        def variant(*value):
+            cfg = make()
+            obj = cfg
+            for name in parents:
+                obj = obj.setdefault(name, {})
+            if value:
+                obj[key] = value[0]
+            else:
+                obj.pop(key, None)
+            return cfg
+
+        if required:
+            # the electron energy forms exclude one another, so a missing
+            # one is reported on the section
+            yield variant(), "electron" if key in _ELECTRON_FORMS else path
+        for value in _WRONG_TYPES[kind] + out_of_range:
+            yield variant(value), path
+        for special in (math.nan, math.inf, -math.inf):
+            if kind == "list":
+                value = list(make()[parents[0]][key])
+                value[rng.randrange(len(value))] = special
+            else:
+                value = special
+            yield variant(value), path
+
+
+@pytest.mark.parametrize("seed", [1, 104729])
+def test_validate_config_fuzz_exits_1_with_key_path(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    cases = list(_fuzz_cases(rng))
+    rng.shuffle(cases)
+    assert len(cases) > 150
+    for i, (cfg, path) in enumerate(cases):
+        config = tmp_path / f"fuzz{i}.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / f"fuzz{i}.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_SCHEMA, (path, cfg, err)
+        assert f"config error at {path}" in err, (path, cfg, err)
+        assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv*"))
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_exit_code_on_bad_json(tmp_path, capsys):
@@ -143,6 +256,23 @@ def test_exit_code_on_nonconvergence(tmp_path, capsys):
                      "--out", out])
     assert code == cli.EXIT_NONCONVERGENCE
     assert "non-convergence" in capsys.readouterr().err
+
+
+def test_nonconvergence_still_writes_report(tmp_path, capsys):
+    cfg = _base_config(numerics={"s_max": 2})
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)])
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert "theta'=159.9 deg" in capsys.readouterr().err
+    assert not out.exists()
+    report = json.loads((tmp_path / "x.csv.report.json").read_text())
+    assert "theta'=159.9 deg" in report["error"]
+    assert "output_path" not in report
+    for key in ("code_version", "wall_time_s", "diagnostics",
+                "moment_check", "config"):
+        assert key in report
+    assert report["config"]["numerics"]["s_max"] == 2
 
 
 def test_exit_code_on_s_max_beyond_bessel_contract(tmp_path, capsys):

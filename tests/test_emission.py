@@ -197,9 +197,6 @@ def test_input_validation():
         smooth_spectral_density(atomic, AT_REST, K_DRIVE, geom, 1.0)
     with pytest.raises(TypeError):
         coherent_peaks(smooth, AT_REST, K_DRIVE, geom, range(1, 3))
-    with pytest.raises(ValueError):        # statistics/drive frequency clash
-        mismatched = thermal_stats(2.0, drive.rho)
-        smooth_spectral_density(mismatched, AT_REST, K_DRIVE, geom, 1.0)
     with pytest.raises(ValueError):        # drive must run along +z
         k_tilted = photon_wavevector(drive.omega, 0.3, 0.0)
         smooth_spectral_density(smooth, AT_REST, k_tilted, geom, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qcompton.photon_statistics import (NonNormalizable,
+from qcompton.photon_statistics import (FAMILIES, NonNormalizable,
                                         PhaseAveragedStatistics, bsv_stats,
                                         cat_limit_stats, coherent_stats,
                                         custom_tabulated_stats,
@@ -88,14 +88,32 @@ def test_mixed_diagonal_matches_bsv_pointwise():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_with_drive_rebuilds_family():
-    st = thermal_stats(OMEGA, RHO)
-    st2 = st.with_drive(2.0, 5.0 * RHO)
-    assert st2.label == "thermal"
-    assert (st2.omega, st2.rho) == (2.0, 5.0 * RHO)
-    m1, m2 = moments(st2)
-    assert m1 == pytest.approx(1.0, rel=1e-8)
-    assert m2 == pytest.approx(2.0 * 2.0 * 5.0 * RHO, rel=1e-8)
+@pytest.mark.parametrize("label", sorted(FAMILIES))
+def test_families_depend_on_energy_density_only(label):
+    # the drive enters R(E) only through u = omega rho: the same family
+    # built at (omega, rho) and at (omega', omega rho / omega') must be
+    # one distribution, which is what lets drive_average vary the drive
+    # frequency at fixed statistics
+    e = np.linspace(1e-4, 8.0, 400)
+    table = np.column_stack([e, 3.7e5 * np.exp(-((e - 2.0) ** 2) / 0.5)])
+    maker = FAMILIES[label]
+    extra = (table,) if label == "custom" else ()
+    u = OMEGA * RHO
+    st = maker(OMEGA, RHO, *extra)
+    for omega2 in (1.3, 1.01 * OMEGA, 7.0):
+        st2 = maker(omega2, u / omega2, *extra)
+        assert st2.energy_density == pytest.approx(u, rel=1e-15)
+        assert st2.support_max == pytest.approx(st.support_max, rel=1e-14)
+        assert moments(st2) == pytest.approx(moments(st), rel=1e-12)
+        if st.is_atomic:
+            assert st2.peak_amplitude == pytest.approx(st.peak_amplitude,
+                                                       rel=1e-15)
+            continue
+        grid = np.geomspace(1e-6, 0.999, 41) * st.support_max
+        got, want = st2.log_r(grid), st.log_r(grid)
+        finite = np.isfinite(want)
+        assert np.array_equal(finite, np.isfinite(got))
+        assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
 
 
 def test_custom_table_is_rescaled_to_invariants():
@@ -108,7 +126,7 @@ def test_custom_table_is_rescaled_to_invariants():
     m1, m2 = moments(st)
     assert m1 == pytest.approx(1.0, rel=1e-9)
     assert m2 == pytest.approx(2.0 * OMEGA * RHO, rel=1e-9)
-    st2 = st.with_drive(OMEGA, 2.0 * RHO)
+    st2 = custom_tabulated_stats(OMEGA, 2.0 * RHO, np.column_stack([e, r]))
     m1b, m2b = moments(st2)
     assert m1b == pytest.approx(1.0, rel=1e-9)
     assert m2b == pytest.approx(4.0 * OMEGA * RHO, rel=1e-9)
@@ -160,8 +178,8 @@ def test_drive_validation():
 
 
 def test_hand_built_statistics_accepted():
-    # consumers only rely on the documented surface: label, omega, rho,
-    # log_r / peak_amplitude, support_max
+    # consumers only rely on the documented surface: label,
+    # energy_density, log_r / peak_amplitude, support_max
     wr = OMEGA * RHO
     a = math.sqrt(2.0 * wr)
     sigma = 0.05 * a
@@ -170,7 +188,7 @@ def test_hand_built_statistics_accepted():
         return (-((e - a) ** 2) / (2.0 * sigma * sigma)
                 - 0.5 * math.log(2.0 * math.pi * sigma * sigma) - np.log(e))
 
-    st = PhaseAveragedStatistics(label="custom", omega=OMEGA, rho=RHO,
+    st = PhaseAveragedStatistics(label="custom", energy_density=wr,
                                  log_r_fn=log_r, support_max=a + 40 * sigma)
     m1, m2 = moments(st)
     # exact Gaussian moments: int N(a, sigma) dE = 1, int E^2 N = a^2 + sigma^2

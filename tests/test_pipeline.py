@@ -18,7 +18,7 @@ from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         thermal_stats)
 from qcompton.pipeline import (AngularCurve, GaussianPeak, OmegaGrid,
                                Scenario, SpectralCurve,
-                               _gaussian_convolve_linear,
+                               _gaussian_convolve_linear, _ladder,
                                angular_distribution, band_integrate,
                                energy_spectrum)
 from qcompton.units import pulse_duration
@@ -60,6 +60,22 @@ def test_grid_and_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(electron=AT_REST, drive=drive, stats=good,
                  omega_grid=OmegaGrid(1.0, 2.0, 8), thetas=(4.0,))
+
+
+def test_scenario_rejects_statistics_built_for_another_intensity():
+    # statistics are keyed by the energy density u = omega rho alone: the
+    # same u reached at another drive frequency is the same R(E), while
+    # twice the intensity at the right frequency is a different drive
+    drive = drive_for(9e15)
+    grid = OmegaGrid(1.0, 2.0, 8)
+    with pytest.raises(ValueError, match="energy density"):
+        Scenario(electron=AT_REST, drive=drive,
+                 stats=thermal_stats(drive.omega, 2.0 * drive.rho),
+                 omega_grid=grid)
+    u = drive.omega * drive.rho
+    Scenario(electron=AT_REST, drive=drive,
+             stats=thermal_stats(1.5 * drive.omega, u / (1.5 * drive.omega)),
+             omega_grid=grid)
 
 
 def test_spectral_curve_validation():
@@ -166,6 +182,28 @@ def test_drive_average_linewidths_grow_with_order(monkeypatch):
     # masses are the same under either reading
     for a, b in zip(curve_lit.peaks[:3], curve_avg.peaks[:3]):
         assert a.mass == pytest.approx(b.mass, rel=1e-12)
+
+
+def test_ladder_evaluates_only_the_lines_it_keeps(monkeypatch):
+    # line positions are closed-form, so orders above w_max must be
+    # dropped before their Bessel brackets are evaluated
+    calls = []
+    bracket = emission.bessel_bracket
+
+    def counted(*args):
+        calls.append(args[0])
+        return bracket(*args)
+
+    monkeypatch.setattr(emission, "bessel_bracket", counted)
+    drive = drive_for(9e16)
+    k = photon_wavevector(drive.omega, 0.0, 0.0)
+    w_max = 12.0
+    assert w_max < absolute_frequency_ceiling(AT_REST.p, k, BACK)
+    lines = _ladder(coherent_stats(drive.omega, drive.rho), AT_REST.p, k,
+                    BACK, w_max, emission.DEFAULT_REL_TOL,
+                    emission.DEFAULT_S_MAX)
+    assert lines and all(q.omega_prime <= w_max for q in lines)
+    assert len(calls) == len(lines)
 
 
 def test_azimuth_never_enters_axis_aligned_scans():
