@@ -20,7 +20,7 @@ from .photon_statistics import (NonNormalizable, PhaseAveragedStatistics,
                                 custom_tabulated_stats, fock_limit_stats,
                                 mixed_diagonal_stats, moments, thermal_stats,
                                 tabulated_stats_from_file)
-from .emission import (PeakEntry, TruncationNotConverged,
+from .emission import (Diagnostics, PeakEntry, TruncationNotConverged,
                        absolute_frequency_ceiling, coherent_peaks,
                        kinematic_max_frequency, smooth_spectral_density,
                        spectral_density_points)
@@ -32,6 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularCurve",
+    "Diagnostics",
     "ElectronState",
     "EmissionGeometry",
     "FourVector",

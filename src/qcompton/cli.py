@@ -23,14 +23,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
-from .minkowski import (EmissionGeometry, KinematicallyForbidden,
-                        electron_momentum)
-from .special_functions import OutOfContract
+from .minkowski import EmissionGeometry, electron_momentum
 from .units import LabDriveSpec, natural_drive
 from . import photon_statistics as ps
-from .emission import DEFAULT_REL_TOL, DEFAULT_S_MAX, TruncationNotConverged
+from .emission import (DEFAULT_REL_TOL, DEFAULT_S_MAX, Diagnostics,
+                       TruncationNotConverged)
 from .pipeline import (OmegaGrid, Scenario, angular_distribution,
                        energy_spectrum)
 
@@ -76,13 +76,19 @@ def _finite_list(v, n: int) -> bool:
             and all(_finite(x) for x in v))
 
 
+def _field(obj: dict, path: str, key: str, default):
+    """obj[key], else `default`, which the caller checks like a given
+    value; a field without a default is required."""
+    if key in obj:
+        return obj[key]
+    if default is None:
+        raise SchemaError(f"{path}.{key}", "required field is missing")
+    return default
+
+
 def _number(obj: dict, path: str, key: str, *, lo=None, hi=None,
-            lo_open=False, default=None, required=True):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
+            lo_open=False, default=None):
+    v = _field(obj, path, key, default)
     if not _finite(v):
         raise SchemaError(f"{path}.{key}",
                           f"must be a finite number, got {v!r}")
@@ -95,13 +101,8 @@ def _number(obj: dict, path: str, key: str, *, lo=None, hi=None,
     return v
 
 
-def _integer(obj: dict, path: str, key: str, *, lo=1, hi=None, default=None,
-             required=True):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
+def _integer(obj: dict, path: str, key: str, *, lo=1, hi=None, default=None):
+    v = _field(obj, path, key, default)
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{path}.{key}", f"must be an integer, got {v!r}")
     if v < lo:
@@ -111,26 +112,16 @@ def _integer(obj: dict, path: str, key: str, *, lo=1, hi=None, default=None,
     return v
 
 
-def _choice(obj: dict, path: str, key: str, options, *, default=None,
-            required=True):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
+def _choice(obj: dict, path: str, key: str, options, *, default=None):
+    v = _field(obj, path, key, default)
     if v not in options:
         raise SchemaError(f"{path}.{key}",
                           f"must be one of {list(options)}, got {v!r}")
     return v
 
 
-def _number_pair(obj: dict, path: str, key: str, *, required=True,
-                 default=None):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
+def _number_pair(obj: dict, path: str, key: str):
+    v = _field(obj, path, key, None)
     if not _finite_list(v, 2):
         raise SchemaError(f"{path}.{key}",
                           f"must be a [lo, hi] finite number pair, got {v!r}")
@@ -196,7 +187,7 @@ def validate_config(cfg: dict) -> dict:
     mode = _choice(sc, "scan", "mode", ("spectrum", "angular"))
     out["scan"] = {"mode": mode,
                    "phi_prime_deg": _number(sc, "scan", "phi_prime_deg",
-                                            default=0.0, required=False)}
+                                            default=0.0)}
     if mode == "spectrum":
         out["scan"]["theta_prime_deg"] = _number(
             sc, "scan", "theta_prime_deg", lo=0.0, hi=180.0)
@@ -207,7 +198,7 @@ def validate_config(cfg: dict) -> dict:
         out["scan"]["omega_prime_range_eV"] = rng
         out["scan"]["samples"] = _integer(sc, "scan", "samples", lo=2)
         out["scan"]["grid"] = _choice(sc, "scan", "grid", ("linear", "log"),
-                                      default="linear", required=False)
+                                      default="linear")
     else:
         v = sc.get("theta_range_deg")
         if not _finite_list(v, 3):
@@ -227,7 +218,7 @@ def validate_config(cfg: dict) -> dict:
                               f"lower edge must be > 0, got {band[0]}")
         out["scan"]["band_eV"] = band
         out["scan"]["samples"] = _integer(sc, "scan", "samples", lo=2,
-                                          default=512, required=False)
+                                          default=512)
         out["scan"]["jacobian"] = bool(sc.get("jacobian", False))
 
     nm = cfg.get("numerics", {})
@@ -235,12 +226,11 @@ def validate_config(cfg: dict) -> dict:
         raise SchemaError("numerics", "must be an object")
     out["numerics"] = {
         "broadening": _choice(nm, "numerics", "broadening",
-                              ("literal", "drive_average"),
-                              default="literal", required=False),
+                              ("literal", "drive_average"), default="literal"),
         "rel_tol": _number(nm, "numerics", "rel_tol", lo=0.0, lo_open=True,
-                           default=DEFAULT_REL_TOL, required=False),
+                           default=DEFAULT_REL_TOL),
         "s_max": _integer(nm, "numerics", "s_max", lo=1, hi=DEFAULT_S_MAX,
-                          default=DEFAULT_S_MAX, required=False),
+                          default=DEFAULT_S_MAX),
     }
 
     ou = cfg.get("output", {})
@@ -248,7 +238,7 @@ def validate_config(cfg: dict) -> dict:
         raise SchemaError("output", "must be an object")
     out["output"] = {
         "format": _choice(ou, "output", "format", ("csv", "json"),
-                          default="csv", required=False),
+                          default="csv"),
         "path": ou.get("path"),
     }
     if out["output"]["path"] is not None and not isinstance(
@@ -354,7 +344,7 @@ def _moment_check(stats) -> dict:
     return check
 
 
-def _scan_rows(scenario: Scenario, scan: dict, diagnostics: dict):
+def _scan_rows(scenario: Scenario, scan: dict, diagnostics: Diagnostics):
     """The curve's CSV columns and rows for the configured scan."""
     if scan["mode"] == "spectrum":
         geometry = EmissionGeometry(
@@ -373,13 +363,13 @@ def _scan_rows(scenario: Scenario, scan: dict, diagnostics: dict):
     return columns, rows
 
 
-def _write_report(path: str, wall: float, diagnostics: dict, stats,
+def _write_report(path: str, wall: float, diagnostics: Diagnostics, stats,
                   resolved: dict, **outcome) -> str:
     """Write `path`.report.json; `outcome` is output_path or error."""
     report = {
         "code_version": __version__,
         "wall_time_s": wall,
-        "diagnostics": diagnostics,
+        "diagnostics": asdict(diagnostics),
         "moment_check": _moment_check(stats),
         **outcome,
         "config": resolved,
@@ -400,7 +390,7 @@ def run_config(resolved: dict, out_path: str | None,
     path = out_path or resolved["output"]["path"] or f"qcompton_run.{fmt}"
     resolved["output"] = {"format": fmt, "path": path}
 
-    diagnostics: dict = {}
+    diagnostics = Diagnostics()
     started = time.perf_counter()
     try:
         columns, rows = _scan_rows(scenario, resolved["scan"], diagnostics)
@@ -533,10 +523,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (KinematicallyForbidden, ps.NonNormalizable, OutOfContract) as exc:
-        print(f"physics error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except ValueError as exc:
+    except ValueError as exc:       # every physics error subclasses it
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except TruncationNotConverged as exc:

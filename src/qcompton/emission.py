@@ -51,6 +51,31 @@ class TruncationNotConverged(RuntimeError):
     """Harmonic sum hit the order cap before meeting the tolerance."""
 
 
+@dataclass
+class Diagnostics:
+    """Truncation counters of a run, added to by each engine pass and
+    coherent ladder as it goes, so a pass that raises leaves its counts.
+
+    points counts evaluation points (grid nodes for a ladder).  The order
+    fields hold the highest order with a non-zero term and the last order
+    evaluated; for a ladder both are its highest kept line.  edge_guarded
+    counts terms zeroed on the kinematic edge.  Across passes points and
+    edge_guarded add up, and the order fields keep their maximum.
+    """
+
+    points: int = 0
+    highest_order: int = 0
+    orders_scanned: int = 0
+    edge_guarded: int = 0
+
+    def add(self, points=0, highest_order=0, orders_scanned=0,
+            edge_guarded=0) -> None:
+        self.points += points
+        self.highest_order = max(self.highest_order, highest_order)
+        self.orders_scanned = max(self.orders_scanned, orders_scanned)
+        self.edge_guarded += edge_guarded
+
+
 @dataclass(frozen=True)
 class PeakEntry:
     """One coherent-drive emission line: order, position, integrated power.
@@ -137,7 +162,8 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                             rel_tol: float = DEFAULT_REL_TOL,
                             s_max: int = DEFAULT_S_MAX,
                             patience: int = DEFAULT_PATIENCE,
-                            diagnostics: dict | None = None) -> np.ndarray:
+                            diagnostics: Diagnostics | None = None
+                            ) -> np.ndarray:
     """Emitted power per unit omega' per steradian at flattened points.
 
     The workhorse behind smooth_spectral_density and the pipeline's
@@ -152,6 +178,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     rel_tol of the running sum (terms are accumulated in log space with
     a running max-shift, so far-tail orders underflow harmlessly).
     Raises TruncationNotConverged if any point is still live at s_max.
+    Counters go into `diagnostics` order by order, so they survive a raise.
     """
     if stats.is_atomic:
         raise TypeError("atomic-peak statistics produce delta lines; "
@@ -167,6 +194,8 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     if np.any(wp <= 0.0):
         raise ValueError("omega_prime must be > 0")
     n_pts = th.size
+    diagnostics = diagnostics or Diagnostics()
+    diagnostics.add(points=n_pts)
 
     omega = k.t
     kp = mdot(k, p)
@@ -187,12 +216,8 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     kpprime = kp - kkp                    # k.p'
     alive = (kappa > 0.0) & (kpprime > 0.0)
 
-    density = np.zeros(n_pts)
-    if diagnostics is not None:
-        diagnostics.update(points=n_pts, highest_order=0, orders_scanned=0,
-                           edge_guarded=0)
     if not alive.any():
-        return density
+        return np.zeros(n_pts)
 
     # s-independent per-point quantities
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -212,8 +237,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     acc = np.zeros(n_pts)                 # sum in units of exp(shift)
     streak = np.zeros(n_pts, dtype=np.int64)
     converged = ~alive
-    highest_order = 0
-    n_guarded = 0
 
     s = int(s_min[alive].min())
     while s <= s_max:
@@ -231,7 +254,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         zeta = theta_arg / kpprime[idx]
 
         on_edge = e_field < edge_field
-        n_guarded += int(on_edge.sum())
         log_term = np.full(idx.size, -np.inf)
         sign = np.zeros(idx.size)
         live = ~on_edge
@@ -246,8 +268,8 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
             sign[live] = np.sign(bracket)
 
         zero_term = ~np.isfinite(log_term)
-        if not np.all(zero_term):
-            highest_order = s
+        diagnostics.add(highest_order=0 if zero_term.all() else s,
+                        orders_scanned=s, edge_guarded=int(on_edge.sum()))
 
         # max-shift accumulation
         grow = log_term > shift[idx]
@@ -282,12 +304,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
             f"at order cap s_max={s_max}; first at theta'="
             f"{math.degrees(th[bad[0]]):.6g} deg, omega'={wp[bad[0]]:.6g} eV")
 
-    out = np.where(alive, prefactor * acc * np.exp(shift), 0.0)
-    if diagnostics is not None:
-        diagnostics.update(highest_order=highest_order,
-                           orders_scanned=min(s, s_max) - 1,
-                           edge_guarded=n_guarded)
-    return out
+    return np.where(alive, prefactor * acc * np.exp(shift), 0.0)
 
 
 def smooth_spectral_density(stats: PhaseAveragedStatistics, p: FourVector,

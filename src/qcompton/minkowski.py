@@ -119,22 +119,6 @@ def electron_momentum(gamma: float, direction) -> ElectronState:
     return ElectronState(p=p, gamma=gamma, direction=(dx, dy, dz))
 
 
-def scattered_momentum(p: FourVector, k: FourVector,
-                       kprime: FourVector) -> FourVector:
-    """Scattered electron momentum from energy-momentum conservation.
-
-    p' = p + (p.k')/(p.k - k.k') k - k'.  Valid below the absolute
-    kinematic ceiling p.k - k.k' > 0; on-shell p'.p' = m_e^2 follows
-    algebraically.
-    """
-    denom = mdot(p, k) - mdot(k, kprime)
-    if denom <= 0.0:
-        raise KinematicallyForbidden(
-            f"p.k - k.k' = {denom} <= 0: above the kinematic ceiling")
-    n = mdot(p, kprime) / denom
-    return p + n * k - kprime
-
-
 def circular_polarization() -> ComplexFourVector:
     """Circular drive polarization (0, 1, i, 0)/sqrt(2)."""
     r = 1.0 / math.sqrt(2.0)

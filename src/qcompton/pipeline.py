@@ -35,6 +35,7 @@ from .minkowski import (ElectronState, EmissionGeometry, FourVector,
 from .units import NaturalDrive, pulse_duration
 from .photon_statistics import PhaseAveragedStatistics
 from . import emission
+from .emission import Diagnostics
 
 # Gaussians are treated as identically zero beyond this many standard
 # deviations; at 9 sigma the truncated mass is ~1e-19 of the total,
@@ -233,15 +234,18 @@ def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
     return np.concatenate([left, grid, right])
 
 
-def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max):
+def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max,
+            diagnostics: Diagnostics | None = None):
     """All coherent lines below w_max, truncated by accumulated weight.
 
     Lines gather toward the absolute ceiling as the order grows, so a
     frequency bound alone cannot stop the scan; batches of orders are
     resolved until a whole batch adds less than rel_tol of the running
     total weight.  Line positions are closed-form, so orders above w_max
-    are dropped before any Bessel work.
+    are dropped before any Bessel work.  Each batch adds its highest
+    line to both order fields of `diagnostics`.
     """
+    diagnostics = diagnostics or Diagnostics()
     entries = []
     total = 0.0
     s_lo = 1
@@ -250,6 +254,8 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max):
         orders = [s for s, wps, _ in emission.coherent_line_positions(
             stats, p, k, geometry, range(s_lo, s_hi + 1)) if wps <= w_max]
         batch = emission.coherent_peaks(stats, p, k, geometry, orders)
+        top = max((q.order for q in batch), default=0)
+        diagnostics.add(highest_order=top, orders_scanned=top)
         entries.extend(batch)
         got = sum(q.weight for q in batch)
         total += got
@@ -293,53 +299,59 @@ def _peak_sigmas(scenario: Scenario, geometry, entries):
     return widths
 
 
-def _merge_diagnostics(dst: dict | None, src: dict) -> None:
-    """Fold one engine pass into an accumulated diagnostics dict."""
-    if dst is None or not src:
-        return
-    dst["points"] = dst.get("points", 0) + src.get("points", 0)
-    dst["highest_order"] = max(dst.get("highest_order", 0),
-                               src.get("highest_order", 0))
-    dst["orders_scanned"] = max(dst.get("orders_scanned", 0),
-                                src.get("orders_scanned", 0))
-    dst["edge_guarded"] = dst.get("edge_guarded", 0) + src.get("edge_guarded", 0)
-
-
 def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
-                    diagnostics: dict | None = None) -> SpectralCurve:
+                    diagnostics: Diagnostics | None = None) -> SpectralCurve:
     """Broadened energy spectrum (eV per eV per sr) at one direction.
 
     The power spectral density is resolved on the scenario grid (smooth
     drives) or into discrete lines (coherent-like drives), broadened
     according to scenario.broadening, and multiplied by the pulse
-    duration T = 2 pi / delta_omega.  A caller-supplied diagnostics dict
-    accumulates engine truncation counters across all internal passes.
+    duration T = 2 pi / delta_omega.  A caller-supplied Diagnostics
+    record accumulates the truncation counters of all internal passes.
     """
-    grid = scenario.omega_grid.points()
-    p = scenario.electron.p
-    k = scenario.wavevector()
-    ceiling = emission.absolute_frequency_ceiling(p, k, geometry)
-    if grid[-1] > 1.05 * ceiling:
+    hi = scenario.omega_grid.hi
+    ceiling = emission.absolute_frequency_ceiling(
+        scenario.electron.p, scenario.wavevector(), geometry)
+    if hi > 1.05 * ceiling:
         raise KinematicallyForbidden(
             "grid extends to %g eV but no emission is possible above "
-            "%g eV at this angle" % (grid[-1], ceiling))
-    sigma = scenario.drive.delta_omega
-    t_pulse = pulse_duration(sigma).per_eV
+            "%g eV at this angle" % (hi, ceiling))
     meta = {
         "state": scenario.stats.label,
         "omega_eV": scenario.drive.omega,
         "rho_eV3": scenario.drive.rho,
-        "delta_omega_eV": sigma,
+        "delta_omega_eV": scenario.drive.delta_omega,
         "theta_deg": math.degrees(geometry.theta),
         "phi_deg": math.degrees(geometry.phi),
         "broadening": scenario.broadening,
         "gamma": scenario.electron.gamma,
         "direction": list(scenario.electron.direction),
     }
-    if scenario.stats.is_atomic:
-        w_top = min(grid[-1] + KERNEL_REACH * sigma * 2.0, ceiling)
+    build = _line_curves if scenario.stats.is_atomic else _smooth_curves
+    [curve] = build(scenario, [(geometry, scenario.omega_grid)],
+                    diagnostics or Diagnostics())
+    return replace(curve, metadata=meta)
+
+
+def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
+    """Energy curves of a coherent-like drive for (geometry, OmegaGrid)
+    blocks: one line ladder per block, each line an analytic Gaussian.
+
+    Every block adds its grid nodes to diagnostics.points.  Curves
+    include the pulse duration factor.
+    """
+    sigma = scenario.drive.delta_omega
+    t_pulse = pulse_duration(sigma).per_eV
+    p = scenario.electron.p
+    k = scenario.wavevector()
+    curves = []
+    for geometry, omega_grid in blocks:
+        grid = omega_grid.points()
+        diagnostics.add(points=grid.size)
+        w_top = min(grid[-1] + KERNEL_REACH * sigma * 2.0,
+                    emission.absolute_frequency_ceiling(p, k, geometry))
         entries = _ladder(scenario.stats, p, k, geometry, w_top,
-                          scenario.rel_tol, scenario.s_max)
+                          scenario.rel_tol, scenario.s_max, diagnostics)
         if scenario.broadening == "drive_average":
             widths = _peak_sigmas(scenario, geometry, entries)
         else:
@@ -348,21 +360,12 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
                                    mass=t_pulse * q.weight,
                                    sigma=widths[q.order])
                       for q in entries)
-        _merge_diagnostics(diagnostics, {
-            "points": grid.size,
-            "highest_order": max((q.order for q in entries), default=0),
-            "orders_scanned": max((q.order for q in entries), default=0),
-            "edge_guarded": 0,
-        })
-        return SpectralCurve(omega=grid, smooth=np.zeros_like(grid),
-                             peaks=peaks, metadata=meta)
-
-    [curve] = _smooth_curves(scenario, [(geometry, scenario.omega_grid)],
-                             diagnostics)
-    return replace(curve, metadata=meta)
+        curves.append(SpectralCurve(omega=grid, smooth=np.zeros_like(grid),
+                                    peaks=peaks))
+    return curves
 
 
-def _smooth_curves(scenario: Scenario, blocks, diagnostics: dict | None):
+def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     """Energy curves of a smooth drive for (geometry, OmegaGrid) blocks.
 
     All blocks share one spectral_density_points call (one per Hermite
@@ -379,12 +382,10 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: dict | None):
     def density(k, point_sets):
         sizes = [x.size for x in point_sets]
         theta, phi = (np.repeat(a, sizes) for a in zip(*angles))
-        diag: dict = {}
         out = emission.spectral_density_points(
             scenario.stats, scenario.electron.p, k, theta, phi,
             np.concatenate(point_sets), rel_tol=scenario.rel_tol,
-            s_max=scenario.s_max, diagnostics=diag)
-        _merge_diagnostics(diagnostics, diag)
+            s_max=scenario.s_max, diagnostics=diagnostics)
         return np.split(out, np.cumsum(sizes)[:-1])
 
     if scenario.broadening == "drive_average":
@@ -432,7 +433,8 @@ def band_integrate(curve: SpectralCurve, band) -> float:
 
 def angular_distribution(scenario: Scenario, band, *,
                          jacobian: bool = False,
-                         diagnostics: dict | None = None) -> AngularCurve:
+                         diagnostics: Diagnostics | None = None
+                         ) -> AngularCurve:
     """Band-integrated energy per steradian across the polar-angle scan.
 
     For each scan angle the energy spectrum is rebuilt on an internal
@@ -460,12 +462,8 @@ def angular_distribution(scenario: Scenario, band, *,
         if g_hi > g_lo:
             live.append(i)
             blocks.append((geometry, OmegaGrid(g_lo, g_hi, count)))
-    if scenario.stats.is_atomic:
-        curves = [energy_spectrum(replace(scenario, omega_grid=grid),
-                                  geometry, diagnostics=diagnostics)
-                  for geometry, grid in blocks]
-    else:
-        curves = _smooth_curves(scenario, blocks, diagnostics)
+    build = _line_curves if scenario.stats.is_atomic else _smooth_curves
+    curves = build(scenario, blocks, diagnostics or Diagnostics())
     values = np.zeros(len(scenario.thetas))
     for i, curve in zip(live, curves):
         values[i] = band_integrate(curve, (lo, hi)) * (

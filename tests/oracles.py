@@ -6,6 +6,8 @@ per-state reference densities, evaluated one order and one point at a
 time in plain scalar arithmetic.  They share only bessel_bracket with
 the fused engine (emission.spectral_density_points), which is what
 makes the dual-path comparisons meaningful.
+
+scattered_momentum closes the kinematics for the conservation checks.
 """
 
 import math
@@ -18,14 +20,31 @@ from qcompton.emission import (DEFAULT_PATIENCE, DEFAULT_REL_TOL,
                                DEFAULT_S_MAX, EDGE_FIELD_FRACTION,
                                TruncationNotConverged, bessel_bracket)
 from qcompton.minkowski import (EmissionGeometry, FourVector,
+                                KinematicallyForbidden,
                                 circular_polarization, mdot,
-                                photon_wavevector, scattered_momentum)
+                                photon_wavevector)
 
 _EPS = np.finfo(float).eps
 
 # Kinematically forbidden orders are reported as this marker, not as an
 # exception: hitting the theta cutoff is an ordinary outcome.
 NOT_ALLOWED = None
+
+
+def scattered_momentum(p: FourVector, k: FourVector,
+                       kprime: FourVector) -> FourVector:
+    """Scattered electron momentum from energy-momentum conservation.
+
+    p' = p + (p.k')/(p.k - k.k') k - k'.  Valid below the absolute
+    kinematic ceiling p.k - k.k' > 0; on-shell p'.p' = m_e^2 follows
+    algebraically.
+    """
+    denom = mdot(p, k) - mdot(k, kprime)
+    if denom <= 0.0:
+        raise KinematicallyForbidden(
+            f"p.k - k.k' = {denom} <= 0: above the kinematic ceiling")
+    n = mdot(p, kprime) / denom
+    return p + n * k - kprime
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,50 @@ def test_nonconvergence_still_writes_report(tmp_path, capsys):
     assert report["config"]["numerics"]["s_max"] == 2
 
 
+DIAGNOSTICS_KEYS = ["points", "highest_order", "orders_scanned",
+                    "edge_guarded"]
+
+
+def _run_report(tmp_path, cfg):
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)])
+    return code, json.loads((tmp_path / "x.csv.report.json").read_text())
+
+
+def test_nonconvergence_report_counts_thermal_pass(tmp_path, capsys):
+    cfg = _base_config(numerics={"s_max": 2})
+    cfg["drive"]["state"] = "thermal"
+    code, report = _run_report(tmp_path, cfg)
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert report["diagnostics"]["points"] > 0
+    assert report["diagnostics"]["orders_scanned"] == 2
+
+
+def test_nonconvergence_report_counts_coherent_ladder(tmp_path, capsys):
+    code, report = _run_report(tmp_path, _base_config(numerics={"s_max": 2}))
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert report["diagnostics"]["points"] == 200
+    assert report["diagnostics"]["highest_order"] >= 1
+
+
+@pytest.mark.parametrize("s_max", [9999, 2])
+@pytest.mark.parametrize("state", ["thermal", "coherent"])
+@pytest.mark.parametrize("mode", ["spectrum", "angular"])
+def test_report_diagnostics_schema(tmp_path, capsys, mode, state, s_max):
+    cfg = _base_config(numerics={"s_max": s_max})
+    cfg["drive"]["state"] = state
+    if mode == "angular":
+        cfg["scan"] = {"mode": "angular", "theta_range_deg": [150.0, 170.0, 3],
+                       "band_eV": [1.0, 4.0], "samples": 64}
+    code, report = _run_report(tmp_path, cfg)
+    assert code == (0 if s_max == 9999 else cli.EXIT_NONCONVERGENCE)
+    assert list(report["diagnostics"]) == DIAGNOSTICS_KEYS
+    assert all(type(v) is int and v >= 0
+               for v in report["diagnostics"].values())
+    assert report["diagnostics"]["points"] > 0
+
+
 def test_exit_code_on_s_max_beyond_bessel_contract(tmp_path, capsys):
     cfg = _base_config(numerics={"s_max": 10000})
     code = cli.main(["run", "--config", _write_config(tmp_path, cfg),

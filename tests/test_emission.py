@@ -1,6 +1,7 @@
 """Emission core: kinematic structure, dual-path equality, line algebra."""
 
 import math
+from dataclasses import asdict
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,7 @@ from helpers import (drive_for, dual_path_worst_error, linear_compton_line,
 from oracles import (NOT_ALLOWED, effective_field, harmonic_term,
                      reference_bsv_density, reference_thermal_density)
 from qcompton.constants import ELECTRON_MASS_EV
-from qcompton.emission import (TruncationNotConverged,
+from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
                                coherent_peaks, kinematic_max_frequency,
                                smooth_spectral_density,
@@ -178,14 +179,23 @@ def test_engine_diagnostics_keys():
     drive = drive_for(9e15)
     stats = thermal_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(120.0))
-    diag = {}
+    diag = Diagnostics()
     grid = np.linspace(0.5, 6.0, 50)
     smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, grid,
                             diagnostics=diag)
-    assert diag["points"] == grid.size
-    assert diag["highest_order"] >= 1
-    assert diag["orders_scanned"] >= diag["highest_order"]
-    assert diag["edge_guarded"] >= 0
+    assert list(asdict(diag)) == ["points", "highest_order",
+                                  "orders_scanned", "edge_guarded"]
+    assert diag.points == grid.size
+    assert diag.highest_order >= 1
+    assert diag.orders_scanned >= diag.highest_order
+    assert diag.edge_guarded >= 0
+    # a pass stopped by the cap keeps its counts, up to the cap itself
+    capped = Diagnostics()
+    with pytest.raises(TruncationNotConverged):
+        smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, grid,
+                                s_max=2, diagnostics=capped)
+    assert capped.points == grid.size
+    assert capped.orders_scanned == 2
 
 
 def test_input_validation():

@@ -1,7 +1,7 @@
 """Observable assembly: broadening, band integrals, angular scans."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from scipy.special import ndtr
 
 from helpers import drive_for
 from qcompton import emission
-from qcompton.emission import (TruncationNotConverged,
+from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, coherent_peaks)
 from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
                                 electron_momentum, photon_wavevector)
@@ -358,12 +358,32 @@ def test_angular_scan_requires_thetas():
 # ------------------------------------------------------- diagnostics
 
 def test_diagnostics_accumulate_across_passes():
+    rule = Diagnostics()
+    rule.add(points=3, highest_order=5, orders_scanned=7, edge_guarded=1)
+    rule.add(points=2, highest_order=4, orders_scanned=9, edge_guarded=2)
+    assert asdict(rule) == {"points": 5, "highest_order": 5,
+                            "orders_scanned": 9, "edge_guarded": 3}
+
     sc = _scenario(9e16, thermal_stats, OmegaGrid(0.5, 6.0, 120))
-    diag = {}
-    energy_spectrum(sc, BACK, diagnostics=diag)
-    assert diag["points"] > 120          # includes the sampling wings
-    assert diag["highest_order"] >= 1
-    diag2 = {}
+    one = Diagnostics()
+    energy_spectrum(sc, BACK, diagnostics=one)
+    assert one.points > 120          # includes the sampling wings
+    assert one.highest_order >= 1
+    nodes = Diagnostics()            # one engine pass per Hermite node
+    energy_spectrum(replace(sc, broadening="drive_average"), BACK,
+                    diagnostics=nodes)
+    assert nodes.points == 21 * 120
+    assert nodes.highest_order >= 1
+
     sc2 = _scenario(9e16, coherent_stats, OmegaGrid(0.5, 8.0, 120))
-    energy_spectrum(sc2, BACK, diagnostics=diag2)
-    assert diag2["highest_order"] >= 3   # lines near 2.25, 4.5, 6.75 eV
+    lines = Diagnostics()
+    energy_spectrum(sc2, BACK, diagnostics=lines)
+    assert lines.points == 120
+    assert lines.highest_order >= 3   # lines near 2.25, 4.5, 6.75 eV
+    assert lines.orders_scanned == lines.highest_order
+    assert lines.edge_guarded == 0
+    scan = Diagnostics()              # one ladder per angle
+    angular_distribution(replace(sc2, thetas=(2.0, 2.5, 3.0)), (0.5, 8.0),
+                         diagnostics=scan)
+    assert scan.points == 3 * 120
+    assert scan.highest_order >= 3
