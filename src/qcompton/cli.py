@@ -219,7 +219,11 @@ def validate_config(cfg: dict) -> dict:
         out["scan"]["band_eV"] = band
         out["scan"]["samples"] = _integer(sc, "scan", "samples", lo=2,
                                           default=512)
-        out["scan"]["jacobian"] = bool(sc.get("jacobian", False))
+        jacobian = _field(sc, "scan", "jacobian", False)
+        if not isinstance(jacobian, bool):
+            raise SchemaError("scan.jacobian",
+                              f"must be true or false, got {jacobian!r}")
+        out["scan"]["jacobian"] = jacobian
 
     nm = cfg.get("numerics", {})
     if not isinstance(nm, dict):

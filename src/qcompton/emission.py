@@ -161,7 +161,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                             k: FourVector, theta, phi, omega_prime, *,
                             rel_tol: float = DEFAULT_REL_TOL,
                             s_max: int = DEFAULT_S_MAX,
-                            patience: int = DEFAULT_PATIENCE,
                             diagnostics: Diagnostics | None = None
                             ) -> np.ndarray:
     """Emitted power per unit omega' per steradian at flattened points.
@@ -174,9 +173,9 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     at that order.
 
     Per point, the sum starts at the lowest kinematically allowed order
-    and stops once `patience` consecutive orders contribute less than
-    rel_tol of the running sum (terms are accumulated in log space with
-    a running max-shift, so far-tail orders underflow harmlessly).
+    and stops once DEFAULT_PATIENCE consecutive orders contribute less
+    than rel_tol of the running sum (terms are accumulated in log space
+    with a running max-shift, so far-tail orders underflow harmlessly).
     Raises TruncationNotConverged if any point is still live at s_max.
     Counters go into `diagnostics` order by order, so they survive a raise.
     """
@@ -294,7 +293,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
             zero_term & (e_field > support_max),
             (ratio < rel_tol) | zero_term)
         streak[idx] = np.where(small_term, streak[idx] + 1, 0)
-        converged[idx] |= streak[idx] >= patience
+        converged[idx] |= streak[idx] >= DEFAULT_PATIENCE
         s += 1
 
     if not np.all(converged):
@@ -325,7 +324,7 @@ def smooth_spectral_density(stats: PhaseAveragedStatistics, p: FourVector,
 
 def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
                             k: FourVector, geometry: EmissionGeometry,
-                            s_range) -> list:
+                            orders) -> tuple:
     """Closed-form line positions of a coherent-like drive, no Bessel work.
 
     For each order s the statistics pin the effective field to the single
@@ -337,11 +336,16 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
 
     with kappa, pi' the direction invariants k.n' and p.n'.  mu is the
     intensity-dependent redshift; as A -> 0 each line moves to its
-    kinematic cutoff s (k.p) / (s kappa + pi').  Returns (s, omega'_s,
-    Theta_s) for the orders whose line lies strictly between 0 and that
-    cutoff, in the order of s_range; Theta_s = s (k.p) mu / (s kappa +
-    pi' + mu) is the cutoff combination at the line, free of
-    cancellation.
+    kinematic cutoff s (k.p) / (s kappa + pi').  Returns the arrays (s,
+    omega'_s, Theta_s) over `orders`, empty when kappa <= 0 (no order has
+    support in that direction); Theta_s = s (k.p) mu / (s kappa + pi' +
+    mu) is the cutoff combination at the line, free of cancellation.
+
+    No line can fall outside (0, cutoff), so none is filtered: k.p > 0,
+    pi' > 0 for a massive electron, and kappa > 0 makes mu > 0, so the
+    denominator exceeds the cutoff's, which is positive.  In floating
+    point a line meets its cutoff only where mu is lost to rounding
+    against s kappa + pi', the free-electron limit it then sits at.
     """
     if not stats.is_atomic:
         raise TypeError("smooth statistics have no delta lines; use "
@@ -351,6 +355,9 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
     if amp <= 0.0:
         raise ValueError("peak amplitude must be > 0 (zero drive density "
                          "emits nothing)")
+    s = np.asarray(orders, dtype=np.int64)
+    if (s < 1).any():
+        raise ValueError(f"harmonic order must be >= 1, got {s.min()}")
 
     omega = k.t
     kp = mdot(k, p)
@@ -358,18 +365,10 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
     kappa = mdot(k, nprime)
     piprime = mdot(p, nprime)
     if kappa <= 0.0:
-        return []
-
+        s = s[:0]
     mu = E_SQUARED * amp * amp * kappa / (4.0 * omega * omega * kp)
-    lines = []
-    for s in s_range:
-        if s < 1:
-            raise ValueError(f"harmonic order must be >= 1, got {s}")
-        denom = s * kappa + piprime + mu
-        wps = s * kp / denom
-        if 0.0 < wps < s * kp / (s * kappa + piprime):
-            lines.append((int(s), wps, s * kp * mu / denom))
-    return lines
+    denom = s * kappa + piprime + mu
+    return s, s * kp / denom, s * kp * mu / denom
 
 
 def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
@@ -384,7 +383,8 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
 
     Returns a tuple of PeakEntry sorted by order.
     """
-    lines = coherent_line_positions(stats, p, k, geometry, s_range)
+    orders, positions, thetas = coherent_line_positions(
+        stats, p, k, geometry, s_range)
     amp = stats.peak_amplitude
     omega = k.t
     kp = mdot(k, p)
@@ -397,7 +397,9 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     ke_unit = -(eps.x * nprime.x + eps.y * nprime.y + eps.z * nprime.z)
 
     entries = []
-    for s, wps, theta_arg in lines:
+    # Python scalars: numpy's complex abs and ** differ in the last bit
+    for s, wps, theta_arg in zip(orders.tolist(), positions.tolist(),
+                                 thetas.tolist()):
         kpprime = kp - wps * kappa
         zeta = theta_arg / kpprime
         x_fac = (kpprime * kpprime + kp * kp) / (2.0 * m2 * wps * kappa)

@@ -52,6 +52,12 @@ _HERMITE_ORDER = 21
 # the accumulated line weight.
 _LADDER_BATCH = 256
 
+# A spectrum grid may end at most this factor above the absolute
+# frequency ceiling: a window drawn a little past it shows the broadened
+# curve fall to zero, while one reaching further samples mostly forbidden
+# frequencies, which points to a wrong angle or unit in the config.
+CEILING_SLACK = 1.05
+
 BROADENING_MODES = ("literal", "drive_average")
 
 
@@ -251,9 +257,10 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max,
     s_lo = 1
     while s_lo <= s_max:
         s_hi = min(s_lo + _LADDER_BATCH - 1, s_max)
-        orders = [s for s, wps, _ in emission.coherent_line_positions(
-            stats, p, k, geometry, range(s_lo, s_hi + 1)) if wps <= w_max]
-        batch = emission.coherent_peaks(stats, p, k, geometry, orders)
+        orders, wps, _ = emission.coherent_line_positions(
+            stats, p, k, geometry, np.arange(s_lo, s_hi + 1))
+        batch = emission.coherent_peaks(stats, p, k, geometry,
+                                        orders[wps <= w_max])
         top = max((q.order for q in batch), default=0)
         diagnostics.add(highest_order=top, orders_scanned=top)
         entries.extend(batch)
@@ -267,36 +274,18 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max,
         f"theta'={math.degrees(geometry.theta):.6g} deg")
 
 
-def _peak_sigmas(scenario: Scenario, geometry, entries):
-    """Line widths for the drive-average reading: |d omega'_s / d nu|
-    times the bandwidth, by centered difference at fixed energy density."""
+def _peak_sigmas(scenario: Scenario, geometry, entries) -> list:
+    """Line widths for the drive-average reading, aligned with entries:
+    |d omega'_s / d nu| times the bandwidth, by centered difference at
+    fixed energy density.  kappa is proportional to nu, so every line
+    has a position at nu +- delta_omega as well."""
     omega = scenario.drive.omega
     sigma = scenario.drive.delta_omega
-    p = scenario.electron.p
-    sides = {}
     orders = [q.order for q in entries]
-    if not orders:
-        return {}
-    for sgn in (-1.0, +1.0):
-        nu = omega + sgn * sigma
-        k_nu = photon_wavevector(nu, 0.0, 0.0)
-        lines = emission.coherent_line_positions(
-            scenario.stats, p, k_nu, geometry,
-            range(min(orders), max(orders) + 1))
-        sides[sgn] = {s: wps for s, wps, _ in lines}
-    widths = {}
-    for q in entries:
-        hi = sides[+1.0].get(q.order)
-        lo = sides[-1.0].get(q.order)
-        if hi is not None and lo is not None:
-            widths[q.order] = abs(hi - lo) / 2.0
-        elif hi is not None:
-            widths[q.order] = abs(hi - q.omega_prime)
-        elif lo is not None:
-            widths[q.order] = abs(q.omega_prime - lo)
-        else:
-            widths[q.order] = sigma
-    return widths
+    lo, hi = (emission.coherent_line_positions(
+        scenario.stats, scenario.electron.p, photon_wavevector(nu, 0.0, 0.0),
+        geometry, orders)[1] for nu in (omega - sigma, omega + sigma))
+    return (np.abs(hi - lo) / 2.0).tolist()
 
 
 def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
@@ -312,7 +301,7 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
     hi = scenario.omega_grid.hi
     ceiling = emission.absolute_frequency_ceiling(
         scenario.electron.p, scenario.wavevector(), geometry)
-    if hi > 1.05 * ceiling:
+    if hi > CEILING_SLACK * ceiling:
         raise KinematicallyForbidden(
             "grid extends to %g eV but no emission is possible above "
             "%g eV at this angle" % (hi, ceiling))
@@ -355,11 +344,10 @@ def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
         if scenario.broadening == "drive_average":
             widths = _peak_sigmas(scenario, geometry, entries)
         else:
-            widths = {q.order: sigma for q in entries}
+            widths = [sigma] * len(entries)
         peaks = tuple(GaussianPeak(center=q.omega_prime,
-                                   mass=t_pulse * q.weight,
-                                   sigma=widths[q.order])
-                      for q in entries)
+                                   mass=t_pulse * q.weight, sigma=width)
+                      for q, width in zip(entries, widths))
         curves.append(SpectralCurve(omega=grid, smooth=np.zeros_like(grid),
                                     peaks=peaks))
     return curves

@@ -90,6 +90,8 @@ def test_validate_angular_schema():
     out = cli.validate_config(cfg)
     assert out["scan"]["samples"] == 512
     assert out["scan"]["jacobian"] is False
+    cfg["scan"]["jacobian"] = True
+    assert cli.validate_config(cfg)["scan"]["jacobian"] is True
     for bad, path in [
             ({"theta_range_deg": [90, 80, 10]}, "scan.theta_range_deg"),
             ({"theta_range_deg": [90, 180, 2.5]}, "scan.theta_range_deg"),
@@ -126,6 +128,7 @@ _WRONG_TYPES = {
     "list": ["text", 1.0, {"x": 1}, True, None],
     "choice": [5, [1.0], {"x": 1}, True, None],
     "string": [5, [1.0], {"x": 1}, True],
+    "boolean": ["false", 0, 1.0, [True], {"x": 1}, None],
     "section": ["text", 1.0, [1.0], True, None],
 }
 
@@ -158,6 +161,7 @@ _FUZZ_FIELDS = [
     (_angular_config, "scan.band_eV", "list", True,
      [[0.0, 5.0], [5.0, 1.0]]),
     (_angular_config, "scan.samples", "integer", False, [1]),
+    (_angular_config, "scan.jacobian", "boolean", False, []),
     (_base_config, "numerics", "section", False, []),
     (_base_config, "numerics.broadening", "choice", False, ["somehow"]),
     (_base_config, "numerics.rel_tol", "number", False, [0.0, -1e-10]),
@@ -405,6 +409,23 @@ def test_rerun_is_bitwise_reproducible(tmp_path):
     assert cli.main(["run", "--config", path, "--out", str(a)]) == 0
     assert cli.main(["run", "--config", path, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_coherent_spectrum_at_low_intensity_keeps_its_line(tmp_path):
+    # at 100 W/cm^2 the intensity redshift of the s = 1 line is lost to
+    # rounding, so the line sits on its linear Compton cutoff (2.25 eV
+    # scattered at 159.9 degrees from an electron at rest)
+    cfg = cli.make_preset("fig2", state="coherent", intensity_index=1)
+    cfg["drive"]["intensity_W_cm2"] = 100.0
+    cfg["scan"]["omega_prime_range_eV"] = [2.0, 2.5]
+    cfg["scan"]["samples"] = 400
+    code, report = _run_report(tmp_path, cfg)
+    assert code == 0
+    lines = (tmp_path / "x.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert len(rows) == 400
+    assert max(float(value) for _, value in rows) > 0.0
+    assert report["diagnostics"]["highest_order"] == 1
 
 
 def test_angular_run_writes_csv_header(tmp_path):

@@ -92,6 +92,16 @@ def test_spectrum_rejects_grid_beyond_ceiling():
     sc = _scenario(9e15, thermal_stats, OmegaGrid(1.0, 3.0e5, 50))
     with pytest.raises(KinematicallyForbidden):
         energy_spectrum(sc, BACK)
+    # the pipeline's CEILING_SLACK of 1.05, pinned with a coherent drive:
+    # a thermal grid that close to the ceiling needs orders beyond s_max
+    ceiling = absolute_frequency_ceiling(AT_REST.p, sc.wavevector(), BACK)
+    inside = _scenario(9e15, coherent_stats,
+                       OmegaGrid(1.0, 1.04 * ceiling, 200))
+    assert energy_spectrum(inside, BACK).peaks
+    outside = _scenario(9e15, coherent_stats,
+                        OmegaGrid(1.0, 1.06 * ceiling, 200))
+    with pytest.raises(KinematicallyForbidden):
+        energy_spectrum(outside, BACK)
 
 
 # ------------------------------------------------------ exact convolution
