@@ -29,7 +29,8 @@ from .constants import E_CHARGE, E_SQUARED
 from .minkowski import (EmissionGeometry, FourVector, circular_polarization,
                         mdot, photon_wavevector)
 from .photon_statistics import PhaseAveragedStatistics
-from .special_functions import MAX_ORDER, bessel_j_triple
+from .special_functions import (MAX_ORDER, bessel_j_triple,
+                                bessel_j_triples)
 
 DEFAULT_REL_TOL = 1e-10     # truncation: term / accumulated sum
 DEFAULT_PATIENCE = 5        # consecutive below-tolerance orders required
@@ -122,14 +123,16 @@ def absolute_frequency_ceiling(p: FourVector, k: FourVector,
     return mdot(k, p) / kappa
 
 
-def bessel_bracket(s: int, xi, zeta_x):
+def bessel_bracket(s, xi, zeta_x):
     """zeta_x (J_{s-1}^2 + J_{s+1}^2 - 2 J_s^2) - J_s^2 at argument xi.
 
-    Single source of truth for the small-argument switchover: below
-    SMALL_XI the sideband difference is O(xi^{2s-2}) and the direct
-    evaluation cancels catastrophically, so leading-order expansions are
-    used instead (for s = 1 the difference tends to 1, for s >= 2 it is
-    J_{s-1}^2 evaluated in log space).
+    s is one order for every point (an engine pass) or an order array
+    shaped like xi (a ladder batch).  Single source of truth for the
+    small-argument switchover: below SMALL_XI the sideband difference is
+    O(xi^{2s-2}) and the direct evaluation cancels catastrophically, so
+    leading-order expansions are used instead, chosen per element (for
+    s = 1 the difference tends to 1, for s >= 2 it is J_{s-1}^2
+    evaluated in log space).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     zeta_x = np.broadcast_to(np.asarray(zeta_x, dtype=float), xi.shape)
@@ -137,21 +140,20 @@ def bessel_bracket(s: int, xi, zeta_x):
 
     small = xi < SMALL_XI
     if small.any():
-        xs = xi[small]
-        zx = zeta_x[small]
-        if s == 1:
-            out[small] = zx * (1.0 - xs * xs) - 0.25 * xs * xs
-        else:
-            with np.errstate(divide="ignore"):
-                jm2 = np.where(
-                    xs > 0.0,
-                    np.exp(2.0 * ((s - 1) * np.log(xs / 2.0) - gammaln(s))),
-                    0.0)
-            out[small] = zx * jm2
+        xs, zx = xi[small], zeta_x[small]
+        ss = np.broadcast_to(s, xi.shape)[small]
+        jm2 = np.zeros_like(xs)
+        pos = (ss > 1) & (xs > 0.0)
+        jm2[pos] = np.exp(2.0 * ((ss[pos] - 1) * np.log(xs[pos] / 2.0)
+                                 - gammaln(ss[pos])))
+        out[small] = np.where(ss == 1, zx * (1.0 - xs * xs) - 0.25 * xs * xs,
+                              zx * jm2)
 
     big = ~small
     if big.any():
-        jm, jc, jp = bessel_j_triple(s, xi[big])
+        # a single order goes through the name the bench tracer wraps
+        jm, jc, jp = (bessel_j_triple(s, xi[big]) if np.ndim(s) == 0
+                      else bessel_j_triples(np.asarray(s)[big], xi[big]))
         dj = jm * jm + jp * jp - 2.0 * jc * jc
         out[big] = zeta_x[big] * dj - jc * jc
     return out
@@ -381,6 +383,7 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
 
         weight_s = e^2 m^2 omega'_s^3 bracket_s / (8 pi^2 s (k.p) p^t).
 
+    The brackets of all orders come from one bessel_bracket call.
     Returns a tuple of PeakEntry sorted by order.
     """
     orders, positions, thetas = coherent_line_positions(
@@ -396,17 +399,19 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     kappa = mdot(k, nprime)
     ke_unit = -(eps.x * nprime.x + eps.y * nprime.y + eps.z * nprime.z)
 
-    entries = []
     # Python scalars: numpy's complex abs and ** differ in the last bit
-    for s, wps, theta_arg in zip(orders.tolist(), positions.tolist(),
-                                 thetas.tolist()):
+    xis, zeta_xs = [], []
+    for wps, theta_arg in zip(positions.tolist(), thetas.tolist()):
         kpprime = kp - wps * kappa
         zeta = theta_arg / kpprime
         x_fac = (kpprime * kpprime + kp * kp) / (2.0 * m2 * wps * kappa)
         d_cplx = pe / kp - (pe - wps * ke_unit) / kpprime
-        xi = E_CHARGE * (amp / omega) * abs(d_cplx)
-        bracket = float(bessel_bracket(s, xi, zeta * x_fac)[0])
-        weight = (E_SQUARED * m2 * wps ** 3 * bracket
-                  / (8.0 * math.pi ** 2 * s * kp * pt))
-        entries.append(PeakEntry(order=s, omega_prime=wps, weight=weight))
-    return tuple(entries)
+        xis.append(E_CHARGE * (amp / omega) * abs(d_cplx))
+        zeta_xs.append(zeta * x_fac)
+    brackets = bessel_bracket(orders, np.array(xis), np.array(zeta_xs))
+    return tuple(
+        PeakEntry(order=s, omega_prime=wps,
+                  weight=(E_SQUARED * m2 * wps ** 3 * bracket
+                          / (8.0 * math.pi ** 2 * s * kp * pt)))
+        for s, wps, bracket in zip(orders.tolist(), positions.tolist(),
+                                   brackets.tolist()))

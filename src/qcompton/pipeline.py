@@ -47,6 +47,12 @@ KERNEL_REACH = 9.0
 # the scale of omega while the weight has width delta_omega << omega.
 _HERMITE_ORDER = 21
 
+# drive_average evaluates a smooth drive at nu = omega + sqrt(2) delta_omega x
+# over the Hermite nodes x, so delta_omega / omega must stay below this for
+# every nu to be positive.  Line widths need only omega - delta_omega > 0.
+_SMOOTH_AVERAGE_LIMIT = 1.0 / (
+    math.sqrt(2.0) * float(hermgauss(_HERMITE_ORDER)[0].max()))
+
 # Coherent ladders are resolved in batches of this many orders; the
 # batch loop stops once a whole batch contributes less than rel_tol of
 # the accumulated line weight.
@@ -111,6 +117,12 @@ class Scenario:
         if self.broadening not in BROADENING_MODES:
             raise ValueError(f"broadening must be one of {BROADENING_MODES}, "
                              f"got {self.broadening!r}")
+        limit = 1.0 if self.stats.is_atomic else _SMOOTH_AVERAGE_LIMIT
+        rel = self.drive.delta_omega / self.drive.omega
+        if self.broadening == "drive_average" and rel >= limit:
+            raise ValueError(
+                f"drive_average broadening needs a relative bandwidth below "
+                f"{limit:.6g} for this drive, got {rel:.6g}")
         u = self.drive.omega * self.drive.rho
         if abs(self.stats.energy_density - u) > 1e-9 * u:
             raise ValueError(

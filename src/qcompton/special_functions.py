@@ -5,10 +5,14 @@ J_{s-1}, J_s, J_{s+1} at the harmonic argument xi_s (orders into the
 thousands at high intensity) and I0 inside one of the photon-statistics
 limits.  J_n is evaluated in-package rather than through a platform
 math library so results are bit-stable across OSes.  One evaluator,
-_bessel_rows, serves bessel_j_triple: it owns the contract check and
-splits points into x = 0, the ascending series for small argument (all
-rows summed in one pass) and Miller backward recurrence with sum-rule
-normalization elsewhere (DLMF 10.74).  Regime boundaries were fixed by
+_bessel_rows, takes one order per element: it owns the contract check
+and splits elements into x = 0, the ascending series for small argument
+(all rows summed in one pass) and Miller backward recurrence with
+sum-rule normalization elsewhere (DLMF 10.74), one sweep per call that
+captures each element's rows as it passes their orders.  Two entry
+points share it: bessel_j_triples takes an order array shaped like the
+argument (a coherent ladder batch in one call), bessel_j_triple one
+order for every point (an engine pass).  Regime boundaries were fixed by
 cross-validation against an arbitrary-precision oracle and are
 constants, not runtime heuristics.  I0 is offered only exponentially
 scaled, as log(e^-x I0(x)), the form its one caller must cancel in.
@@ -43,26 +47,27 @@ class OutOfContract(ValueError):
     """Input outside the documented (order, argument) accuracy contract."""
 
 
-def _series_threshold(n: int) -> float:
-    return max(_SERIES_CAP, 2.0 * math.sqrt(n)) if n > 0 else _SERIES_CAP
+def _series_threshold(n: np.ndarray) -> np.ndarray:
+    return np.maximum(_SERIES_CAP, 2.0 * np.sqrt(n))
 
 
-def _jn_series(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Ascending power series for every row at once, x > 0.
 
-    Valid for x below _series_threshold(min(rows)).  One loop over k
-    serves all rows; it stops once the slowest row has converged.  A
-    row that converged earlier only sees further terms below 1e-18 of
-    its sum (past the peak of its terms), which is under half an ulp,
-    so its value is the one a loop of its own would give.
+    n holds the orders as rows, one column per element of x or a single
+    column shared by all.  Valid for each x below _series_threshold of
+    its lowest order.  One loop over k serves all entries; it stops once
+    the slowest has converged.  An entry that converged earlier only
+    sees further terms below 1e-18 of its sum (past the peak of its
+    terms), which is under half an ulp, so its value is the one a loop
+    of its own would give.
     """
-    n = np.array(rows)[:, None]
     # leading term (x/2)^n / n! in log space; flush underflow to 0
-    lgam = np.array([math.lgamma(r + 1) for r in rows])[:, None]
-    log_lead = n * np.log(x / 2.0) - lgam
+    lgam = np.array([math.lgamma(r + 1) for r in n.ravel().tolist()])
+    log_lead = n * np.log(x / 2.0) - lgam.reshape(n.shape)
     lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
     neg_q = -(x * x / 4.0)
-    term = np.ones((len(rows), x.size))
+    term = np.ones((len(n), x.size))
     total = np.ones_like(term)
     # updated in place: on wide calls, fresh (rows x points) temporaries
     # every step cost more than the arithmetic
@@ -80,23 +85,35 @@ def _jn_series(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     return lead * total
 
 
-def _miller_rows(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """Backward recurrence with sum-rule normalization, vectorized over x.
+def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Backward recurrence with sum-rule normalization, one sweep.
 
-    Returns normalized J_r(x) as a (len(rows), x.size) array.  All x
-    must be positive; the caller routes small arguments to the series.
+    Returns normalized J_n(x) as a (len(n), x.size) array, n laid out as
+    for _jn_series.  The sweep starts above the largest order and
+    argument of the call and captures each entry as m passes its order;
+    each element is normalized by its own sum.  All x must be positive;
+    the caller routes small arguments to the series.
     """
-    base = max(max(rows), int(math.ceil(float(x.max()))))
+    base = max(int(n.max()), int(math.ceil(float(x.max()))))
     m_start = base + _MILLER_PAD + int(_MILLER_PAD_SCALE * base ** (1.0 / 3.0))
     if m_start % 2:
         m_start += 1
+
+    # order -> (rows, elements) of the entries it fills
+    if n.shape[1] == 1:
+        slot = {int(r): (row, slice(None))
+                for row, r in enumerate(n[:, 0].tolist())}
+    else:
+        by_order = np.argsort(n, axis=None, kind="stable")
+        orders, first = np.unique(n.ravel()[by_order], return_index=True)
+        slot = {int(r): np.divmod(idx, x.size) for r, idx
+                in zip(orders.tolist(), np.split(by_order, first[1:]))}
 
     inv_x = 1.0 / x
     j_hi = np.zeros_like(x)                 # unnormalized J at m+1
     j_lo = np.full_like(x, 1e-30)           # unnormalized J at m
     norm = np.zeros_like(x)                 # accumulates J_0 + 2 sum J_{2k}
-    out = np.zeros((len(rows), x.size))
-    slot = {r: i for i, r in enumerate(rows)}
+    out = np.zeros((len(n), x.size))
     for m in range(m_start, 0, -1):
         j_hi, j_lo = j_lo, (2.0 * m) * inv_x * j_lo - j_hi   # J_{m-1}
         big = np.abs(j_lo) > _RESCALE_THRESHOLD
@@ -107,7 +124,8 @@ def _miller_rows(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
             out[:, big] *= _RESCALE_FACTOR
         idx = m - 1
         if idx in slot:
-            out[slot[idx]] = j_lo
+            rows, cols = slot[idx]
+            out[rows, cols] = j_lo[cols]
         if idx == 0:
             norm += j_lo
         elif idx % 2 == 0:
@@ -115,53 +133,72 @@ def _miller_rows(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     return out / norm
 
 
-def _bessel_rows(rows: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """J_r(x) for each order r in rows at 1-D x: a (len(rows), x.size) array.
+def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_{s-1}, J_s, J_{s+1} at 1-D x: a (3, x.size) array.
 
-    The one regime dispatch of the module.  x = 0 is exact, x up to
-    _series_threshold(min(rows)) takes the series, the rest Miller's
+    s holds one order per element of x, or a single order for all of
+    them; the rows then stay one column, so the series forms its
+    divisors per row rather than per point.  The one regime dispatch of
+    the module, made per element: x = 0 is exact, x up to
+    _series_threshold(s - 1) takes the series, the rest Miller's
     recurrence.  A call whose points all share a regime returns that
     regime's array directly; only mixed calls scatter.
     """
-    if any(r != int(r) or not 0 <= r <= MAX_ORDER for r in rows):
-        raise OutOfContract(
-            f"orders must be integers in [0, {MAX_ORDER}], got {rows}")
+    bad = (s != np.round(s)) | (s < 1) | (s >= MAX_ORDER)   # NaN: first
+    if bad.any():
+        raise OutOfContract(f"triple orders must be integers in [1, "
+                            f"{MAX_ORDER - 1}], got {s[bad][0]}")
     if np.any(x < 0.0) or np.any(x > MAX_ARGUMENT):
         raise OutOfContract(f"argument must lie in [0, {MAX_ARGUMENT:g}]")
 
+    # integer orders held as floats: exact, and the series then divides
+    # by k (n + k) without casting every step
+    n = s + np.arange(-1.0, 2.0)[:, None]
     zero = x == 0.0
-    small = ~zero & (x <= _series_threshold(min(rows)))
+    small = ~zero & (x <= _series_threshold(n[0]))
     if small.all():
-        return _jn_series(rows, x)
+        return _jn_series(n, x)
     rest = ~zero & ~small
     if rest.all():
-        return _miller_rows(rows, x)
+        return _miller_rows(n, x)
 
-    out = np.zeros((len(rows), x.size))
-    out[:, zero] = (np.array(rows) == 0)[:, None]
+    def part(mask):
+        return n if s.size == 1 else n[:, mask]
+
+    out = np.zeros((3, x.size))
+    out[:, zero] = part(zero) == 0
     if small.any():
-        out[:, small] = _jn_series(rows, x[small])
+        out[:, small] = _jn_series(part(small), x[small])
     if rest.any():
-        out[:, rest] = _miller_rows(rows, x[rest])
+        out[:, rest] = _miller_rows(part(rest), x[rest])
     return out
 
 
-def bessel_j_triple(s: int, x):
-    """(J_{s-1}, J_s, J_{s+1}) at a common argument, s >= 1.
+def bessel_j_triples(orders, x):
+    """(J_{s-1}, J_s, J_{s+1}) per element, each at its own order s >= 1.
 
-    The harmonic formulas need this combination; evaluating all three
-    from one backward-recurrence pass keeps their relative normalization
-    consistent, which matters for the near-cancelling bracket.  Accepts
-    a scalar or array argument; accuracy per the module contract, and
-    values below the double-precision floor flush to zero.
+    orders is an array shaped like x, or one order for every point.
+    Evaluating all three from one backward-recurrence pass keeps their
+    relative normalization consistent, which matters for the
+    near-cancelling bracket; the elements of a call share one sweep.
+    Returns three arrays of the broadcast shape; accuracy per the module
+    contract, and values below the double-precision floor flush to zero.
     """
-    if s < 1:
-        raise OutOfContract(f"triple needs s >= 1, got {s}")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _bessel_rows((s - 1, s, s + 1), xa.ravel())
-    if np.isscalar(x):
-        return tuple(float(v) for v in out[:, 0])
+    s = np.asarray(orders, dtype=float)
+    xa = np.asarray(x, dtype=float)
+    if s.size > 1:
+        s, xa = np.broadcast_arrays(s, xa)
+    out = _bessel_rows(s.ravel(), xa.ravel())
     return tuple(out.reshape((3,) + xa.shape))
+
+
+def bessel_j_triple(s: int, x):
+    """bessel_j_triples at one order s for a scalar or array argument;
+    a scalar argument gives three floats."""
+    out = bessel_j_triples(s, x)
+    if np.isscalar(x):
+        return tuple(float(v) for v in out)
+    return out
 
 
 _I0_SERIES_MAX = 30.0

@@ -250,6 +250,34 @@ def test_exit_code_on_kinematically_dead_grid(tmp_path, capsys):
     assert "physics error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("state, broadening, bandwidth, limit", [
+    ("thermal", "drive_average", 0.2, "0.127399"),
+    ("coherent", "drive_average", 1.5, "1"),
+    ("thermal", "drive_average", 0.12, None),
+    ("thermal", "literal", 0.2, None),
+])
+def test_drive_average_bandwidth_limit(tmp_path, capsys, state, broadening,
+                                       bandwidth, limit):
+    # drive_average evaluates the drive at omega + sqrt(2) delta_omega x
+    # over the Hermite nodes (|x| <= 5.55) and line widths at omega -
+    # delta_omega; a bandwidth that makes one of them negative is refused
+    # up front instead of failing on a drive energy the config never gave
+    cfg = _base_config(numerics={"broadening": broadening})
+    cfg["drive"].update(state=state, relative_bandwidth=bandwidth)
+    cfg["scan"].update(omega_prime_range_eV=[0.5, 4.0], samples=60)
+    with pytest.warns(UserWarning, match="exceeds 0.1"):
+        code = cli.main(["run", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    if limit is None:
+        assert code == 0, err
+    else:
+        assert code == cli.EXIT_PHYSICS
+        assert (f"relative bandwidth below {limit} for this drive, "
+                f"got {bandwidth:g}") in err
+        assert "photon energy" not in err
+
+
 def test_exit_code_on_nonconvergence(tmp_path, capsys):
     cfg = _base_config()
     cfg["drive"]["state"] = "thermal"

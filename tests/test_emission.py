@@ -1,6 +1,7 @@
 """Emission core: kinematic structure, dual-path equality, line algebra."""
 
 import math
+import warnings
 from dataclasses import asdict
 
 import mpmath as mp
@@ -299,6 +300,22 @@ def test_bessel_bracket_across_small_argument_switch():
                     assert got == 0.0
                 else:
                     assert got == pytest.approx(want, rel=1e-9), (s, xi, zx)
+
+
+def test_bessel_bracket_order_array_matches_per_order_calls():
+    # a ladder batch: orders per element on both sides of SMALL_XI,
+    # s = 1 among them, each expansion chosen per element; x = 0 and the
+    # series do not depend on the batch, so agreement is bitwise
+    orders = np.array([1, 1, 2, 3, 1, 4, 2, 1, 5, 3, 40])
+    xi = np.array([0.0, 1e-12, 0.0, 5e-9, 0.99e-8, 1e-10, 1.01e-8, 0.3,
+                   2.0, 1e-6, 7.0])
+    zx = np.linspace(0.5, 12.0, xi.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = bessel_bracket(orders, xi, zx)
+        want = [float(bessel_bracket(int(s), x, z)[0])
+                for s, x, z in zip(orders, xi, zx)]
+    assert got.tolist() == want
 
 
 def test_bessel_bracket_zero_argument():

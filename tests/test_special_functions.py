@@ -8,7 +8,7 @@ import pytest
 
 from qcompton.special_functions import (MAX_ARGUMENT, MAX_ORDER,
                                         OutOfContract, bessel_i0_log_scaled,
-                                        bessel_j_triple)
+                                        bessel_j_triple, bessel_j_triples)
 
 
 def _oracle_jn(n: int, x: float) -> float:
@@ -83,6 +83,37 @@ def test_bessel_j_array_matches_scalar():
         single = bessel_j_triple(7, float(x))
         for row, v in zip(rows, single):
             assert abs(row[i] - v) <= 1e-14 * amp
+
+
+# one batch over every regime: (order, argument) per element
+_ZERO = [(1, 0.0), (2, 0.0), (3000, 0.0)]
+_SERIES = [(1, 1e-3), (2, 0.5), (40, 7.0), (900, 50.0), (3000, 100.0)]
+_MILLER = [(10, 9.5), (60, 55.0), (100, 60.0), (500, 400.0),
+           (1200, 1100.0), (3000, 2700.0)]
+
+
+def test_bessel_j_triples_mixed_batch():
+    pairs = _ZERO + _SERIES + _MILLER
+    orders = np.array([s for s, _ in pairs])
+    xs = np.array([x for _, x in pairs])
+    rows = np.array(bessel_j_triples(orders, xs))
+    for i, (s, x) in enumerate(pairs):
+        single = bessel_j_triple(s, x)
+        for row, n in enumerate((s - 1, s, s + 1)):
+            got = rows[row, i]
+            assert _close(got, _oracle_jn(n, x), 1e-12), (n, x, got)
+            if i < len(_ZERO) + len(_SERIES):
+                # x = 0 and the series do not depend on the batch
+                assert got == single[row], (n, x)
+            else:
+                # the batch's sweep starts above the largest order
+                assert got == pytest.approx(single[row], rel=2e-14), (n, x)
+
+
+@pytest.mark.parametrize("bad", [0, MAX_ORDER, 2.5])
+def test_bessel_j_triples_rejects_one_bad_order(bad):
+    with pytest.raises(OutOfContract):
+        bessel_j_triples(np.array([3, bad, 5]), np.array([1.0, 1.0, 20.0]))
 
 
 def test_bessel_triple_consistency():
