@@ -185,9 +185,11 @@ def validate_config(cfg: dict) -> dict:
 
     sc = _section(cfg, "scan")
     mode = _choice(sc, "scan", "mode", ("spectrum", "angular"))
-    out["scan"] = {"mode": mode,
-                   "phi_prime_deg": _number(sc, "scan", "phi_prime_deg",
-                                            default=0.0)}
+    phi = _number(sc, "scan", "phi_prime_deg", default=0.0)
+    if not 0.0 <= math.radians(phi) < 2.0 * math.pi:   # as EmissionGeometry
+        raise SchemaError("scan.phi_prime_deg",
+                          f"must lie in [0, 360), got {phi}")
+    out["scan"] = {"mode": mode, "phi_prime_deg": phi}
     if mode == "spectrum":
         out["scan"]["theta_prime_deg"] = _number(
             sc, "scan", "theta_prime_deg", lo=0.0, hi=180.0)

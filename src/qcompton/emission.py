@@ -27,7 +27,7 @@ from scipy.special import gammaln
 
 from .constants import E_CHARGE, E_SQUARED
 from .minkowski import (EmissionGeometry, FourVector, circular_polarization,
-                        mdot, photon_wavevector)
+                        mdot)
 from .photon_statistics import PhaseAveragedStatistics
 from .special_functions import (MAX_ORDER, bessel_j_triple,
                                 bessel_j_triples)
@@ -97,6 +97,37 @@ def _check_polarization(k: FourVector) -> None:
                          "to propagate along +z")
 
 
+def _direction_invariants(p: FourVector, k: FourVector, theta, phi):
+    """Direction invariants kappa = k.n', pi' = p.n' and n'.eps =
+    (k'.eps)/omega' of n' = (1, sin t cos p, sin t sin p, cos t), for
+    scalar or equal-shape array angles."""
+    eps = circular_polarization()
+    sin_th = np.sin(theta)
+    nx = sin_th * np.cos(phi)
+    ny = sin_th * np.sin(phi)
+    nz = np.cos(theta)
+    kappa = k.t - k.x * nx - k.y * ny - k.z * nz
+    piprime = p.t - p.x * nx - p.y * ny - p.z * nz
+    ke_unit = -(eps.x * nx + eps.y * ny + eps.z * nz)
+    return kappa, piprime, ke_unit
+
+
+def _point_factors(p: FourVector, k: FourVector, kappa, ke_unit,
+                   omega_prime):
+    """Order-independent factors of the amplitude at omega' along a
+    direction with invariants (kappa, ke_unit): k.k', k.p' = k.p - k.k',
+    |d| with d = p.eps/k.p - p'.eps/k.p', and
+    X = ((k.p')^2 + (k.p)^2) / (2 m^2 k.k')."""
+    kp = mdot(k, p)
+    pe = mdot(p, circular_polarization())
+    kkp = omega_prime * kappa
+    kpprime = kp - kkp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        abs_d = np.abs(pe / kp - (pe - omega_prime * ke_unit) / kpprime)
+        x_fac = (kpprime * kpprime + kp * kp) / (2.0 * mdot(p, p) * kkp)
+    return kkp, kpprime, abs_d, x_fac
+
+
 def kinematic_max_frequency(s: int, p: FourVector, k: FourVector,
                             geometry: EmissionGeometry) -> float:
     """Largest emitted frequency (eV) with order-s support in direction k'.
@@ -107,20 +138,18 @@ def kinematic_max_frequency(s: int, p: FourVector, k: FourVector,
     """
     if s < 1:
         raise ValueError(f"harmonic order must be >= 1, got {s}")
-    nprime = photon_wavevector(1.0, geometry.theta, geometry.phi)
-    kappa = mdot(k, nprime)
-    piprime = mdot(p, nprime)
-    return s * mdot(k, p) / (s * kappa + piprime)
+    kappa, piprime, _ = _direction_invariants(p, k, geometry.theta,
+                                              geometry.phi)
+    return float(s * mdot(k, p) / (s * kappa + piprime))
 
 
 def absolute_frequency_ceiling(p: FourVector, k: FourVector,
                                geometry: EmissionGeometry) -> float:
     """s -> infinity accumulation point of the per-order cutoffs."""
-    nprime = photon_wavevector(1.0, geometry.theta, geometry.phi)
-    kappa = mdot(k, nprime)
+    kappa, _, _ = _direction_invariants(p, k, geometry.theta, geometry.phi)
     if kappa <= 0.0:
         return math.inf
-    return mdot(k, p) / kappa
+    return float(mdot(k, p) / kappa)
 
 
 def bessel_bracket(s, xi, zeta_x):
@@ -200,33 +229,16 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
 
     omega = k.t
     kp = mdot(k, p)
-    m2 = mdot(p, p)
-    pt = p.t
-    eps = circular_polarization()
-    pe = mdot(p, eps)
-
-    sin_th = np.sin(th)
-    nx = sin_th * np.cos(ph)
-    ny = sin_th * np.sin(ph)
-    nz = np.cos(th)
-    kappa = k.t - k.x * nx - k.y * ny - k.z * nz
-    piprime = pt - p.x * nx - p.y * ny - p.z * nz
-    ke_unit = -(eps.x * nx + eps.y * ny + eps.z * nz)   # (k'.eps) / omega'
-
-    kkp = wp * kappa                      # k.k'
-    kpprime = kp - kkp                    # k.p'
+    kappa, piprime, ke_unit = _direction_invariants(p, k, th, ph)
+    kkp, kpprime, abs_d, x_fac = _point_factors(p, k, kappa, ke_unit, wp)
     alive = (kappa > 0.0) & (kpprime > 0.0)
 
     if not alive.any():
         return np.zeros(n_pts)
 
-    # s-independent per-point quantities
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_cplx = pe / kp - (pe - wp * ke_unit) / kpprime
-        abs_d = np.abs(d_cplx)
-        x_fac = (kpprime * kpprime + kp * kp) / (2.0 * m2 * kkp)
-        prefactor = (omega * omega * wp * m2 * kp
-                     / (4.0 * math.pi ** 2 * pt * kappa))
+        prefactor = (omega * omega * wp * mdot(p, p) * kp
+                     / (4.0 * math.pi ** 2 * p.t * kappa))
         b_lin = wp * piprime              # theta argument: s*(k.p') - b_lin
         s_min = np.where(alive, np.floor(b_lin / kpprime) + 1.0, np.inf)
     s_min = np.where(alive & (s_min < 1.0), 1.0, s_min)
@@ -363,9 +375,8 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
 
     omega = k.t
     kp = mdot(k, p)
-    nprime = photon_wavevector(1.0, geometry.theta, geometry.phi)
-    kappa = mdot(k, nprime)
-    piprime = mdot(p, nprime)
+    kappa, piprime, _ = _direction_invariants(p, k, geometry.theta,
+                                              geometry.phi)
     if kappa <= 0.0:
         s = s[:0]
     mu = E_SQUARED * amp * amp * kappa / (4.0 * omega * omega * kp)
@@ -378,8 +389,11 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
                    s_range) -> tuple:
     """Delta-line spectrum for coherent-like drives, resolved analytically.
 
-    Lines sit at coherent_line_positions.  Integrating the omega'-delta
-    gives each line's weight without any quadrature:
+    Lines sit at coherent_line_positions.  Each is the engine's order-s
+    amplitude at the single field A, with xi = e (A/omega) |d| and
+    zeta X = (Theta_s / k.p') X from the same per-point factors.
+    Integrating the omega'-delta gives each line's weight without any
+    quadrature:
 
         weight_s = e^2 m^2 omega'_s^3 bracket_s / (8 pi^2 s (k.p) p^t).
 
@@ -388,30 +402,15 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     """
     orders, positions, thetas = coherent_line_positions(
         stats, p, k, geometry, s_range)
-    amp = stats.peak_amplitude
-    omega = k.t
-    kp = mdot(k, p)
-    m2 = mdot(p, p)
-    pt = p.t
-    eps = circular_polarization()
-    pe = mdot(p, eps)
-    nprime = photon_wavevector(1.0, geometry.theta, geometry.phi)
-    kappa = mdot(k, nprime)
-    ke_unit = -(eps.x * nprime.x + eps.y * nprime.y + eps.z * nprime.z)
-
-    # Python scalars: numpy's complex abs and ** differ in the last bit
-    xis, zeta_xs = [], []
-    for wps, theta_arg in zip(positions.tolist(), thetas.tolist()):
-        kpprime = kp - wps * kappa
-        zeta = theta_arg / kpprime
-        x_fac = (kpprime * kpprime + kp * kp) / (2.0 * m2 * wps * kappa)
-        d_cplx = pe / kp - (pe - wps * ke_unit) / kpprime
-        xis.append(E_CHARGE * (amp / omega) * abs(d_cplx))
-        zeta_xs.append(zeta * x_fac)
-    brackets = bessel_bracket(orders, np.array(xis), np.array(zeta_xs))
+    kappa, _, ke_unit = _direction_invariants(p, k, geometry.theta,
+                                              geometry.phi)
+    _, kpprime, abs_d, x_fac = _point_factors(p, k, kappa, ke_unit,
+                                              positions)
+    xi = E_CHARGE * (stats.peak_amplitude / k.t) * abs_d
+    brackets = bessel_bracket(orders, xi, thetas / kpprime * x_fac)
+    weights = (E_SQUARED * mdot(p, p) * positions ** 3 * brackets
+               / (8.0 * math.pi ** 2 * orders * mdot(k, p) * p.t))
     return tuple(
-        PeakEntry(order=s, omega_prime=wps,
-                  weight=(E_SQUARED * m2 * wps ** 3 * bracket
-                          / (8.0 * math.pi ** 2 * s * kp * pt)))
-        for s, wps, bracket in zip(orders.tolist(), positions.tolist(),
-                                   brackets.tolist()))
+        PeakEntry(order=s, omega_prime=wps, weight=weight)
+        for s, wps, weight in zip(orders.tolist(), positions.tolist(),
+                                  weights.tolist()))

@@ -106,6 +106,7 @@ def electron_momentum(gamma: float, direction) -> ElectronState:
     p = (gamma m_e, sqrt(gamma^2 - 1) m_e * direction).  The direction is
     renormalized internally (after validating |direction| = 1 within 1e-12)
     so the mass-shell condition p.p = m_e^2 holds to machine accuracy.
+    Raises ValueError when gamma^2 overflows and p is not finite.
     """
     if gamma < 1.0:
         raise ValueError(f"Lorentz factor must be >= 1, got {gamma}")
@@ -116,6 +117,9 @@ def electron_momentum(gamma: float, direction) -> ElectronState:
     dx, dy, dz = dx / norm, dy / norm, dz / norm
     pmag = math.sqrt(gamma * gamma - 1.0) * ELECTRON_MASS_EV
     p = FourVector(gamma * ELECTRON_MASS_EV, pmag * dx, pmag * dy, pmag * dz)
+    if not all(map(math.isfinite, (p.t, p.x, p.y, p.z))):
+        raise ValueError(f"Lorentz factor {gamma:g} is too large: the "
+                         "electron momentum overflows")
     return ElectronState(p=p, gamma=gamma, direction=(dx, dy, dz))
 
 

@@ -260,8 +260,9 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max,
     frequency bound alone cannot stop the scan; batches of orders are
     resolved until a whole batch adds less than rel_tol of the running
     total weight.  Line positions are closed-form, so orders above w_max
-    are dropped before any Bessel work.  Each batch adds its highest
-    line to both order fields of `diagnostics`.
+    are dropped before any Bessel work, and the scan ends at the first
+    batch with no line left.  Each batch adds its highest line to both
+    order fields of `diagnostics`.
     """
     diagnostics = diagnostics or Diagnostics()
     entries = []
@@ -271,14 +272,16 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max,
         s_hi = min(s_lo + _LADDER_BATCH - 1, s_max)
         orders, wps, _ = emission.coherent_line_positions(
             stats, p, k, geometry, np.arange(s_lo, s_hi + 1))
-        batch = emission.coherent_peaks(stats, p, k, geometry,
-                                        orders[wps <= w_max])
-        top = max((q.order for q in batch), default=0)
+        kept = orders[wps <= w_max]
+        if kept.size == 0:
+            return entries
+        batch = emission.coherent_peaks(stats, p, k, geometry, kept)
+        top = batch[-1].order
         diagnostics.add(highest_order=top, orders_scanned=top)
         entries.extend(batch)
         got = sum(q.weight for q in batch)
         total += got
-        if not batch or (total > 0.0 and got <= rel_tol * total):
+        if total > 0.0 and got <= rel_tol * total:
             return entries
         s_lo = s_hi + 1
     raise emission.TruncationNotConverged(

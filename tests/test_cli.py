@@ -66,6 +66,9 @@ def test_validate_electron_forms():
      "drive.intensity_W_cm2"),
     (lambda c: c["scan"].update(theta_prime_deg=200.0),
      "scan.theta_prime_deg"),
+    (lambda c: c["scan"].update(phi_prime_deg=400.0), "scan.phi_prime_deg"),
+    (lambda c: c["scan"].update(phi_prime_deg=-10.0), "scan.phi_prime_deg"),
+    (lambda c: c["scan"].update(phi_prime_deg=360.0), "scan.phi_prime_deg"),
     (lambda c: c["scan"].update(omega_prime_range_eV=[0.0, 5.0]),
      "scan.omega_prime_range_eV"),
     (lambda c: c["scan"].update(omega_prime_range_eV=[5.0, 1.0]),
@@ -359,6 +362,20 @@ def test_exit_code_on_s_max_beyond_bessel_contract(tmp_path, capsys):
     assert "numerics.s_max" in capsys.readouterr().err
     cfg["numerics"]["s_max"] = 9999
     assert cli.validate_config(cfg)["numerics"]["s_max"] == 9999
+
+
+@pytest.mark.parametrize("electron", [{"gamma": 1e155},
+                                      {"kinetic_energy_eV": 1e300}])
+def test_exit_code_on_overflowing_lorentz_factor(tmp_path, capsys, electron):
+    # gamma^2 overflows to inf; the run must refuse, not write zeros
+    cfg = _base_config()
+    cfg["electron"] = {**electron, "direction": [0, 0, 1]}
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)])
+    assert code == cli.EXIT_PHYSICS
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_on_missing_custom_table(tmp_path, capsys):

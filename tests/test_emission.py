@@ -10,15 +10,16 @@ import pytest
 
 from helpers import (drive_for, dual_path_worst_error, linear_compton_line,
                      sample_triples)
-from oracles import (NOT_ALLOWED, effective_field, harmonic_term,
-                     reference_bsv_density, reference_thermal_density)
-from qcompton.constants import ELECTRON_MASS_EV
+from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
+                     harmonic_term, reference_bsv_density,
+                     reference_thermal_density, scattered_momentum)
+from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
                                coherent_peaks, kinematic_max_frequency,
                                smooth_spectral_density,
                                spectral_density_points)
-from qcompton.minkowski import (EmissionGeometry, electron_momentum,
+from qcompton.minkowski import (EmissionGeometry, electron_momentum, mdot,
                                 photon_wavevector)
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         thermal_stats)
@@ -268,6 +269,46 @@ def test_coherent_line_low_intensity_reaches_compton_formula():
         for position, per_intensity in lines[1:]:
             assert position == pytest.approx(lines[0][0], rel=1e-9)
             assert per_intensity == pytest.approx(lines[0][1], rel=1e-9)
+
+
+def test_coherent_line_weights_match_transcribed_amplitude():
+    # each line weight against the per-order transcription at e_s = A:
+    # (zeta, xi) from harmonic_coefficients, X from the scattered momentum
+    # and the weight formula of the coherent_peaks docstring; lines below
+    # 1e-6 of an angle's strongest carry too few digits to compare
+    electrons = [electron_momentum(1.0, (0.0, 0.0, 1.0)).p,
+                 electron_momentum(7.09, (0.0, 0.0, -1.0)).p,
+                 electron_momentum(3.0, (1.0, 0.0, 0.0)).p,
+                 electron_momentum(2.0, (0.6, 0.0, 0.8)).p]
+    geoms = [EmissionGeometry(theta=math.radians(159.9)),
+             EmissionGeometry(theta=math.radians(120.0), phi=0.7),
+             EmissionGeometry(theta=math.radians(90.0), phi=2.0),
+             EmissionGeometry(theta=math.radians(35.0), phi=4.0)]
+    worst = 0.0
+    for intensity in (1e12, 9e14, 9e16, 9e17):
+        drive = drive_for(intensity)
+        stats = coherent_stats(drive.omega, drive.rho)
+        amp = stats.peak_amplitude
+        for p in electrons:
+            kp, m2 = mdot(K_DRIVE, p), mdot(p, p)
+            for geom in geoms:
+                peaks = coherent_peaks(stats, p, K_DRIVE, geom, range(1, 60))
+                assert [q.order for q in peaks] == list(range(1, 60))
+                top = max(abs(q.weight) for q in peaks)
+                for q in peaks:
+                    kprime = _kprime(q.omega_prime, geom)
+                    zeta, xi = harmonic_coefficients(q.order, p, K_DRIVE,
+                                                     kprime, amp)
+                    kpp = mdot(K_DRIVE, scattered_momentum(p, K_DRIVE,
+                                                           kprime))
+                    x = (kpp * kpp + kp * kp) / (
+                        2.0 * m2 * mdot(K_DRIVE, kprime))
+                    bracket = float(bessel_bracket(q.order, xi, zeta * x)[0])
+                    want = (E_SQUARED * m2 * q.omega_prime ** 3 * bracket
+                            / (8.0 * math.pi ** 2 * q.order * kp * p.t))
+                    if abs(want) > 1e-6 * top:
+                        worst = max(worst, abs(q.weight - want) / abs(want))
+    assert worst < 1e-8, worst
 
 
 def test_coherent_peaks_reject_zero_drive():

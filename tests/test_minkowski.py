@@ -57,6 +57,14 @@ def test_electron_momentum_mass_shell():
         electron_momentum(2.0, (0.0, 0.0, 2.0))   # not unit length
 
 
+def test_electron_momentum_rejects_overflow():
+    # gamma^2 overflows: |p| = inf and inf * 0 would put NaN into p
+    for direction in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)):
+        with pytest.raises(ValueError, match="overflows"):
+            electron_momentum(1e155, direction)
+    assert math.isfinite(electron_momentum(1e150, (0.0, 0.0, 1.0)).p.z)
+
+
 def test_scattered_momentum_on_shell():
     rng = np.random.default_rng(11)
     k = photon_wavevector(2.25, 0.0, 0.0)

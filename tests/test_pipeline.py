@@ -215,6 +215,7 @@ def test_ladder_evaluates_only_the_lines_it_keeps(monkeypatch):
                     emission.DEFAULT_S_MAX)
     assert lines and all(q.omega_prime <= w_max for q in lines)
     assert sum(evaluated) == len(lines)
+    assert 0 not in evaluated
 
 
 def test_azimuth_never_enters_axis_aligned_scans():
