@@ -7,7 +7,8 @@ through its phase-averaged field statistics R(E): each harmonic order s
 field amplitude E_s fixed by the scattering kinematics, weighted by R(E_s).
 
 Conventions: natural units, energies in eV.  The drive is a monochromatic
-photon mode k propagating along +z with circular polarization; the
+photon mode k = omega (1, 0, 0, 1) propagating along +z with circular
+polarization, so it enters only through its frequency omega; the
 electron four-momentum p may point anywhere.  The emitted mode k' is
 parameterized by (theta', phi') measured from +z.
 
@@ -90,14 +91,16 @@ class PeakEntry:
     weight: float             # eV^2 per steradian
 
 
-def _check_polarization(k: FourVector) -> None:
-    eps = circular_polarization()
-    if abs(mdot(k, eps)) > 1e-12 * k.t:
-        raise ValueError("built-in circular polarization requires the drive "
-                         "to propagate along +z")
+def _drive_dot(p: FourVector, omega: float) -> float:
+    """k.p of the drive k = omega (1, 0, 0, 1); omega must be a positive
+    finite number."""
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"drive frequency must be a positive finite "
+                         f"number, got {omega}")
+    return omega * p.t - omega * p.z
 
 
-def _direction_invariants(p: FourVector, k: FourVector, theta, phi):
+def _direction_invariants(p: FourVector, omega: float, theta, phi):
     """Direction invariants kappa = k.n', pi' = p.n' and n'.eps =
     (k'.eps)/omega' of n' = (1, sin t cos p, sin t sin p, cos t), for
     scalar or equal-shape array angles."""
@@ -106,19 +109,17 @@ def _direction_invariants(p: FourVector, k: FourVector, theta, phi):
     nx = sin_th * np.cos(phi)
     ny = sin_th * np.sin(phi)
     nz = np.cos(theta)
-    kappa = k.t - k.x * nx - k.y * ny - k.z * nz
+    kappa = omega - omega * nz
     piprime = p.t - p.x * nx - p.y * ny - p.z * nz
     ke_unit = -(eps.x * nx + eps.y * ny + eps.z * nz)
     return kappa, piprime, ke_unit
 
 
-def _point_factors(p: FourVector, k: FourVector, kappa, ke_unit,
-                   omega_prime):
+def _point_factors(p: FourVector, kp: float, kappa, ke_unit, omega_prime):
     """Order-independent factors of the amplitude at omega' along a
-    direction with invariants (kappa, ke_unit): k.k', k.p' = k.p - k.k',
-    |d| with d = p.eps/k.p - p'.eps/k.p', and
+    direction with invariants (kappa, ke_unit), given kp = k.p: k.k',
+    k.p' = k.p - k.k', |d| with d = p.eps/k.p - p'.eps/k.p', and
     X = ((k.p')^2 + (k.p)^2) / (2 m^2 k.k')."""
-    kp = mdot(k, p)
     pe = mdot(p, circular_polarization())
     kkp = omega_prime * kappa
     kpprime = kp - kkp
@@ -128,7 +129,7 @@ def _point_factors(p: FourVector, k: FourVector, kappa, ke_unit,
     return kkp, kpprime, abs_d, x_fac
 
 
-def kinematic_max_frequency(s: int, p: FourVector, k: FourVector,
+def kinematic_max_frequency(s: int, p: FourVector, omega: float,
                             geometry: EmissionGeometry) -> float:
     """Largest emitted frequency (eV) with order-s support in direction k'.
 
@@ -138,18 +139,20 @@ def kinematic_max_frequency(s: int, p: FourVector, k: FourVector,
     """
     if s < 1:
         raise ValueError(f"harmonic order must be >= 1, got {s}")
-    kappa, piprime, _ = _direction_invariants(p, k, geometry.theta,
+    kappa, piprime, _ = _direction_invariants(p, omega, geometry.theta,
                                               geometry.phi)
-    return float(s * mdot(k, p) / (s * kappa + piprime))
+    return float(s * _drive_dot(p, omega) / (s * kappa + piprime))
 
 
-def absolute_frequency_ceiling(p: FourVector, k: FourVector,
+def absolute_frequency_ceiling(p: FourVector, omega: float,
                                geometry: EmissionGeometry) -> float:
     """s -> infinity accumulation point of the per-order cutoffs."""
-    kappa, _, _ = _direction_invariants(p, k, geometry.theta, geometry.phi)
+    kp = _drive_dot(p, omega)
+    kappa, _, _ = _direction_invariants(p, omega, geometry.theta,
+                                        geometry.phi)
     if kappa <= 0.0:
         return math.inf
-    return float(mdot(k, p) / kappa)
+    return float(kp / kappa)
 
 
 def bessel_bracket(s, xi, zeta_x):
@@ -189,7 +192,7 @@ def bessel_bracket(s, xi, zeta_x):
 
 
 def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
-                            k: FourVector, theta, phi, omega_prime, *,
+                            omega: float, theta, phi, omega_prime, *,
                             rel_tol: float = DEFAULT_REL_TOL,
                             s_max: int = DEFAULT_S_MAX,
                             diagnostics: Diagnostics | None = None
@@ -213,7 +216,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     if stats.is_atomic:
         raise TypeError("atomic-peak statistics produce delta lines; "
                         "use coherent_peaks")
-    _check_polarization(k)
 
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
@@ -227,10 +229,9 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     diagnostics = diagnostics or Diagnostics()
     diagnostics.add(points=n_pts)
 
-    omega = k.t
-    kp = mdot(k, p)
-    kappa, piprime, ke_unit = _direction_invariants(p, k, th, ph)
-    kkp, kpprime, abs_d, x_fac = _point_factors(p, k, kappa, ke_unit, wp)
+    kp = _drive_dot(p, omega)
+    kappa, piprime, ke_unit = _direction_invariants(p, omega, th, ph)
+    kkp, kpprime, abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit, wp)
     alive = (kappa > 0.0) & (kpprime > 0.0)
 
     if not alive.any():
@@ -321,7 +322,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
 
 
 def smooth_spectral_density(stats: PhaseAveragedStatistics, p: FourVector,
-                            k: FourVector, geometry: EmissionGeometry,
+                            omega: float, geometry: EmissionGeometry,
                             omega_prime, **kwargs):
     """Master spectral density at fixed direction, vectorized over omega'.
 
@@ -332,12 +333,12 @@ def smooth_spectral_density(stats: PhaseAveragedStatistics, p: FourVector,
     wp = np.atleast_1d(np.asarray(omega_prime, dtype=float))
     th = np.full_like(wp, geometry.theta)
     ph = np.full_like(wp, geometry.phi)
-    out = spectral_density_points(stats, p, k, th, ph, wp, **kwargs)
+    out = spectral_density_points(stats, p, omega, th, ph, wp, **kwargs)
     return float(out[0]) if scalar else out
 
 
 def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
-                            k: FourVector, geometry: EmissionGeometry,
+                            omega: float, geometry: EmissionGeometry,
                             orders) -> tuple:
     """Closed-form line positions of a coherent-like drive, no Bessel work.
 
@@ -364,7 +365,6 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
     if not stats.is_atomic:
         raise TypeError("smooth statistics have no delta lines; use "
                         "smooth_spectral_density")
-    _check_polarization(k)
     amp = stats.peak_amplitude
     if amp <= 0.0:
         raise ValueError("peak amplitude must be > 0 (zero drive density "
@@ -373,9 +373,8 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
     if (s < 1).any():
         raise ValueError(f"harmonic order must be >= 1, got {s.min()}")
 
-    omega = k.t
-    kp = mdot(k, p)
-    kappa, piprime, _ = _direction_invariants(p, k, geometry.theta,
+    kp = _drive_dot(p, omega)
+    kappa, piprime, _ = _direction_invariants(p, omega, geometry.theta,
                                               geometry.phi)
     if kappa <= 0.0:
         s = s[:0]
@@ -385,7 +384,7 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
 
 
 def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
-                   k: FourVector, geometry: EmissionGeometry,
+                   omega: float, geometry: EmissionGeometry,
                    s_range) -> tuple:
     """Delta-line spectrum for coherent-like drives, resolved analytically.
 
@@ -401,15 +400,16 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     Returns a tuple of PeakEntry sorted by order.
     """
     orders, positions, thetas = coherent_line_positions(
-        stats, p, k, geometry, s_range)
-    kappa, _, ke_unit = _direction_invariants(p, k, geometry.theta,
+        stats, p, omega, geometry, s_range)
+    kp = _drive_dot(p, omega)
+    kappa, _, ke_unit = _direction_invariants(p, omega, geometry.theta,
                                               geometry.phi)
-    _, kpprime, abs_d, x_fac = _point_factors(p, k, kappa, ke_unit,
+    _, kpprime, abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit,
                                               positions)
-    xi = E_CHARGE * (stats.peak_amplitude / k.t) * abs_d
+    xi = E_CHARGE * (stats.peak_amplitude / omega) * abs_d
     brackets = bessel_bracket(orders, xi, thetas / kpprime * x_fac)
     weights = (E_SQUARED * mdot(p, p) * positions ** 3 * brackets
-               / (8.0 * math.pi ** 2 * orders * mdot(k, p) * p.t))
+               / (8.0 * math.pi ** 2 * orders * kp * p.t))
     return tuple(
         PeakEntry(order=s, omega_prime=wps, weight=weight)
         for s, wps, weight in zip(orders.tolist(), positions.tolist(),

@@ -30,8 +30,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import ndtr
 
-from .minkowski import (ElectronState, EmissionGeometry, FourVector,
-                        KinematicallyForbidden, photon_wavevector)
+from .minkowski import ElectronState, EmissionGeometry, KinematicallyForbidden
 from .units import NaturalDrive, pulse_duration
 from .photon_statistics import PhaseAveragedStatistics
 from . import emission
@@ -131,9 +130,6 @@ class Scenario:
         for th in self.thetas:
             if not 0.0 <= th <= math.pi:
                 raise ValueError(f"scan angle {th} outside [0, pi]")
-
-    def wavevector(self) -> FourVector:
-        return photon_wavevector(self.drive.omega, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,7 @@ def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
     return np.concatenate([left, grid, right])
 
 
-def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max,
+def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,
             diagnostics: Diagnostics | None = None):
     """All coherent lines below w_max, truncated by accumulated weight.
 
@@ -271,11 +267,11 @@ def _ladder(stats, p, k, geometry, w_max, rel_tol, s_max,
     while s_lo <= s_max:
         s_hi = min(s_lo + _LADDER_BATCH - 1, s_max)
         orders, wps, _ = emission.coherent_line_positions(
-            stats, p, k, geometry, np.arange(s_lo, s_hi + 1))
+            stats, p, omega, geometry, np.arange(s_lo, s_hi + 1))
         kept = orders[wps <= w_max]
         if kept.size == 0:
             return entries
-        batch = emission.coherent_peaks(stats, p, k, geometry, kept)
+        batch = emission.coherent_peaks(stats, p, omega, geometry, kept)
         top = batch[-1].order
         diagnostics.add(highest_order=top, orders_scanned=top)
         entries.extend(batch)
@@ -298,8 +294,8 @@ def _peak_sigmas(scenario: Scenario, geometry, entries) -> list:
     sigma = scenario.drive.delta_omega
     orders = [q.order for q in entries]
     lo, hi = (emission.coherent_line_positions(
-        scenario.stats, scenario.electron.p, photon_wavevector(nu, 0.0, 0.0),
-        geometry, orders)[1] for nu in (omega - sigma, omega + sigma))
+        scenario.stats, scenario.electron.p, nu, geometry, orders)[1]
+        for nu in (omega - sigma, omega + sigma))
     return (np.abs(hi - lo) / 2.0).tolist()
 
 
@@ -315,7 +311,7 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
     """
     hi = scenario.omega_grid.hi
     ceiling = emission.absolute_frequency_ceiling(
-        scenario.electron.p, scenario.wavevector(), geometry)
+        scenario.electron.p, scenario.drive.omega, geometry)
     if hi > CEILING_SLACK * ceiling:
         raise KinematicallyForbidden(
             "grid extends to %g eV but no emission is possible above "
@@ -347,14 +343,14 @@ def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     sigma = scenario.drive.delta_omega
     t_pulse = pulse_duration(sigma).per_eV
     p = scenario.electron.p
-    k = scenario.wavevector()
+    omega = scenario.drive.omega
     curves = []
     for geometry, omega_grid in blocks:
         grid = omega_grid.points()
         diagnostics.add(points=grid.size)
         w_top = min(grid[-1] + KERNEL_REACH * sigma * 2.0,
-                    emission.absolute_frequency_ceiling(p, k, geometry))
-        entries = _ladder(scenario.stats, p, k, geometry, w_top,
+                    emission.absolute_frequency_ceiling(p, omega, geometry))
+        entries = _ladder(scenario.stats, p, omega, geometry, w_top,
                           scenario.rel_tol, scenario.s_max, diagnostics)
         if scenario.broadening == "drive_average":
             widths = _peak_sigmas(scenario, geometry, entries)
@@ -382,11 +378,11 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     grids = [grid.points() for _, grid in blocks]
     angles = [(geometry.theta, geometry.phi) for geometry, _ in blocks]
 
-    def density(k, point_sets):
+    def density(nu, point_sets):
         sizes = [x.size for x in point_sets]
         theta, phi = (np.repeat(a, sizes) for a in zip(*angles))
         out = emission.spectral_density_points(
-            scenario.stats, scenario.electron.p, k, theta, phi,
+            scenario.stats, scenario.electron.p, nu, theta, phi,
             np.concatenate(point_sets), rel_tol=scenario.rel_tol,
             s_max=scenario.s_max, diagnostics=diagnostics)
         return np.split(out, np.cumsum(sizes)[:-1])
@@ -396,13 +392,12 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
         acc = [np.zeros_like(grid) for grid in grids]
         for x, w in zip(nodes, wts):
             nu = scenario.drive.omega + math.sqrt(2.0) * sigma * x
-            k_nu = photon_wavevector(nu, 0.0, 0.0)
-            for a, d in zip(acc, density(k_nu, grids)):
+            for a, d in zip(acc, density(nu, grids)):
                 a += (w / math.sqrt(math.pi)) * d
         smooth = [t_pulse * a for a in acc]
     else:
         wings = [_extended_nodes(grid, sigma) for grid in grids]
-        dens = density(scenario.wavevector(), wings)
+        dens = density(scenario.drive.omega, wings)
         smooth = [t_pulse * _gaussian_convolve_linear(x, d, sigma, grid)
                   for x, d, grid in zip(wings, dens, grids)]
     return [SpectralCurve(omega=grid, smooth=y)
@@ -453,14 +448,14 @@ def angular_distribution(scenario: Scenario, band, *,
     if not scenario.thetas:
         raise ValueError("scenario has no polar-angle scan")
     p = scenario.electron.p
-    k = scenario.wavevector()
+    omega = scenario.drive.omega
     count = max(scenario.omega_grid.count, 64)
 
     live, blocks = [], []
     for i, th in enumerate(scenario.thetas):
         geometry = EmissionGeometry(theta=th, phi=scenario.phi)
-        ceiling = emission.absolute_frequency_ceiling(p, k, geometry)
-        g_lo = max(lo, 1e-6 * scenario.drive.omega)
+        ceiling = emission.absolute_frequency_ceiling(p, omega, geometry)
+        g_lo = max(lo, 1e-6 * omega)
         g_hi = min(hi, ceiling)
         if g_hi > g_lo:
             live.append(i)

@@ -81,7 +81,7 @@ def dual_path_worst_error(stats_maker, reference, triples, p):
     for _intensity, drive, geom, wp in triples:
         stats = stats_maker(drive.omega, drive.rho)
         k = photon_wavevector(drive.omega, 0.0, 0.0)
-        a = smooth_spectral_density(stats, p, k, geom, wp)
+        a = smooth_spectral_density(stats, p, drive.omega, geom, wp)
         b = reference(p, k, geom, wp, drive.rho)
         if abs(a) < DENORMAL_FLOOR or abs(b) < DENORMAL_FLOOR:
             assert abs(a) < DENORMAL_FLOOR and abs(b) < DENORMAL_FLOOR, \

@@ -46,11 +46,10 @@ def test_01_thomson_limit_total_power(acceptance_log):
     """Low-intensity total radiated power equals sigma_T x intensity."""
     t0 = time.perf_counter()
     drive = helpers.drive_for(1e10)
-    k = photon_wavevector(drive.omega, 0.0, 0.0)
     stats = coherent_stats(drive.omega, drive.rho)
 
     def per_polar_angle(theta):
-        peak = coherent_peaks(stats, AT_REST.p, k,
+        peak = coherent_peaks(stats, AT_REST.p, drive.omega,
                               EmissionGeometry(theta=theta), (1,))[0]
         return 2.0 * math.pi * math.sin(theta) * peak.weight
 
@@ -69,18 +68,17 @@ def test_02_linear_line_positions(acceptance_log):
     """s=1 line matches the linear Compton formula, at rest and boosted."""
     t0 = time.perf_counter()
     drive = helpers.drive_for(1e10)
-    k = photon_wavevector(drive.omega, 0.0, 0.0)
     stats = coherent_stats(drive.omega, drive.rho)
 
     worst = 0.0
     for theta in np.linspace(math.radians(1.0), math.radians(179.0), 50):
-        line = coherent_peaks(stats, AT_REST.p, k,
+        line = coherent_peaks(stats, AT_REST.p, drive.omega,
                               EmissionGeometry(theta=float(theta)),
                               (1,))[0].omega_prime
         oracle = helpers.linear_compton_line(drive.omega, float(theta))
         worst = max(worst, abs(line / oracle - 1.0))
 
-    back = coherent_peaks(stats, COUNTER.p, k,
+    back = coherent_peaks(stats, COUNTER.p, drive.omega,
                           EmissionGeometry(theta=math.pi),
                           (1,))[0].omega_prime
     oracle = helpers.relativistic_line_oracle(7.09, drive.omega, math.pi)
@@ -142,12 +140,11 @@ def test_05_fock_and_cat_states_match_coherent(acceptance_log):
     """Fock-limit and cat-limit drives reuse the coherent spectrum."""
     t0 = time.perf_counter()
     drive = helpers.drive_for(9e16)
-    k = photon_wavevector(drive.omega, 0.0, 0.0)
     geom = EmissionGeometry(theta=math.radians(159.9))
     orders = range(1, 51)
 
     base = coherent_peaks(coherent_stats(drive.omega, drive.rho),
-                          AT_REST.p, k, geom, orders)
+                          AT_REST.p, drive.omega, geom, orders)
     grid = OmegaGrid(0.5, 12.0, 2000)
     base_curve = energy_spectrum(
         Scenario(electron=AT_REST, drive=drive,
@@ -158,7 +155,7 @@ def test_05_fock_and_cat_states_match_coherent(acceptance_log):
     spot = 0.0
     for maker in (fock_limit_stats, cat_limit_stats):
         stats = maker(drive.omega, drive.rho)
-        peaks = coherent_peaks(stats, AT_REST.p, k, geom, orders)
+        peaks = coherent_peaks(stats, AT_REST.p, drive.omega, geom, orders)
         # same code path: the line builder consumes only the shared
         # peak amplitude, so the tuples must be equal bit for bit
         exact = exact and peaks == base
@@ -191,13 +188,13 @@ def test_06_high_intensity_cutoff_ratios(acceptance_log):
     """
     t0 = time.perf_counter()
     drive = helpers.drive_for(9e17)
-    k = photon_wavevector(drive.omega, 0.0, 0.0)
     stats_c = coherent_stats(drive.omega, drive.rho)
 
     best_deg, best_val = None, -1.0
     for deg in range(30, 180, 5):
         geom = EmissionGeometry(theta=math.radians(deg))
-        entries = _ladder(stats_c, AT_REST.p, k, geom, math.inf, 1e-9, 5000)
+        entries = _ladder(stats_c, AT_REST.p, drive.omega, geom, math.inf,
+                          1e-9, 5000)
         val = math.sin(geom.theta) * sum(q.weight for q in entries)
         if val > best_val:
             best_deg, best_val = deg, val
@@ -245,13 +242,13 @@ def test_07_band_integrated_angular_gain(acceptance_log):
     """
     t0 = time.perf_counter()
     drive = helpers.drive_for(9e16)
-    k = photon_wavevector(drive.omega, 0.0, 0.0)
     stats_c = coherent_stats(drive.omega, drive.rho)
 
     reach = 0.0
     for deg in range(90, 181):
         geom = EmissionGeometry(theta=math.radians(deg))
-        entries = _ladder(stats_c, COUNTER.p, k, geom, math.inf, 1e-9, 5000)
+        entries = _ladder(stats_c, COUNTER.p, drive.omega, geom, math.inf,
+                          1e-9, 5000)
         if not entries:
             continue
         w_max = max(q.weight for q in entries)
@@ -306,7 +303,7 @@ def test_08_kinematic_property_suites(acceptance_log):
         geom = EmissionGeometry(theta=float(rng.uniform(0.05, math.pi - 0.01)),
                                 phi=float(rng.uniform(0.0, 2.0 * math.pi)))
         s = int(rng.integers(1, 9))
-        w_cut = kinematic_max_frequency(s, el.p, k, geom)
+        w_cut = kinematic_max_frequency(s, el.p, drive.omega, geom)
 
         wp = float(rng.uniform(0.01, 0.995)) * w_cut
         kprime = photon_wavevector(wp, geom.theta, geom.phi)
@@ -346,22 +343,20 @@ def test_08_kinematic_property_suites(acceptance_log):
                               (9e17, AT_REST)):
             drive = helpers.drive_for(intensity)
             stats = maker(drive.omega, drive.rho)
-            k = photon_wavevector(drive.omega, 0.0, 0.0)
             for deg in (45.0, 90.0, 135.0, 160.0):
                 grid = np.linspace(0.02, 30.0, 300)
                 dens = smooth_spectral_density(
-                    stats, el.p, k, EmissionGeometry(theta=math.radians(deg)),
-                    grid)
+                    stats, el.p, drive.omega,
+                    EmissionGeometry(theta=math.radians(deg)), grid)
                 if dens.min() < -1e-15 * dens.max():
                     density_ok = False
         drive = helpers.drive_for(9e16)
         stats = maker(drive.omega, drive.rho)
-        k = photon_wavevector(drive.omega, 0.0, 0.0)
         for deg in (120.0, 170.0):
             grid = np.linspace(50.0, 4200.0, 700)
             dens = smooth_spectral_density(
-                stats, COUNTER.p, k, EmissionGeometry(theta=math.radians(deg)),
-                grid)
+                stats, COUNTER.p, drive.omega,
+                EmissionGeometry(theta=math.radians(deg)), grid)
             if dens.min() < -1e-15 * dens.max():
                 density_ok = False
 
@@ -381,12 +376,11 @@ def test_09_narrow_gaussian_matches_line_weight(acceptance_log):
     line weight quadratically in its width."""
     t0 = time.perf_counter()
     drive = helpers.drive_for(9e16)
-    k = photon_wavevector(drive.omega, 0.0, 0.0)
     geom = EmissionGeometry(theta=math.radians(159.9))
     amp = math.sqrt(2.0 * drive.omega * drive.rho)
 
     ref = coherent_peaks(coherent_stats(drive.omega, drive.rho),
-                         AT_REST.p, k, geom, (1, 2))
+                         AT_REST.p, drive.omega, geom, (1, 2))
     w_ref, pos = ref[0].weight, ref[0].omega_prime
     assert ref[1].omega_prime > pos * 1.9      # next line far from the window
 
@@ -410,7 +404,8 @@ def test_09_narrow_gaussian_matches_line_weight(acceptance_log):
         half = max(12.0 * pos * 2e-2 * frac, 200.0 * frac * frac * pos,
                    1e-4 * pos)
         window = np.linspace(pos - half, pos + half, 6001)
-        dens = smooth_spectral_density(stats, AT_REST.p, k, geom, window)
+        dens = smooth_spectral_density(stats, AT_REST.p, drive.omega, geom,
+                                       window)
         errs[frac] = abs(float(np.trapezoid(dens, window)) / w_ref - 1.0)
 
     ratio = errs[1e-2] / errs[1e-3]
@@ -432,9 +427,9 @@ def test_10_intensity_redshift_of_first_line(acceptance_log):
 
     def line_at(intensity):
         drive = helpers.drive_for(intensity)
-        k = photon_wavevector(drive.omega, 0.0, 0.0)
         stats = coherent_stats(drive.omega, drive.rho)
-        return coherent_peaks(stats, AT_REST.p, k, geom, (1,))[0].omega_prime
+        return coherent_peaks(stats, AT_REST.p, drive.omega, geom,
+                              (1,))[0].omega_prime
 
     strong = [line_at(i) for i in (1e14, 1e16, 1e18)]
     monotone = strong[0] > strong[1] > strong[2]

@@ -39,7 +39,7 @@ def _kprime(wp, geom):
 def test_effective_field_boundary_behavior():
     geom = EmissionGeometry(theta=math.radians(100.0))
     for s in (1, 2, 5):
-        cutoff = kinematic_max_frequency(s, AT_REST, K_DRIVE, geom)
+        cutoff = kinematic_max_frequency(s, AT_REST, OMEGA, geom)
         # inside the window: positive and decreasing toward the cutoff
         fields = [effective_field(s, AT_REST, K_DRIVE,
                                   _kprime(u * cutoff, geom))
@@ -60,24 +60,24 @@ def test_effective_field_boundary_behavior():
 def test_cutoff_ladder_ordering_and_ceiling():
     geom = EmissionGeometry(theta=math.radians(60.0))
     for p in (AT_REST, HEAD_ON):
-        ceiling = absolute_frequency_ceiling(p, K_DRIVE, geom)
-        cuts = [kinematic_max_frequency(s, p, K_DRIVE, geom)
+        ceiling = absolute_frequency_ceiling(p, OMEGA, geom)
+        cuts = [kinematic_max_frequency(s, p, OMEGA, geom)
                 for s in range(1, 40)]
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
         assert all(c < ceiling for c in cuts)
         # the ladder accumulates at the ceiling as the order grows
-        assert kinematic_max_frequency(10 ** 9, p, K_DRIVE, geom) \
+        assert kinematic_max_frequency(10 ** 9, p, OMEGA, geom) \
             > 0.99 * ceiling
 
 
 def test_ceiling_infinite_in_forward_direction():
     geom = EmissionGeometry(theta=0.0)
-    assert absolute_frequency_ceiling(AT_REST, K_DRIVE, geom) == math.inf
+    assert absolute_frequency_ceiling(AT_REST, OMEGA, geom) == math.inf
 
 
 def test_harmonic_term_consistency():
     geom = EmissionGeometry(theta=math.radians(75.0), phi=0.5)
-    cutoff = kinematic_max_frequency(2, AT_REST, K_DRIVE, geom)
+    cutoff = kinematic_max_frequency(2, AT_REST, OMEGA, geom)
     kp = _kprime(0.6 * cutoff, geom)
     term = harmonic_term(2, AT_REST, K_DRIVE, kp)
     assert term.allowed
@@ -121,7 +121,7 @@ def test_density_nonnegative_strong_drive():
     grid = np.linspace(0.1, 100.0, 400)
     for maker in (thermal_stats, bsv_stats):
         stats = maker(drive.omega, drive.rho)
-        vals = smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, grid)
+        vals = smooth_spectral_density(stats, AT_REST, OMEGA, geom, grid)
         assert np.all(vals >= -1e-15 * vals.max())
 
 
@@ -129,8 +129,8 @@ def test_density_zero_above_ceiling():
     drive = drive_for(9e16)
     stats = thermal_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(150.0))
-    ceiling = absolute_frequency_ceiling(AT_REST, K_DRIVE, geom)
-    vals = smooth_spectral_density(stats, AT_REST, K_DRIVE, geom,
+    ceiling = absolute_frequency_ceiling(AT_REST, OMEGA, geom)
+    vals = smooth_spectral_density(stats, AT_REST, OMEGA, geom,
                                    np.array([1.01 * ceiling, 2.0 * ceiling]))
     assert np.all(vals == 0.0)
 
@@ -140,12 +140,12 @@ def test_azimuthal_invariance_for_axis_aligned_electron():
     geom0 = EmissionGeometry(theta=math.radians(70.0), phi=0.0)
     for p in (AT_REST, HEAD_ON):
         stats = bsv_stats(drive.omega, drive.rho)
-        cutoff = kinematic_max_frequency(1, p, K_DRIVE, geom0)
+        cutoff = kinematic_max_frequency(1, p, OMEGA, geom0)
         wp = 0.7 * cutoff
-        base = smooth_spectral_density(stats, p, K_DRIVE, geom0, wp)
+        base = smooth_spectral_density(stats, p, OMEGA, geom0, wp)
         for phi in (0.4, 2.0, math.pi, 5.5):
             geom = EmissionGeometry(theta=geom0.theta, phi=phi)
-            val = smooth_spectral_density(stats, p, K_DRIVE, geom, wp)
+            val = smooth_spectral_density(stats, p, OMEGA, geom, wp)
             assert val == pytest.approx(base, rel=1e-10)
 
 
@@ -156,10 +156,10 @@ def test_truncation_cap_raises():
     drive = drive_for(9e16)
     stats = thermal_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(1.0))
-    ceiling = absolute_frequency_ceiling(AT_REST, K_DRIVE, geom)
+    ceiling = absolute_frequency_ceiling(AT_REST, OMEGA, geom)
     wp = 0.3 * ceiling
     with pytest.raises(TruncationNotConverged):
-        smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, wp)
+        smooth_spectral_density(stats, AT_REST, OMEGA, geom, wp)
     with pytest.raises(TruncationNotConverged):
         reference_thermal_density(AT_REST, K_DRIVE, geom, wp, drive.rho,
                                   s_max=2000)
@@ -172,9 +172,9 @@ def test_order_cap_stays_inside_bessel_contract():
     drive = drive_for(9e15)
     stats = thermal_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(30.0))
-    wp = kinematic_max_frequency(9990, AT_REST, K_DRIVE, geom) * (1 + 1e-9)
+    wp = kinematic_max_frequency(9990, AT_REST, OMEGA, geom) * (1 + 1e-9)
     with pytest.raises(TruncationNotConverged, match="s_max=9999"):
-        smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, wp)
+        smooth_spectral_density(stats, AT_REST, OMEGA, geom, wp)
 
 
 def test_engine_diagnostics_keys():
@@ -183,7 +183,7 @@ def test_engine_diagnostics_keys():
     geom = EmissionGeometry(theta=math.radians(120.0))
     diag = Diagnostics()
     grid = np.linspace(0.5, 6.0, 50)
-    smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, grid,
+    smooth_spectral_density(stats, AT_REST, OMEGA, geom, grid,
                             diagnostics=diag)
     assert list(asdict(diag)) == ["points", "highest_order",
                                   "orders_scanned", "edge_guarded"]
@@ -194,7 +194,7 @@ def test_engine_diagnostics_keys():
     # a pass stopped by the cap keeps its counts, up to the cap itself
     capped = Diagnostics()
     with pytest.raises(TruncationNotConverged):
-        smooth_spectral_density(stats, AT_REST, K_DRIVE, geom, grid,
+        smooth_spectral_density(stats, AT_REST, OMEGA, geom, grid,
                                 s_max=2, diagnostics=capped)
     assert capped.points == grid.size
     assert capped.orders_scanned == 2
@@ -206,16 +206,16 @@ def test_input_validation():
     atomic = coherent_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=1.0)
     with pytest.raises(TypeError):
-        smooth_spectral_density(atomic, AT_REST, K_DRIVE, geom, 1.0)
+        smooth_spectral_density(atomic, AT_REST, OMEGA, geom, 1.0)
     with pytest.raises(TypeError):
-        coherent_peaks(smooth, AT_REST, K_DRIVE, geom, range(1, 3))
-    with pytest.raises(ValueError):        # drive must run along +z
-        k_tilted = photon_wavevector(drive.omega, 0.3, 0.0)
-        smooth_spectral_density(smooth, AT_REST, k_tilted, geom, 1.0)
+        coherent_peaks(smooth, AT_REST, OMEGA, geom, range(1, 3))
+    for bad_omega in (0.0, -OMEGA, math.nan, math.inf):
+        with pytest.raises(ValueError, match="drive frequency"):
+            smooth_spectral_density(smooth, AT_REST, bad_omega, geom, 1.0)
     with pytest.raises(ValueError):
-        smooth_spectral_density(smooth, AT_REST, K_DRIVE, geom, -1.0)
+        smooth_spectral_density(smooth, AT_REST, OMEGA, geom, -1.0)
     with pytest.raises(ValueError):        # ragged point arrays
-        spectral_density_points(smooth, AT_REST, K_DRIVE,
+        spectral_density_points(smooth, AT_REST, OMEGA,
                                 np.array([1.0, 1.1]), np.array([0.0]),
                                 np.array([1.0, 2.0]))
 
@@ -229,7 +229,7 @@ def test_coherent_line_positions_solve_field_equation():
     drive = drive_for(9e17)
     stats = coherent_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(110.0), phi=0.3)
-    peaks = coherent_peaks(stats, AT_REST, K_DRIVE, geom, range(1, 6))
+    peaks = coherent_peaks(stats, AT_REST, OMEGA, geom, range(1, 6))
     assert len(peaks) == 5
     for q in peaks:
         e_s = effective_field(q.order, AT_REST, K_DRIVE,
@@ -241,12 +241,12 @@ def test_coherent_line_positions_below_cutoffs_and_ordered():
     drive = drive_for(9e16)
     stats = coherent_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(90.0))
-    peaks = coherent_peaks(stats, AT_REST, K_DRIVE, geom, range(1, 101))
+    peaks = coherent_peaks(stats, AT_REST, OMEGA, geom, range(1, 101))
     assert [q.order for q in peaks] == list(range(1, 101))
     pos = [q.omega_prime for q in peaks]
     assert all(a < b for a, b in zip(pos, pos[1:]))
     for q in peaks:
-        cutoff = kinematic_max_frequency(q.order, AT_REST, K_DRIVE, geom)
+        cutoff = kinematic_max_frequency(q.order, AT_REST, OMEGA, geom)
         assert 0.0 < q.omega_prime < cutoff
     w_max = max(q.weight for q in peaks)
     assert all(q.weight >= -1e-12 * w_max for q in peaks)
@@ -263,7 +263,7 @@ def test_coherent_line_low_intensity_reaches_compton_formula():
         for intensity in (1e6, 1e2, 1.0):     # effectively free electron
             drive = drive_for(intensity)
             stats = coherent_stats(drive.omega, drive.rho)
-            (pk,) = coherent_peaks(stats, AT_REST, K_DRIVE, geom, (1,))
+            (pk,) = coherent_peaks(stats, AT_REST, OMEGA, geom, (1,))
             assert pk.omega_prime == pytest.approx(want, rel=1e-9)
             lines.append((pk.omega_prime, pk.weight / intensity))
         for position, per_intensity in lines[1:]:
@@ -292,7 +292,7 @@ def test_coherent_line_weights_match_transcribed_amplitude():
         for p in electrons:
             kp, m2 = mdot(K_DRIVE, p), mdot(p, p)
             for geom in geoms:
-                peaks = coherent_peaks(stats, p, K_DRIVE, geom, range(1, 60))
+                peaks = coherent_peaks(stats, p, OMEGA, geom, range(1, 60))
                 assert [q.order for q in peaks] == list(range(1, 60))
                 top = max(abs(q.weight) for q in peaks)
                 for q in peaks:
@@ -315,7 +315,7 @@ def test_coherent_peaks_reject_zero_drive():
     stats = coherent_stats(OMEGA, 0.0)
     geom = EmissionGeometry(theta=1.0)
     with pytest.raises(ValueError):
-        coherent_peaks(stats, AT_REST, K_DRIVE, geom, (1,))
+        coherent_peaks(stats, AT_REST, OMEGA, geom, (1,))
 
 
 # ------------------------------------------------------- bracket combination

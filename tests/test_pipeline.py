@@ -13,7 +13,7 @@ from qcompton import emission
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, coherent_peaks)
 from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
-                                electron_momentum, photon_wavevector)
+                                electron_momentum)
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         thermal_stats)
 from qcompton.pipeline import (AngularCurve, GaussianPeak, OmegaGrid,
@@ -94,7 +94,7 @@ def test_spectrum_rejects_grid_beyond_ceiling():
         energy_spectrum(sc, BACK)
     # the pipeline's CEILING_SLACK of 1.05, pinned with a coherent drive:
     # a thermal grid that close to the ceiling needs orders beyond s_max
-    ceiling = absolute_frequency_ceiling(AT_REST.p, sc.wavevector(), BACK)
+    ceiling = absolute_frequency_ceiling(AT_REST.p, sc.drive.omega, BACK)
     inside = _scenario(9e15, coherent_stats,
                        OmegaGrid(1.0, 1.04 * ceiling, 200))
     assert energy_spectrum(inside, BACK).peaks
@@ -143,7 +143,7 @@ def test_coherent_spectrum_lines_carry_duration_times_weight():
     assert len(curve.peaks) >= 5
     t_pulse = pulse_duration(sc.drive.delta_omega).per_eV
     raw = {q.order: q for q in coherent_peaks(
-        sc.stats, AT_REST.p, sc.wavevector(), BACK, range(1, 2000))}
+        sc.stats, AT_REST.p, sc.drive.omega, BACK, range(1, 2000))}
     by_center = {pk.center: pk for pk in curve.peaks}
     for order, q in raw.items():
         if q.omega_prime in by_center:
@@ -207,11 +207,10 @@ def test_ladder_evaluates_only_the_lines_it_keeps(monkeypatch):
 
     monkeypatch.setattr(emission, "bessel_bracket", counted)
     drive = drive_for(9e16)
-    k = photon_wavevector(drive.omega, 0.0, 0.0)
     w_max = 12.0
-    assert w_max < absolute_frequency_ceiling(AT_REST.p, k, BACK)
-    lines = _ladder(coherent_stats(drive.omega, drive.rho), AT_REST.p, k,
-                    BACK, w_max, emission.DEFAULT_REL_TOL,
+    assert w_max < absolute_frequency_ceiling(AT_REST.p, drive.omega, BACK)
+    lines = _ladder(coherent_stats(drive.omega, drive.rho), AT_REST.p,
+                    drive.omega, BACK, w_max, emission.DEFAULT_REL_TOL,
                     emission.DEFAULT_S_MAX)
     assert lines and all(q.omega_prime <= w_max for q in lines)
     assert sum(evaluated) == len(lines)
@@ -312,11 +311,11 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
     sc = _scenario(9e15, maker, OmegaGrid(band[0], band[1], 64),
                    electron=electron_momentum(1e5, (0.0, 0.0, 1.0)),
                    thetas=thetas, broadening=broadening)
-    p, k = sc.electron.p, sc.wavevector()
+    p, omega = sc.electron.p, sc.drive.omega
     expect = []
     for th in thetas:
         geom = EmissionGeometry(theta=th)
-        top = min(band[1], absolute_frequency_ceiling(p, k, geom))
+        top = min(band[1], absolute_frequency_ceiling(p, omega, geom))
         if top <= band[0]:
             expect.append(0.0)
             continue
@@ -325,7 +324,7 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
     expect = np.array(expect)
     assert np.all(expect[:-1] > 0.0) and expect[-1] == 0.0
     assert absolute_frequency_ceiling(
-        p, k, EmissionGeometry(theta=math.pi)) < band[0]
+        p, omega, EmissionGeometry(theta=math.pi)) < band[0]
 
     got = angular_distribution(sc, band)
     assert np.array_equal(got.values, expect)
