@@ -8,9 +8,11 @@ field amplitude E_s fixed by the scattering kinematics, weighted by R(E_s).
 
 Conventions: natural units, energies in eV.  The drive is a monochromatic
 photon mode k = omega (1, 0, 0, 1) propagating along +z with circular
-polarization, so it enters only through its frequency omega; the
-electron four-momentum p may point anywhere.  The emitted mode k' is
-parameterized by (theta', phi') measured from +z.
+polarization, so it enters only through its frequency omega.  The
+electron four-momentum p may point anywhere but must be on shell, as
+minkowski.electron_momentum builds it: p.p is taken to be m_e^2, not
+formed from the components.  The emitted mode k' is parameterized by
+(theta', phi') measured from +z.
 
 Smooth statistics go through the harmonic sum directly
 (smooth_spectral_density); coherent-like statistics concentrate R into a
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .constants import E_CHARGE, E_SQUARED
+from .constants import E_CHARGE, E_SQUARED, ELECTRON_MASS_EV
 from .minkowski import (EmissionGeometry, FourVector, circular_polarization,
                         mdot)
 from .photon_statistics import PhaseAveragedStatistics
@@ -47,6 +49,10 @@ EDGE_FIELD_FRACTION = 1e-8
 # Below this argument the Bessel-square combinations are evaluated by
 # their leading-order expansions; the direct difference loses all digits.
 SMALL_XI = 1e-8
+
+# p.p of the on-shell electron.  Formed from the components of p, it
+# loses digits like gamma^2 eps and reads 0 from gamma ~ 1e8.
+_MASS_SQ = ELECTRON_MASS_EV * ELECTRON_MASS_EV
 
 
 class TruncationNotConverged(RuntimeError):
@@ -91,13 +97,28 @@ class PeakEntry:
     weight: float             # eV^2 per steradian
 
 
+def _light_cone_dot(p: FourVector, nx, ny, nz):
+    """p.n = p^t - p.n_vec for n = (1, n_vec), n_vec a unit vector.
+
+    The plain difference cancels when p runs along n_vec; there the
+    on-shell identity (p^t)^2 - (p.n_vec)^2 = m^2 + |p x n_vec|^2 gives
+    it without cancellation.  Scalar or equal-shape array components.
+    """
+    pn = p.x * nx + p.y * ny + p.z * nz
+    cross_sq = ((p.y * nz - p.z * ny) ** 2 + (p.z * nx - p.x * nz) ** 2
+                + (p.x * ny - p.y * nx) ** 2)
+    # |p.n_vec| keeps the branch not taken free of a division by zero
+    return np.where(pn > 0.0, (_MASS_SQ + cross_sq) / (p.t + np.abs(pn)),
+                    p.t - p.x * nx - p.y * ny - p.z * nz)
+
+
 def _drive_dot(p: FourVector, omega: float) -> float:
     """k.p of the drive k = omega (1, 0, 0, 1); omega must be a positive
     finite number."""
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError(f"drive frequency must be a positive finite "
                          f"number, got {omega}")
-    return omega * p.t - omega * p.z
+    return omega * float(_light_cone_dot(p, 0.0, 0.0, 1.0))
 
 
 def _direction_invariants(p: FourVector, omega: float, theta, phi):
@@ -110,7 +131,7 @@ def _direction_invariants(p: FourVector, omega: float, theta, phi):
     ny = sin_th * np.sin(phi)
     nz = np.cos(theta)
     kappa = omega - omega * nz
-    piprime = p.t - p.x * nx - p.y * ny - p.z * nz
+    piprime = _light_cone_dot(p, nx, ny, nz)
     ke_unit = -(eps.x * nx + eps.y * ny + eps.z * nz)
     return kappa, piprime, ke_unit
 
@@ -125,7 +146,7 @@ def _point_factors(p: FourVector, kp: float, kappa, ke_unit, omega_prime):
     kpprime = kp - kkp
     with np.errstate(divide="ignore", invalid="ignore"):
         abs_d = np.abs(pe / kp - (pe - omega_prime * ke_unit) / kpprime)
-        x_fac = (kpprime * kpprime + kp * kp) / (2.0 * mdot(p, p) * kkp)
+        x_fac = (kpprime * kpprime + kp * kp) / (2.0 * _MASS_SQ * kkp)
     return kkp, kpprime, abs_d, x_fac
 
 
@@ -238,7 +259,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         return np.zeros(n_pts)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        prefactor = (omega * omega * wp * mdot(p, p) * kp
+        prefactor = (omega * omega * wp * _MASS_SQ * kp
                      / (4.0 * math.pi ** 2 * p.t * kappa))
         b_lin = wp * piprime              # theta argument: s*(k.p') - b_lin
         s_min = np.where(alive, np.floor(b_lin / kpprime) + 1.0, np.inf)
@@ -408,7 +429,7 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
                                               positions)
     xi = E_CHARGE * (stats.peak_amplitude / omega) * abs_d
     brackets = bessel_bracket(orders, xi, thetas / kpprime * x_fac)
-    weights = (E_SQUARED * mdot(p, p) * positions ** 3 * brackets
+    weights = (E_SQUARED * _MASS_SQ * positions ** 3 * brackets
                / (8.0 * math.pi ** 2 * orders * kp * p.t))
     return tuple(
         PeakEntry(order=s, omega_prime=wps, weight=weight)

@@ -27,19 +27,6 @@ class FourVector:
     y: float
     z: float
 
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t + other.t, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t - other.t, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __mul__(self, c: float) -> "FourVector":
-        return FourVector(c * self.t, c * self.x, c * self.y, c * self.z)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class ComplexFourVector:
@@ -105,8 +92,11 @@ def electron_momentum(gamma: float, direction) -> ElectronState:
 
     p = (gamma m_e, sqrt(gamma^2 - 1) m_e * direction).  The direction is
     renormalized internally (after validating |direction| = 1 within 1e-12)
-    so the mass-shell condition p.p = m_e^2 holds to machine accuracy.
-    Raises ValueError when gamma^2 overflows and p is not finite.
+    so each component is accurate to machine precision.  The product
+    mdot(p, p) formed from them is not: it cancels, with a relative error
+    of order gamma^2 eps (0.0 at gamma = 1e8), so the emission core takes
+    p.p = m_e^2 as given.  Raises ValueError when gamma^2 overflows and p
+    is not finite.
     """
     if gamma < 1.0:
         raise ValueError(f"Lorentz factor must be >= 1, got {gamma}")

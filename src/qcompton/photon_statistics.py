@@ -12,7 +12,7 @@ Both invariants involve the drive only through the energy density
 u = omega rho, and so does every family here: statistics built at
 (omega, rho) and at (omega', omega rho / omega') give the same R(E) up to
 rounding.  u is therefore the one drive quantity a PhaseAveragedStatistics carries; the
-drive frequency enters the spectrum only through the wavevector k.
+drive enters the spectrum otherwise only through its frequency omega.
 
 Coherent-like states collapse to a single field amplitude ("atomic
 peak" at A = sqrt(2 u), R(E) = delta(E - A)/E); genuinely fluctuating

@@ -44,7 +44,8 @@ def scattered_momentum(p: FourVector, k: FourVector,
         raise KinematicallyForbidden(
             f"p.k - k.k' = {denom} <= 0: above the kinematic ceiling")
     n = mdot(p, kprime) / denom
-    return p + n * k - kprime
+    return FourVector(p.t + n * k.t - kprime.t, p.x + n * k.x - kprime.x,
+                      p.y + n * k.y - kprime.y, p.z + n * k.z - kprime.z)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
 from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
-                               coherent_peaks, kinematic_max_frequency,
+                               coherent_line_positions, coherent_peaks,
+                               kinematic_max_frequency,
                                smooth_spectral_density,
                                spectral_density_points)
 from qcompton.minkowski import (EmissionGeometry, electron_momentum, mdot,
@@ -316,6 +317,53 @@ def test_coherent_peaks_reject_zero_drive():
     geom = EmissionGeometry(theta=1.0)
     with pytest.raises(ValueError):
         coherent_peaks(stats, AT_REST, OMEGA, geom, (1,))
+
+
+def _closed_form_lines(gamma, direction, omega, amp, theta):
+    """Ceiling k.p/kappa and the s = 1..3 line positions
+    s k.p/(s kappa + pi' + mu) in 50-digit arithmetic, from gamma and the
+    direction rather than from the rounded components of p."""
+    with mp.workdps(50):
+        m, w, g = (mp.mpf(ELECTRON_MASS_EV), mp.mpf(omega), mp.mpf(gamma))
+        beta_g = mp.sqrt(g * g - 1)
+        dx, _, dz = (mp.mpf(c) for c in direction)
+        th = mp.mpf(theta)
+        kp = w * m * (g - beta_g * dz)
+        kappa = w * (1 - mp.cos(th))
+        piprime = m * (g - beta_g * (dx * mp.sin(th) + dz * mp.cos(th)))
+        mu = mp.mpf(E_SQUARED) * mp.mpf(amp) ** 2 * kappa / (4 * w * w * kp)
+        return float(kp / kappa), [float(s * kp / (s * kappa + piprime + mu))
+                                   for s in (1, 2, 3)]
+
+
+def test_ultra_relativistic_electrons_keep_their_digits():
+    # p^t - p.n cancels for an electron running along n: k.p for one
+    # riding with the drive (it read 0 at gamma 1e8), pi' at backscatter
+    # for a head-on one; and p.p formed from the components read 0 at
+    # gamma 1e8, which turned the line weights into NaN
+    drive = drive_for(9e16)
+    stats = coherent_stats(drive.omega, drive.rho)
+    for gamma in (1e4, 1e6, 1e8):
+        for direction in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8)):
+            el = electron_momentum(gamma, direction)
+            for deg in (120.0, 179.0, 180.0):
+                geom = EmissionGeometry(theta=math.radians(deg))
+                ceiling, lines = _closed_form_lines(
+                    gamma, el.direction, drive.omega, stats.peak_amplitude,
+                    geom.theta)
+                case = (gamma, direction, deg)
+                assert absolute_frequency_ceiling(
+                    el.p, drive.omega, geom) == pytest.approx(
+                        ceiling, rel=1e-12), case
+                _, got, _ = coherent_line_positions(
+                    stats, el.p, drive.omega, geom, (1, 2, 3))
+                assert got.tolist() == pytest.approx(lines, rel=1e-12), case
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    peaks = coherent_peaks(stats, el.p, drive.omega, geom,
+                                           (1, 2, 3))
+                assert all(math.isfinite(q.weight) and q.weight > 0.0
+                           for q in peaks), case
 
 
 # ------------------------------------------------------- bracket combination

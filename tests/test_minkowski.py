@@ -21,17 +21,6 @@ def test_minkowski_product_signature():
     assert mdot(a, b) == 2.0 * 3.0 - (1.0 * 0.5 + (-1.0) * 2.0 + 0.5 * (-1.0))
 
 
-def test_vector_arithmetic():
-    a = FourVector(1.0, 2.0, 3.0, 4.0)
-    b = FourVector(0.5, -1.0, 0.0, 2.0)
-    s = a + b
-    assert (s.t, s.x, s.y, s.z) == (1.5, 1.0, 3.0, 6.0)
-    d = a - b
-    assert (d.t, d.x, d.y, d.z) == (0.5, 3.0, 3.0, 2.0)
-    m = 2.0 * a
-    assert (m.t, m.x, m.y, m.z) == (2.0, 4.0, 6.0, 8.0)
-
-
 def test_photon_wavevector_is_null():
     rng = np.random.default_rng(3)
     for _ in range(200):
