@@ -195,39 +195,104 @@ class AngularCurve:
     metadata: dict = field(default_factory=dict)
 
 
+def _segment_weights(d, width):
+    """Weights (left, right) of a linear segment's end values y0, y1 in
+    its convolution with a unit Gaussian, so that the segment adds
+    y0 * left + y1 * right at the evaluation point.
+
+    Arguments are in units of sigma: d = (t - x0) / sigma is the offset
+    of the evaluation point t from the left node, width = (x1 - x0) /
+    sigma.  The Gaussian mass over the segment is taken from the tail
+    that lies beyond it, so a segment far above t keeps its digits, and
+    each weight is formed from its own node's offset, (x1 - t) for the
+    left and (t - x0) for the right, never as a difference of the two.
+    """
+    lo, hi = -d, width - d
+    upper = lo > 0.0
+    mass = ndtr(np.where(upper, -lo, hi)) - ndtr(np.where(upper, -hi, lo))
+    dpdf = (np.exp(-0.5 * lo * lo) - np.exp(-0.5 * hi * hi)) / math.sqrt(
+        2.0 * math.pi)
+    return (hi * mass - dpdf) / width, (d * mass + dpdf) / width
+
+
+def _uniform_run(x_nodes, x_eval):
+    """(i0, h) if x_eval is the run x_nodes[i0:i0 + x_eval.size] of at
+    least two nodes spaced h apart, up to the rounding of np.linspace
+    (each node within a few ulps of x_eval[0] + i h), else None."""
+    m = x_eval.size
+    if m < 2:
+        return None
+    i0 = int(np.searchsorted(x_nodes, x_eval[0]))
+    if not np.array_equal(x_nodes[i0:i0 + m], x_eval):
+        return None
+    h = (x_eval[-1] - x_eval[0]) / (m - 1)
+    tol = 4.0 * np.spacing(max(abs(x_eval[0]), abs(x_eval[-1])))
+    if np.abs(x_eval - (x_eval[0] + h * np.arange(m))).max() > tol:
+        return None
+    return i0, h
+
+
+# The band of segment x evaluation-point pairs is formed this many pairs
+# at a time, which bounds its temporary arrays whatever the grid.
+_BAND_CHUNK = 1 << 16
+
+
 def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     """Convolve a piecewise-linear function with a Gaussian, exactly.
 
     The data (x_nodes, y_nodes) define a piecewise-linear density that
     is zero outside [x_nodes[0], x_nodes[-1]].  Each linear segment
     convolved with N(0, sigma^2) has a closed form in the normal cdf and
-    pdf, so the result carries no quadrature error -- only the segments
-    within KERNEL_REACH sigmas of an evaluation point are touched.
+    pdf (_segment_weights), so the result carries no quadrature error;
+    a segment adds to the evaluation points within KERNEL_REACH sigmas.
+
+    When x_eval is an equally spaced run of the nodes, as every linear
+    grid is inside its _extended_nodes wings, every segment of the run
+    sees the same weights at offsets k h, so the run is two discrete
+    convolutions of its left- and right-node values with those taps.
+    All other segments, the wings and every segment of an unequal grid,
+    are evaluated as a band of (segment, point) pairs in bounded chunks;
+    segments with both ends zero are skipped.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
     x_eval = np.asarray(x_eval, dtype=float)
+    m = x_eval.size
     out = np.zeros_like(x_eval)
     reach = KERNEL_REACH * sigma
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    for i in range(x_nodes.size - 1):
-        x0, x1 = x_nodes[i], x_nodes[i + 1]
-        y0, y1 = y_nodes[i], y_nodes[i + 1]
-        if y0 == 0.0 and y1 == 0.0:
-            continue
-        j0 = np.searchsorted(x_eval, x0 - reach, side="left")
-        j1 = np.searchsorted(x_eval, x1 + reach, side="right")
-        if j0 == j1:
-            continue
-        t = x_eval[j0:j1]
-        b = (y1 - y0) / (x1 - x0)
-        a = y0 - b * x0
-        lo = (x0 - t) / sigma
-        hi = (x1 - t) / sigma
-        phi_lo = norm * np.exp(-0.5 * lo * lo)
-        phi_hi = norm * np.exp(-0.5 * hi * hi)
-        out[j0:j1] += ((a + b * t) * (ndtr(hi) - ndtr(lo))
-                       + b * sigma * sigma * (phi_lo - phi_hi))
+    band = (y_nodes[:-1] != 0.0) | (y_nodes[1:] != 0.0)
+
+    run = _uniform_run(x_nodes, x_eval)
+    if run is not None:
+        i0, h = run
+        k = math.ceil(reach / h) + 1
+        left, right = _segment_weights(np.arange(-k, k + 1) * (h / sigma),
+                                       h / sigma)
+        y = y_nodes[i0:i0 + m]
+        out += (np.convolve(y[:-1], left)
+                + np.convolve(y[1:], right))[k:k + m]
+        band[i0:i0 + m - 1] = False
+
+    seg = np.nonzero(band)[0]
+    x0, x1 = x_nodes[seg], x_nodes[seg + 1]
+    y0, y1 = y_nodes[seg], y_nodes[seg + 1]
+    width = (x1 - x0) / sigma
+    j0 = np.searchsorted(x_eval, x0 - reach, side="left")
+    counts = np.searchsorted(x_eval, x1 + reach, side="right") - j0
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    shift = j0 - starts       # point index minus pair index
+    a = 0
+    while a < seg.size:
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _BAND_CHUNK,
+                                           side="right")))
+        rows = np.repeat(np.arange(a, b), counts[a:b])
+        cols = np.arange(starts[a], ends[b - 1]) + shift[rows]
+        left, right = _segment_weights((x_eval[cols] - x0[rows]) / sigma,
+                                       width[rows])
+        out += np.bincount(cols, weights=y0[rows] * left + y1[rows] * right,
+                           minlength=m)
+        a = b
     # roundoff can leave tiny negative residue where the curve vanishes
     return np.maximum(out, 0.0)
 

@@ -1,8 +1,10 @@
 """Observable assembly: broadening, band integrals, angular scans."""
 
 import math
+import warnings
 from dataclasses import asdict, replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,7 +19,7 @@ from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         thermal_stats)
 from qcompton.pipeline import (AngularCurve, GaussianPeak, OmegaGrid,
-                               Scenario, SpectralCurve,
+                               Scenario, SpectralCurve, _extended_nodes,
                                _gaussian_convolve_linear, _ladder,
                                angular_distribution, band_integrate,
                                energy_spectrum)
@@ -131,6 +133,99 @@ def test_convolution_matches_quadrature_and_conserves():
             x_nodes, y_nodes, sigma, np.array([xx]))[0]),
         -3.0, 9.0, epsabs=1e-13, epsrel=1e-12, limit=400)
     assert mass_out == pytest.approx(mass_in, rel=1e-9)
+
+
+def _exact_convolution(x_nodes, y_nodes, sigma, t):
+    """The piecewise-linear (x_nodes, y_nodes) convolved with N(0, sigma^2)
+    at t, summed over every non-zero segment within 14 sigma in 40-digit
+    arithmetic (the segments beyond add below 1e-42 of the largest y)."""
+    with mp.workdps(40):
+        s, tt = mp.mpf(sigma), mp.mpf(t)
+        i0 = max(0, int(np.searchsorted(x_nodes, t - 14.0 * sigma)) - 1)
+        i1 = min(x_nodes.size - 1,
+                 int(np.searchsorted(x_nodes, t + 14.0 * sigma)) + 1)
+        total = mp.mpf(0)
+        for i in range(i0, i1):
+            if y_nodes[i] == 0.0 and y_nodes[i + 1] == 0.0:
+                continue
+            x0, x1 = mp.mpf(x_nodes[i]), mp.mpf(x_nodes[i + 1])
+            y0, y1 = mp.mpf(y_nodes[i]), mp.mpf(y_nodes[i + 1])
+            lo, hi = (x0 - tt) / s, (x1 - tt) / s
+            mass = (mp.erfc(lo / mp.sqrt(2)) - mp.erfc(hi / mp.sqrt(2))) / 2
+            dpdf = (mp.exp(-lo * lo / 2) - mp.exp(-hi * hi / 2)) / mp.sqrt(
+                2 * mp.pi)
+            slope = (y1 - y0) / (x1 - x0)
+            total += y0 * mass + slope * ((tt - x0) * mass + s * dpdf)
+        return float(total)
+
+
+def _wing_density(x):
+    """Smooth test density: a narrow line on a broad slope that is still
+    non-zero at both grid ends, so the wings carry weight."""
+    return x * np.exp(-2.0 * x) + 0.4 * np.exp(-0.5 * ((x - 0.61) / 0.01) ** 2)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_convolution_on_extended_grids_matches_exact_sum(spacing):
+    # the grid's left wing is cut at omega' = 0, as on fig2; a linear
+    # grid is one equally spaced run of the nodes, a log grid is not
+    sigma = 0.018
+    reach = 9.0 * sigma
+    grid = OmegaGrid(0.02, 1.0, 800, spacing).points()
+    x = _extended_nodes(grid, sigma)
+    assert 0.0 < x[0] < grid[0] < reach
+    assert x[-1] - grid[-1] == pytest.approx(reach)
+    y = _wing_density(x)
+    got = _gaussian_convolve_linear(x, y, sigma, grid)
+    peak = got.max()
+    for t in (0.02, 0.021, 0.02 + reach, 0.3, 0.58, 0.6, 0.61, 0.64, 0.7,
+              1.0 - reach, 0.999, 1.0):
+        i = int(np.argmin(np.abs(grid - t)))
+        want = _exact_convolution(x, y, sigma, grid[i])
+        assert abs(got[i] - want) <= 1e-12 * peak, (spacing, grid[i])
+
+
+def test_convolution_of_one_and_two_points_matches_exact_sum():
+    # a single point, two adjacent nodes (the shortest equally spaced
+    # run), two nodes apart and two points off the nodes
+    sigma = 0.018
+    grid = np.linspace(0.02, 1.0, 800)
+    x = _extended_nodes(grid, sigma)
+    y = _wing_density(x)
+    for pts in (grid[[400]], grid[[0]], grid[[-1]], np.array([0.6037]),
+                grid[400:402], grid[-2:], grid[[10, 500]],
+                np.array([0.5, 0.61])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gaussian_convolve_linear(x, y, sigma, pts)
+        want = [_exact_convolution(x, y, sigma, t) for t in pts]
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_convolution_keeps_its_digits_off_a_harmonic_edge():
+    # bsv at 9e14 W/cm^2, theta' 143.75 deg: above a harmonic edge near
+    # 1.99 eV the density climbs by many decades, so at the points below
+    # 2.15 eV, at 1e-14 to 1e-7 of the curve's peak, segments 7-9 sigma
+    # above them carry far more than the result.  ndtr(hi) - ndtr(lo)
+    # formed near 1 lost up to all of its digits there (1.5e-2 relative
+    # at 2.128 eV).  The points at 2.38 and 2.40 eV lie as far above the
+    # line's upper cutoff near 2.25 eV, where the mirror image holds.
+    # Both paths: the points on the grid's run and as a list of their own.
+    drive = drive_for(9e14)
+    stats = bsv_stats(drive.omega, drive.rho)
+    sigma = drive.delta_omega
+    grid = np.linspace(2.0, 2.45, 1801)
+    x = _extended_nodes(grid, sigma)
+    y = emission.spectral_density_points(
+        stats, AT_REST.p, drive.omega, np.full(x.size, math.radians(143.75)),
+        np.zeros(x.size), x)
+    idx = np.searchsorted(grid, [2.105, 2.12, 2.128, 2.15, 2.38, 2.40])
+    want = [_exact_convolution(x, y, sigma, t) for t in grid[idx]]
+    on_run = _gaussian_convolve_linear(x, y, sigma, grid)
+    assert max(want) < 1e-6 * on_run.max()
+    for got in (on_run[idx],
+                _gaussian_convolve_linear(x, y, sigma, grid[idx])):
+        assert got.tolist() == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 # ------------------------------------------------------- coherent spectra
