@@ -330,8 +330,8 @@ def _write_curve(path: str, fmt: str, columns, rows, meta_lines):
             for line in meta_lines:
                 fh.write(f"# {line}\n")
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+            fh.write("".join([row_fmt % tuple(row) for row in rows]))
     else:
         doc = {"meta": meta_lines, "columns": list(columns),
                "rows": [list(map(float, row)) for row in rows]}

@@ -445,6 +445,21 @@ def test_csv_json_round_trip(tmp_path):
     assert np.array_equal(data_csv, data_json)
 
 
+def test_csv_rows_keep_the_digits_of_format_17g(tmp_path):
+    # the body is written in one piece; each value must read exactly as
+    # format(v, ".17g") spells it, down to zeros and subnormals
+    tiny = 5e-324
+    values = [0.0, -0.0, tiny, 2.2250738585072014e-308, 1e-310, 1.0,
+              0.1, 1.0 / 3.0, 123456789.123, 1.7976931348623157e308,
+              -2.5e300, 1e16, 12345678901234567890.0]
+    rows = [(a, b) for a, b in zip(values, reversed(values))]
+    path = tmp_path / "rows.csv"
+    cli._write_curve(str(path), "csv", ("a", "b"), rows, ["meta"])
+    want = "# meta\na,b\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_rerun_is_bitwise_reproducible(tmp_path):
     cfg = _base_config()
     cfg["drive"]["state"] = "bsv"
