@@ -124,13 +124,18 @@ def _drive_dot(p: FourVector, omega: float) -> float:
 def _direction_invariants(p: FourVector, omega: float, theta, phi):
     """Direction invariants kappa = k.n', pi' = p.n' and n'.eps =
     (k'.eps)/omega' of n' = (1, sin t cos p, sin t sin p, cos t), for
-    scalar or equal-shape array angles."""
+    scalar or equal-shape array angles.
+
+    kappa = omega (1 - cos t) cancels toward t = 0, where an electron
+    riding with the drive radiates; there it is taken as 2 omega
+    sin^2(t/2) instead."""
     eps = circular_polarization()
     sin_th = np.sin(theta)
     nx = sin_th * np.cos(phi)
     ny = sin_th * np.sin(phi)
     nz = np.cos(theta)
-    kappa = omega - omega * nz
+    kappa = np.where(nz > 0.0, 2.0 * omega * np.sin(0.5 * theta) ** 2,
+                     omega - omega * nz)
     piprime = _light_cone_dot(p, nx, ny, nz)
     ke_unit = -(eps.x * nx + eps.y * ny + eps.z * nz)
     return kappa, piprime, ke_unit
@@ -139,13 +144,19 @@ def _direction_invariants(p: FourVector, omega: float, theta, phi):
 def _point_factors(p: FourVector, kp: float, kappa, ke_unit, omega_prime):
     """Order-independent factors of the amplitude at omega' along a
     direction with invariants (kappa, ke_unit), given kp = k.p: k.k',
-    k.p' = k.p - k.k', |d| with d = p.eps/k.p - p'.eps/k.p', and
-    X = ((k.p')^2 + (k.p)^2) / (2 m^2 k.k')."""
+    k.p' = k.p - k.k', |d| and X = ((k.p')^2 + (k.p)^2) / (2 m^2 k.k').
+
+    d = p.eps/k.p - p'.eps/k.p' with p'.eps = p.eps - omega' n'.eps; the
+    two quotients nearly cancel when p.eps != 0, so d is formed as
+    (omega'/k.p') (n'.eps - (p.eps) kappa/k.p), its exact rearrangement
+    through k.p - k.p' = omega' kappa.  k.p' itself is as accurate as
+    omega' allows: near the ceiling k.p/kappa the difference only
+    exposes the rounding of the given omega'."""
     pe = mdot(p, circular_polarization())
     kkp = omega_prime * kappa
     kpprime = kp - kkp
     with np.errstate(divide="ignore", invalid="ignore"):
-        abs_d = np.abs(pe / kp - (pe - omega_prime * ke_unit) / kpprime)
+        abs_d = np.abs(omega_prime * (ke_unit - pe * kappa / kp) / kpprime)
         x_fac = (kpprime * kpprime + kp * kp) / (2.0 * _MASS_SQ * kkp)
     return kkp, kpprime, abs_d, x_fac
 
@@ -282,6 +293,8 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
             s = int(s_min[~converged].min())
             continue
 
+        # vanishes at the order's cutoff, where the difference is as
+        # accurate as the given omega' and the term goes to the edge guard
         theta_arg = np.maximum(s * kpprime[idx] - b_lin[idx], 0.0)
         q = np.sqrt(kp * theta_arg / kkp[idx])
         e_field = (2.0 * omega / E_CHARGE) * q

@@ -320,50 +320,78 @@ def test_coherent_peaks_reject_zero_drive():
 
 
 def _closed_form_lines(gamma, direction, omega, amp, theta):
-    """Ceiling k.p/kappa and the s = 1..3 line positions
-    s k.p/(s kappa + pi' + mu) in 50-digit arithmetic, from gamma and the
-    direction rather than from the rounded components of p."""
-    with mp.workdps(50):
+    """Ceiling k.p/kappa, the s = 1..3 line positions s k.p/(s kappa + pi'
+    + mu) and their coherent weights in 60-digit arithmetic, from gamma
+    and the direction rather than from the rounded components of p.  The
+    weights take d = p.eps/k.p - p'.eps/k.p' as written, with p'.eps =
+    p.eps - omega' n'.eps (phi' = 0), and J from mpmath."""
+    with mp.workdps(60):
         m, w, g = (mp.mpf(ELECTRON_MASS_EV), mp.mpf(omega), mp.mpf(gamma))
+        e2, a = mp.mpf(E_SQUARED), mp.mpf(amp)
         beta_g = mp.sqrt(g * g - 1)
-        dx, _, dz = (mp.mpf(c) for c in direction)
+        dx, dy, dz = (mp.mpf(c) for c in direction)
         th = mp.mpf(theta)
         kp = w * m * (g - beta_g * dz)
         kappa = w * (1 - mp.cos(th))
         piprime = m * (g - beta_g * (dx * mp.sin(th) + dz * mp.cos(th)))
-        mu = mp.mpf(E_SQUARED) * mp.mpf(amp) ** 2 * kappa / (4 * w * w * kp)
-        return float(kp / kappa), [float(s * kp / (s * kappa + piprime + mu))
-                                   for s in (1, 2, 3)]
+        mu = e2 * a * a * kappa / (4 * w * w * kp)
+        # eps = (0, 1, i, 0)/sqrt(2) with the metric (+, -, -, -)
+        pe = -m * beta_g * mp.mpc(dx, dy) / mp.sqrt(2)
+        ne = -mp.sin(th) / mp.sqrt(2)
+        lines, weights = [], []
+        for s in (1, 2, 3):
+            wp = s * kp / (s * kappa + piprime + mu)
+            kpp = kp - wp * kappa
+            d = abs(pe / kp - (pe - wp * ne) / kpp)
+            xi = mp.sqrt(e2) * (a / w) * d
+            zeta_x = (s * kp * mu / (s * kappa + piprime + mu) / kpp
+                      * (kpp * kpp + kp * kp) / (2 * m * m * wp * kappa))
+            jm, jc, jp = (mp.besselj(s + i, xi) for i in (-1, 0, 1))
+            bracket = zeta_x * (jm ** 2 + jp ** 2 - 2 * jc ** 2) - jc ** 2
+            lines.append(float(wp))
+            weights.append(float(e2 * m * m * wp ** 3 * bracket
+                                 / (8 * mp.pi ** 2 * s * kp * g * m)))
+        return float(kp / kappa), lines, weights
 
 
 def test_ultra_relativistic_electrons_keep_their_digits():
     # p^t - p.n cancels for an electron running along n: k.p for one
     # riding with the drive (it read 0 at gamma 1e8), pi' at backscatter
-    # for a head-on one; and p.p formed from the components read 0 at
-    # gamma 1e8, which turned the line weights into NaN
+    # for a head-on one; p.p formed from the components read 0 at gamma
+    # 1e8, which turned the line weights into NaN; kappa = omega (1 -
+    # cos theta') cancels in the forward cone where a co-propagating
+    # electron radiates; and |d| cancels for a transverse momentum
     drive = drive_for(9e16)
     stats = coherent_stats(drive.omega, drive.rho)
+    directions = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8))
+    backward = [(d, math.radians(deg)) for d in directions
+                for deg in (120.0, 179.0, 180.0)]
+    forward = [((0.0, 0.0, 1.0), rad) for rad in (1e-3, 1e-5, 1e-7)]
     for gamma in (1e4, 1e6, 1e8):
-        for direction in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8)):
+        for direction, theta in backward + forward:
             el = electron_momentum(gamma, direction)
-            for deg in (120.0, 179.0, 180.0):
-                geom = EmissionGeometry(theta=math.radians(deg))
-                ceiling, lines = _closed_form_lines(
-                    gamma, el.direction, drive.omega, stats.peak_amplitude,
-                    geom.theta)
-                case = (gamma, direction, deg)
-                assert absolute_frequency_ceiling(
-                    el.p, drive.omega, geom) == pytest.approx(
-                        ceiling, rel=1e-12), case
-                _, got, _ = coherent_line_positions(
-                    stats, el.p, drive.omega, geom, (1, 2, 3))
-                assert got.tolist() == pytest.approx(lines, rel=1e-12), case
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    peaks = coherent_peaks(stats, el.p, drive.omega, geom,
-                                           (1, 2, 3))
-                assert all(math.isfinite(q.weight) and q.weight > 0.0
-                           for q in peaks), case
+            geom = EmissionGeometry(theta=theta)
+            ceiling, lines, weights = _closed_form_lines(
+                gamma, el.direction, drive.omega, stats.peak_amplitude,
+                theta)
+            case = (gamma, direction, theta)
+            assert absolute_frequency_ceiling(
+                el.p, drive.omega, geom) == pytest.approx(
+                    ceiling, rel=1e-12), case
+            _, got, _ = coherent_line_positions(
+                stats, el.p, drive.omega, geom, (1, 2, 3))
+            assert got.tolist() == pytest.approx(lines, rel=1e-12), case
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                peaks = coherent_peaks(stats, el.p, drive.omega, geom,
+                                       (1, 2, 3))
+            assert all(math.isfinite(q.weight) and q.weight > 0.0
+                       for q in peaks), case
+            # a transverse momentum makes p.eps != 0, where |d| cancelled;
+            # xi enters the weights of s = 2, 3 as xi^2 and xi^4
+            if direction[0] != 0.0:
+                assert [q.weight for q in peaks] == pytest.approx(
+                    weights, rel=1e-12, abs=0.0), case
 
 
 # ------------------------------------------------------- bracket combination
