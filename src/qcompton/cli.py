@@ -274,7 +274,7 @@ def _build_stats(resolved: dict):
     return nat, stats
 
 
-def _build_scenario(resolved: dict) -> tuple[Scenario, dict]:
+def _build_scenario(resolved: dict) -> Scenario:
     nat, stats = _build_stats(resolved)
     el = resolved["electron"]
     electron = electron_momentum(el["gamma"], tuple(el["direction"]))
@@ -289,13 +289,12 @@ def _build_scenario(resolved: dict) -> tuple[Scenario, dict]:
         grid = OmegaGrid(band[0], band[1], scan["samples"])
         step = (hi - lo) / (cnt - 1)
         thetas = tuple(math.radians(lo + i * step) for i in range(cnt))
-    scenario = Scenario(
+    return Scenario(
         electron=electron, drive=nat, stats=stats, omega_grid=grid,
         thetas=thetas, phi=math.radians(scan["phi_prime_deg"]),
         broadening=resolved["numerics"]["broadening"],
         rel_tol=resolved["numerics"]["rel_tol"],
         s_max=resolved["numerics"]["s_max"])
-    return scenario, resolved
 
 
 def _metadata_lines(resolved: dict) -> list[str]:
@@ -391,7 +390,7 @@ def run_config(resolved: dict, out_path: str | None,
                out_format: str | None) -> int:
     """Run one resolved config; a run that does not converge still
     writes its report, with the failure under "error", and re-raises."""
-    scenario, resolved = _build_scenario(resolved)
+    scenario = _build_scenario(resolved)
     fmt = out_format or resolved["output"]["format"]
     path = out_path or resolved["output"]["path"] or f"qcompton_run.{fmt}"
     resolved["output"] = {"format": fmt, "path": path}

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .constants import E_CHARGE, E_SQUARED, ELECTRON_MASS_EV
 from .minkowski import (EmissionGeometry, FourVector, circular_polarization,
@@ -45,10 +44,6 @@ DEFAULT_S_MAX = MAX_ORDER - 1   # hard order cap: J_{s+1} stays in contract
 # beats any integrable R(E) divergence, so the term is an exact zero for
 # our purposes.
 EDGE_FIELD_FRACTION = 1e-8
-
-# Below this argument the Bessel-square combinations are evaluated by
-# their leading-order expansions; the direct difference loses all digits.
-SMALL_XI = 1e-8
 
 # p.p of the on-shell electron.  Formed from the components of p, it
 # loses digits like gamma^2 eps and reads 0 from gamma ~ 1e8.
@@ -141,24 +136,22 @@ def _direction_invariants(p: FourVector, omega: float, theta, phi):
     return kappa, piprime, ke_unit
 
 
-def _point_factors(p: FourVector, kp: float, kappa, ke_unit, omega_prime):
+def _point_factors(p: FourVector, kp: float, kappa, ke_unit, omega_prime,
+                   kpprime):
     """Order-independent factors of the amplitude at omega' along a
-    direction with invariants (kappa, ke_unit), given kp = k.p: k.k',
-    k.p' = k.p - k.k', |d| and X = ((k.p')^2 + (k.p)^2) / (2 m^2 k.k').
+    direction with invariants (kappa, ke_unit), given kp = k.p and
+    kpprime = k.p': |d| and X = ((k.p')^2 + (k.p)^2) / (2 m^2 k.k').
 
     d = p.eps/k.p - p'.eps/k.p' with p'.eps = p.eps - omega' n'.eps; the
     two quotients nearly cancel when p.eps != 0, so d is formed as
     (omega'/k.p') (n'.eps - (p.eps) kappa/k.p), its exact rearrangement
-    through k.p - k.p' = omega' kappa.  k.p' itself is as accurate as
-    omega' allows: near the ceiling k.p/kappa the difference only
-    exposes the rounding of the given omega'."""
+    through k.p - k.p' = omega' kappa."""
     pe = mdot(p, circular_polarization())
-    kkp = omega_prime * kappa
-    kpprime = kp - kkp
     with np.errstate(divide="ignore", invalid="ignore"):
         abs_d = np.abs(omega_prime * (ke_unit - pe * kappa / kp) / kpprime)
-        x_fac = (kpprime * kpprime + kp * kp) / (2.0 * _MASS_SQ * kkp)
-    return kkp, kpprime, abs_d, x_fac
+        x_fac = ((kpprime * kpprime + kp * kp)
+                 / (2.0 * _MASS_SQ * (omega_prime * kappa)))
+    return abs_d, x_fac
 
 
 def kinematic_max_frequency(s: int, p: FourVector, omega: float,
@@ -191,36 +184,16 @@ def bessel_bracket(s, xi, zeta_x):
     """zeta_x (J_{s-1}^2 + J_{s+1}^2 - 2 J_s^2) - J_s^2 at argument xi.
 
     s is one order for every point (an engine pass) or an order array
-    shaped like xi (a ladder batch).  Single source of truth for the
-    small-argument switchover: below SMALL_XI the sideband difference is
-    O(xi^{2s-2}) and the direct evaluation cancels catastrophically, so
-    leading-order expansions are used instead, chosen per element (for
-    s = 1 the difference tends to 1, for s >= 2 it is J_{s-1}^2
-    evaluated in log space).
+    shaped like xi (a ladder batch).  One formula serves every argument:
+    the triple keeps its relative digits down to xi = 0, and at small xi
+    the sideband difference is led by J_{s-1}^2, which outweighs J_s^2 by
+    (2s/xi)^2, so it does not cancel there.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    zeta_x = np.broadcast_to(np.asarray(zeta_x, dtype=float), xi.shape)
-    out = np.empty_like(xi)
-
-    small = xi < SMALL_XI
-    if small.any():
-        xs, zx = xi[small], zeta_x[small]
-        ss = np.broadcast_to(s, xi.shape)[small]
-        jm2 = np.zeros_like(xs)
-        pos = (ss > 1) & (xs > 0.0)
-        jm2[pos] = np.exp(2.0 * ((ss[pos] - 1) * np.log(xs[pos] / 2.0)
-                                 - gammaln(ss[pos])))
-        out[small] = np.where(ss == 1, zx * (1.0 - xs * xs) - 0.25 * xs * xs,
-                              zx * jm2)
-
-    big = ~small
-    if big.any():
-        # a single order goes through the name the bench tracer wraps
-        jm, jc, jp = (bessel_j_triple(s, xi[big]) if np.ndim(s) == 0
-                      else bessel_j_triples(np.asarray(s)[big], xi[big]))
-        dj = jm * jm + jp * jp - 2.0 * jc * jc
-        out[big] = zeta_x[big] * dj - jc * jc
-    return out
+    # a single order goes through the name the bench tracer wraps
+    jm, jc, jp = (bessel_j_triple(s, xi) if np.ndim(s) == 0
+                  else bessel_j_triples(s, xi))
+    return zeta_x * (jm * jm + jp * jp - 2.0 * jc * jc) - jc * jc
 
 
 def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
@@ -242,7 +215,9 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     and stops once DEFAULT_PATIENCE consecutive orders contribute less
     than rel_tol of the running sum (terms are accumulated in log space
     with a running max-shift, so far-tail orders underflow harmlessly).
-    Raises TruncationNotConverged if any point is still live at s_max.
+    Raises TruncationNotConverged if any point is still live at s_max,
+    and ValueError if a term is NaN, as statistics whose log R(E) is NaN
+    make it.
     Counters go into `diagnostics` order by order, so they survive a raise.
     """
     if stats.is_atomic:
@@ -263,7 +238,11 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
 
     kp = _drive_dot(p, omega)
     kappa, piprime, ke_unit = _direction_invariants(p, omega, th, ph)
-    kkp, kpprime, abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit, wp)
+    kkp = wp * kappa
+    # as accurate as the given omega' allows: near the ceiling k.p/kappa
+    # the difference only exposes the rounding of omega'
+    kpprime = kp - kkp
+    abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit, wp, kpprime)
     alive = (kappa > 0.0) & (kpprime > 0.0)
 
     if not alive.any():
@@ -311,7 +290,14 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
             with np.errstate(divide="ignore", invalid="ignore"):
                 lt = np.where(bracket != 0.0,
                               np.log(np.abs(bracket)) + log_w, -np.inf)
-            lt = np.where(np.isnan(lt), -np.inf, lt)   # 0 * inf edge cases
+            bad = np.isnan(lt)
+            if bad.any():
+                i = idx[live][bad][0]
+                raise ValueError(
+                    f"emission term is NaN at order {s}, theta'="
+                    f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} eV, "
+                    f"E={e_field[live][bad][0]:.6g} eV^2 (log R(E) or the "
+                    f"Bessel bracket is NaN)")
             log_term[live] = lt
             sign[live] = np.sign(bracket)
 
@@ -436,10 +422,13 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     orders, positions, thetas = coherent_line_positions(
         stats, p, omega, geometry, s_range)
     kp = _drive_dot(p, omega)
-    kappa, _, ke_unit = _direction_invariants(p, omega, geometry.theta,
-                                              geometry.phi)
-    _, kpprime, abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit,
-                                              positions)
+    kappa, piprime, ke_unit = _direction_invariants(p, omega, geometry.theta,
+                                                    geometry.phi)
+    # k.p' = k.p (pi' + mu) / (s kappa + pi' + mu) = (omega'_s pi' +
+    # Theta_s) / s at a line: a sum of positive terms, where k.p - omega'_s
+    # kappa cancels near the ceiling
+    kpprime = (positions * piprime + thetas) / orders
+    abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit, positions, kpprime)
     xi = E_CHARGE * (stats.peak_amplitude / omega) * abs_d
     brackets = bessel_bracket(orders, xi, thetas / kpprime * x_fac)
     weights = (E_SQUARED * _MASS_SQ * positions ** 3 * brackets

@@ -409,12 +409,22 @@ def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     t_pulse = pulse_duration(sigma).per_eV
     p = scenario.electron.p
     omega = scenario.drive.omega
+    # a line is kept while twice the kernel reach of its width can touch
+    # the grid.  drive_average widths grow with the line: (pi' + 3 mu) /
+    # (s kappa + pi' + mu) (omega'_s / omega) sigma stays below
+    # 3 (omega'_s / omega) sigma, so there the bound scales with the grid
+    reach = 2.0 * KERNEL_REACH * sigma
+    shrink = 1.0 - 3.0 * reach / omega
     curves = []
     for geometry, omega_grid in blocks:
         grid = omega_grid.points()
         diagnostics.add(points=grid.size)
-        w_top = min(grid[-1] + KERNEL_REACH * sigma * 2.0,
-                    emission.absolute_frequency_ceiling(p, omega, geometry))
+        if scenario.broadening == "literal":
+            w_top = grid[-1] + reach
+        else:
+            w_top = grid[-1] / shrink if shrink > 0.0 else math.inf
+        w_top = min(w_top, emission.absolute_frequency_ceiling(
+            p, omega, geometry))
         entries = _ladder(scenario.stats, p, omega, geometry, w_top,
                           scenario.rel_tol, scenario.s_max, diagnostics)
         if scenario.broadening == "drive_average":

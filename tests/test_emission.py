@@ -1,8 +1,9 @@
 """Emission core: kinematic structure, dual-path equality, line algebra."""
 
 import math
+import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import mpmath as mp
 import numpy as np
@@ -164,6 +165,27 @@ def test_truncation_cap_raises():
     with pytest.raises(TruncationNotConverged):
         reference_thermal_density(AT_REST, K_DRIVE, geom, wp, drive.rho,
                                   s_max=2000)
+
+
+def test_nan_statistics_raise_instead_of_dropping_terms():
+    # hand-built statistics with log R = NaN on part of the field range:
+    # every term there is NaN, and the density must say so rather than
+    # sum the other terms into a finite, wrong value
+    drive = drive_for(9e16)
+    thermal = thermal_stats(drive.omega, drive.rho)
+    amp = math.sqrt(2.0 * thermal.energy_density)
+
+    def log_r(e):
+        out = thermal.log_r(e)
+        return np.where((e > 0.5 * amp) & (e < 0.7 * amp), np.nan, out)
+
+    stats = replace(thermal, log_r_fn=log_r)
+    geom = EmissionGeometry(theta=math.radians(159.9))
+    wp = np.linspace(2.0, 2.249, 40)    # E_1 runs from above A to 0
+    th, ph = np.full_like(wp, geom.theta), np.full_like(wp, geom.phi)
+    with pytest.raises(ValueError,
+                       match=r"NaN at order \d+, theta'=159.9 deg, omega'="):
+        spectral_density_points(stats, AT_REST, OMEGA, th, ph, wp)
 
 
 def test_order_cap_stays_inside_bessel_contract():
@@ -387,11 +409,12 @@ def test_ultra_relativistic_electrons_keep_their_digits():
                                        (1, 2, 3))
             assert all(math.isfinite(q.weight) and q.weight > 0.0
                        for q in peaks), case
-            # a transverse momentum makes p.eps != 0, where |d| cancelled;
-            # xi enters the weights of s = 2, 3 as xi^2 and xi^4
-            if direction[0] != 0.0:
-                assert [q.weight for q in peaks] == pytest.approx(
-                    weights, rel=1e-12, abs=0.0), case
+            # a transverse momentum makes p.eps != 0, where |d| cancelled
+            # (xi enters the weights of s = 2, 3 as xi^2 and xi^4); near
+            # the ceiling k.p - omega' kappa cancelled, which put 1.4e-12
+            # into the s = 3 weight at gamma 1e8, theta' = 180 deg
+            assert [q.weight for q in peaks] == pytest.approx(
+                weights, rel=1e-12, abs=0.0), case
 
 
 # ------------------------------------------------------- bracket combination
@@ -407,22 +430,29 @@ def _oracle_bracket(s, xi, zeta_x):
 
 
 def test_bessel_bracket_across_small_argument_switch():
-    # the switchover at xi = 1e-8 must be seamless on both sides
-    for s in (1, 2, 3):
-        for xi in (1e-12, 0.99e-8, 1.01e-8, 1e-6, 0.3):
+    # one formula from xi = 1e-300 up to order-sized arguments, across
+    # 1e-8 on both sides.  A subnormal result carries fewer digits, so
+    # it is held to 1e-9 of the smallest normal double
+    floor = 1e-9 * sys.float_info.min
+    for s in (1, 2, 3, 10, 40, 100):
+        for xi in (1e-300, 1e-160, 1e-150, 1e-30, 1e-12, 0.99e-8, 1.01e-8,
+                   1e-6, 0.3, 0.5 * s):
             for zx in (0.7, 12.0):
-                got = float(bessel_bracket(s, xi, zx)[0])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = float(bessel_bracket(s, xi, zx)[0])
                 want = _oracle_bracket(s, xi, zx)
                 if want == 0.0:
                     assert got == 0.0
                 else:
-                    assert got == pytest.approx(want, rel=1e-9), (s, xi, zx)
+                    assert got == pytest.approx(
+                        want, rel=1e-9, abs=floor), (s, xi, zx)
 
 
 def test_bessel_bracket_order_array_matches_per_order_calls():
-    # a ladder batch: orders per element on both sides of SMALL_XI,
-    # s = 1 among them, each expansion chosen per element; x = 0 and the
-    # series do not depend on the batch, so agreement is bitwise
+    # a ladder batch: orders per element, s = 1 among them, with
+    # arguments from 0 on both sides of 1e-8 into the series range; x = 0
+    # and the series do not depend on the batch, so agreement is bitwise
     orders = np.array([1, 1, 2, 3, 1, 4, 2, 1, 5, 3, 40])
     xi = np.array([0.0, 1e-12, 0.0, 5e-9, 0.99e-8, 1e-10, 1.01e-8, 0.3,
                    2.0, 1e-6, 7.0])

@@ -289,6 +289,27 @@ def test_drive_average_linewidths_grow_with_order(monkeypatch):
         assert a.mass == pytest.approx(b.mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("broadening", ["literal", "drive_average"])
+def test_line_spectrum_does_not_depend_on_where_the_window_ends(broadening):
+    # the window ends 0.35 eV below the s = 7 line at 15.6 eV, whose
+    # drive_average width 0.127 eV is 7 sigma: its profile reaches the
+    # window although the line lies more than 18 sigma past it
+    lo, hi, n, more = 12.87, 15.248, 200, 100
+    sc = _scenario(9e16, coherent_stats, OmegaGrid(lo, hi, n),
+                   thetas=(BACK.theta,), broadening=broadening)
+    step = (hi - lo) / (n - 1)
+    wide = energy_spectrum(
+        replace(sc, omega_grid=OmegaGrid(lo, hi + more * step, n + more)),
+        BACK)
+    got = energy_spectrum(sc, BACK)
+    np.testing.assert_allclose(got.omega, wide.omega[:n], rtol=1e-15)
+    want = wide.values[:n]
+    assert np.abs(got.values - want).max() <= 1e-9 * want.max()
+    assert got.values[-1] == pytest.approx(want[-1], rel=1e-9)
+    assert angular_distribution(sc, (lo, hi)).values[0] == pytest.approx(
+        band_integrate(wide, (lo, hi)), rel=1e-9)
+
+
 def test_ladder_evaluates_only_the_lines_it_keeps(monkeypatch):
     # line positions are closed-form, so orders above w_max must be
     # dropped before their Bessel brackets are evaluated; a batch is one
