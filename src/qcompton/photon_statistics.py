@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .special_functions import bessel_i0_log_scaled
 
@@ -205,7 +204,7 @@ def custom_tabulated_stats(omega: float, rho: float,
     e_in, r_in = e_in[lo:hi + 1], r_in[lo:hi + 1]
 
     log_r_in = np.log(r_in)
-    m1, m2 = _table_moments(e_in, log_r_in)
+    m1, m2 = _table_moments("custom", e_in, log_r_in)
     if m1 <= 0.0 or m2 <= 0.0:
         raise NonNormalizable(f"table moments are degenerate: ({m1}, {m2})")
     scale = math.sqrt(2.0 * omega * rho * m1 / m2)
@@ -243,64 +242,84 @@ FAMILIES = {
 }
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# Panel halving stops when two successive (m1, m2) estimates agree to
+# this relative tolerance, and gives up at this many panels.
+_MOMENT_RTOL = 1e-13
+_MAX_PANELS = 2 ** 16
+# Analytic densities start from this many equal panels on [0, support_max].
+_START_PANELS = 64
 
 
-def _table_moments(e_nodes: np.ndarray, log_r_nodes: np.ndarray):
-    """(m1, m2) of a log-linear table, segment-exact Gauss quadrature.
+def _panel_moments(label: str, log_r: Callable, edges: np.ndarray):
+    """(m1, m2) by 20-node Gauss-Legendre on panels, halved to convergence.
 
-    Segments steeper than ~25 in log R are subdivided so the fixed-order
-    rule keeps full accuracy.
+    Each pass evaluates log R once, on every node of every panel, then
+    halves every panel.  Returns the first estimate that agrees with the
+    one before it to _MOMENT_RTOL in both moments; raises ValueError
+    naming the state and E if log R is NaN at a node, and NonNormalizable
+    if the moments are infinite or still move at _MAX_PANELS panels.
     """
-    m1 = 0.0
-    m2 = 0.0
-    for i in range(len(e_nodes) - 1):
-        e0, e1 = e_nodes[i], e_nodes[i + 1]
-        l0, l1 = log_r_nodes[i], log_r_nodes[i + 1]
-        if e1 <= e0:
-            continue
-        slope = (l1 - l0) / (e1 - e0)
-        pieces = 1 + int(abs(l1 - l0) // 25.0)
-        edges = np.linspace(e0, e1, pieces + 1)
-        for j in range(pieces):
-            a, b = edges[j], edges[j + 1]
-            xm, xr = 0.5 * (a + b), 0.5 * (b - a)
-            x = xm + xr * _GL_NODES
-            w = xr * _GL_WEIGHTS
-            rv = np.exp(l0 + slope * (x - e0))
-            m1 += float(np.sum(w * x * rv))
-            m2 += float(np.sum(w * x ** 3 * rv))
-    return m1, m2
+    previous = None
+    while True:
+        half = 0.5 * np.diff(edges)
+        e = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+        log_w = log_r(e.ravel()).reshape(e.shape)
+        bad = np.isnan(log_w)
+        if bad.any():
+            raise ValueError(f"{label} statistics: log R(E) is NaN at "
+                             f"E={e[bad][0]:.6g} eV^2")
+        e_r = e * half[:, None] * _GL_WEIGHTS * np.exp(log_w)
+        estimate = (float(np.sum(e_r)), float(np.sum(e_r * e * e)))
+        if not all(map(math.isfinite, estimate)):
+            raise NonNormalizable(f"{label} statistics: moments are not "
+                                  f"finite: {estimate}")
+        if previous is not None and all(
+                abs(m - p) <= _MOMENT_RTOL * abs(m)
+                for m, p in zip(estimate, previous)):
+            return estimate
+        if half.size >= _MAX_PANELS:
+            raise NonNormalizable(
+                f"{label} statistics: moments not converged at "
+                f"{half.size} panels: {estimate} after {previous}")
+        previous = estimate
+        edges = np.insert(edges, np.arange(1, edges.size),
+                          edges[:-1] + half)
+
+
+def _table_moments(label: str, e_nodes: np.ndarray,
+                   log_r_nodes: np.ndarray):
+    """(m1, m2) of a log-linear table by the panel rule of _panel_moments.
+
+    The panels start at the table's nodes.  A segment across which log R
+    changes by D starts as 1 + floor(D / 25) equal panels, which keeps
+    the exponential of the interpolant within the 20-node rule's full
+    accuracy on every panel.
+    """
+    pieces = 1 + (np.abs(np.diff(log_r_nodes)) // 25.0).astype(int)
+    # every panel's segment and its index k among that segment's pieces
+    seg = np.repeat(np.arange(pieces.size), pieces)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    edges = np.append(e_nodes[seg] + (e_nodes[seg + 1] - e_nodes[seg])
+                      * (k / pieces[seg]), e_nodes[-1])
+    return _panel_moments(
+        label, lambda e: np.interp(e, e_nodes, log_r_nodes), edges)
 
 
 def moments(stats: PhaseAveragedStatistics):
     """Moment invariants (m1, m2) = (int E R dE, int E^3 R dE).
 
-    Atomic peaks are analytic: (1, A^2).  Tabulated states integrate
-    segment-exactly; analytic smooth states use adaptive quadrature in
-    t = sqrt(E), which removes the integrable 1/E endpoint of BSV-like
-    densities.
+    Atomic peaks are analytic: (1, A^2).  Every smooth state goes through
+    one rule (_panel_moments): tabulated states start from their nodes,
+    analytic ones from 64 equal panels on [0, support_max].  Integrating
+    E R and E^3 R in E keeps the integrable 1/E endpoint of BSV-like
+    densities out of the integrand.  Raises ValueError if log R is NaN
+    at a node and NonNormalizable if the moments do not converge.
     """
     if stats.is_atomic:
         a = stats.peak_amplitude
         return 1.0, a * a
     if stats.table is not None:
-        return _table_moments(*stats.table)
-
-    t_max = math.sqrt(stats.support_max)
-    # geometric ladder of breakpoints so the adaptive rule localizes the
-    # mass quickly even though the domain extends far into the dead tail
-    hints = [t_max * 2.0 ** -k for k in range(9, 0, -1)]
-
-    def integrand(power):
-        def f(t):
-            if t <= 0.0:
-                return 0.0
-            e = t * t
-            return 2.0 * t ** power * math.exp(stats.log_r(e))
-        return f
-
-    m1, _ = quad(integrand(3), 0.0, t_max, epsabs=1e-13, epsrel=1e-11,
-                 limit=300, points=hints)
-    m2, _ = quad(integrand(7), 0.0, t_max, epsabs=1e-13, epsrel=1e-11,
-                 limit=300, points=hints)
-    return m1, m2
+        return _table_moments(stats.label, *stats.table)
+    return _panel_moments(
+        stats.label, stats.log_r,
+        np.linspace(0.0, stats.support_max, _START_PANELS + 1))

@@ -77,15 +77,6 @@ def intensity_to_photon_density(intensity_W_cm2: float,
     return PhotonDensity(per_m3=per_m3, per_eV3=per_m3 * PER_M3_TO_EV3)
 
 
-def photon_density_to_intensity(rho_per_m3: float,
-                                photon_energy_eV: float) -> float:
-    """Inverse of intensity_to_photon_density; returns W/cm^2."""
-    if photon_energy_eV <= 0.0:
-        raise ValueError(f"photon energy must be > 0, got {photon_energy_eV}")
-    intensity_W_m2 = rho_per_m3 * SPEED_OF_LIGHT_M_S * photon_energy_eV * JOULES_PER_EV
-    return intensity_W_m2 * 1.0e-4
-
-
 def pulse_duration(delta_omega_eV: float) -> PulseDuration:
     """Fourier-limited pulse duration T = 2 pi / delta_omega."""
     if delta_omega_eV <= 0.0:

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +227,19 @@ def test_validate_config_fuzz_exits_1_with_key_path(tmp_path, capsys, seed):
         assert f"config error at {path}" in err, (path, cfg, err)
         assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv*"))
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # every CLI start pays for what qcompton.cli imports; scipy.integrate
+    # alone costs about a third of a second, and nothing in the package
+    # needs it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qcompton.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- exit codes

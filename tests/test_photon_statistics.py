@@ -65,8 +65,8 @@ def test_moment_invariants_all_states():
 
 
 def test_moments_against_direct_quadrature():
-    # independent check of the t = sqrt(E) quadrature in moments():
-    # straightforward quad in E with the endpoint split off by hand
+    # independent check of the panel rule in moments(): scipy's
+    # adaptive quad on the same integrand in E
     st = thermal_stats(OMEGA, RHO)
     wr = OMEGA * RHO
 
@@ -177,12 +177,15 @@ def test_drive_validation():
     assert coherent_stats(OMEGA, 0.0).peak_amplitude == 0.0
 
 
-def test_hand_built_statistics_accepted():
+@pytest.mark.parametrize("rel_sigma", [0.05, 1e-3])
+def test_hand_built_statistics_accepted(rel_sigma):
     # consumers only rely on the documented surface: label,
-    # energy_density, log_r / peak_amplitude, support_max
+    # energy_density, log_r / peak_amplitude, support_max; at
+    # sigma/A = 1e-3 the peak is narrower than the 64 starting panels,
+    # so moments() must halve them until it resolves it
     wr = OMEGA * RHO
     a = math.sqrt(2.0 * wr)
-    sigma = 0.05 * a
+    sigma = rel_sigma * a
 
     def log_r(e):
         return (-((e - a) ** 2) / (2.0 * sigma * sigma)
@@ -194,3 +197,41 @@ def test_hand_built_statistics_accepted():
     # exact Gaussian moments: int N(a, sigma) dE = 1, int E^2 N = a^2 + sigma^2
     assert m1 == pytest.approx(1.0, rel=1e-8)
     assert m2 == pytest.approx(a * a + sigma * sigma, rel=1e-8)
+
+
+def _thermal_shaped(log_r):
+    wr = OMEGA * RHO
+    return PhaseAveragedStatistics(label="hand_thermal", energy_density=wr,
+                                   log_r_fn=log_r,
+                                   support_max=40.0 * math.sqrt(2.0 * wr))
+
+
+def test_nan_statistics_raise():
+    # a NaN in log R must reach the caller as an error naming the state
+    # and the field, never as NaN moments
+    wr = OMEGA * RHO
+    root_u = math.sqrt(wr)
+
+    def log_r(e):
+        out = -e * e / (2.0 * wr) - math.log(wr)
+        return np.where((e > 0.5 * root_u) & (e < 0.7 * root_u), np.nan, out)
+
+    with pytest.raises(ValueError, match=r"hand_thermal.*NaN at E="):
+        moments(_thermal_shaped(log_r))
+
+
+def test_unconverged_moments_raise():
+    # noise in log R keeps successive panel estimates apart, so the
+    # halving must stop at its panel cap with NonNormalizable; an
+    # infinite density is refused at once
+    wr = OMEGA * RHO
+    rng = np.random.default_rng(7)
+
+    def noisy(e):
+        return (-e * e / (2.0 * wr) - math.log(wr)
+                + rng.normal(0.0, 1e-6, np.shape(e)))
+
+    with pytest.raises(NonNormalizable, match="hand_thermal.*not converged"):
+        moments(_thermal_shaped(noisy))
+    with pytest.raises(NonNormalizable, match="hand_thermal.*not finite"):
+        moments(_thermal_shaped(lambda e: np.full(np.shape(e), np.inf)))

@@ -26,14 +26,6 @@ def test_photon_density_against_hand_conversion():
     assert got.per_eV3 == pytest.approx(expected_eV3, rel=1e-9)
 
 
-def test_density_intensity_round_trip():
-    omega = 2.25
-    for intensity in (9.0e14, 9.0e15, 9.0e16, 9.0e17):
-        rho = units.intensity_to_photon_density(intensity, omega)
-        back = units.photon_density_to_intensity(rho.per_m3, omega)
-        assert back == pytest.approx(intensity, rel=1e-14)
-
-
 def test_pulse_duration_fourier_limit():
     dw = 0.018   # eV
     t = units.pulse_duration(dw)
