@@ -243,47 +243,68 @@ FAMILIES = {
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 # Panel halving stops when two successive (m1, m2) estimates agree to
-# this relative tolerance, and gives up at this many panels.
+# _MOMENT_RTOL relative, or agree to _FLOOR_RTOL and have stopped getting
+# closer: the rounding of the node positions, not the rule, then limits
+# the estimate (steep tables).  It gives up after _MAX_HALVINGS halvings,
+# at 2^16 panels for an analytic state.
 _MOMENT_RTOL = 1e-13
-_MAX_PANELS = 2 ** 16
+_FLOOR_RTOL = 1e-8
+_MAX_HALVINGS = 10
 # Analytic densities start from this many equal panels on [0, support_max].
 _START_PANELS = 64
+# Panels per log R call; bounds the memory of a pass on a large table.
+_CHUNK_PANELS = 2 ** 14
 
 
-def _panel_moments(label: str, log_r: Callable, edges: np.ndarray):
-    """(m1, m2) by 20-node Gauss-Legendre on panels, halved to convergence.
-
-    Each pass evaluates log R once, on every node of every panel, then
-    halves every panel.  Returns the first estimate that agrees with the
-    one before it to _MOMENT_RTOL in both moments; raises ValueError
-    naming the state and E if log R is NaN at a node, and NonNormalizable
-    if the moments are infinite or still move at _MAX_PANELS panels.
-    """
-    previous = None
-    while True:
-        half = 0.5 * np.diff(edges)
-        e = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+def _gauss_pass(label: str, log_r: Callable, edges: np.ndarray, split: int):
+    """(m1, m2) by 20-node Gauss-Legendre, each panel of edges cut in split."""
+    m1 = m2 = 0.0
+    step = max(1, _CHUNK_PANELS // split)
+    for i in range(0, edges.size - 1, step):
+        lo, hi = edges[:-1][i:i + step], edges[1:][i:i + step]
+        width = (hi - lo) / split
+        half = 0.5 * np.repeat(width, split)[:, None]
+        left = (lo[:, None] + width[:, None] * np.arange(split)).ravel()
+        e = (left[:, None] + half) + half * _GL_NODES
         log_w = log_r(e.ravel()).reshape(e.shape)
         bad = np.isnan(log_w)
         if bad.any():
             raise ValueError(f"{label} statistics: log R(E) is NaN at "
                              f"E={e[bad][0]:.6g} eV^2")
-        e_r = e * half[:, None] * _GL_WEIGHTS * np.exp(log_w)
-        estimate = (float(np.sum(e_r)), float(np.sum(e_r * e * e)))
+        e_r = e * half * _GL_WEIGHTS * np.exp(log_w)
+        m1 += float(np.sum(e_r))
+        m2 += float(np.sum(e_r * e * e))
+    return m1, m2
+
+
+def _panel_moments(label: str, log_r: Callable, edges: np.ndarray):
+    """(m1, m2) by 20-node Gauss-Legendre on panels, halved to convergence.
+
+    Pass k cuts every starting panel (edges) into 2^k equal panels and
+    evaluates log R on all their nodes.  Returns the first estimate that
+    agrees with the one before it to _MOMENT_RTOL in both moments, or to
+    _FLOOR_RTOL once that agreement has stopped improving; an estimate
+    with a zero moment (a peak every node missed) is never returned.
+    Raises ValueError naming the state and E if log R is NaN at a node, and
+    NonNormalizable if the moments are infinite or still move after
+    _MAX_HALVINGS halvings.
+    """
+    previous = change = None
+    for halvings in range(_MAX_HALVINGS + 1):
+        estimate = _gauss_pass(label, log_r, edges, 2 ** halvings)
         if not all(map(math.isfinite, estimate)):
             raise NonNormalizable(f"{label} statistics: moments are not "
                                   f"finite: {estimate}")
-        if previous is not None and all(
-                abs(m - p) <= _MOMENT_RTOL * abs(m)
-                for m, p in zip(estimate, previous)):
-            return estimate
-        if half.size >= _MAX_PANELS:
-            raise NonNormalizable(
-                f"{label} statistics: moments not converged at "
-                f"{half.size} panels: {estimate} after {previous}")
+        last, change = change, None
+        if previous is not None and min(estimate) > 0.0:
+            change = max(abs(m - p) / m for m, p in zip(estimate, previous))
+            if change <= _MOMENT_RTOL or (last is not None
+                                          and last <= change <= _FLOOR_RTOL):
+                return estimate
         previous = estimate
-        edges = np.insert(edges, np.arange(1, edges.size),
-                          edges[:-1] + half)
+    raise NonNormalizable(
+        f"{label} statistics: moments not converged after {_MAX_HALVINGS} "
+        f"halvings: {estimate}")
 
 
 def _table_moments(label: str, e_nodes: np.ndarray,

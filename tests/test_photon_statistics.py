@@ -132,6 +132,30 @@ def test_custom_table_is_rescaled_to_invariants():
     assert m2b == pytest.approx(4.0 * OMEGA * RHO, rel=1e-9)
 
 
+def _large_table():
+    # 70 001 nodes: more panels than an analytic state ever reaches
+    e = np.linspace(0.0, 12.0, 70_001)
+    return np.column_stack([e, np.exp(-0.5 * e * e)])
+
+
+def _steep_table():
+    # log R jumps by tens between nodes that lie close together, so the
+    # rounding of the node positions keeps successive panel estimates
+    # about 1e-12 apart however far the panels are halved
+    rng = np.random.default_rng(36)
+    e = np.sort(rng.uniform(0.0, 20.0, 400))
+    log_r = rng.normal(0.0, 20.0, e.size).cumsum()
+    return np.column_stack([e, np.exp(log_r - log_r.max())])
+
+
+@pytest.mark.parametrize("table", [_large_table, _steep_table])
+def test_hard_tables_are_normalized(table):
+    st = custom_tabulated_stats(OMEGA, RHO, table())
+    m1, m2 = moments(st)
+    assert m1 == pytest.approx(1.0, rel=1e-9)
+    assert m2 == pytest.approx(2.0 * OMEGA * RHO, rel=1e-9)
+
+
 def test_custom_table_validation():
     good_e = np.array([0.1, 0.2, 0.3])
     good_r = np.array([1.0, 2.0, 1.0])
@@ -221,17 +245,29 @@ def test_nan_statistics_raise():
 
 
 def test_unconverged_moments_raise():
-    # noise in log R keeps successive panel estimates apart, so the
-    # halving must stop at its panel cap with NonNormalizable; an
-    # infinite density is refused at once
+    # noise of 1e-3 in log R keeps successive panel estimates about 1e-5
+    # apart, so the halving must stop at its cap with NonNormalizable; so
+    # must a peak every node misses; an infinite density is refused at once
     wr = OMEGA * RHO
     rng = np.random.default_rng(7)
 
     def noisy(e):
         return (-e * e / (2.0 * wr) - math.log(wr)
-                + rng.normal(0.0, 1e-6, np.shape(e)))
+                + rng.normal(0.0, 1e-3, np.shape(e)))
 
     with pytest.raises(NonNormalizable, match="hand_thermal.*not converged"):
         moments(_thermal_shaped(noisy))
+    # a peak of width 1e-5 A on [0, 40 A] falls between the nodes of the
+    # first passes, whose estimates underflow to exactly (0, 0); agreeing
+    # zeros are no answer, and the peak is still unresolved at the cap
+    a = math.sqrt(2.0 * wr)
+    sigma = 1e-5 * a
+
+    def narrow(e):
+        return (-((e - a) ** 2) / (2.0 * sigma * sigma)
+                - 0.5 * math.log(2.0 * math.pi * sigma * sigma) - np.log(e))
+
+    with pytest.raises(NonNormalizable, match="hand_thermal.*not converged"):
+        moments(_thermal_shaped(narrow))
     with pytest.raises(NonNormalizable, match="hand_thermal.*not finite"):
         moments(_thermal_shaped(lambda e: np.full(np.shape(e), np.inf)))
