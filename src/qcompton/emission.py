@@ -38,6 +38,15 @@ DEFAULT_REL_TOL = 1e-10     # truncation: term / accumulated sum
 DEFAULT_PATIENCE = 5        # consecutive below-tolerance orders required
 DEFAULT_S_MAX = MAX_ORDER - 1   # hard order cap: J_{s+1} stays in contract
 
+# The engine takes harmonic orders in blocks of up to ORDER_BLOCK, one
+# Bessel sweep per block, while the block holds at most BLOCK_ELEMENTS
+# (order, point) entries; a pass wider than BLOCK_ELEMENTS / 2 points
+# takes one order at a time.  Narrow passes (angular scans) are bound by
+# the per-step overhead of the sweep, which a block shares among its
+# orders.
+ORDER_BLOCK = 32
+BLOCK_ELEMENTS = 4096
+
 # Below this fraction of sqrt(2 u), with u = omega rho the drive's energy
 # density, the effective field counts as sitting on the kinematic edge:
 # the squared amplitude in the emission bracket vanishes like E_s^2 and
@@ -62,21 +71,26 @@ class Diagnostics:
     points counts evaluation points (grid nodes for a ladder).  The order
     fields hold the highest order with a non-zero term and the last order
     evaluated; for a ladder both are its highest kept line.  edge_guarded
-    counts terms zeroed on the kinematic edge.  Across passes points and
-    edge_guarded add up, and the order fields keep their maximum.
+    counts terms zeroed on the kinematic edge.  overcomputed counts the
+    Bessel elements an engine order block evaluated for a point at an
+    order it never summed: below the point's first allowed order, or
+    after it converged.  Across passes the counts add up, and the order
+    fields keep their maximum.
     """
 
     points: int = 0
     highest_order: int = 0
     orders_scanned: int = 0
     edge_guarded: int = 0
+    overcomputed: int = 0
 
     def add(self, points=0, highest_order=0, orders_scanned=0,
-            edge_guarded=0) -> None:
+            edge_guarded=0, overcomputed=0) -> None:
         self.points += points
         self.highest_order = max(self.highest_order, highest_order)
         self.orders_scanned = max(self.orders_scanned, orders_scanned)
         self.edge_guarded += edge_guarded
+        self.overcomputed += overcomputed
 
 
 @dataclass(frozen=True)
@@ -183,14 +197,16 @@ def absolute_frequency_ceiling(p: FourVector, omega: float,
 def bessel_bracket(s, xi, zeta_x):
     """zeta_x (J_{s-1}^2 + J_{s+1}^2 - 2 J_s^2) - J_s^2 at argument xi.
 
-    s is one order for every point (an engine pass) or an order array
-    shaped like xi (a ladder batch).  One formula serves every argument:
+    s is an int or an order array shaped like xi (a ladder batch).  With
+    an int, a 1-D xi is at order s throughout and a 2-D xi is an engine
+    order block, row b at order s + b (bessel_j_triple).  One formula
+    serves every argument:
     the triple keeps its relative digits down to xi = 0, and at small xi
     the sideband difference is led by J_{s-1}^2, which outweighs J_s^2 by
     (2s/xi)^2, so it does not cancel there.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    # a single order goes through the name the bench tracer wraps
+    # an int order goes through the name the bench tracer wraps
     jm, jc, jp = (bessel_j_triple(s, xi) if np.ndim(s) == 0
                   else bessel_j_triples(s, xi))
     return zeta_x * (jm * jm + jp * jp - 2.0 * jc * jc) - jc * jc
@@ -208,16 +224,27 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     angular scans: theta, phi, omega_prime are equal-length 1-D arrays,
     each entry one (direction, frequency) evaluation point.  All points
     share one pass over the harmonic order, so the expensive Bessel
-    evaluations are vectorized across whatever points are still active
-    at that order.
+    evaluations are vectorized across whatever points are still active.
+
+    The pass takes the orders in blocks of B = min(ORDER_BLOCK,
+    BLOCK_ELEMENTS // n), n the points live within ORDER_BLOCK orders,
+    ending at s_max at the latest; a block holds the points live by its
+    last order.  The effective field, the Bessel argument and the
+    sideband factor are closed form in s, so a block is one (B, points)
+    array expression, one bessel_bracket sweep and one log R call; a
+    pass of more than BLOCK_ELEMENTS / 2 points takes one order at a
+    time.  The rows are then summed in order, exactly as one order at a
+    time would sum them: a point joins at its own first allowed order,
+    and its rows after it converged are dropped unsummed.  Both kinds of
+    unsummed entries are counted as overcomputed.
 
     Per point, the sum starts at the lowest kinematically allowed order
     and stops once DEFAULT_PATIENCE consecutive orders contribute less
     than rel_tol of the running sum (terms are accumulated in log space
     with a running max-shift, so far-tail orders underflow harmlessly).
     Raises TruncationNotConverged if any point is still live at s_max,
-    and ValueError if a term is NaN, as statistics whose log R(E) is NaN
-    make it.
+    and ValueError if a summed term is NaN, as statistics whose log R(E)
+    is NaN make it.
     Counters go into `diagnostics` order by order, so they survive a raise.
     """
     if stats.is_atomic:
@@ -265,71 +292,111 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
 
     s = int(s_min[alive].min())
     while s <= s_max:
-        idx = np.nonzero(~converged & (s >= s_min))[0]
-        if idx.size == 0:
-            if np.all(converged):
+        pending = ~converged
+        width = int(np.count_nonzero(pending & (s_min < s + ORDER_BLOCK)))
+        if width == 0:
+            if not pending.any():
                 break
-            s = int(s_min[~converged].min())
+            s = int(s_min[pending].min())   # skip orders nobody needs
             continue
+        # a block of orders s ... s + B - 1 over the points that join by
+        # its end; B * points stays within BLOCK_ELEMENTS unless B = 1
+        n_rows = min(ORDER_BLOCK, max(1, BLOCK_ELEMENTS // width),
+                     s_max - s + 1)
+        idx = np.flatnonzero(pending & (s_min < s + n_rows))
+        orders = np.arange(s, s + n_rows)[:, None]
+        active = orders >= s_min[idx]     # rows from each point's s_min
 
-        # vanishes at the order's cutoff, where the difference is as
-        # accurate as the given omega' and the term goes to the edge guard
-        theta_arg = np.maximum(s * kpprime[idx] - b_lin[idx], 0.0)
+        # closed form in s, so every row of the block is one expression;
+        # theta vanishes at the order's cutoff, where the difference is
+        # as accurate as the given omega' and the term goes to the edge
+        # guard
+        kpp = kpprime[idx]
+        theta_arg = np.maximum(orders * kpp - b_lin[idx], 0.0)
         q = np.sqrt(kp * theta_arg / kkp[idx])
         e_field = (2.0 * omega / E_CHARGE) * q
         xi = 2.0 * q * abs_d[idx]
-        zeta = theta_arg / kpprime[idx]
+        zeta_x = theta_arg / kpp * x_fac[idx]
 
+        # one Bessel sweep and one log R call for the block; entries that
+        # are not live sit at xi = 0, which costs the sweep nothing
         on_edge = e_field < edge_field
-        log_term = np.full(idx.size, -np.inf)
-        sign = np.zeros(idx.size)
-        live = ~on_edge
+        live = active & ~on_edge
+        log_term = np.full(live.shape, -np.inf)
+        sign = np.zeros(live.shape)
         if live.any():
-            bracket = bessel_bracket(s, xi[live], zeta[live] * x_fac[idx[live]])
+            bracket = bessel_bracket(s, np.where(live, xi, 0.0),
+                                     zeta_x)[live]
             log_w = stats.log_r(e_field[live])
             with np.errstate(divide="ignore", invalid="ignore"):
-                lt = np.where(bracket != 0.0,
-                              np.log(np.abs(bracket)) + log_w, -np.inf)
-            bad = np.isnan(lt)
-            if bad.any():
-                i = idx[live][bad][0]
-                raise ValueError(
-                    f"emission term is NaN at order {s}, theta'="
-                    f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} eV, "
-                    f"E={e_field[live][bad][0]:.6g} eV^2 (log R(E) or the "
-                    f"Bessel bracket is NaN)")
-            log_term[live] = lt
+                log_term[live] = np.where(bracket != 0.0,
+                                          np.log(np.abs(bracket)) + log_w,
+                                          -np.inf)
             sign[live] = np.sign(bracket)
 
-        zero_term = ~np.isfinite(log_term)
-        diagnostics.add(highest_order=0 if zero_term.all() else s,
-                        orders_scanned=s, edge_guarded=int(on_edge.sum()))
+        # the rows in order, each summed as one order at a time would be
+        summing = np.ones(idx.size, dtype=bool)   # not converged yet
+        for row in range(n_rows):
+            order = s + row
+            now = active[row] & summing
+            n_now = int(np.count_nonzero(now))
+            if n_now == 0:
+                # evaluated in vain: points before their s_min or after
+                # they converged
+                diagnostics.add(overcomputed=idx.size)
+                continue
+            take = slice(None) if n_now == idx.size else np.flatnonzero(now)
+            i_now = idx[take]
+            lt = log_term[row][take]
+            e_now = e_field[row][take]
+            zero_term = ~np.isfinite(lt)
+            if zero_term.any():
+                bad = np.isnan(lt)
+                if bad.any():
+                    i = i_now[bad][0]
+                    raise ValueError(
+                        f"emission term is NaN at order {order}, theta'="
+                        f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} "
+                        f"eV, E={e_now[bad][0]:.6g} eV^2 (log R(E) or the "
+                        f"Bessel bracket is NaN)")
+            diagnostics.add(highest_order=0 if zero_term.all() else order,
+                            orders_scanned=order,
+                            edge_guarded=int(np.count_nonzero(
+                                on_edge[row][take])),
+                            overcomputed=idx.size - n_now)
 
-        # max-shift accumulation
-        grow = log_term > shift[idx]
-        if grow.any():
-            g = idx[grow]
-            acc[g] = acc[g] * np.exp(shift[g] - log_term[grow]) + sign[grow]
-            shift[g] = log_term[grow]
-        rest = ~grow & ~zero_term
-        if rest.any():
-            r = idx[rest]
-            acc[r] += sign[rest] * np.exp(log_term[rest] - shift[r])
+            # max-shift accumulation
+            sg = sign[row][take]
+            sh = shift[i_now]
+            grow = lt > sh
+            if grow.any():
+                g = i_now[grow]
+                acc[g] = acc[g] * np.exp(sh[grow] - lt[grow]) + sg[grow]
+                shift[g] = lt[grow]
+                sh = np.where(grow, lt, sh)
+            rest = ~grow & ~zero_term
+            if rest.any():
+                r = i_now[rest]
+                acc[r] += sg[rest] * np.exp(lt[rest] - sh[rest])
 
-        # convergence bookkeeping: a term is negligible if it is below
-        # rel_tol of the running sum; an exact zero with no sum yet only
-        # counts once the effective field has left the statistics'
-        # support (protects states whose R starts above E = 0).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.exp(log_term - shift[idx]) / np.abs(acc[idx])
-        no_sum = acc[idx] == 0.0
-        small_term = np.where(
-            no_sum,
-            zero_term & (e_field > support_max),
-            (ratio < rel_tol) | zero_term)
-        streak[idx] = np.where(small_term, streak[idx] + 1, 0)
-        converged[idx] |= streak[idx] >= DEFAULT_PATIENCE
-        s += 1
+            # convergence bookkeeping: a term is negligible if it is below
+            # rel_tol of the running sum; an exact zero with no sum yet
+            # only counts once the effective field has left the
+            # statistics' support (protects states whose R starts above
+            # E = 0).
+            sums = acc[i_now]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.exp(lt - sh) / np.abs(sums)
+            small_term = np.where(
+                sums == 0.0,
+                zero_term & (e_now > support_max),
+                (ratio < rel_tol) | zero_term)
+            st = np.where(small_term, streak[i_now] + 1, 0)
+            streak[i_now] = st
+            done = st >= DEFAULT_PATIENCE
+            converged[i_now] = done           # none of them was before
+            summing[take] = ~done
+        s += n_rows
 
     if not np.all(converged):
         bad = np.nonzero(~converged)[0]

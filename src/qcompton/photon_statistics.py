@@ -203,7 +203,10 @@ def custom_tabulated_stats(omega: float, rho: float,
                          "nonzero samples (log-linear interpolation)")
     e_in, r_in = e_in[lo:hi + 1], r_in[lo:hi + 1]
 
+    # only ratios of R matter: integrating at a peak of 1 keeps the moments
+    # of any table in range, and log_amp restores the normalization
     log_r_in = np.log(r_in)
+    log_r_in -= log_r_in.max()
     m1, m2 = _table_moments("custom", e_in, log_r_in)
     if m1 <= 0.0 or m2 <= 0.0:
         raise NonNormalizable(f"table moments are degenerate: ({m1}, {m2})")

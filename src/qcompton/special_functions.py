@@ -12,7 +12,9 @@ sum-rule normalization elsewhere (DLMF 10.74), one sweep per call that
 captures each element's rows as it passes their orders.  Two entry
 points share it: bessel_j_triples takes an order array shaped like the
 argument (a coherent ladder batch in one call), bessel_j_triple one
-order for every point (an engine pass).  Regime boundaries were fixed by
+order for every point of a 1-D argument, or a block of consecutive
+orders, one per row of a 2-D argument (an engine pass, whose narrow
+order steps then share one sweep).  Regime boundaries were fixed by
 cross-validation against an arbitrary-precision oracle and are
 constants, not runtime heuristics.  I0 is offered only exponentially
 scaled, as log(e^-x I0(x)), the form its one caller must cancel in.
@@ -42,6 +44,11 @@ _MILLER_PAD_SCALE = 15.0
 _RESCALE_THRESHOLD = 1e250
 _RESCALE_FACTOR = 1e-250
 
+# log n! for every order a triple can reach, so the series looks its
+# leading terms up instead of calling lgamma per element
+_LOG_FACTORIAL = np.array([math.lgamma(n + 1.0)
+                           for n in range(MAX_ORDER + 1)])
+
 
 class OutOfContract(ValueError):
     """Input outside the documented (order, argument) accuracy contract."""
@@ -63,8 +70,7 @@ def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     of its own would give.
     """
     # leading term (x/2)^n / n! in log space; flush underflow to 0
-    lgam = np.array([math.lgamma(r + 1) for r in n.ravel().tolist()])
-    log_lead = n * np.log(x / 2.0) - lgam.reshape(n.shape)
+    log_lead = n * np.log(x / 2.0) - _LOG_FACTORIAL[n.astype(np.intp)]
     lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
     neg_q = -(x * x / 4.0)
     term = np.ones((len(n), x.size))
@@ -73,11 +79,20 @@ def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     # every step cost more than the arithmetic
     mag = np.empty_like(term)
     tol = np.empty_like(term)
+    # no |total| exceeds 1 plus the largest |term| of every step so far,
+    # so the test below cannot pass while the largest |term| is above
+    # 1e-18 of that bound; until then it is skipped (twice the bound
+    # covers its rounding), which stops the loop at the same k
+    bound = 1.0
     for k in range(1, 200):
         term *= neg_q
         term /= k * (n + k)
         total += term
         np.abs(term, out=mag)
+        top = mag.max(initial=0.0)
+        bound += top
+        if top > 2e-18 * bound:
+            continue
         np.abs(total, out=tol)
         tol *= 1e-18
         if np.all(mag <= tol):
@@ -193,9 +208,17 @@ def bessel_j_triples(orders, x):
 
 
 def bessel_j_triple(s: int, x):
-    """bessel_j_triples at one order s for a scalar or array argument;
-    a scalar argument gives three floats."""
-    out = bessel_j_triples(s, x)
+    """bessel_j_triples from order s on, for a scalar or array argument.
+
+    A scalar or 1-D x takes order s at every point: the orders stay one
+    column, and a scalar gives three floats.  A 2-D x of shape (B, N) is
+    a block of consecutive orders, row b at order s + b, evaluated in one
+    sweep with an order per element; a single row is the 1-D case.
+    """
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim == 2 and len(xa) > 1:
+        return bessel_j_triples(s + np.arange(len(xa))[:, None], xa)
+    out = bessel_j_triples(s, xa)
     if np.isscalar(x):
         return tuple(float(v) for v in out)
     return out

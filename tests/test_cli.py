@@ -327,7 +327,7 @@ def test_nonconvergence_still_writes_report(tmp_path, capsys):
 
 
 DIAGNOSTICS_KEYS = ["points", "highest_order", "orders_scanned",
-                    "edge_guarded"]
+                    "edge_guarded", "overcomputed"]
 
 
 def _run_report(tmp_path, cfg):

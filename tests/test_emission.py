@@ -14,6 +14,7 @@ from helpers import (drive_for, dual_path_worst_error, linear_compton_line,
 from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
                      harmonic_term, reference_bsv_density,
                      reference_thermal_density, scattered_momentum)
+from qcompton import emission
 from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
@@ -30,6 +31,7 @@ AT_REST = electron_momentum(1.0, (0.0, 0.0, 1.0)).p
 HEAD_ON = electron_momentum(7.09, (0.0, 0.0, -1.0)).p
 OMEGA = 2.25
 K_DRIVE = photon_wavevector(OMEGA, 0.0, 0.0)
+BLOCK = emission.ORDER_BLOCK
 
 
 def _kprime(wp, geom):
@@ -209,7 +211,8 @@ def test_engine_diagnostics_keys():
     smooth_spectral_density(stats, AT_REST, OMEGA, geom, grid,
                             diagnostics=diag)
     assert list(asdict(diag)) == ["points", "highest_order",
-                                  "orders_scanned", "edge_guarded"]
+                                  "orders_scanned", "edge_guarded",
+                                  "overcomputed"]
     assert diag.points == grid.size
     assert diag.highest_order >= 1
     assert diag.orders_scanned >= diag.highest_order
@@ -415,6 +418,115 @@ def test_ultra_relativistic_electrons_keep_their_digits():
             # into the s = 3 weight at gamma 1e8, theta' = 180 deg
             assert [q.weight for q in peaks] == pytest.approx(
                 weights, rel=1e-12, abs=0.0), case
+
+
+# ------------------------------------------------------------- order blocks
+
+def _fig3_points():
+    # the fig3 scan (gamma = 7.09 head-on, 9e16 W/cm^2, band [1719.4,
+    # 3438.8] eV) at 90, 135 and 180 degrees: orders up to several hundred
+    th = np.repeat(np.radians([90.0, 135.0, 180.0]), 24)
+    wp = np.tile(np.linspace(1719.4, 3438.8, 24), 3)
+    return HEAD_ON, th, wp
+
+
+def _staggered_points():
+    # points just past the cutoffs of orders 1 ... 40, so s_min runs from
+    # 2 to 41 and most points join a block of orders after its first row
+    geom = EmissionGeometry(theta=math.radians(159.9))
+    cuts = [kinematic_max_frequency(s, AT_REST, OMEGA, geom)
+            for s in range(1, 41)]
+    wp = np.array(cuts) * (1.0 + 1e-6)
+    return AT_REST, np.full_like(wp, geom.theta), wp
+
+
+def _converging_points():
+    # every point below the first cutoff (s_min = 1 for all), so the
+    # only rows a block evaluates in vain are those after convergence
+    wp = np.linspace(0.3, 2.2, 30)
+    return AT_REST, np.full_like(wp, math.radians(159.9)), wp
+
+
+def _engine_run(monkeypatch, block, points, **kwargs):
+    """(density, diagnostics, rows of each Bessel call) at ORDER_BLOCK =
+    block, thermal drive at 9e16 W/cm^2."""
+    drive = drive_for(9e16)
+    stats = thermal_stats(drive.omega, drive.rho)
+    p, th, wp = points
+    rows = []
+    triple = emission.bessel_j_triple
+
+    def counted(s, x):
+        rows.append(len(x) if np.ndim(x) == 2 else 1)
+        return triple(s, x)
+
+    monkeypatch.setattr(emission, "ORDER_BLOCK", block)
+    monkeypatch.setattr(emission, "bessel_j_triple", counted)
+    diag = Diagnostics()
+    try:
+        out = spectral_density_points(stats, p, OMEGA, th,
+                                      np.zeros_like(th), wp,
+                                      diagnostics=diag, **kwargs)
+    finally:
+        monkeypatch.setattr(emission, "bessel_j_triple", triple)
+    return out, diag, rows
+
+
+def _old_fields(diag):
+    return {k: v for k, v in asdict(diag).items() if k != "overcomputed"}
+
+
+@pytest.mark.parametrize("points", [_fig3_points, _staggered_points,
+                                    _converging_points])
+def test_order_blocks_match_single_orders(monkeypatch, points):
+    # a block takes the Bessel values of orders s ... s+B-1 from one
+    # sweep, which moves them in the last bits (the sweep starts above
+    # the block's top order); the sum and its truncation must not move
+    one, diag_one, rows_one = _engine_run(monkeypatch, 1, points())
+    blocked, diag, rows = _engine_run(monkeypatch, BLOCK, points())
+    assert max(rows_one) == 1 and max(rows) > 1
+    assert _old_fields(diag) == _old_fields(diag_one)
+    assert diag_one.overcomputed == 0 < diag.overcomputed
+    # 1e-13 of the peak; each point also within the Bessel contract
+    np.testing.assert_allclose(blocked, one, rtol=1e-12,
+                               atol=1e-13 * np.max(one))
+    assert np.count_nonzero(one) > 0.5 * one.size
+
+
+def test_order_blocks_raise_as_single_orders(monkeypatch):
+    # the NaN check and the order cap act row by row: the first NaN term
+    # and a cap inside a block raise what one order at a time raises
+    drive = drive_for(9e16)
+    thermal = thermal_stats(drive.omega, drive.rho)
+    amp = math.sqrt(2.0 * thermal.energy_density)
+
+    def log_r(e):
+        out = thermal.log_r(e)
+        return np.where((e > 0.5 * amp) & (e < 0.7 * amp), np.nan, out)
+
+    nan_stats = replace(thermal, log_r_fn=log_r)
+    wp = np.linspace(2.0, 2.249, 40)
+    th = np.full_like(wp, math.radians(159.9))
+    messages, fields = [], []
+    for block in (1, BLOCK):
+        monkeypatch.setattr(emission, "ORDER_BLOCK", block)
+        diag = Diagnostics()
+        with pytest.raises(ValueError, match="NaN at order") as nan_error:
+            spectral_density_points(nan_stats, AT_REST, OMEGA, th,
+                                    np.zeros_like(th), wp, diagnostics=diag)
+        messages.append(str(nan_error.value))
+        fields.append(_old_fields(diag))
+    assert messages[0] == messages[1]
+    assert fields[0] == fields[1]
+
+    # a cap that is not a multiple of the block cuts the last block short
+    capped = []
+    for block in (1, BLOCK):
+        with pytest.raises(TruncationNotConverged,
+                           match="s_max=45") as cap_error:
+            _engine_run(monkeypatch, block, _fig3_points(), s_max=45)
+        capped.append(str(cap_error.value))
+    assert capped[0] == capped[1]
 
 
 # ------------------------------------------------------- bracket combination

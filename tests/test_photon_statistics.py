@@ -1,6 +1,7 @@
 """Phase-averaged field statistics: closed forms, moments, tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ def test_custom_table_is_rescaled_to_invariants():
     m1b, m2b = moments(st2)
     assert m1b == pytest.approx(1.0, rel=1e-9)
     assert m2b == pytest.approx(4.0 * OMEGA * RHO, rel=1e-9)
+
+
+def test_custom_table_scale_does_not_matter():
+    # only ratios of R enter: a table near the top of the float range,
+    # whose third moment overflows at the scale it is given, normalizes
+    # to the same statistics as the unscaled table, without a warning
+    e = np.linspace(0.01, 20.0, 400)
+    plain = custom_tabulated_stats(OMEGA, RHO,
+                                   np.column_stack([e, np.exp(-e / 5.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = custom_tabulated_stats(
+            OMEGA, RHO, np.column_stack([e, 1e305 * np.exp(-e / 5.0)]))
+    np.testing.assert_allclose(big.table[0], plain.table[0], rtol=1e-14)
+    e_probe = np.linspace(0.0, 1.01 * plain.support_max, 257)
+    np.testing.assert_allclose(big.log_r(e_probe), plain.log_r(e_probe),
+                               rtol=1e-14)
 
 
 def _large_table():

@@ -486,10 +486,12 @@ def test_angular_scan_requires_thetas():
 
 def test_diagnostics_accumulate_across_passes():
     rule = Diagnostics()
-    rule.add(points=3, highest_order=5, orders_scanned=7, edge_guarded=1)
+    rule.add(points=3, highest_order=5, orders_scanned=7, edge_guarded=1,
+             overcomputed=40)
     rule.add(points=2, highest_order=4, orders_scanned=9, edge_guarded=2)
     assert asdict(rule) == {"points": 5, "highest_order": 5,
-                            "orders_scanned": 9, "edge_guarded": 3}
+                            "orders_scanned": 9, "edge_guarded": 3,
+                            "overcomputed": 40}
 
     sc = _scenario(9e16, thermal_stats, OmegaGrid(0.5, 6.0, 120))
     one = Diagnostics()

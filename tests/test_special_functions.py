@@ -6,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qcompton.special_functions import (MAX_ARGUMENT, MAX_ORDER,
-                                        OutOfContract, bessel_i0_log_scaled,
+from qcompton.special_functions import (_SERIES_CAP, MAX_ARGUMENT,
+                                        MAX_ORDER, OutOfContract,
+                                        _jn_series, bessel_i0_log_scaled,
                                         bessel_j_triple, bessel_j_triples)
 
 
@@ -108,6 +109,67 @@ def test_bessel_j_triples_mixed_batch():
             else:
                 # the batch's sweep starts above the largest order
                 assert got == pytest.approx(single[row], rel=2e-14), (n, x)
+
+
+def test_bessel_j_triple_order_block_rows():
+    # a 2-D argument is a block of consecutive orders: row b at order
+    # s + b, each element in its own regime (x = 0, series, Miller)
+    s = 60
+    xs = np.array([[0.0, 0.5, 14.0, 55.0, 300.0],
+                   [1e-3, 7.0, 15.5, 61.0, 120.0],
+                   [0.0, 2.0, 40.0, 63.0, 90.0]])
+    rows = np.array(bessel_j_triple(s, xs))
+    assert rows.shape == (3,) + xs.shape
+    for b, row_x in enumerate(xs):
+        for i, x in enumerate(row_x):
+            for r in range(3):
+                n = s + b - 1 + r
+                want = _oracle_jn(n, float(x))
+                got = rows[r, b, i]
+                if abs(want) < 1e-280:
+                    assert abs(got) < 1e-270, (n, x, got)
+                else:
+                    assert _close(got, want, 1e-12), (n, x, got, want)
+    # one row is the single-order column
+    one = np.array(bessel_j_triple(s, xs[:1]))
+    assert one.shape == (3, 1, xs.shape[1])
+    assert one[:, 0].tolist() == np.array(
+        bessel_j_triple(s, xs[0])).tolist()
+
+
+def _series_testing_every_step(n, x):
+    """The ascending series with its convergence test at every step."""
+    lgam = np.array([math.lgamma(r + 1) for r in n.ravel().tolist()])
+    log_lead = n * np.log(x / 2.0) - lgam.reshape(n.shape)
+    lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
+    neg_q = -(x * x / 4.0)
+    term = np.ones((len(n), x.size))
+    total = np.ones_like(term)
+    for k in range(1, 200):
+        term = term * neg_q / (k * (n + k))
+        total = total + term
+        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
+            break
+    return lead * total
+
+
+def test_series_stops_where_a_test_at_every_step_would():
+    # the series skips its convergence test while no term can pass it;
+    # it must stop at the same step, so every value is bitwise the same
+    # near zeros of J_0 and J_1 the sums cancel far below the terms
+    zeros = np.array([2.404825557695773, 3.831705970207512,
+                      5.520078110286311, 7.015586669815619])
+    rng = np.random.default_rng(5)
+    for s in (1, 2, 7, 40, 400):
+        n = s + np.arange(-1.0, 2.0)[:, None]
+        cap = max(_SERIES_CAP, 2.0 * math.sqrt(s - 1))
+        near_zeros = zeros[:, None] * (1.0 + np.linspace(-1e-9, 1e-9, 5))
+        x = np.concatenate([rng.uniform(1e-3, cap, 300),
+                            near_zeros.ravel()])
+        assert (_jn_series(n, x) == _series_testing_every_step(n, x)).all()
+        per_element = n + rng.integers(0, 3, x.size)
+        assert (_jn_series(per_element, x)
+                == _series_testing_every_step(per_element, x)).all()
 
 
 @pytest.mark.parametrize("bad", [0, MAX_ORDER, 2.5])
