@@ -28,13 +28,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import ndtr
 
 from .minkowski import ElectronState, EmissionGeometry, KinematicallyForbidden
 from .units import NaturalDrive, pulse_duration
 from .photon_statistics import PhaseAveragedStatistics
 from . import emission
 from .emission import Diagnostics
+from .special_functions import ndtr
 
 # Gaussians are treated as identically zero beyond this many standard
 # deviations; at 9 sigma the truncated mass is ~1e-19 of the total,
@@ -150,8 +150,14 @@ class GaussianPeak:
         return out
 
     def band_mass(self, lo: float, hi: float) -> float:
-        return self.mass * float(ndtr((hi - self.center) / self.sigma)
-                                 - ndtr((lo - self.center) / self.sigma))
+        """Energy of the line inside [lo, hi], as for _segment_weights
+        from the tail beyond the band, so a band far above or below the
+        center keeps its digits."""
+        scale = self.sigma * math.sqrt(2.0)
+        a, b = (lo - self.center) / scale, (hi - self.center) / scale
+        if a > 0.0:
+            return 0.5 * self.mass * (math.erfc(a) - math.erfc(b))
+        return 0.5 * self.mass * (math.erfc(-b) - math.erfc(-a))
 
 
 @dataclass(frozen=True)
@@ -215,10 +221,13 @@ def _segment_weights(d, width):
     return (hi * mass - dpdf) / width, (d * mass + dpdf) / width
 
 
-def _uniform_run(x_nodes, x_eval):
-    """(i0, h) if x_eval is the run x_nodes[i0:i0 + x_eval.size] of at
-    least two nodes spaced h apart, up to the rounding of np.linspace
-    (each node within a few ulps of x_eval[0] + i h), else None."""
+def _uniform_run(x_nodes, x_eval, reach=0.0):
+    """(a, i0, b, h) if x_eval is the run x_nodes[i0:i0 + x_eval.size]
+    of at least two nodes spaced h apart, up to the rounding of
+    np.linspace (each node within a few ulps of x_eval[0] + i h), else
+    None.  x_nodes[a:b] widens the run, by at most ceil(reach / h) + 1
+    nodes past either end, over the nodes that continue its lattice,
+    such as the wings _extended_nodes gives a linear grid."""
     m = x_eval.size
     if m < 2:
         return None
@@ -226,10 +235,18 @@ def _uniform_run(x_nodes, x_eval):
     if not np.array_equal(x_nodes[i0:i0 + m], x_eval):
         return None
     h = (x_eval[-1] - x_eval[0]) / (m - 1)
-    tol = 4.0 * np.spacing(max(abs(x_eval[0]), abs(x_eval[-1])))
-    if np.abs(x_eval - (x_eval[0] + h * np.arange(m))).max() > tol:
+    pad = math.ceil(reach / h) + 1
+    lo, hi = max(0, i0 - pad), min(x_nodes.size, i0 + m + pad)
+    near = x_nodes[lo:hi]
+    tol = 4.0 * np.spacing(max(abs(near[0]), abs(near[-1])))
+    off = np.abs(near - (x_eval[0] + h * np.arange(lo - i0, hi - i0))) > tol
+    if off[i0 - lo:i0 - lo + m].any():
         return None
-    return i0, h
+    before = np.flatnonzero(off[:i0 - lo])
+    after = np.flatnonzero(off[i0 - lo + m:])
+    a = lo + before[-1] + 1 if before.size else lo
+    b = i0 + m + after[0] if after.size else hi
+    return a, i0, b, h
 
 
 # The band of segment x evaluation-point pairs is formed this many pairs
@@ -246,13 +263,18 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     pdf (_segment_weights), so the result carries no quadrature error;
     a segment adds to the evaluation points within KERNEL_REACH sigmas.
 
-    When x_eval is an equally spaced run of the nodes, as every linear
-    grid is inside its _extended_nodes wings, every segment of the run
-    sees the same weights at offsets k h, so the run is two discrete
-    convolutions of its left- and right-node values with those taps.
-    All other segments, the wings and every segment of an unequal grid,
-    are evaluated as a band of (segment, point) pairs in bounded chunks;
-    segments with both ends zero are skipped.
+    When x_eval is an equally spaced run of the nodes, every segment of
+    the run, widened over the nodes within reach that continue its
+    lattice, sees the same weights at offsets k h, so the run is two
+    discrete convolutions of its left- and right-node values with those
+    taps.  A linear grid with its _extended_nodes wings is one such run.
+    All other segments, every segment of a log or unequal grid and its
+    wings, are evaluated as a band of (segment, point) pairs in bounded
+    chunks; segments with both ends zero are skipped.  The band's normal
+    cdf is special_functions.ndtr, which costs about three times
+    scipy's per element: one call on a 32 000-node log fig2 grid took
+    0.095-0.115 s with scipy's ndtr and takes 0.112-0.148 s (medians
+    of three rounds of 7-15 calls, 2-core VM).
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
@@ -262,16 +284,17 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     reach = KERNEL_REACH * sigma
     band = (y_nodes[:-1] != 0.0) | (y_nodes[1:] != 0.0)
 
-    run = _uniform_run(x_nodes, x_eval)
+    run = _uniform_run(x_nodes, x_eval, reach)
     if run is not None:
-        i0, h = run
+        a, i0, b, h = run
         k = math.ceil(reach / h) + 1
         left, right = _segment_weights(np.arange(-k, k + 1) * (h / sigma),
                                        h / sigma)
-        y = y_nodes[i0:i0 + m]
+        y = y_nodes[a:b]
+        c = k + i0 - a
         out += (np.convolve(y[:-1], left)
-                + np.convolve(y[1:], right))[k:k + m]
-        band[i0:i0 + m - 1] = False
+                + np.convolve(y[1:], right))[c:c + m]
+        band[a:b - 1] = False
 
     seg = np.nonzero(band)[0]
     x0, x1 = x_nodes[seg], x_nodes[seg + 1]
@@ -301,10 +324,20 @@ def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
     """User grid plus sampling wings one kernel reach past both ends.
 
     Without the wings, density just outside the requested window could
-    not bleed into it under convolution.  Wing spacing is the finer of
-    the grid's own median step and sigma/2.
+    not bleed into it under convolution.  A linear grid whose step h is
+    at most sigma/2 continues its own lattice, ceil(reach / h) nodes
+    grid[0] + i h per side, so the convolution sees one equally spaced
+    run.  Other grids take wings spaced by the finer of their median
+    step and sigma/2.  The left wing stops above omega' = 0.
     """
     reach = KERNEL_REACH * sigma
+    run = _uniform_run(grid, grid)
+    if run is not None and run[3] <= 0.5 * sigma:
+        h = run[3]
+        n = math.ceil(reach / h)
+        left = grid[0] + h * np.arange(-n, 0)
+        right = grid[0] + h * np.arange(grid.size, grid.size + n)
+        return np.concatenate([left[left > 0.0], grid, right])
     step = min(float(np.median(np.diff(grid))), 0.5 * sigma)
     n = max(2, int(math.ceil(reach / step)))
     left = grid[0] - reach * np.linspace(1.0, 0.0, n, endpoint=False)

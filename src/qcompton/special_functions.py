@@ -1,12 +1,14 @@
-"""Bessel J of integer order and the scaled log of modified Bessel I0.
+"""Bessel J of integer order, the scaled log of modified Bessel I0 and
+the normal cdf.
 
-These are the only special functions the emission formulas need:
-J_{s-1}, J_s, J_{s+1} at the harmonic argument xi_s (orders into the
-thousands at high intensity) and I0 inside one of the photon-statistics
-limits.  J_n is evaluated in-package rather than through a platform
-math library so results are bit-stable across OSes.  One evaluator,
-_bessel_rows, takes one order per element: it owns the contract check
-and splits elements into x = 0, the ascending series for small argument
+These are the only special functions the package needs: J_{s-1}, J_s,
+J_{s+1} at the harmonic argument xi_s (orders into the thousands at
+high intensity), I0 inside one of the photon-statistics limits, and the
+normal cdf in the pipeline's exact Gaussian convolution.  J_n is
+evaluated in-package rather than through a platform math library so
+results are bit-stable across OSes.  One evaluator, _bessel_rows,
+takes one order per element: it owns the contract check and splits
+elements into x = 0, the ascending series for small argument
 (all rows summed in one pass) and Miller backward recurrence with
 sum-rule normalization elsewhere (DLMF 10.74), one sweep per call that
 captures each element's rows as it passes their orders.  Two entry
@@ -18,6 +20,9 @@ order steps then share one sweep).  Regime boundaries were fixed by
 cross-validation against an arbitrary-precision oracle and are
 constants, not runtime heuristics.  I0 is offered only exponentially
 scaled, as log(e^-x I0(x)), the form its one caller must cancel in.
+The normal cdf, ndtr, ports to numpy the Cephes rational
+approximations that scipy.special.ndtr evaluates, so the package needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -274,3 +279,74 @@ def bessel_i0_log_scaled(x):
     if large.any():
         out[large] = _i0_asymptotic_tail(xa[large])
     return float(out[0]) if scalar else out
+
+
+# Cephes ndtr.c coefficients, highest power first; U, Q and S have a
+# leading 1.  erf(w) = w T(w^2) / U(w^2) for |w| < 1, and erfc(w) =
+# exp(-w^2) P(w) / Q(w) for 1 <= w < 8, exp(-w^2) R(w) / S(w) above.
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+           2.23200534594684319226e3, 7.00332514112805075473e3,
+           5.55923013010394962768e4)
+_NDTR_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+           4.59432382970980127987e3, 2.26290000613890934246e4,
+           4.92673942608635921086e4)
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_NDTR_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+
+# erfc(w) underflows to zero well before this; clipping |w| here keeps
+# an infinite argument out of the rational function (inf / inf)
+_NDTR_CLIP = 40.0
+
+
+def _horner(coefs, x):
+    out = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def ndtr(x):
+    """Standard normal cdf, (1 + erf(x / sqrt 2)) / 2, elementwise.
+
+    With w = x / sqrt 2, |w| < 1 takes 1/2 + erf(w) / 2 and the rest the
+    tail erfc(|w|) / 2 (its complement for x > 0), each element by its
+    own branch only.  Within 1e-15 relative of scipy.special.ndtr and
+    5e-14 of the exact value for |x| <= 12; -inf, +inf and NaN give 0,
+    1 and NaN.  Returns an array shaped like x, or a float for a scalar.
+    """
+    xa = np.asarray(x, dtype=float)
+    w = xa.ravel() * math.sqrt(0.5)
+    z = np.abs(w)
+    out = np.empty_like(w)
+    core = z < 1.0
+    wc = w[core]
+    wc2 = wc * wc
+    out[core] = 0.5 + 0.5 * (wc * _horner(_NDTR_T, wc2)
+                             / _horner(_NDTR_U, wc2))
+    tail = ~core                      # NaN takes this branch and stays NaN
+    zt = z[tail]
+    near = zt < 8.0
+    half = np.empty_like(zt)
+    zn = zt[near]
+    half[near] = (np.exp(-zn * zn) * _horner(_NDTR_P, zn)
+                  / _horner(_NDTR_Q, zn))
+    zf = np.minimum(zt[~near], _NDTR_CLIP)
+    half[~near] = (np.exp(-zf * zf) * _horner(_NDTR_R, zf)
+                   / _horner(_NDTR_S, zf))
+    half *= 0.5
+    out[tail] = np.where(w[tail] > 0.0, 1.0 - half, half)
+    return out.reshape(xa.shape)[()]

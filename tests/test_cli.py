@@ -1,5 +1,6 @@
 """Command-line interface: schema, exit codes, outputs, presets."""
 
+import ast
 import csv
 import json
 import math
@@ -229,17 +230,42 @@ def test_validate_config_fuzz_exits_1_with_key_path(tmp_path, capsys, seed):
     assert not list(tmp_path.glob("*.csv*"))
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # every CLI start pays for what qcompton.cli imports; scipy.integrate
-    # alone costs about a third of a second, and nothing in the package
-    # needs it
+def test_cli_setup_imports_no_scipy():
+    # every CLI start pays for what it imports before the first curve;
+    # scipy.special alone cost about 0.3 s.  This is the benchmark's
+    # set-up: import, validate and build the fig2 and fig3 scenarios
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qcompton.cli; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = ("import sys\n"
+            "from qcompton import cli\n"
+            "for name, state in (('fig2', 'bsv'), ('fig2', 'coherent'),\n"
+            "                    ('fig3', 'thermal')):\n"
+            "    cli._build_scenario(cli.validate_config(\n"
+            "        cli.make_preset(name, state=state)))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_package_source_imports_no_scipy():
+    # the tests keep scipy as an oracle; the package needs numpy alone
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert all(m.partition(".")[0] != "scipy" for m in modules), (
+                name, node.lineno)
 
 
 # ------------------------------------------------------------- exit codes

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from helpers import drive_for
-from qcompton import emission
+from qcompton import emission, pipeline
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, coherent_peaks)
 from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
@@ -174,7 +174,15 @@ def test_convolution_on_extended_grids_matches_exact_sum(spacing):
     grid = OmegaGrid(0.02, 1.0, 800, spacing).points()
     x = _extended_nodes(grid, sigma)
     assert 0.0 < x[0] < grid[0] < reach
-    assert x[-1] - grid[-1] == pytest.approx(reach)
+    if spacing == "linear":
+        # the wings continue the grid's lattice, ceil(reach / h) steps
+        # each, the left one up to its last node above zero
+        h = (grid[-1] - grid[0]) / (grid.size - 1)
+        assert reach <= x[-1] - grid[-1] < reach + h
+        assert x[0] <= h
+        assert np.abs(np.diff(x) - h).max() <= 4.0 * np.spacing(x[-1])
+    else:
+        assert x[-1] - grid[-1] == pytest.approx(reach)
     y = _wing_density(x)
     got = _gaussian_convolve_linear(x, y, sigma, grid)
     peak = got.max()
@@ -183,6 +191,27 @@ def test_convolution_on_extended_grids_matches_exact_sum(spacing):
         i = int(np.argmin(np.abs(grid - t)))
         want = _exact_convolution(x, y, sigma, grid[i])
         assert abs(got[i] - want) <= 1e-12 * peak, (spacing, grid[i])
+
+
+@pytest.mark.parametrize("lo", [0.02, 0.5])
+def test_linear_grid_and_its_wings_convolve_as_one_run(monkeypatch, lo):
+    # with or without the left wing cut at omega' = 0, the only segment
+    # weights formed are the run's 2k + 1 taps: no wing segment is left
+    # to the (segment, point) band
+    sigma = 0.018
+    grid = OmegaGrid(lo, 1.0, 800).points()
+    x = _extended_nodes(grid, sigma)
+    sizes = []
+    weights = pipeline._segment_weights
+
+    def counted(d, width):
+        sizes.append(np.size(d))
+        return weights(d, width)
+
+    monkeypatch.setattr(pipeline, "_segment_weights", counted)
+    _gaussian_convolve_linear(x, _wing_density(x), sigma, grid)
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    assert sizes == [2 * (math.ceil(9.0 * sigma / h) + 1) + 1]
 
 
 def test_convolution_of_one_and_two_points_matches_exact_sum():
@@ -260,6 +289,22 @@ def test_line_band_masses_are_error_function_exact():
     assert band_integrate(
         SpectralCurve(omega=curve.omega, smooth=np.zeros_like(curve.omega),
                       peaks=(pk,)), (lo, hi)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("edges", [(10.0, 12.5), (-12.5, -10.0),
+                                   (-4.0, 3.0), (0.25, 6.0)])
+def test_line_band_mass_keeps_its_digits_far_from_the_line(edges):
+    # band edges in sigmas from the center: the line 10 sigma below the
+    # band, 10 sigma above it, inside it and straddling its lower edge.
+    # Far from the line both cdf values round to 1 (or to 0 on the
+    # other side), so only the tail beyond the band keeps the mass.
+    pk = GaussianPeak(center=2.1, mass=3.7, sigma=0.018)
+    lo, hi = (pk.center + e * pk.sigma for e in edges)
+    with mp.workdps(40):
+        c, s = mp.mpf(pk.center), mp.mpf(pk.sigma)
+        want = float(mp.mpf(pk.mass) * (mp.ncdf((mp.mpf(hi) - c) / s)
+                                        - mp.ncdf((mp.mpf(lo) - c) / s)))
+    assert pk.band_mass(lo, hi) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_drive_average_linewidths_grow_with_order(monkeypatch):

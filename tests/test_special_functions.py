@@ -1,15 +1,19 @@
-"""Bessel evaluations against an arbitrary-precision oracle (mpmath)."""
+"""Special functions against an arbitrary-precision oracle (mpmath);
+the normal cdf also against scipy's, whose approximations it ports."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
 from qcompton.special_functions import (_SERIES_CAP, MAX_ARGUMENT,
                                         MAX_ORDER, OutOfContract,
                                         _jn_series, bessel_i0_log_scaled,
-                                        bessel_j_triple, bessel_j_triples)
+                                        bessel_j_triple, bessel_j_triples,
+                                        ndtr)
 
 
 def _oracle_jn(n: int, x: float) -> float:
@@ -239,3 +243,49 @@ def test_i0_log_scaled_relation():
 def test_i0_rejects_negative():
     with pytest.raises(ValueError):
         bessel_i0_log_scaled(-1.0)
+
+
+# --------------------------------------------------------------- normal cdf
+
+def _ndtr_points(count):
+    """count points on [-12, 12] plus both sides of each branch edge,
+    |x| / sqrt 2 = 1 and 8."""
+    edges = [e * math.sqrt(2.0) for e in (-8.0, -1.0, 1.0, 8.0)]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    return np.concatenate([np.linspace(-12.0, 12.0, count), edges, near])
+
+
+def test_ndtr_matches_scipy():
+    # the same Cephes approximations: a mistyped coefficient shows here
+    x = _ndtr_points(400_001)
+    want = scipy.special.ndtr(x)
+    assert np.all(np.abs(ndtr(x) - want) <= 1e-15 * want)
+
+
+def test_ndtr_against_oracle():
+    x = _ndtr_points(2_001)
+    got = ndtr(x)
+    with mp.workdps(40):
+        want = np.array([float(mp.ncdf(mp.mpf(v))) for v in x])
+    assert np.all(np.abs(got - want) <= 5e-14 * want)
+
+
+def test_ndtr_special_values():
+    assert ndtr(-0.0) == 0.5 and ndtr(0.0) == 0.5
+    assert ndtr(np.inf) == 1.0 and ndtr(-np.inf) == 0.0
+    assert math.isnan(ndtr(np.nan))
+    assert isinstance(ndtr(0.3), float)
+
+
+def test_ndtr_keeps_shape_without_warnings():
+    x = np.array([[-np.inf, -1e300, -40.0, -12.0],
+                  [-0.0, 0.0, 1.0, np.nan],
+                  [12.0, 40.0, 1e300, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ndtr(x)
+        assert ndtr(np.zeros(0)).shape == (0,)
+    assert got.shape == x.shape
+    want = scipy.special.ndtr(x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0, equal_nan=True)
