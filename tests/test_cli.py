@@ -230,6 +230,19 @@ def test_validate_config_fuzz_exits_1_with_key_path(tmp_path, capsys, seed):
     assert not list(tmp_path.glob("*.csv*"))
 
 
+def test_cli_import_leaves_scipy_integrate_out():
+    # every CLI start pays for what qcompton.cli imports; scipy.integrate
+    # alone costs about a third of a second, and nothing in the package
+    # needs it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qcompton.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_setup_imports_no_scipy():
     # every CLI start pays for what it imports before the first curve;
     # scipy.special alone cost about 0.3 s.  This is the benchmark's
