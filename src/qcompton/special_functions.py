@@ -11,7 +11,11 @@ takes one order per element: it owns the contract check and splits
 elements into x = 0, the ascending series for small argument
 (all rows summed in one pass) and Miller backward recurrence with
 sum-rule normalization elsewhere (DLMF 10.74), one sweep per call that
-captures each element's rows as it passes their orders.  Two entry
+captures each element's rows as it passes their orders.  The sweep
+forms each step in place and rescales by the exact power of two 2^-600,
+testing for it only every 8th step: the largest growth a step can have
+in Miller's regime keeps 8 steps far from overflow, and an exact
+rescale gives the same bits whenever it is made.  Two entry
 points share it: bessel_j_triples takes an order array shaped like the
 argument (a coherent ladder batch in one call), bessel_j_triple one
 order for every point of a 1-D argument, or a block of consecutive
@@ -46,8 +50,16 @@ _SERIES_CAP = 8.0
 _MILLER_PAD = 40
 _MILLER_PAD_SCALE = 15.0
 
-_RESCALE_THRESHOLD = 1e250
-_RESCALE_FACTOR = 1e-250
+# Miller rescaling: an element whose unnormalized J passes 2^600 is
+# scaled by 2^-600, which is exact, so when it happens changes no bit
+# (bar entries that underflow, which flush to zero by contract).  The
+# test runs every _RESCALE_EVERY steps only.  Every Miller element has
+# x > _SERIES_CAP, so one step grows max(|J_m|, |J_{m+1}|) by at most
+# 2 m_start / _SERIES_CAP + 1, about 2 600 at MAX_ORDER; 8 steps then
+# grow it by at most ~2e27, far inside finfo.max / 2^600 ~ 4e127.
+_RESCALE_THRESHOLD = 2.0 ** 600
+_RESCALE_FACTOR = 2.0 ** -600
+_RESCALE_EVERY = 8
 
 # log n! for every order a triple can reach, so the series looks its
 # leading terms up instead of calling lgamma per element
@@ -105,6 +117,13 @@ def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     return lead * total
 
 
+def _miller_start(n_max: int, x_max: float) -> int:
+    """The (even) order the backward sweep starts from."""
+    base = max(n_max, int(math.ceil(x_max)))
+    m_start = base + _MILLER_PAD + int(_MILLER_PAD_SCALE * base ** (1.0 / 3.0))
+    return m_start + m_start % 2
+
+
 def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Backward recurrence with sum-rule normalization, one sweep.
 
@@ -112,12 +131,13 @@ def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     for _jn_series.  The sweep starts above the largest order and
     argument of the call and captures each entry as m passes its order;
     each element is normalized by its own sum.  All x must be positive;
-    the caller routes small arguments to the series.
+    the caller routes small arguments to the series.  Every
+    _RESCALE_EVERY steps, elements with J_m or J_{m+1} above
+    _RESCALE_THRESHOLD are scaled by the exact power of two
+    _RESCALE_FACTOR; the growth bound beside those constants keeps the
+    steps between two tests finite.
     """
-    base = max(int(n.max()), int(math.ceil(float(x.max()))))
-    m_start = base + _MILLER_PAD + int(_MILLER_PAD_SCALE * base ** (1.0 / 3.0))
-    if m_start % 2:
-        m_start += 1
+    m_start = _miller_start(int(n.max()), float(x.max()))
 
     # order -> (rows, elements) of the entries it fills
     if n.shape[1] == 1:
@@ -132,25 +152,31 @@ def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     inv_x = 1.0 / x
     j_hi = np.zeros_like(x)                 # unnormalized J at m+1
     j_lo = np.full_like(x, 1e-30)           # unnormalized J at m
-    norm = np.zeros_like(x)                 # accumulates J_0 + 2 sum J_{2k}
+    t = np.empty_like(x)
+    # sum of J_{2k}, k >= 1: 2 even + J_0 is the sum rule's norm, and
+    # doubling once is exactly doubling every term
+    even = np.zeros_like(x)
     out = np.zeros((len(n), x.size))
     for m in range(m_start, 0, -1):
-        j_hi, j_lo = j_lo, (2.0 * m) * inv_x * j_lo - j_hi   # J_{m-1}
-        big = np.abs(j_lo) > _RESCALE_THRESHOLD
-        if big.any():
-            j_lo[big] *= _RESCALE_FACTOR
-            j_hi[big] *= _RESCALE_FACTOR
-            norm[big] *= _RESCALE_FACTOR
-            out[:, big] *= _RESCALE_FACTOR
+        # J_{m-1} = (2m / x) J_m - J_{m+1}, formed in place
+        np.multiply(inv_x, 2.0 * m, out=t)
+        t *= j_lo
+        t -= j_hi
+        j_hi, j_lo, t = j_lo, t, j_hi
+        if m % _RESCALE_EVERY == 0:
+            big = np.maximum(np.abs(j_lo), np.abs(j_hi)) > _RESCALE_THRESHOLD
+            if big.any():
+                j_lo[big] *= _RESCALE_FACTOR
+                j_hi[big] *= _RESCALE_FACTOR
+                even[big] *= _RESCALE_FACTOR
+                out[:, big] *= _RESCALE_FACTOR
         idx = m - 1
         if idx in slot:
             rows, cols = slot[idx]
             out[rows, cols] = j_lo[cols]
-        if idx == 0:
-            norm += j_lo
-        elif idx % 2 == 0:
-            norm += 2.0 * j_lo
-    return out / norm
+        if idx and idx % 2 == 0:
+            even += j_lo
+    return out / (2.0 * even + j_lo)
 
 
 def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -319,34 +345,53 @@ def _horner(coefs, x):
     return out
 
 
+def _by_branch(inside, x, on_inside, on_outside):
+    """on_inside(x) where the mask inside holds, on_outside(x) elsewhere.
+
+    An empty side is never evaluated, and a call wholly on one side
+    returns that branch's array without masking or scattering.
+    """
+    if inside.all():
+        return on_inside(x)
+    if not inside.any():
+        return on_outside(x)
+    out = np.empty_like(x)
+    out[inside] = on_inside(x[inside])
+    out[~inside] = on_outside(x[~inside])
+    return out
+
+
+def _ndtr_core(w):
+    w2 = w * w
+    return 0.5 + 0.5 * (w * _horner(_NDTR_T, w2) / _horner(_NDTR_U, w2))
+
+
+def _erfc_near(z):
+    return np.exp(-z * z) * _horner(_NDTR_P, z) / _horner(_NDTR_Q, z)
+
+
+def _erfc_far(z):
+    z = np.minimum(z, _NDTR_CLIP)
+    return np.exp(-z * z) * _horner(_NDTR_R, z) / _horner(_NDTR_S, z)
+
+
+def _ndtr_tail(w):
+    z = np.abs(w)                     # NaN takes the far branch, stays NaN
+    half = 0.5 * _by_branch(z < 8.0, z, _erfc_near, _erfc_far)
+    return np.where(w > 0.0, 1.0 - half, half)
+
+
 def ndtr(x):
     """Standard normal cdf, (1 + erf(x / sqrt 2)) / 2, elementwise.
 
     With w = x / sqrt 2, |w| < 1 takes 1/2 + erf(w) / 2 and the rest the
     tail erfc(|w|) / 2 (its complement for x > 0), each element by its
-    own branch only.  Within 1e-15 relative of scipy.special.ndtr and
-    5e-14 of the exact value for |x| <= 12; -inf, +inf and NaN give 0,
-    1 and NaN.  Returns an array shaped like x, or a float for a scalar.
+    own branch only; a branch no element takes costs nothing.  Within
+    1e-15 relative of scipy.special.ndtr and 5e-14 of the exact value
+    for |x| <= 12; -inf, +inf and NaN give 0, 1 and NaN.  Returns an
+    array shaped like x, or a float for a scalar.
     """
     xa = np.asarray(x, dtype=float)
     w = xa.ravel() * math.sqrt(0.5)
-    z = np.abs(w)
-    out = np.empty_like(w)
-    core = z < 1.0
-    wc = w[core]
-    wc2 = wc * wc
-    out[core] = 0.5 + 0.5 * (wc * _horner(_NDTR_T, wc2)
-                             / _horner(_NDTR_U, wc2))
-    tail = ~core                      # NaN takes this branch and stays NaN
-    zt = z[tail]
-    near = zt < 8.0
-    half = np.empty_like(zt)
-    zn = zt[near]
-    half[near] = (np.exp(-zn * zn) * _horner(_NDTR_P, zn)
-                  / _horner(_NDTR_Q, zn))
-    zf = np.minimum(zt[~near], _NDTR_CLIP)
-    half[~near] = (np.exp(-zf * zf) * _horner(_NDTR_R, zf)
-                   / _horner(_NDTR_S, zf))
-    half *= 0.5
-    out[tail] = np.where(w[tail] > 0.0, 1.0 - half, half)
+    out = _by_branch(np.abs(w) < 1.0, w, _ndtr_core, _ndtr_tail)
     return out.reshape(xa.shape)[()]

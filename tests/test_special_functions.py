@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 import scipy.special
 
-from qcompton.special_functions import (_SERIES_CAP, MAX_ARGUMENT,
-                                        MAX_ORDER, OutOfContract,
-                                        _jn_series, bessel_i0_log_scaled,
+from qcompton import special_functions
+from qcompton.special_functions import (_NDTR_CLIP, _NDTR_P, _NDTR_Q,
+                                        _NDTR_R, _NDTR_S, _NDTR_T,
+                                        _NDTR_U, _RESCALE_EVERY,
+                                        _RESCALE_THRESHOLD, _SERIES_CAP,
+                                        MAX_ARGUMENT, MAX_ORDER,
+                                        OutOfContract, _horner,
+                                        _jn_series, _miller_start,
+                                        _series_threshold,
+                                        bessel_i0_log_scaled,
                                         bessel_j_triple, bessel_j_triples,
                                         ndtr)
 
@@ -176,6 +183,70 @@ def test_series_stops_where_a_test_at_every_step_would():
                 == _series_testing_every_step(per_element, x)).all()
 
 
+# order 1 just inside Miller's regime, where one step grows J the most,
+# beside the largest order and argument, which set the sweep's start
+_GROWTH_CORNER = (np.array([1, MAX_ORDER - 1]),
+                  np.array([np.nextafter(_SERIES_CAP, np.inf), MAX_ARGUMENT]))
+
+
+def test_rescale_interval_changes_no_bit(monkeypatch):
+    # rescaling by a power of two is exact, so testing for it every step
+    # or every _RESCALE_EVERY steps must give the same bits
+    rng = np.random.default_rng(23)
+    block_x = rng.uniform(0.0, 900.0, (32, 60))
+    pairs = _ZERO + _SERIES + _MILLER
+    mixed = (np.array([s for s, _ in pairs]), np.array([x for _, x in pairs]))
+
+    def evaluate():
+        return [np.array(bessel_j_triple(700, block_x)),
+                np.array(bessel_j_triples(*mixed)),
+                np.array(bessel_j_triples(*_GROWTH_CORNER))]
+
+    sparse = evaluate()
+    monkeypatch.setattr(special_functions, "_RESCALE_EVERY", 1)
+    for got, want in zip(sparse, evaluate()):
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
+
+
+def test_rescale_headroom_is_provable():
+    # Miller elements have x > _SERIES_CAP, so a step grows
+    # max(|J_m|, |J_{m+1}|) by at most 2 m_start / _SERIES_CAP + 1; the
+    # steps between two rescale tests must not overflow from just below
+    # the threshold
+    growth = 2.0 * _miller_start(MAX_ORDER, MAX_ARGUMENT) / _SERIES_CAP + 1.0
+    assert growth ** _RESCALE_EVERY * _RESCALE_THRESHOLD < np.finfo(float).max
+
+
+# 25-digit values of J_9998, J_9999 and J_10000 at x = 1e4, from
+# mpmath.besselj at 5 540 digits (unchanged at 5 600): each takes about
+# 10 s to compute, too long for the suite
+_J_AT_MAX_ARGUMENT = (0.02252730523075527097424125,
+                      0.02164689994397242498145547,
+                      0.02076216527720078450367339)
+
+
+def test_bessel_j_worst_corner_against_oracle():
+    # order MAX_ORDER - 1 one ulp above its series threshold and at
+    # MAX_ARGUMENT, in one call with the growth corner's order 1
+    x_edge = float(np.nextafter(_series_threshold(MAX_ORDER - 2.0), np.inf))
+    s = MAX_ORDER - 1
+    rows = np.array(bessel_j_triples(np.array([1, s, s]),
+                                     np.array([_GROWTH_CORNER[1][0], x_edge,
+                                               MAX_ARGUMENT])))
+    assert np.isfinite(rows).all()
+    wants = [[_oracle_jn(n, float(_GROWTH_CORNER[1][0])) for n in (0, 1, 2)],
+             [_oracle_jn(n, x_edge) for n in (s - 1, s, s + 1)],
+             _J_AT_MAX_ARGUMENT]
+    for col, want in enumerate(wants):
+        for row, w in enumerate(want):
+            got = rows[row, col]
+            if abs(w) < 1e-290:
+                assert abs(got) <= 1e-280, (col, row, got)
+            else:
+                assert _close(got, w, 5e-11), (col, row, got, w)
+
+
 @pytest.mark.parametrize("bad", [0, MAX_ORDER, 2.5])
 def test_bessel_j_triples_rejects_one_bad_order(bad):
     with pytest.raises(OutOfContract):
@@ -275,6 +346,47 @@ def test_ndtr_special_values():
     assert ndtr(np.inf) == 1.0 and ndtr(-np.inf) == 0.0
     assert math.isnan(ndtr(np.nan))
     assert isinstance(ndtr(0.3), float)
+
+
+def _ndtr_every_branch(x):
+    """ndtr as first ported: every branch masked and evaluated, even
+    an empty one, then scattered."""
+    w = x.ravel() * math.sqrt(0.5)
+    z = np.abs(w)
+    out = np.empty_like(w)
+    core = z < 1.0
+    wc = w[core]
+    wc2 = wc * wc
+    out[core] = 0.5 + 0.5 * (wc * _horner(_NDTR_T, wc2)
+                             / _horner(_NDTR_U, wc2))
+    tail = ~core
+    zt = z[tail]
+    near = zt < 8.0
+    half = np.empty_like(zt)
+    zn = zt[near]
+    half[near] = (np.exp(-zn * zn) * _horner(_NDTR_P, zn)
+                  / _horner(_NDTR_Q, zn))
+    zf = np.minimum(zt[~near], _NDTR_CLIP)
+    half[~near] = (np.exp(-zf * zf) * _horner(_NDTR_R, zf)
+                   / _horner(_NDTR_S, zf))
+    half *= 0.5
+    out[tail] = np.where(w[tail] > 0.0, 1.0 - half, half)
+    return out.reshape(x.shape)
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros(0),
+    np.linspace(-1.4, 1.4, 41),                           # all core
+    np.concatenate([np.linspace(-80.0, -11.4, 30),        # all far tail
+                    [-np.inf, 11.4, 40.0, np.inf, np.nan]]),
+    np.linspace(-11.3, -1.5, 30),                         # all near tail
+    np.linspace(-30.0, 30.0, 301),                        # every branch
+], ids=["empty", "core", "far", "near", "mixed"])
+def test_ndtr_skipping_branches_changes_no_bit(x):
+    got = ndtr(x)
+    want = _ndtr_every_branch(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_ndtr_keeps_shape_without_warnings():
