@@ -370,12 +370,21 @@ def _scan_rows(scenario: Scenario, scan: dict, diagnostics: Diagnostics):
 
 def _write_report(path: str, wall: float, diagnostics: Diagnostics, stats,
                   resolved: dict, **outcome) -> str:
-    """Write `path`.report.json; `outcome` is output_path or error."""
+    """Write `path`.report.json; `outcome` is output_path or error.
+
+    A failed run's report records a moment check that fails too (its
+    statistics may be what failed) under the check's "error"."""
+    try:
+        moment_check = _moment_check(stats)
+    except ValueError as exc:
+        if "error" not in outcome:
+            raise
+        moment_check = {"error": str(exc)}
     report = {
         "code_version": __version__,
         "wall_time_s": wall,
         "diagnostics": asdict(diagnostics),
-        "moment_check": _moment_check(stats),
+        "moment_check": moment_check,
         **outcome,
         "config": resolved,
     }
@@ -388,8 +397,10 @@ def _write_report(path: str, wall: float, diagnostics: Diagnostics, stats,
 
 def run_config(resolved: dict, out_path: str | None,
                out_format: str | None) -> int:
-    """Run one resolved config; a run that does not converge still
-    writes its report, with the failure under "error", and re-raises."""
+    """Run one resolved config; a run that fails in its scan (no
+    convergence, or a ValueError such as a NaN term, OutOfContract or
+    NonNormalizable) still writes its report, with the failure under
+    "error" and the diagnostics gathered so far, and re-raises."""
     scenario = _build_scenario(resolved)
     fmt = out_format or resolved["output"]["format"]
     path = out_path or resolved["output"]["path"] or f"qcompton_run.{fmt}"
@@ -399,7 +410,7 @@ def run_config(resolved: dict, out_path: str | None,
     started = time.perf_counter()
     try:
         columns, rows = _scan_rows(scenario, resolved["scan"], diagnostics)
-    except TruncationNotConverged as exc:
+    except (TruncationNotConverged, ValueError) as exc:
         _write_report(path, time.perf_counter() - started, diagnostics,
                       scenario.stats, resolved, error=str(exc))
         raise

@@ -9,9 +9,11 @@ evaluated in-package rather than through a platform math library so
 results are bit-stable across OSes.  One evaluator, _bessel_rows,
 takes one order per element: it owns the contract check and splits
 elements into x = 0, the ascending series for small argument
-(all rows summed in one pass) and Miller backward recurrence with
-sum-rule normalization elsewhere (DLMF 10.74), one sweep per call that
-captures each element's rows as it passes their orders.  The sweep
+(rows s and s+1 summed in one pass, row s-1 formed from their scaled
+sums; a shared order column stops on a scalar bound) and Miller
+backward recurrence with sum-rule normalization elsewhere (DLMF
+10.74), one sweep per call that captures each element's rows as it
+passes their orders.  The sweep
 forms each step in place and rescales by the exact power of two 2^-600,
 testing for it only every 8th step: the largest growth a step can have
 in Miller's regime keeps 8 steps far from overflow, and an exact
@@ -23,7 +25,9 @@ orders, one per row of a 2-D argument (an engine pass, whose narrow
 order steps then share one sweep).  Regime boundaries were fixed by
 cross-validation against an arbitrary-precision oracle and are
 constants, not runtime heuristics.  I0 is offered only exponentially
-scaled, as log(e^-x I0(x)), the form its one caller must cancel in.
+scaled, as log(e^-x I0(x)), the form its one caller must cancel in;
+from 1e16 on, where its expansion's corrections are below half an ulp,
+a call returns the leading term -log(2 pi x)/2 alone, the same bits.
 The normal cdf, ndtr, ports to numpy the Cephes rational
 approximations that scipy.special.ndtr evaluates, so the package needs
 numpy alone.
@@ -76,22 +80,28 @@ def _series_threshold(n: np.ndarray) -> np.ndarray:
 
 
 def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Ascending power series for every row at once, x > 0.
+    """Ascending power series for a triple's three rows, x > 0.
 
-    n holds the orders as rows, one column per element of x or a single
-    column shared by all.  Valid for each x below _series_threshold of
-    its lowest order.  One loop over k serves all entries; it stops once
-    the slowest has converged.  An entry that converged earlier only
-    sees further terms below 1e-18 of its sum (past the peak of its
-    terms), which is under half an ulp, so its value is the one a loop
-    of its own would give.
+    n holds the orders s-1, s, s+1 as rows, one column per element of x
+    or a single column shared by all.  Valid for each x below
+    _series_threshold of its lowest order.  Only rows s and s+1 are
+    summed, in one loop over k; it stops once the slowest entry has
+    converged.  An entry that converged earlier only sees further terms
+    below 1e-18 of its sum (past the peak of its terms), which is under
+    half an ulp, so its value is the one a loop of its own would give.
+    Row s-1 comes from the two scaled sums T_n = J_n / lead_n through
+    T_{s-1} = T_s - x^2 / (4 s (s+1)) T_{s+1} and its own lead; unlike
+    (2s/x) J_s - J_{s+1}, that cannot lose J_{s-1} to an underflowed J_s.
     """
     # leading term (x/2)^n / n! in log space; flush underflow to 0
     log_lead = n * np.log(x / 2.0) - _LOG_FACTORIAL[n.astype(np.intp)]
     lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
     neg_q = -(x * x / 4.0)
-    term = np.ones((len(n), x.size))
-    total = np.ones_like(term)
+    pair = n[1:]
+    term = np.ones((2, x.size))
+    # rows s and s+1 are summed in place; row s-1 is filled in at the end
+    rows = np.ones((3, x.size))
+    total = rows[1:]
     # updated in place: on wide calls, fresh (rows x points) temporaries
     # every step cost more than the arithmetic
     mag = np.empty_like(term)
@@ -99,22 +109,35 @@ def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     # no |total| exceeds 1 plus the largest |term| of every step so far,
     # so the test below cannot pass while the largest |term| is above
     # 1e-18 of that bound; until then it is skipped (twice the bound
-    # covers its rounding), which stops the loop at the same k
+    # covers its rounding), which stops the loop at the same k.  With one
+    # order column the largest |term| is row s at the largest q: rounding
+    # is monotone, so a scalar repeating that entry's steps gives it
+    # exactly, without abs and max over the array.
+    shared = n.shape[1] == 1
+    q_max = float(-neg_q.min(initial=0.0))
+    n_s = float(pair[0, 0])
+    top = 1.0
     bound = 1.0
     for k in range(1, 200):
         term *= neg_q
-        term /= k * (n + k)
+        term /= k * (pair + k)
         total += term
-        np.abs(term, out=mag)
-        top = mag.max(initial=0.0)
+        if shared:
+            top = top * q_max / (k * (n_s + k))
+        else:
+            top = np.abs(term, out=mag).max(initial=0.0)
         bound += top
         if top > 2e-18 * bound:
             continue
+        np.abs(term, out=mag)
         np.abs(total, out=tol)
         tol *= 1e-18
         if np.all(mag <= tol):
             break
-    return lead * total
+    np.multiply(neg_q / (n[1] * n[2]), total[1], out=rows[0])
+    rows[0] += total[0]
+    rows *= lead
+    return rows
 
 
 def _miller_start(n_max: int, x_max: float) -> int:
@@ -256,6 +279,9 @@ def bessel_j_triple(s: int, x):
 
 
 _I0_SERIES_MAX = 30.0
+# above this the expansion's log1p(corrections), about 1/(8x), is below
+# half an ulp of -log(2 pi x)/2 (tested), so adding it changes no bit
+_I0_TAIL_CUT = 1e16
 
 
 def _i0_series_log(xs: np.ndarray) -> np.ndarray:
@@ -286,15 +312,22 @@ def bessel_i0_log_scaled(x):
 
     Power series up to x = 30 (I0(30) still fits a double), then the
     large-argument expansion -log(2 pi x)/2 + log1p(sum of 1/x
-    corrections).  The leading exponential is removed analytically, so
-    callers that must cancel a large e^-x factor never form the two big
-    numbers that would otherwise eat their precision.
+    corrections).  From _I0_TAIL_CUT on, the corrections are below half
+    an ulp of the leading term, so a call whose arguments all lie there
+    returns -log(2 pi x)/2 alone, the same bits.  The leading
+    exponential is removed analytically, so callers that must cancel a
+    large e^-x factor never form the two big numbers that would
+    otherwise eat their precision.  NaN gives NaN.
     """
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if xa.size and xa.min() >= _I0_TAIL_CUT:          # NaN fails this
+        out = -0.5 * np.log(2.0 * math.pi * xa)
+        return float(out[0]) if scalar else out
     if np.any(xa < 0.0):
         raise ValueError("argument must be >= 0")
     out = np.zeros_like(xa)
+    out[np.isnan(xa)] = np.nan
 
     small = (xa > 0.0) & (xa <= _I0_SERIES_MAX)
     if small.any():

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from qcompton import cli
+from qcompton import photon_statistics as ps
 
 
 def _base_config(**overrides):
@@ -407,6 +409,35 @@ def test_report_diagnostics_schema(tmp_path, capsys, mode, state, s_max):
     assert all(type(v) is int and v >= 0
                for v in report["diagnostics"].values())
     assert report["diagnostics"]["points"] > 0
+
+
+def test_nan_log_r_exits_2_and_writes_report(tmp_path, capsys, monkeypatch):
+    # statistics whose log R(E) is NaN in the upper half of their support:
+    # the engine's NaN-term ValueError must reach the user as exit 2,
+    # with a report holding the message and the counts gathered so far
+    family = ps.FAMILIES["mixed_diagonal"]
+
+    def nan_upper_half(omega, rho):
+        stats = family(omega, rho)
+
+        def log_r(e):
+            return np.where(e > stats.support_max / 2.0, np.nan,
+                            stats.log_r_fn(e))
+        return dataclasses.replace(stats, log_r_fn=log_r)
+
+    monkeypatch.setitem(ps.FAMILIES, "mixed_diagonal", nan_upper_half)
+    cfg = _base_config()
+    cfg["drive"]["state"] = "mixed_diagonal"
+    code, report = _run_report(tmp_path, cfg)
+    assert code == cli.EXIT_PHYSICS
+    assert "emission term is NaN" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    assert report["error"].startswith("emission term is NaN at order ")
+    assert "output_path" not in report
+    assert report["diagnostics"]["points"] > 0
+    assert report["diagnostics"]["orders_scanned"] >= 1
+    # the moment check meets the same NaN; it is recorded, not raised
+    assert "NaN" in report["moment_check"]["error"]
 
 
 def test_exit_code_on_s_max_beyond_bessel_contract(tmp_path, capsys):

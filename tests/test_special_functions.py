@@ -10,12 +10,14 @@ import pytest
 import scipy.special
 
 from qcompton import special_functions
-from qcompton.special_functions import (_NDTR_CLIP, _NDTR_P, _NDTR_Q,
-                                        _NDTR_R, _NDTR_S, _NDTR_T,
-                                        _NDTR_U, _RESCALE_EVERY,
+from qcompton.special_functions import (_I0_TAIL_CUT, _NDTR_CLIP,
+                                        _NDTR_P, _NDTR_Q, _NDTR_R,
+                                        _NDTR_S, _NDTR_T, _NDTR_U,
+                                        _RESCALE_EVERY,
                                         _RESCALE_THRESHOLD, _SERIES_CAP,
                                         MAX_ARGUMENT, MAX_ORDER,
                                         OutOfContract, _horner,
+                                        _i0_asymptotic_tail,
                                         _jn_series, _miller_start,
                                         _series_threshold,
                                         bessel_i0_log_scaled,
@@ -71,13 +73,23 @@ def test_bessel_j_oscillatory_region():
         assert abs(got - want) <= 1e-11 * amp, (n, x, got, want)
 
 
+# 25-digit values at the cases' largest arguments, from mpmath.besselj at
+# the oracle's 40 + 0.55 x digits (unchanged at 60 digits more):
+# J_10000(9990) alone takes about 8 s there.  J_5000(2500) = 3.94e-982 is
+# below the double range and parses as 0.
+_J_AT_HIGH_ARGUMENTS = {(5000, 2500.0): 3.937105195202580025427163e-982,
+                        (10000, 9990.0): 1.245942468094699983428784e-2,
+                        (2000, 1999.5): 3.421102977699910540902656e-2}
+
+
 def test_bessel_j_huge_orders():
     # the regime the harmonic ladder actually visits: order comparable
     # to or far above the argument
     cases = [(100, 95.0), (500, 480.0), (1000, 30.0), (5000, 2500.0),
              (10000, 9990.0), (2000, 1999.5), (300, 10.0)]
     for n, x in cases:
-        want = _oracle_jn(n, x)
+        want = (_J_AT_HIGH_ARGUMENTS[n, x] if (n, x) in _J_AT_HIGH_ARGUMENTS
+                else _oracle_jn(n, x))
         got = _jn(n, x)
         if want == 0.0 or abs(want) < 1e-290:
             assert abs(got) <= 1e-280
@@ -164,23 +176,66 @@ def _series_testing_every_step(n, x):
     return lead * total
 
 
-def test_series_stops_where_a_test_at_every_step_would():
-    # the series skips its convergence test while no term can pass it;
-    # it must stop at the same step, so every value is bitwise the same
-    # near zeros of J_0 and J_1 the sums cancel far below the terms
-    zeros = np.array([2.404825557695773, 3.831705970207512,
-                      5.520078110286311, 7.015586669815619])
+# near zeros of J_0 and J_1 the sums cancel far below the terms
+_J01_ZEROS = np.array([2.404825557695773, 3.831705970207512,
+                       5.520078110286311, 7.015586669815619])
+
+
+def _series_cases():
+    """(orders, x) per order s: triples at one shared order column and at
+    an order per element, over the series range and near zeros."""
     rng = np.random.default_rng(5)
     for s in (1, 2, 7, 40, 400):
         n = s + np.arange(-1.0, 2.0)[:, None]
         cap = max(_SERIES_CAP, 2.0 * math.sqrt(s - 1))
-        near_zeros = zeros[:, None] * (1.0 + np.linspace(-1e-9, 1e-9, 5))
+        near_zeros = _J01_ZEROS[:, None] * (1.0 + np.linspace(-1e-9, 1e-9, 5))
         x = np.concatenate([rng.uniform(1e-3, cap, 300),
                             near_zeros.ravel()])
-        assert (_jn_series(n, x) == _series_testing_every_step(n, x)).all()
-        per_element = n + rng.integers(0, 3, x.size)
-        assert (_jn_series(per_element, x)
-                == _series_testing_every_step(per_element, x)).all()
+        yield n, x
+        yield n + rng.integers(0, 3, x.size), x
+
+
+def test_series_stops_where_a_test_at_every_step_would():
+    # the series sums rows s and s+1 and skips its convergence test while
+    # no term can pass it; it must stop at the step a test at every step
+    # over those rows would, so both rows are bitwise the same
+    for n, x in _series_cases():
+        assert (_jn_series(n, x)[1:]
+                == _series_testing_every_step(n[1:], x)).all()
+
+
+def test_series_row_below_against_oracle():
+    # row s-1 comes from the two summed rows, not from a sum of its own:
+    # relative to the oracle, or where J_{s-1} oscillates and is small
+    # (beside its zeros) at its amplitude scale sqrt(2 / (pi x))
+    for n, x in _series_cases():
+        got = _jn_series(n, x)[0]
+        for order, xv, g in zip(np.broadcast_to(n[0], x.shape).tolist(),
+                                x.tolist(), got.tolist()):
+            want = _oracle_jn(int(order), xv)
+            amp = math.sqrt(2.0 / (math.pi * xv))
+            if abs(want) < 1e-280:
+                assert abs(g) < 1e-270, (order, xv, g)
+            elif xv > order and abs(want) < 0.1 * amp:
+                assert abs(g - want) <= 1e-12 * amp, (order, xv, g, want)
+            else:
+                assert _close(g, want, 1e-12), (order, xv, g, want)
+
+
+@pytest.mark.parametrize("s, x", [(2, 1e-200), (1, 1e-300)])
+def test_series_row_below_survives_underflow(s, x):
+    # J_{s+1}, and at s = 2 also J_s, underflow to 0 while J_{s-1} does
+    # not: the scaled sums keep it, in both order layouts, where
+    # (2s/x) J_s - J_{s+1} would give 0 at s = 2
+    per_element = bessel_j_triples(np.array([s, s]), np.array([x, x]))
+    for triple in (bessel_j_triple(s, x), [v[0] for v in per_element]):
+        for got, order in zip(triple, (s - 1, s, s + 1)):
+            want = _oracle_jn(order, x)
+            if want == 0.0:
+                assert got == 0.0, (order, got)
+            else:
+                assert _close(got, want, 1e-12), (order, got, want)
+        assert triple[0] > 0.0 and triple[2] == 0.0
 
 
 # order 1 just inside Miller's regime, where one step grows J the most,
@@ -314,6 +369,34 @@ def test_i0_log_scaled_relation():
 def test_i0_rejects_negative():
     with pytest.raises(ValueError):
         bessel_i0_log_scaled(-1.0)
+
+
+def test_i0_log_scaled_keeps_nan():
+    # a NaN log R must reach the engine's NaN check, not read 0
+    assert math.isnan(bessel_i0_log_scaled(float("nan")))
+    x = np.array([0.0, 1.0, np.nan, 40.0, 1e17])
+    got = bessel_i0_log_scaled(x)
+    assert np.isnan(got).tolist() == [False, False, True, False, False]
+    assert got[0] == 0.0
+    beside_cut = bessel_i0_log_scaled(np.array([1e17, np.nan]))
+    assert np.isnan(beside_cut).tolist() == [False, True]
+
+
+def test_i0_tail_cut_is_provable():
+    # from _I0_TAIL_CUT on, log1p of the expansion's corrections (below
+    # twice the first, 1/(8x)) is under half the gap from
+    # |log(2 pi x)/2| to the next double toward zero, and the two only
+    # move apart as x grows: the cut returns the expansion's bits
+    lead = 0.5 * math.log(2.0 * math.pi * _I0_TAIL_CUT)
+    gap = lead - float(np.nextafter(lead, 0.0))
+    assert 2.0 / (8.0 * _I0_TAIL_CUT) < 0.5 * gap
+    x = np.geomspace(_I0_TAIL_CUT, 1e300, 2001)
+    assert np.array_equal(bessel_i0_log_scaled(x), _i0_asymptotic_tail(x))
+    # the same bits one element at a time and beside arguments below it
+    assert bessel_i0_log_scaled(_I0_TAIL_CUT) == _i0_asymptotic_tail(
+        np.array([_I0_TAIL_CUT]))[0]
+    mixed = bessel_i0_log_scaled(np.concatenate([[50.0], x]))
+    assert np.array_equal(mixed[1:], _i0_asymptotic_tail(x))
 
 
 # --------------------------------------------------------------- normal cdf
