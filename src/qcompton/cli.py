@@ -370,7 +370,8 @@ def _scan_rows(scenario: Scenario, scan: dict, diagnostics: Diagnostics):
 
 def _write_report(path: str, wall: float, diagnostics: Diagnostics, stats,
                   resolved: dict, **outcome) -> str:
-    """Write `path`.report.json; `outcome` is output_path or error.
+    """Write `path`.report.json; `outcome` is output_path, or error and
+    failure (the failing point an exception carries, or None).
 
     A failed run's report records a moment check that fails too (its
     statistics may be what failed) under the check's "error"."""
@@ -412,7 +413,8 @@ def run_config(resolved: dict, out_path: str | None,
         columns, rows = _scan_rows(scenario, resolved["scan"], diagnostics)
     except (TruncationNotConverged, ValueError) as exc:
         _write_report(path, time.perf_counter() - started, diagnostics,
-                      scenario.stats, resolved, error=str(exc))
+                      scenario.stats, resolved, error=str(exc),
+                      failure=getattr(exc, "failure", None))
         raise
     wall = time.perf_counter() - started
 

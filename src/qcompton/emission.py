@@ -63,6 +63,19 @@ class TruncationNotConverged(RuntimeError):
     """Harmonic sum hit the order cap before meeting the tolerance."""
 
 
+def with_failure(exc: Exception, theta: float, omega_prime, order: int,
+                 e_field=None) -> Exception:
+    """exc carrying the point it failed at as its `failure` attribute,
+    the record a run report writes: theta' (deg), omega' (eV), the order
+    reached and, for a NaN term, the effective field E (eV^2)."""
+    exc.failure = {"theta_prime_deg": math.degrees(theta),
+                   "omega_prime_eV": (None if omega_prime is None
+                                      else float(omega_prime)),
+                   "order": int(order),
+                   "e_field_eV2": None if e_field is None else float(e_field)}
+    return exc
+
+
 @dataclass
 class Diagnostics:
     """Truncation counters of a run, added to by each engine pass and
@@ -212,6 +225,16 @@ def bessel_bracket(s, xi, zeta_x):
     return zeta_x * (jm * jm + jp * jp - 2.0 * jc * jc) - jc * jc
 
 
+def _log_terms(stats: PhaseAveragedStatistics, bracket, e_field):
+    """log |term| (-inf for a zero bracket) and sign of each bracket
+    entry, weighted by R at its effective field."""
+    log_w = stats.log_r(e_field.ravel()).reshape(e_field.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = np.where(bracket != 0.0, np.log(np.abs(bracket)) + log_w,
+                            -np.inf)
+    return log_term, np.sign(bracket)
+
+
 def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                             omega: float, theta, phi, omega_prime, *,
                             rel_tol: float = DEFAULT_REL_TOL,
@@ -238,13 +261,22 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     and its rows after it converged are dropped unsummed.  Both kinds of
     unsummed entries are counted as overcomputed.
 
+    The state is one table with a column per live point, sorted once by
+    first allowed order; the joined, unconverged points are its leading
+    columns.  A block's joiners are the next slice of the sorted rest,
+    so the columns a row sums are a prefix, and points that converged
+    in a block leave at its end.  Every Bessel and log R call sees the
+    same elements as a pass in point order, and each step is
+    elementwise, so the result does not depend on the order.
+
     Per point, the sum starts at the lowest kinematically allowed order
     and stops once DEFAULT_PATIENCE consecutive orders contribute less
     than rel_tol of the running sum (terms are accumulated in log space
     with a running max-shift, so far-tail orders underflow harmlessly).
     Raises TruncationNotConverged if any point is still live at s_max,
     and ValueError if a summed term is NaN, as statistics whose log R(E)
-    is NaN make it.
+    is NaN make it; either names the lowest-index failing point, and
+    carries it as `failure` (see with_failure).
     Counters go into `diagnostics` order by order, so they survive a raise.
     """
     if stats.is_atomic:
@@ -264,7 +296,14 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     diagnostics.add(points=n_pts)
 
     kp = _drive_dot(p, omega)
-    kappa, piprime, ke_unit = _direction_invariants(p, omega, th, ph)
+    # the direction invariants once per run of equal directions
+    new_dir = np.ones(n_pts, dtype=bool)
+    new_dir[1:] = (th[1:] != th[:-1]) | (ph[1:] != ph[:-1])
+    heads = np.flatnonzero(new_dir)
+    runs = np.diff(np.append(heads, n_pts))
+    kappa, piprime, ke_unit = (
+        np.repeat(v, runs)
+        for v in _direction_invariants(p, omega, th[heads], ph[heads]))
     kkp = wp * kappa
     # as accurate as the given omega' allows: near the ceiling k.p/kappa
     # the difference only exposes the rounding of omega'
@@ -272,8 +311,9 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit, wp, kpprime)
     alive = (kappa > 0.0) & (kpprime > 0.0)
 
+    out = np.zeros(n_pts)
     if not alive.any():
-        return np.zeros(n_pts)
+        return out
 
     with np.errstate(divide="ignore", invalid="ignore"):
         prefactor = (omega * omega * wp * _MASS_SQ * kp
@@ -285,127 +325,166 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     edge_field = EDGE_FIELD_FRACTION * math.sqrt(2.0 * stats.energy_density)
     support_max = stats.support_max
 
-    shift = np.full(n_pts, -np.inf)       # running log-magnitude reference
-    acc = np.zeros(n_pts)                 # sum in units of exp(shift)
-    streak = np.zeros(n_pts, dtype=np.int64)
-    converged = ~alive
+    # one column per live point, by first order (ties in point order):
+    # the constants, the point's index, then acc (the sum in units of
+    # exp(shift)), shift (the running log-magnitude reference) and the
+    # streak of negligible terms.  The joined, unconverged points are
+    # its first n columns; those from column `joined` on have not joined.
+    live_pts = np.flatnonzero(alive)
+    live_pts = live_pts[np.argsort(s_min[live_pts], kind="stable")]
+    starts = s_min[live_pts]
+    n_live = live_pts.size
+    table = np.vstack([v[live_pts] for v in (kpprime, b_lin, kkp, abs_d,
+                                             x_fac, s_min)]
+                      + [live_pts, np.zeros(n_live), np.full(n_live, -np.inf),
+                         np.zeros(n_live)])
+    n = joined = 0
 
-    s = int(s_min[alive].min())
+    s = int(starts[0])
     while s <= s_max:
-        pending = ~converged
-        width = int(np.count_nonzero(pending & (s_min < s + ORDER_BLOCK)))
+        width = n + int(np.searchsorted(starts, s + ORDER_BLOCK)) - joined
         if width == 0:
-            if not pending.any():
+            if joined == n_live:
                 break
-            s = int(s_min[pending].min())   # skip orders nobody needs
+            s = int(starts[joined])       # skip orders nobody needs
             continue
         # a block of orders s ... s + B - 1 over the points that join by
         # its end; B * points stays within BLOCK_ELEMENTS unless B = 1
         n_rows = min(ORDER_BLOCK, max(1, BLOCK_ELEMENTS // width),
                      s_max - s + 1)
-        idx = np.flatnonzero(pending & (s_min < s + n_rows))
-        orders = np.arange(s, s + n_rows)[:, None]
-        active = orders >= s_min[idx]     # rows from each point's s_min
+        stop = int(np.searchsorted(starts, s + n_rows))
+        orders = np.arange(s, s + n_rows)
+        # the joiners follow the old points in order of s_min, so the
+        # columns active in a row are a prefix
+        ends = n + np.searchsorted(starts[joined:stop], orders, side="right")
+        if n < joined:
+            table[:, n:n + stop - joined] = table[:, joined:stop]
+        n += stop - joined
+        joined = stop
+        kpp, b, kk, ad, xf, sm, index, acc, shift, streak = table[:, :n]
+        orders = orders[:, None]
 
         # closed form in s, so every row of the block is one expression;
         # theta vanishes at the order's cutoff, where the difference is
         # as accurate as the given omega' and the term goes to the edge
         # guard
-        kpp = kpprime[idx]
-        theta_arg = np.maximum(orders * kpp - b_lin[idx], 0.0)
-        q = np.sqrt(kp * theta_arg / kkp[idx])
+        theta_arg = np.maximum(orders * kpp - b, 0.0)
+        q = np.sqrt(kp * theta_arg / kk)
         e_field = (2.0 * omega / E_CHARGE) * q
-        xi = 2.0 * q * abs_d[idx]
-        zeta_x = theta_arg / kpp * x_fac[idx]
+        xi = 2.0 * q * ad
+        zeta_x = theta_arg / kpp * xf
 
         # one Bessel sweep and one log R call for the block; entries that
         # are not live sit at xi = 0, which costs the sweep nothing
         on_edge = e_field < edge_field
-        live = active & ~on_edge
-        log_term = np.full(live.shape, -np.inf)
-        sign = np.zeros(live.shape)
-        if live.any():
-            bracket = bessel_bracket(s, np.where(live, xi, 0.0),
-                                     zeta_x)[live]
-            log_w = stats.log_r(e_field[live])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_term[live] = np.where(bracket != 0.0,
-                                          np.log(np.abs(bracket)) + log_w,
-                                          -np.inf)
-            sign[live] = np.sign(bracket)
+        live = ~on_edge if ends[0] == n else (orders >= sm) & ~on_edge
+        every = bool(live.all())
+        if every:
+            log_term, sign = _log_terms(
+                stats, bessel_bracket(s, xi, zeta_x), e_field)
+        else:
+            log_term = np.full(live.shape, -np.inf)
+            sign = np.zeros(live.shape)
+            if live.any():
+                bracket = bessel_bracket(s, np.where(live, xi, 0.0), zeta_x)
+                log_term[live], sign[live] = _log_terms(
+                    stats, bracket[live], e_field[live])
 
         # the rows in order, each summed as one order at a time would be
-        summing = np.ones(idx.size, dtype=bool)   # not converged yet
+        summing = None                    # all, until a point converges
         for row in range(n_rows):
             order = s + row
-            now = active[row] & summing
-            n_now = int(np.count_nonzero(now))
+            m = int(ends[row])
+            # the columns summing this order: the first m, less any that
+            # converged earlier in the block
+            on = np.True_ if summing is None else summing[:m]
+            n_now = m if summing is None else int(np.count_nonzero(on))
             if n_now == 0:
                 # evaluated in vain: points before their s_min or after
                 # they converged
-                diagnostics.add(overcomputed=idx.size)
+                diagnostics.add(overcomputed=n)
                 continue
-            take = slice(None) if n_now == idx.size else np.flatnonzero(now)
-            i_now = idx[take]
-            lt = log_term[row][take]
-            e_now = e_field[row][take]
+            lt = log_term[row, :m]
+            e_now = e_field[row, :m]
             zero_term = ~np.isfinite(lt)
-            if zero_term.any():
-                bad = np.isnan(lt)
+            any_zero = bool(zero_term.any())
+            if any_zero:
+                bad = np.isnan(lt) & on
                 if bad.any():
-                    i = i_now[bad][0]
-                    raise ValueError(
+                    cols = np.flatnonzero(bad)
+                    c = cols[np.argmin(index[cols])]
+                    i = int(index[c])
+                    raise with_failure(ValueError(
                         f"emission term is NaN at order {order}, theta'="
                         f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} "
-                        f"eV, E={e_now[bad][0]:.6g} eV^2 (log R(E) or the "
-                        f"Bessel bracket is NaN)")
-            diagnostics.add(highest_order=0 if zero_term.all() else order,
+                        f"eV, E={e_now[c]:.6g} eV^2 (log R(E) or the "
+                        f"Bessel bracket is NaN)"), th[i], wp[i], order,
+                        e_now[c])
+            all_zero = any_zero and bool((zero_term | ~on).all())
+            diagnostics.add(highest_order=0 if all_zero else order,
                             orders_scanned=order,
-                            edge_guarded=int(np.count_nonzero(
-                                on_edge[row][take])),
-                            overcomputed=idx.size - n_now)
+                            edge_guarded=0 if every else int(np.count_nonzero(
+                                on_edge[row, :m] & on)),
+                            overcomputed=n - n_now)
 
-            # max-shift accumulation
-            sg = sign[row][take]
-            sh = shift[i_now]
-            grow = lt > sh
-            if grow.any():
-                g = i_now[grow]
-                acc[g] = acc[g] * np.exp(sh[grow] - lt[grow]) + sg[grow]
-                shift[g] = lt[grow]
-                sh = np.where(grow, lt, sh)
-            rest = ~grow & ~zero_term
-            if rest.any():
-                r = i_now[rest]
-                acc[r] += sg[rest] * np.exp(lt[rest] - sh[rest])
-
-            # convergence bookkeeping: a term is negligible if it is below
-            # rel_tol of the running sum; an exact zero with no sum yet
-            # only counts once the effective field has left the
-            # statistics' support (protects states whose R starts above
-            # E = 0).
-            sums = acc[i_now]
+            # max-shift accumulation, in place: with d = lt - shift,
+            # exp(-|d|) is exp(shift - lt) for a growing term, which
+            # becomes the new shift, and exp(lt - shift) for any other; a
+            # zero term adds nothing.  Then the convergence bookkeeping: a
+            # term is negligible if it is below rel_tol of the running sum
+            # (over the new shift a growing term is 1); an exact zero with
+            # no sum yet only counts once the effective field has left
+            # the statistics' support (protects states whose R starts
+            # above E = 0).
+            a, sh, st = acc[:m], shift[:m], streak[:m]
+            sg = sign[row, :m]
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.exp(lt - sh) / np.abs(sums)
-            small_term = np.where(
-                sums == 0.0,
-                zero_term & (e_now > support_max),
-                (ratio < rel_tol) | zero_term)
-            st = np.where(small_term, streak[i_now] + 1, 0)
-            streak[i_now] = st
-            done = st >= DEFAULT_PATIENCE
-            converged[i_now] = done           # none of them was before
-            summing[take] = ~done
+                e = lt - sh                   # NaN where both are -inf
+                grow = (e > 0.0) & on
+                rest = ~grow & on
+                np.abs(e, out=e)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                if any_zero:
+                    e[zero_term] = 0.0
+                grown = a * e
+                grown += sg
+                np.add(a, sg * e, out=a, where=rest)
+                np.copyto(a, grown, where=grow)
+                np.copyto(sh, lt, where=grow)
+                np.copyto(e, 1.0, where=grow)
+                small = e / np.abs(a) < rel_tol
+            if any_zero:
+                small = np.where(a == 0.0, zero_term & (e_now > support_max),
+                                 small | zero_term)
+            np.add(st, 1.0, out=st, where=on)
+            np.copyto(st, 0.0, where=~small & on)
+            done = (st >= DEFAULT_PATIENCE) & on
+            if done.any():
+                if summing is None:
+                    summing = np.ones(n, dtype=bool)
+                summing[:m] &= ~done
         s += n_rows
 
-    if not np.all(converged):
-        bad = np.nonzero(~converged)[0]
-        raise TruncationNotConverged(
-            f"{bad.size} of {n_pts} points still above rel_tol={rel_tol} "
-            f"at order cap s_max={s_max}; first at theta'="
-            f"{math.degrees(th[bad[0]]):.6g} deg, omega'={wp[bad[0]]:.6g} eV")
+        # the block's converged points leave, their density written out;
+        # kept columns from the end fill their places
+        if summing is not None:
+            gone = ~summing
+            i = index[gone].astype(np.intp)
+            out[i] = prefactor[i] * acc[gone] * np.exp(shift[gone])
+            n -= i.size
+            holes = np.flatnonzero(gone[:n])
+            table[:, holes] = table[:, n + np.flatnonzero(summing[n:])]
 
-    return np.where(alive, prefactor * acc * np.exp(shift), 0.0)
+    left = np.concatenate((table[6, :n], table[6, joined:]))   # indices
+    if left.size:
+        i = int(left.min())
+        raise with_failure(TruncationNotConverged(
+            f"{left.size} of {n_pts} points still above rel_tol={rel_tol} "
+            f"at order cap s_max={s_max}; first at theta'="
+            f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} eV"),
+            th[i], wp[i], s_max)
+    return out
 
 
 def smooth_spectral_density(stats: PhaseAveragedStatistics, p: FourVector,

@@ -378,9 +378,13 @@ def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,
         if total > 0.0 and got <= rel_tol * total:
             return entries
         s_lo = s_hi + 1
-    raise emission.TruncationNotConverged(
-        f"coherent ladder still gaining weight at order {s_max}; "
-        f"theta'={math.degrees(geometry.theta):.6g} deg")
+    last = entries[-1] if entries else None     # the highest line reached
+    raise emission.with_failure(
+        emission.TruncationNotConverged(
+            f"coherent ladder still gaining weight at order {s_max}; "
+            f"theta'={math.degrees(geometry.theta):.6g} deg"),
+        geometry.theta, None if last is None else last.omega_prime,
+        s_max if last is None else last.order)
 
 
 def _peak_sigmas(scenario: Scenario, geometry, entries) -> list:

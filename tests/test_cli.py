@@ -378,6 +378,9 @@ def _run_report(tmp_path, cfg):
     return code, json.loads((tmp_path / "x.csv.report.json").read_text())
 
 
+FAILURE_KEYS = ["theta_prime_deg", "omega_prime_eV", "order", "e_field_eV2"]
+
+
 def test_nonconvergence_report_counts_thermal_pass(tmp_path, capsys):
     cfg = _base_config(numerics={"s_max": 2})
     cfg["drive"]["state"] = "thermal"
@@ -385,6 +388,14 @@ def test_nonconvergence_report_counts_thermal_pass(tmp_path, capsys):
     assert code == cli.EXIT_NONCONVERGENCE
     assert report["diagnostics"]["points"] > 0
     assert report["diagnostics"]["orders_scanned"] == 2
+    # the engine's cap names its point: the angle and frequency the
+    # message gives, the cap as the order reached, and no field
+    failure = report["failure"]
+    assert list(failure) == FAILURE_KEYS
+    assert failure["theta_prime_deg"] == pytest.approx(159.9, rel=1e-12)
+    assert f"omega'={failure['omega_prime_eV']:.6g} eV" in report["error"]
+    assert failure["order"] == 2
+    assert failure["e_field_eV2"] is None
 
 
 def test_nonconvergence_report_counts_coherent_ladder(tmp_path, capsys):
@@ -392,6 +403,12 @@ def test_nonconvergence_report_counts_coherent_ladder(tmp_path, capsys):
     assert code == cli.EXIT_NONCONVERGENCE
     assert report["diagnostics"]["points"] == 200
     assert report["diagnostics"]["highest_order"] >= 1
+    # the ladder names its angle and the highest line it reached
+    failure = report["failure"]
+    assert list(failure) == FAILURE_KEYS
+    assert failure["theta_prime_deg"] == pytest.approx(159.9, rel=1e-12)
+    assert failure["order"] == 2 and failure["omega_prime_eV"] > 0.0
+    assert failure["e_field_eV2"] is None
 
 
 @pytest.mark.parametrize("s_max", [9999, 2])
@@ -436,6 +453,14 @@ def test_nan_log_r_exits_2_and_writes_report(tmp_path, capsys, monkeypatch):
     assert "output_path" not in report
     assert report["diagnostics"]["points"] > 0
     assert report["diagnostics"]["orders_scanned"] >= 1
+    # the failing term's point, as the message names it
+    failure = report["failure"]
+    assert list(failure) == FAILURE_KEYS
+    assert report["error"].startswith(
+        f"emission term is NaN at order {failure['order']}, theta'="
+        f"{failure['theta_prime_deg']:.6g} deg, omega'="
+        f"{failure['omega_prime_eV']:.6g} eV, E="
+        f"{failure['e_field_eV2']:.6g} eV^2")
     # the moment check meets the same NaN; it is recorded, not raised
     assert "NaN" in report["moment_check"]["error"]
 

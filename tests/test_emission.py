@@ -529,6 +529,90 @@ def test_order_blocks_raise_as_single_orders(monkeypatch):
     assert capped[0] == capped[1]
 
 
+def _wide_points():
+    # two directions in runs of 1 300 points each, 2 600 points in all:
+    # wider than BLOCK_ELEMENTS / 2, so the pass opens one order at a time
+    wp = np.linspace(0.3, 12.0, 1300)
+    th = np.repeat(np.radians([150.0, 159.9]), wp.size)
+    return AT_REST, th, np.tile(wp, 2)
+
+
+@pytest.mark.parametrize("points", [_wide_points, _staggered_points])
+def test_point_order_changes_no_bit(monkeypatch, points):
+    # the engine sorts its points by first order and compacts them as
+    # they converge: given in any order, every point gets the same bits
+    # and the pass the same counts
+    p, th, wp = points()
+    base, diag, rows = _engine_run(monkeypatch, BLOCK, (p, th, wp))
+    assert (rows[0] == 1) == (th.size > emission.BLOCK_ELEMENTS // 2)
+    assert np.count_nonzero(base) > 0.5 * base.size
+    rng = np.random.default_rng(7)
+    for perm in (np.arange(th.size)[::-1], rng.permutation(th.size)):
+        out, d, _ = _engine_run(monkeypatch, BLOCK, (p, th[perm], wp[perm]))
+        assert np.array_equal(out, base[perm])
+        assert d == diag
+
+
+def test_runs_of_one_theta_keep_their_own_phi():
+    # direction invariants are formed once per run of equal (theta',
+    # phi'): runs that share theta' but not phi' keep their own values,
+    # which an electron with transverse momentum makes distinct
+    drive = drive_for(9e16)
+    stats = thermal_stats(drive.omega, drive.rho)
+    p = electron_momentum(2.0, (0.6, 0.0, 0.8)).p
+    wp = np.linspace(0.5, 3.0, 50)
+    th = np.full(2 * wp.size, math.radians(150.0))
+    ph = np.repeat([0.3, 2.0], wp.size)
+    both = spectral_density_points(stats, p, OMEGA, th, ph, np.tile(wp, 2))
+    for k in range(2):
+        run = slice(k * wp.size, (k + 1) * wp.size)
+        alone = spectral_density_points(stats, p, OMEGA, th[run], ph[run], wp)
+        assert np.array_equal(both[run], alone)
+    assert not np.array_equal(both[:wp.size], both[wp.size:])
+
+
+def test_nan_names_lowest_index_point_whatever_the_order(monkeypatch):
+    # points given in descending first order, and every term of one
+    # order NaN: the error names the lowest-index point summing that
+    # order, as a pass in point order does, though the pass sorts them
+    drive = drive_for(9e16)
+    stats = thermal_stats(drive.omega, drive.rho)
+    p, th, wp = _staggered_points()
+    th, wp, ph = th[::-1], wp[::-1], np.zeros_like(th)
+    nan_order = 20
+    # a point sums from its first allowed order until it converges,
+    # which a pass of that point alone reports as its last order
+    geom = EmissionGeometry(theta=th[0])
+    summing = []
+    for i, w in enumerate(wp):
+        first = next(s for s in range(1, 100)
+                     if kinematic_max_frequency(s, p, OMEGA, geom) > w)
+        diag = Diagnostics()
+        spectral_density_points(stats, p, OMEGA, th[i:i + 1], ph[i:i + 1],
+                                wp[i:i + 1], diagnostics=diag)
+        if first <= nan_order <= diag.orders_scanned:
+            summing.append((i, first))
+    assert len({first for _, first in summing}) > 1
+    i = min(summing)[0]
+
+    bracket = emission.bessel_bracket
+
+    def nan_row(s, xi, zeta_x):
+        out = bracket(s, xi, zeta_x)
+        if s <= nan_order < s + len(out):
+            out[nan_order - s] = np.nan
+        return out
+
+    monkeypatch.setattr(emission, "bessel_bracket", nan_row)
+    with pytest.raises(ValueError) as nan_error:
+        spectral_density_points(stats, p, OMEGA, th, ph, wp)
+    assert str(nan_error.value).startswith(
+        f"emission term is NaN at order {nan_order}, theta'=159.9 deg, "
+        f"omega'={wp[i]:.6g} eV")
+    failure = nan_error.value.failure
+    assert (failure["order"], failure["omega_prime_eV"]) == (nan_order, wp[i])
+
+
 # ------------------------------------------------------- bracket combination
 
 def _oracle_bracket(s, xi, zeta_x):
