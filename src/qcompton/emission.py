@@ -343,16 +343,17 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     s = int(starts[0])
     while s <= s_max:
         width = n + int(np.searchsorted(starts, s + ORDER_BLOCK)) - joined
-        if width == 0:
+        # a block of orders s ... s + B - 1 over the points that join by
+        # its end; B * points stays within BLOCK_ELEMENTS unless B = 1
+        n_rows = min(ORDER_BLOCK, max(1, BLOCK_ELEMENTS // max(width, 1)),
+                     s_max - s + 1)
+        stop = int(np.searchsorted(starts, s + n_rows))
+        if n + stop == joined:
+            # no point is summing or joins by the block's end
             if joined == n_live:
                 break
             s = int(starts[joined])       # skip orders nobody needs
             continue
-        # a block of orders s ... s + B - 1 over the points that join by
-        # its end; B * points stays within BLOCK_ELEMENTS unless B = 1
-        n_rows = min(ORDER_BLOCK, max(1, BLOCK_ELEMENTS // width),
-                     s_max - s + 1)
-        stop = int(np.searchsorted(starts, s + n_rows))
         orders = np.arange(s, s + n_rows)
         # the joiners follow the old points in order of s_min, so the
         # columns active in a row are a prefix

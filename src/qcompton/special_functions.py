@@ -15,9 +15,11 @@ backward recurrence with sum-rule normalization elsewhere (DLMF
 10.74), one sweep per call that captures each element's rows as it
 passes their orders.  The sweep
 forms each step in place and rescales by the exact power of two 2^-600,
-testing for it only every 8th step: the largest growth a step can have
-in Miller's regime keeps 8 steps far from overflow, and an exact
-rescale gives the same bits whenever it is made.  Two entry
+as dense multiplies, testing for it only as often as the call's own
+growth bound requires: the largest growth a step can have from the
+call's start order at its smallest argument fixes how many steps stay
+clear of overflow, and an exact rescale gives the same bits whenever it
+is made.  Two entry
 points share it: bessel_j_triples takes an order array shaped like the
 argument (a coherent ladder batch in one call), bessel_j_triple one
 order for every point of a 1-D argument, or a block of consecutive
@@ -56,14 +58,18 @@ _MILLER_PAD_SCALE = 15.0
 
 # Miller rescaling: an element whose unnormalized J passes 2^600 is
 # scaled by 2^-600, which is exact, so when it happens changes no bit
-# (bar entries that underflow, which flush to zero by contract).  The
-# test runs every _RESCALE_EVERY steps only.  Every Miller element has
-# x > _SERIES_CAP, so one step grows max(|J_m|, |J_{m+1}|) by at most
-# 2 m_start / _SERIES_CAP + 1, about 2 600 at MAX_ORDER; 8 steps then
-# grow it by at most ~2e27, far inside finfo.max / 2^600 ~ 4e127.
+# (bar entries that underflow, which flush to zero by contract).  A call
+# tests for it only as often as its own growth bound requires.  Every
+# Miller element has x > _SERIES_CAP, so one step grows max(|J_m|,
+# |J_{m+1}|) by at most g = 2 m_start / x_min + 1, x_min the call's
+# smallest argument; the test then runs every L steps, g^L within
+# _RESCALE_HEADROOM.  Between two tests no value passes 2^600 g^L <=
+# 2^1000, below finfo.max ~ 2^1024, and one rescale brings it back under
+# 2^400.  L is 35 at the MAX_ORDER corner and 78-145 on the sweeps of
+# the fig3 thermal scan.
 _RESCALE_THRESHOLD = 2.0 ** 600
 _RESCALE_FACTOR = 2.0 ** -600
-_RESCALE_EVERY = 8
+_RESCALE_HEADROOM = 2.0 ** 400
 
 # log n! for every order a triple can reach, so the series looks its
 # leading terms up instead of calling lgamma per element
@@ -115,7 +121,7 @@ def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     # exactly, without abs and max over the array.
     shared = n.shape[1] == 1
     q_max = float(-neg_q.min(initial=0.0))
-    n_s = float(pair[0, 0])
+    n_s = float(pair[0, 0]) if shared else 0.0
     top = 1.0
     bound = 1.0
     for k in range(1, 200):
@@ -147,20 +153,30 @@ def _miller_start(n_max: int, x_max: float) -> int:
     return m_start + m_start % 2
 
 
+def _rescale_interval(m_start: int, x_min: float) -> int:
+    """Steps between two rescale tests of a sweep from m_start whose
+    smallest argument is x_min: the most steps L with g^L within
+    _RESCALE_HEADROOM, g = 2 m_start / x_min + 1 the largest growth of
+    one step."""
+    return int(math.log(_RESCALE_HEADROOM, 2.0 * m_start / x_min + 1.0))
+
+
 def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Backward recurrence with sum-rule normalization, one sweep.
 
     Returns normalized J_n(x) as a (len(n), x.size) array, n laid out as
     for _jn_series.  The sweep starts above the largest order and
     argument of the call and captures each entry as m passes its order;
-    each element is normalized by its own sum.  All x must be positive;
-    the caller routes small arguments to the series.  Every
-    _RESCALE_EVERY steps, elements with J_m or J_{m+1} above
+    each element is normalized by its own sum.  All x must exceed
+    _SERIES_CAP; the caller routes smaller arguments to the series.
+    Every _rescale_interval steps, elements with J_m or J_{m+1} above
     _RESCALE_THRESHOLD are scaled by the exact power of two
-    _RESCALE_FACTOR; the growth bound beside those constants keeps the
-    steps between two tests finite.
+    _RESCALE_FACTOR, as dense multiplies by a factor that is 1 for the
+    others; the growth bound beside those constants keeps the steps
+    between two tests finite.
     """
     m_start = _miller_start(int(n.max()), float(x.max()))
+    every = _rescale_interval(m_start, float(x.min()))
 
     # order -> (rows, elements) of the entries it fills
     if n.shape[1] == 1:
@@ -186,13 +202,16 @@ def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
         t *= j_lo
         t -= j_hi
         j_hi, j_lo, t = j_lo, t, j_hi
-        if m % _RESCALE_EVERY == 0:
-            big = np.maximum(np.abs(j_lo), np.abs(j_hi)) > _RESCALE_THRESHOLD
+        if m % every == 0:
+            # t is free until the next step
+            np.maximum(np.abs(j_lo, out=t), np.abs(j_hi), out=t)
+            big = t > _RESCALE_THRESHOLD
             if big.any():
-                j_lo[big] *= _RESCALE_FACTOR
-                j_hi[big] *= _RESCALE_FACTOR
-                even[big] *= _RESCALE_FACTOR
-                out[:, big] *= _RESCALE_FACTOR
+                scale = np.where(big, _RESCALE_FACTOR, 1.0)
+                j_lo *= scale
+                j_hi *= scale
+                even *= scale
+                out *= scale
         idx = m - 1
         if idx in slot:
             rows, cols = slot[idx]
@@ -255,7 +274,7 @@ def bessel_j_triples(orders, x):
     """
     s = np.asarray(orders, dtype=float)
     xa = np.asarray(x, dtype=float)
-    if s.size > 1:
+    if s.size != 1:
         s, xa = np.broadcast_arrays(s, xa)
     out = _bessel_rows(s.ravel(), xa.ravel())
     return tuple(out.reshape((3,) + xa.shape))

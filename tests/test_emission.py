@@ -553,6 +553,38 @@ def test_point_order_changes_no_bit(monkeypatch, points):
         assert d == diag
 
 
+def test_block_with_no_column_skips_to_the_next_joiner(monkeypatch):
+    # one point below the first cutoff converges long before 300 points
+    # join at order 27; more than BLOCK_ELEMENTS / BLOCK of them joining
+    # within BLOCK orders makes a block of several rows that no point
+    # sums or joins, which the pass must skip rather than evaluate
+    geom = EmissionGeometry(theta=math.radians(170.0))
+    cut = [kinematic_max_frequency(s, HEAD_ON, OMEGA, geom)
+           for s in (1, 26, 27)]
+    early = np.array([0.5 * cut[0]])
+    late = np.linspace(cut[1], cut[2], 302)[1:-1]
+    assert late.size > emission.BLOCK_ELEMENTS // BLOCK
+
+    triple = emission.bessel_j_triple
+    sizes = []
+
+    def sized(s, x):
+        sizes.append(np.size(x))
+        return triple(s, x)
+
+    monkeypatch.setattr(emission, "bessel_j_triple", sized)
+
+    def run(wp):
+        th = np.full_like(wp, geom.theta)
+        return _engine_run(monkeypatch, BLOCK, (HEAD_ON, th, wp))[0]
+
+    both = run(np.concatenate((early, late)))
+    assert np.isfinite(both).all() and np.all(both > 0.0)
+    np.testing.assert_allclose(both, np.concatenate((run(early), run(late))),
+                               rtol=1e-12, atol=0.0)
+    assert min(sizes) > 0
+
+
 def test_runs_of_one_theta_keep_their_own_phi():
     # direction invariants are formed once per run of equal (theta',
     # phi'): runs that share theta' but not phi' keep their own values,

@@ -13,12 +13,13 @@ from qcompton import special_functions
 from qcompton.special_functions import (_I0_TAIL_CUT, _NDTR_CLIP,
                                         _NDTR_P, _NDTR_Q, _NDTR_R,
                                         _NDTR_S, _NDTR_T, _NDTR_U,
-                                        _RESCALE_EVERY,
+                                        _RESCALE_HEADROOM,
                                         _RESCALE_THRESHOLD, _SERIES_CAP,
                                         MAX_ARGUMENT, MAX_ORDER,
                                         OutOfContract, _horner,
                                         _i0_asymptotic_tail,
                                         _jn_series, _miller_start,
+                                        _rescale_interval,
                                         _series_threshold,
                                         bessel_i0_log_scaled,
                                         bessel_j_triple, bessel_j_triples,
@@ -160,6 +161,19 @@ def test_bessel_j_triple_order_block_rows():
         bessel_j_triple(s, xs[0])).tolist()
 
 
+@pytest.mark.parametrize("evaluate, shape", [
+    (lambda: bessel_j_triples([], []), (0,)),
+    (lambda: bessel_j_triples(np.ones((2, 0)), np.zeros((2, 0))), (2, 0)),
+    (lambda: bessel_j_triples(3, np.zeros(0)), (0,)),
+    (lambda: bessel_j_triple(5, np.zeros((3, 0))), (3, 0)),
+    (lambda: bessel_j_triple(5, np.zeros((1, 0))), (1, 0))],
+    ids=["orders-1d", "orders-2d", "one-order", "block", "one-row-block"])
+def test_bessel_j_takes_empty_input(evaluate, shape):
+    rows = evaluate()
+    assert len(rows) == 3
+    assert all(row.shape == shape and row.dtype == float for row in rows)
+
+
 def _series_testing_every_step(n, x):
     """The ascending series with its convergence test at every step."""
     lgam = np.array([math.lgamma(r + 1) for r in n.ravel().tolist()])
@@ -244,33 +258,59 @@ _GROWTH_CORNER = (np.array([1, MAX_ORDER - 1]),
                   np.array([np.nextafter(_SERIES_CAP, np.inf), MAX_ARGUMENT]))
 
 
+# order 50 at x = 340 grows through eight rescales on its way down from
+# the start set by order 2000 (whose J underflows to zero), yet x_min is
+# large enough for more than 100 steps between two tests
+_LONG_CADENCE = (np.array([2000, 50]), np.array([320.0, 340.0]))
+
+
 def test_rescale_interval_changes_no_bit(monkeypatch):
     # rescaling by a power of two is exact, so testing for it every step
-    # or every _RESCALE_EVERY steps must give the same bits
+    # or at each call's own cadence must give the same bits
     rng = np.random.default_rng(23)
     block_x = rng.uniform(0.0, 900.0, (32, 60))
     pairs = _ZERO + _SERIES + _MILLER
     mixed = (np.array([s for s, _ in pairs]), np.array([x for _, x in pairs]))
+    orders, xs = _LONG_CADENCE
+    assert _rescale_interval(_miller_start(orders.max() + 1, xs.max()),
+                             xs.min()) > 100
 
     def evaluate():
         return [np.array(bessel_j_triple(700, block_x)),
                 np.array(bessel_j_triples(*mixed)),
-                np.array(bessel_j_triples(*_GROWTH_CORNER))]
+                np.array(bessel_j_triples(*_GROWTH_CORNER)),
+                np.array(bessel_j_triples(*_LONG_CADENCE))]
 
     sparse = evaluate()
-    monkeypatch.setattr(special_functions, "_RESCALE_EVERY", 1)
+    assert np.all(sparse[-1][:, 1] != 0.0)
+    monkeypatch.setattr(special_functions, "_rescale_interval",
+                        lambda m_start, x_min: 1)
     for got, want in zip(sparse, evaluate()):
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
 
 
 def test_rescale_headroom_is_provable():
-    # Miller elements have x > _SERIES_CAP, so a step grows
-    # max(|J_m|, |J_{m+1}|) by at most 2 m_start / _SERIES_CAP + 1; the
-    # steps between two rescale tests must not overflow from just below
-    # the threshold
-    growth = 2.0 * _miller_start(MAX_ORDER, MAX_ARGUMENT) / _SERIES_CAP + 1.0
-    assert growth ** _RESCALE_EVERY * _RESCALE_THRESHOLD < np.finfo(float).max
+    # Miller elements have x > _SERIES_CAP, so a step of a sweep from
+    # m_start grows max(|J_m|, |J_{m+1}|) by at most g = 2 m_start / x_min
+    # + 1.  Over the steps between two tests a value from just below the
+    # threshold must stay finite, and one rescale must bring it back
+    # under; the cadence is the longest the headroom allows
+    x_low = float(np.nextafter(_SERIES_CAP, np.inf))
+    calls = [(1, x_low, x_low), (MAX_ORDER - 1, MAX_ARGUMENT, MAX_ARGUMENT),
+             (MAX_ORDER - 1, MAX_ARGUMENT, x_low)]
+    for s in (1, 7, 60, 700, 3000, MAX_ORDER - 1):
+        for x_max in np.geomspace(x_low, MAX_ARGUMENT, 7):
+            calls += [(s, x_max, x_min)
+                      for x_min in np.geomspace(x_low, x_max, 5)]
+    for s, x_max, x_min in calls:
+        m_start = _miller_start(s + 1, x_max)
+        growth = 2.0 * m_start / x_min + 1.0
+        every = _rescale_interval(m_start, x_min)
+        assert every >= 1
+        assert _RESCALE_THRESHOLD * growth ** every < np.finfo(float).max
+        assert growth ** every <= _RESCALE_THRESHOLD
+        assert growth ** (every + 1) > _RESCALE_HEADROOM
 
 
 # 25-digit values of J_9998, J_9999 and J_10000 at x = 1e4, from
