@@ -85,10 +85,12 @@ class Diagnostics:
     fields hold the highest order with a non-zero term and the last order
     evaluated; for a ladder both are its highest kept line.  edge_guarded
     counts terms zeroed on the kinematic edge.  overcomputed counts the
-    Bessel elements an engine order block evaluated for a point at an
-    order it never summed: below the point's first allowed order, or
-    after it converged.  Across passes the counts add up, and the order
-    fields keep their maximum.
+    Bessel elements an engine order block evaluated and did not sum:
+    rows below a point's first allowed order, rows after it converged
+    and every row past a block's early end.  Rows below the first order
+    and rows trimmed off a converging point sit at xi = 0, which costs
+    the sweep nothing, and still count.  Across passes the counts add
+    up, and the order fields keep their maximum.
     """
 
     points: int = 0
@@ -235,6 +237,19 @@ def _log_terms(stats: PhaseAveragedStatistics, bracket, e_field):
     return log_term, np.sign(bracket)
 
 
+def _rows_kept(streak, n_rows: int):
+    """Leading rows of an n_rows block each column gets entries in: a
+    point with a streak st >= 1 converges at row DEFAULT_PATIENCE - 1 - st
+    while its terms stay negligible, so it needs DEFAULT_PATIENCE - st
+    rows; any other point needs all of them."""
+    return np.where(streak >= 1.0, DEFAULT_PATIENCE - streak, n_rows)
+
+
+def _only(mask, on):
+    """mask at the columns `on` only; on None stands for all of them."""
+    return mask if on is None else mask & on
+
+
 def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                             omega: float, theta, phi, omega_prime, *,
                             rel_tol: float = DEFAULT_REL_TOL,
@@ -260,6 +275,16 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     time would sum them: a point joins at its own first allowed order,
     and its rows after it converged are dropped unsummed.  Both kinds of
     unsummed entries are counted as overcomputed.
+
+    A point already summing at a block's start whose streak st of
+    negligible terms is at least 1 converges at row DEFAULT_PATIENCE -
+    1 - st if its terms stay negligible, so its later rows are trimmed:
+    they sit at xi = 0, like rows below a first order, and skip the
+    sweep.  Should one of its terms grow again, the block ends at the
+    first row where a summing point has no entry; its later rows count
+    as overcomputed, its joiners not yet reached go back to the points
+    not joined, and the next block starts at that order.  The rows are
+    still summed in order, so this changes no sum.
 
     The state is one table with a column per live point, sorted once by
     first allowed order; the joined, unconverged points are its leading
@@ -379,6 +404,14 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         # are not live sit at xi = 0, which costs the sweep nothing
         on_edge = e_field < edge_field
         live = ~on_edge if ends[0] == n else (orders >= sm) & ~on_edge
+        # a converging point gets no entries past its patience; one row
+        # is never cut, as a summing point's streak is below the patience
+        cut_rows = set()
+        if n_rows > 1:
+            kept = _rows_kept(streak, n_rows)
+            cut_rows = set(kept[kept < n_rows].tolist())
+            if cut_rows:
+                live &= orders < s + kept
         every = bool(live.all())
         if every:
             log_term, sign = _log_terms(
@@ -393,56 +426,66 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
 
         # the rows in order, each summed as one order at a time would be
         summing = None                    # all, until a point converges
-        for row in range(n_rows):
-            order = s + row
-            m = int(ends[row])
-            # the columns summing this order: the first m, less any that
-            # converged earlier in the block
-            on = np.True_ if summing is None else summing[:m]
-            n_now = m if summing is None else int(np.count_nonzero(on))
-            if n_now == 0:
-                # evaluated in vain: points before their s_min or after
-                # they converged
-                diagnostics.add(overcomputed=n)
-                continue
-            lt = log_term[row, :m]
-            e_now = e_field[row, :m]
-            zero_term = ~np.isfinite(lt)
-            any_zero = bool(zero_term.any())
-            if any_zero:
-                bad = np.isnan(lt) & on
-                if bad.any():
-                    cols = np.flatnonzero(bad)
-                    c = cols[np.argmin(index[cols])]
-                    i = int(index[c])
-                    raise with_failure(ValueError(
-                        f"emission term is NaN at order {order}, theta'="
-                        f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} "
-                        f"eV, E={e_now[c]:.6g} eV^2 (log R(E) or the "
-                        f"Bessel bracket is NaN)"), th[i], wp[i], order,
-                        e_now[c])
-            all_zero = any_zero and bool((zero_term | ~on).all())
-            diagnostics.add(highest_order=0 if all_zero else order,
-                            orders_scanned=order,
-                            edge_guarded=0 if every else int(np.count_nonzero(
-                                on_edge[row, :m] & on)),
-                            overcomputed=n - n_now)
+        ended = n_rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for row in range(n_rows):
+                if row in cut_rows and (summing is None
+                                        or summing[kept == row].any()):
+                    # a trimmed point is still summing: the rows from
+                    # here were evaluated in vain, and the next block
+                    # starts at this order
+                    diagnostics.add(overcomputed=(n_rows - row) * n)
+                    ended = row
+                    break
+                order = s + row
+                m = int(ends[row])
+                # the columns summing this order: the first m, less any
+                # that converged earlier in the block
+                on = None if summing is None else summing[:m]
+                n_now = m if on is None else int(np.count_nonzero(on))
+                if n_now == 0:
+                    # evaluated in vain: points before their s_min or
+                    # after they converged
+                    diagnostics.add(overcomputed=n)
+                    continue
+                lt = log_term[row, :m]
+                e_now = e_field[row, :m]
+                zero_term = ~np.isfinite(lt)
+                any_zero = bool(zero_term.any())
+                if any_zero:
+                    bad = _only(np.isnan(lt), on)
+                    if bad.any():
+                        cols = np.flatnonzero(bad)
+                        c = cols[np.argmin(index[cols])]
+                        i = int(index[c])
+                        raise with_failure(ValueError(
+                            f"emission term is NaN at order {order}, theta'="
+                            f"{math.degrees(th[i]):.6g} deg, omega'="
+                            f"{wp[i]:.6g} eV, E={e_now[c]:.6g} eV^2 (log "
+                            f"R(E) or the Bessel bracket is NaN)"),
+                            th[i], wp[i], order, e_now[c])
+                all_zero = any_zero and not _only(~zero_term, on).any()
+                diagnostics.add(
+                    highest_order=0 if all_zero else order,
+                    orders_scanned=order,
+                    edge_guarded=0 if every else int(np.count_nonzero(
+                        _only(on_edge[row, :m], on))),
+                    overcomputed=n - n_now)
 
-            # max-shift accumulation, in place: with d = lt - shift,
-            # exp(-|d|) is exp(shift - lt) for a growing term, which
-            # becomes the new shift, and exp(lt - shift) for any other; a
-            # zero term adds nothing.  Then the convergence bookkeeping: a
-            # term is negligible if it is below rel_tol of the running sum
-            # (over the new shift a growing term is 1); an exact zero with
-            # no sum yet only counts once the effective field has left
-            # the statistics' support (protects states whose R starts
-            # above E = 0).
-            a, sh, st = acc[:m], shift[:m], streak[:m]
-            sg = sign[row, :m]
-            with np.errstate(divide="ignore", invalid="ignore"):
+                # max-shift accumulation, in place: with d = lt - shift,
+                # exp(-|d|) is exp(shift - lt) for a growing term, which
+                # becomes the new shift, and exp(lt - shift) for any
+                # other; a zero term adds nothing.  Then the convergence
+                # bookkeeping: a term is negligible if it is below rel_tol
+                # of the running sum (over the new shift a growing term is
+                # 1); an exact zero with no sum yet only counts once the
+                # effective field has left the statistics' support
+                # (protects states whose R starts above E = 0).
+                a, sh, st = acc[:m], shift[:m], streak[:m]
+                sg = sign[row, :m]
                 e = lt - sh                   # NaN where both are -inf
-                grow = (e > 0.0) & on
-                rest = ~grow & on
+                grow = _only(e > 0.0, on)
+                rest = _only(~grow, on)
                 np.abs(e, out=e)
                 np.negative(e, out=e)
                 np.exp(e, out=e)
@@ -455,17 +498,28 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                 np.copyto(sh, lt, where=grow)
                 np.copyto(e, 1.0, where=grow)
                 small = e / np.abs(a) < rel_tol
-            if any_zero:
-                small = np.where(a == 0.0, zero_term & (e_now > support_max),
-                                 small | zero_term)
-            np.add(st, 1.0, out=st, where=on)
-            np.copyto(st, 0.0, where=~small & on)
-            done = (st >= DEFAULT_PATIENCE) & on
-            if done.any():
-                if summing is None:
-                    summing = np.ones(n, dtype=bool)
-                summing[:m] &= ~done
-        s += n_rows
+                if any_zero:
+                    small = np.where(a == 0.0,
+                                     zero_term & (e_now > support_max),
+                                     small | zero_term)
+                np.add(st, 1.0, out=st, where=True if on is None else on)
+                np.copyto(st, 0.0, where=_only(~small, on))
+                done = _only(st >= DEFAULT_PATIENCE, on)
+                if done.any():
+                    if summing is None:
+                        summing = np.ones(n, dtype=bool)
+                    summing[:m] &= ~done
+        s += ended
+        if ended < n_rows:
+            # the joiners of the rows left go back to the points not yet
+            # joined, where their columns came from
+            keep = int(ends[ended - 1])
+            table[:, joined - (n - keep):joined] = table[:, keep:n]
+            joined -= n - keep
+            n = keep
+            index, acc, shift = table[6:9, :n]
+            if summing is not None:
+                summing = summing[:n]
 
         # the block's converged points leave, their density written out;
         # kept columns from the end fill their places

@@ -12,8 +12,11 @@ elements into x = 0, the ascending series for small argument
 (rows s and s+1 summed in one pass, row s-1 formed from their scaled
 sums; a shared order column stops on a scalar bound) and Miller
 backward recurrence with sum-rule normalization elsewhere (DLMF
-10.74), one sweep per call that captures each element's rows as it
-passes their orders.  The sweep
+10.74), one sweep per call.  The sweep takes a call's elements as
+maximal runs of one order, as engine blocks and ladder batches lay them
+out, and copies each run into its row as one slice as it passes the
+run's orders.  A mixed call gathers each regime's orders from the
+per-element orders once; x = 0 sets J_0 = 1 and nothing else.  The sweep
 forms each step in place and rescales by the exact power of two 2^-600,
 as dense multiplies, testing for it only as often as the call's own
 growth bound requires: the largest growth a step can have from the
@@ -161,32 +164,38 @@ def _rescale_interval(m_start: int, x_min: float) -> int:
     return int(math.log(_RESCALE_HEADROOM, 2.0 * m_start / x_min + 1.0))
 
 
-def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _miller_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Backward recurrence with sum-rule normalization, one sweep.
 
-    Returns normalized J_n(x) as a (len(n), x.size) array, n laid out as
-    for _jn_series.  The sweep starts above the largest order and
-    argument of the call and captures each entry as m passes its order;
-    each element is normalized by its own sum.  All x must exceed
-    _SERIES_CAP; the caller routes smaller arguments to the series.
-    Every _rescale_interval steps, elements with J_m or J_{m+1} above
-    _RESCALE_THRESHOLD are scaled by the exact power of two
+    Returns J_{s-1}, J_s, J_{s+1} at x as a (3, x.size) array, s one
+    order per element of x or a single order for all.  The sweep starts
+    above the largest order and argument of the call and captures each
+    entry as m passes its order; each element is normalized by its own
+    sum.  The elements are taken as maximal runs of one order (a shared
+    order is one run, an engine block or a ladder batch ascending runs),
+    so a capture copies a run into its row as one contiguous slice; any
+    order layout works, unsorted orders just form more runs.  All x must
+    exceed _SERIES_CAP; the caller routes smaller arguments to the
+    series.  Every _rescale_interval steps, elements with J_m or J_{m+1}
+    above _RESCALE_THRESHOLD are scaled by the exact power of two
     _RESCALE_FACTOR, as dense multiplies by a factor that is 1 for the
     others; the growth bound beside those constants keeps the steps
     between two tests finite.
     """
-    m_start = _miller_start(int(n.max()), float(x.max()))
+    m_start = _miller_start(int(s.max()) + 1, float(x.max()))
     every = _rescale_interval(m_start, float(x.min()))
 
-    # order -> (rows, elements) of the entries it fills
-    if n.shape[1] == 1:
-        slot = {int(r): (row, slice(None))
-                for row, r in enumerate(n[:, 0].tolist())}
-    else:
-        by_order = np.argsort(n, axis=None, kind="stable")
-        orders, first = np.unique(n.ravel()[by_order], return_index=True)
-        slot = {int(r): np.divmod(idx, x.size) for r, idx
-                in zip(orders.tolist(), np.split(by_order, first[1:]))}
+    # J order -> (row, run) of the entries it fills: row k of a run of
+    # order r holds J_{r-1+k}; a run of one element (a ladder batch) is
+    # copied by index, which costs less than a slice
+    s = np.broadcast_to(s, x.shape)
+    bounds = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(), x.size]
+    capture = {}
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        run = a if b - a == 1 else slice(a, b)
+        r = int(s[a])
+        for k in range(3):
+            capture.setdefault(r - 1 + k, []).append((k, run))
 
     inv_x = 1.0 / x
     j_hi = np.zeros_like(x)                 # unnormalized J at m+1
@@ -195,7 +204,7 @@ def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     # sum of J_{2k}, k >= 1: 2 even + J_0 is the sum rule's norm, and
     # doubling once is exactly doubling every term
     even = np.zeros_like(x)
-    out = np.zeros((len(n), x.size))
+    out = np.zeros((3, x.size))
     for m in range(m_start, 0, -1):
         # J_{m-1} = (2m / x) J_m - J_{m+1}, formed in place
         np.multiply(inv_x, 2.0 * m, out=t)
@@ -213,9 +222,9 @@ def _miller_rows(n: np.ndarray, x: np.ndarray) -> np.ndarray:
                 even *= scale
                 out *= scale
         idx = m - 1
-        if idx in slot:
-            rows, cols = slot[idx]
-            out[rows, cols] = j_lo[cols]
+        if idx in capture:
+            for row, run in capture[idx]:
+                out[row, run] = j_lo[run]
         if idx and idx % 2 == 0:
             even += j_lo
     return out / (2.0 * even + j_lo)
@@ -230,7 +239,9 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     the module, made per element: x = 0 is exact, x up to
     _series_threshold(s - 1) takes the series, the rest Miller's
     recurrence.  A call whose points all share a regime returns that
-    regime's array directly; only mixed calls scatter.
+    regime's array directly.  A mixed call gathers each regime's orders
+    from s once and scatters its rows back; x = 0 needs no rows of its
+    own, as only J_0 = 1 is non-zero there.
     """
     bad = (s != np.round(s)) | (s < 1) | (s >= MAX_ORDER)   # NaN: first
     if bad.any():
@@ -241,24 +252,24 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     # integer orders held as floats: exact, and the series then divides
     # by k (n + k) without casting every step
-    n = s + np.arange(-1.0, 2.0)[:, None]
+    triple = np.arange(-1.0, 2.0)[:, None]
     zero = x == 0.0
-    small = ~zero & (x <= _series_threshold(n[0]))
+    small = ~zero & (x <= _series_threshold(s - 1.0))
     if small.all():
-        return _jn_series(n, x)
+        return _jn_series(s + triple, x)
     rest = ~zero & ~small
     if rest.all():
-        return _miller_rows(n, x)
+        return _miller_rows(s, x)
 
-    def part(mask):
-        return n if s.size == 1 else n[:, mask]
+    def orders(mask):
+        return s if s.size == 1 else s[mask]
 
     out = np.zeros((3, x.size))
-    out[:, zero] = part(zero) == 0
+    out[0, zero & (s == 1.0)] = 1.0
     if small.any():
-        out[:, small] = _jn_series(part(small), x[small])
+        out[:, small] = _jn_series(orders(small) + triple, x[small])
     if rest.any():
-        out[:, rest] = _miller_rows(part(rest), x[rest])
+        out[:, rest] = _miller_rows(orders(rest), x[rest])
     return out
 
 

@@ -13,7 +13,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from qcompton import cli
+from qcompton import cli, emission
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_tracing",
@@ -67,3 +67,22 @@ def test_traced_curves_count_every_layer(tmp_path, capsys):
     for key in ("special_functions.bessel_j_triple.elements",
                 "pipeline._gaussian_convolve_linear.segments"):
         assert thermal[key] > 0, key
+
+
+def test_engine_blocks_go_through_the_traced_triple(tmp_path, capsys):
+    # an angular scan of at most BLOCK_ELEMENTS / 2 points takes its
+    # orders in blocks of B > 1 rows; every block's bracket must reach
+    # the Bessel layer through the name the tracer wraps, or its time and
+    # counts go missing
+    resolved = _resolved("thermal", {"mode": "angular",
+                                     "theta_range_deg": [150.0, 170.0, 2],
+                                     "band_eV": [1.0, 4.0], "samples": 64})
+    path = str(tmp_path / "blocks.csv")
+    thermal = _traced(resolved, path)
+    with open(path + ".report.json", encoding="utf-8") as fh:
+        diag = json.load(fh)["diagnostics"]
+    assert 0 < diag["points"] <= emission.BLOCK_ELEMENTS // 2
+    calls = thermal["special_functions.bessel_j_triple.calls"]
+    assert calls == thermal["emission.bessel_bracket.calls"] > 0
+    # fewer calls than orders scanned: blocks of several orders each
+    assert calls < diag["orders_scanned"]

@@ -14,7 +14,7 @@ from helpers import (drive_for, dual_path_worst_error, linear_compton_line,
 from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
                      harmonic_term, reference_bsv_density,
                      reference_thermal_density, scattered_momentum)
-from qcompton import emission
+from qcompton import emission, special_functions
 from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
@@ -447,17 +447,19 @@ def _converging_points():
     return AT_REST, np.full_like(wp, math.radians(159.9)), wp
 
 
-def _engine_run(monkeypatch, block, points, **kwargs):
-    """(density, diagnostics, rows of each Bessel call) at ORDER_BLOCK =
-    block, thermal drive at 9e16 W/cm^2."""
-    drive = drive_for(9e16)
-    stats = thermal_stats(drive.omega, drive.rho)
+def _engine_run(monkeypatch, block, points, stats=None, **kwargs):
+    """(density, diagnostics, (order, rows, elements) of each Bessel call)
+    at ORDER_BLOCK = block, by default for a thermal drive at 9e16
+    W/cm^2."""
+    if stats is None:
+        drive = drive_for(9e16)
+        stats = thermal_stats(drive.omega, drive.rho)
     p, th, wp = points
-    rows = []
+    calls = []
     triple = emission.bessel_j_triple
 
     def counted(s, x):
-        rows.append(len(x) if np.ndim(x) == 2 else 1)
+        calls.append((s, len(x) if np.ndim(x) == 2 else 1, np.size(x)))
         return triple(s, x)
 
     monkeypatch.setattr(emission, "ORDER_BLOCK", block)
@@ -469,7 +471,11 @@ def _engine_run(monkeypatch, block, points, **kwargs):
                                       diagnostics=diag, **kwargs)
     finally:
         monkeypatch.setattr(emission, "bessel_j_triple", triple)
-    return out, diag, rows
+    return out, diag, calls
+
+
+def _rows(calls):
+    return [rows for _, rows, _ in calls]
 
 
 def _old_fields(diag):
@@ -482,9 +488,9 @@ def test_order_blocks_match_single_orders(monkeypatch, points):
     # a block takes the Bessel values of orders s ... s+B-1 from one
     # sweep, which moves them in the last bits (the sweep starts above
     # the block's top order); the sum and its truncation must not move
-    one, diag_one, rows_one = _engine_run(monkeypatch, 1, points())
-    blocked, diag, rows = _engine_run(monkeypatch, BLOCK, points())
-    assert max(rows_one) == 1 and max(rows) > 1
+    one, diag_one, calls_one = _engine_run(monkeypatch, 1, points())
+    blocked, diag, calls = _engine_run(monkeypatch, BLOCK, points())
+    assert max(_rows(calls_one)) == 1 and max(_rows(calls)) > 1
     assert _old_fields(diag) == _old_fields(diag_one)
     assert diag_one.overcomputed == 0 < diag.overcomputed
     # 1e-13 of the peak; each point also within the Bessel contract
@@ -543,8 +549,8 @@ def test_point_order_changes_no_bit(monkeypatch, points):
     # they converge: given in any order, every point gets the same bits
     # and the pass the same counts
     p, th, wp = points()
-    base, diag, rows = _engine_run(monkeypatch, BLOCK, (p, th, wp))
-    assert (rows[0] == 1) == (th.size > emission.BLOCK_ELEMENTS // 2)
+    base, diag, calls = _engine_run(monkeypatch, BLOCK, (p, th, wp))
+    assert (_rows(calls)[0] == 1) == (th.size > emission.BLOCK_ELEMENTS // 2)
     assert np.count_nonzero(base) > 0.5 * base.size
     rng = np.random.default_rng(7)
     for perm in (np.arange(th.size)[::-1], rng.permutation(th.size)):
@@ -583,6 +589,95 @@ def test_block_with_no_column_skips_to_the_next_joiner(monkeypatch):
     np.testing.assert_allclose(both, np.concatenate((run(early), run(late))),
                                rtol=1e-12, atol=0.0)
     assert min(sizes) > 0
+
+
+def _bumped_points():
+    # 600 points below the first cutoff (blocks of 6 rows) and 40 just
+    # past the cutoffs of orders 1 ... 40, which join in later blocks:
+    # every Bessel element takes the series, whose values do not depend
+    # on the call, so blocks and single orders must agree bitwise
+    p, th, wp = _staggered_points()
+    wp = np.concatenate((np.linspace(0.3, 2.2, 600), wp))
+    return p, np.full_like(wp, th[0]), wp
+
+
+def _bumped_thermal():
+    # thermal statistics at 9e18 W/cm^2 whose log R(E) is lifted by 30
+    # between 3.5 and 4.5 times sqrt(2u), where many points' terms have
+    # just turned negligible: a point trimmed at a block's start sees its
+    # term grow again, so that block must end where it has no entry
+    drive = drive_for(9e18)
+    thermal = thermal_stats(drive.omega, drive.rho)
+    amp = math.sqrt(2.0 * thermal.energy_density)
+
+    def log_r(e):
+        out = thermal.log_r(e)
+        return np.where((e > 3.5 * amp) & (e < 4.5 * amp), out + 30.0, out)
+
+    return replace(thermal, log_r_fn=log_r)
+
+
+def test_blocks_end_where_a_trimmed_point_grows_again(monkeypatch):
+    one, diag_one, calls_one = _engine_run(
+        monkeypatch, 1, _bumped_points(), stats=_bumped_thermal())
+    blocked, diag, calls = _engine_run(
+        monkeypatch, BLOCK, _bumped_points(), stats=_bumped_thermal())
+    # a block that ended early is followed by one that starts inside it
+    assert any(s_next < s + rows for (s, rows, _), (s_next, _, _)
+               in zip(calls, calls[1:]))
+    assert np.array_equal(blocked, one)
+    assert np.count_nonzero(one) > 0.5 * one.size
+    assert _old_fields(diag) == _old_fields(diag_one)
+    # every element a block evaluated but did not sum counts, the rows
+    # past an early end included; single orders sum all they evaluate
+    assert diag_one.overcomputed == 0
+    assert diag.overcomputed == (sum(size for _, _, size in calls)
+                                 - sum(size for _, _, size in calls_one))
+
+
+def test_trimming_spares_the_sweep_and_changes_no_bit(monkeypatch):
+    # on the fig3 thermal pass, points about to converge get no rows past
+    # their patience: fewer elements reach Miller's sweep, and the
+    # density and the counts are those of a pass that trims nothing
+    miller = special_functions._miller_rows
+    elements = []
+
+    def counted(s, x):
+        elements[-1] += x.size
+        return miller(s, x)
+
+    monkeypatch.setattr(special_functions, "_miller_rows", counted)
+    elements.append(0)
+    trimmed, diag, _ = _engine_run(monkeypatch, BLOCK, _fig3_points())
+    monkeypatch.setattr(emission, "_rows_kept",
+                        lambda streak, n_rows: np.full_like(streak, n_rows))
+    elements.append(0)
+    full, diag_full, _ = _engine_run(monkeypatch, BLOCK, _fig3_points())
+    assert 0 < elements[0] < elements[1]
+    assert np.array_equal(trimmed, full)
+    assert diag == diag_full
+
+
+def test_engine_restores_the_error_state():
+    # the row loop holds one np.errstate per block: whether the pass
+    # returns or raises, the caller's floating-point error state is back
+    drive = drive_for(9e16)
+    thermal = thermal_stats(drive.omega, drive.rho)
+    nan_stats = replace(thermal, log_r_fn=lambda e: np.full_like(e, np.nan))
+    p, th, wp = _fig3_points()
+    ph = np.zeros_like(th)
+    # numpy's default, set here so that no earlier state hides a leak
+    with np.errstate(divide="warn", over="warn", under="ignore",
+                     invalid="warn"):
+        before = np.geterr()
+        spectral_density_points(thermal, p, OMEGA, th, ph, wp)
+        assert np.geterr() == before
+        with pytest.raises(ValueError, match="NaN at order"):
+            spectral_density_points(nan_stats, p, OMEGA, th, ph, wp)
+        assert np.geterr() == before
+        with pytest.raises(TruncationNotConverged):
+            spectral_density_points(thermal, p, OMEGA, th, ph, wp, s_max=45)
+        assert np.geterr() == before
 
 
 def test_runs_of_one_theta_keep_their_own_phi():

@@ -13,12 +13,13 @@ from qcompton import special_functions
 from qcompton.special_functions import (_I0_TAIL_CUT, _NDTR_CLIP,
                                         _NDTR_P, _NDTR_Q, _NDTR_R,
                                         _NDTR_S, _NDTR_T, _NDTR_U,
-                                        _RESCALE_HEADROOM,
+                                        _RESCALE_FACTOR, _RESCALE_HEADROOM,
                                         _RESCALE_THRESHOLD, _SERIES_CAP,
                                         MAX_ARGUMENT, MAX_ORDER,
-                                        OutOfContract, _horner,
-                                        _i0_asymptotic_tail,
-                                        _jn_series, _miller_start,
+                                        OutOfContract, _bessel_rows,
+                                        _horner, _i0_asymptotic_tail,
+                                        _jn_series, _miller_rows,
+                                        _miller_start,
                                         _rescale_interval,
                                         _series_threshold,
                                         bessel_i0_log_scaled,
@@ -311,6 +312,118 @@ def test_rescale_headroom_is_provable():
         assert _RESCALE_THRESHOLD * growth ** every < np.finfo(float).max
         assert growth ** every <= _RESCALE_THRESHOLD
         assert growth ** (every + 1) > _RESCALE_HEADROOM
+
+
+def _miller_slot_map(n, x):
+    """The backward sweep as it captured before order runs: orders n as
+    (3, elements) rows or one shared column, each order's entries found
+    by a stable argsort, unique, split and divmod, and gathered and
+    scattered as index arrays."""
+    m_start = _miller_start(int(n.max()), float(x.max()))
+    every = _rescale_interval(m_start, float(x.min()))
+    if n.shape[1] == 1:
+        slot = {int(r): (row, slice(None))
+                for row, r in enumerate(n[:, 0].tolist())}
+    else:
+        by_order = np.argsort(n, axis=None, kind="stable")
+        orders, first = np.unique(n.ravel()[by_order], return_index=True)
+        slot = {int(r): np.divmod(idx, x.size) for r, idx
+                in zip(orders.tolist(), np.split(by_order, first[1:]))}
+    inv_x = 1.0 / x
+    j_hi = np.zeros_like(x)
+    j_lo = np.full_like(x, 1e-30)
+    t = np.empty_like(x)
+    even = np.zeros_like(x)
+    out = np.zeros((len(n), x.size))
+    for m in range(m_start, 0, -1):
+        np.multiply(inv_x, 2.0 * m, out=t)
+        t *= j_lo
+        t -= j_hi
+        j_hi, j_lo, t = j_lo, t, j_hi
+        if m % every == 0:
+            np.maximum(np.abs(j_lo, out=t), np.abs(j_hi), out=t)
+            big = t > _RESCALE_THRESHOLD
+            if big.any():
+                scale = np.where(big, _RESCALE_FACTOR, 1.0)
+                j_lo *= scale
+                j_hi *= scale
+                even *= scale
+                out *= scale
+        idx = m - 1
+        if idx in slot:
+            rows, cols = slot[idx]
+            out[rows, cols] = j_lo[cols]
+        if idx and idx % 2 == 0:
+            even += j_lo
+    return out / (2.0 * even + j_lo)
+
+
+def _rows_by_slot_map(s, x):
+    """_bessel_rows as it dispatched before: every regime's rows gathered
+    from a (3, elements) order array, x = 0 as three rows of its own."""
+    n = s + np.arange(-1.0, 2.0)[:, None]
+    zero = x == 0.0
+    small = ~zero & (x <= _series_threshold(n[0]))
+    rest = ~zero & ~small
+
+    def part(mask):
+        return n if s.size == 1 else n[:, mask]
+
+    out = np.zeros((3, x.size))
+    out[:, zero] = part(zero) == 0
+    if small.any():
+        out[:, small] = _jn_series(part(small), x[small])
+    if rest.any():
+        out[:, rest] = _miller_slot_map(part(rest), x[rest])
+    return out
+
+
+def _order_layouts():
+    """(orders, x) in every layout a sweep meets, all x in Miller's
+    regime or, for the block, mixed with x = 0 and the series."""
+    rng = np.random.default_rng(41)
+    wide = rng.uniform(9.0, 900.0, 256)
+    block = rng.uniform(0.0, 700.0, (32, 40))
+    block[rng.random(block.shape) < 0.3] = 0.0
+    ladder = np.arange(1.0, 257.0)
+    yield "shared", np.array([700.0]), wide
+    yield "block", np.broadcast_to(300.0 + np.arange(32.0)[:, None],
+                                   block.shape).ravel(), block.ravel()
+    yield "first-order-block", np.broadcast_to(
+        1.0 + np.arange(32.0)[:, None], block.shape).ravel(), block.ravel()
+    yield "ladder", ladder, wide
+    yield "descending", ladder[::-1].copy(), wide
+    yield "unsorted", rng.permutation(ladder), wide
+    yield "repeated", rng.integers(1, 12, wide.size).astype(float), wide
+    yield "repeated-runs", np.repeat([40.0, 3.0, 40.0, 41.0], 64), wide
+
+
+@pytest.mark.parametrize("name, s, x", list(_order_layouts()),
+                         ids=[c[0] for c in _order_layouts()])
+def test_miller_runs_match_the_slot_map(name, s, x):
+    # capturing by order runs moves the same values into the same rows
+    # as the slot map did: the sweep, and a whole call through the
+    # regime dispatch, keep every bit
+    assert np.array_equal(_bessel_rows(s, x), _rows_by_slot_map(s, x))
+    rest = x > _series_threshold(s - 1.0)
+    if rest.any():
+        part = s if s.size == 1 else s[rest]
+        n = part + np.arange(-1.0, 2.0)[:, None]
+        assert np.array_equal(_miller_rows(part, x[rest]),
+                              _miller_slot_map(n, x[rest]))
+
+
+def test_empty_calls_never_reach_the_sweep(monkeypatch):
+    # a sweep starts from its call's largest order and argument, which an
+    # empty call has not got: it is answered before the sweep
+    def no_sweep(s, x):
+        raise AssertionError("empty call reached the sweep")
+
+    monkeypatch.setattr(special_functions, "_miller_rows", no_sweep)
+    for evaluate in (lambda: bessel_j_triples([], []),
+                     lambda: bessel_j_triples(3, np.zeros(0)),
+                     lambda: bessel_j_triple(5, np.zeros((3, 0)))):
+        assert all(row.size == 0 for row in evaluate())
 
 
 # 25-digit values of J_9998, J_9999 and J_10000 at x = 1e4, from
