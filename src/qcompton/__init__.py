@@ -11,8 +11,7 @@ distributions.
 """
 
 from .minkowski import (ElectronState, EmissionGeometry, FourVector,
-                        KinematicallyForbidden, electron_momentum, mdot,
-                        photon_wavevector)
+                        KinematicallyForbidden, electron_momentum)
 from .units import (LabDriveSpec, NaturalDrive, natural_drive,
                     pulse_duration)
 from .photon_statistics import (NonNormalizable, PhaseAveragedStatistics,
@@ -59,11 +58,9 @@ __all__ = [
     "energy_spectrum",
     "fock_limit_stats",
     "kinematic_max_frequency",
-    "mdot",
     "mixed_diagonal_stats",
     "moments",
     "natural_drive",
-    "photon_wavevector",
     "pulse_duration",
     "smooth_spectral_density",
     "spectral_density_points",

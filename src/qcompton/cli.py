@@ -160,7 +160,10 @@ def validate_config(cfg: dict) -> dict:
     if not _finite_list(direction, 3):
         raise SchemaError("electron.direction", "must be a 3-vector of "
                           f"finite numbers, got {direction!r}")
-    norm = math.hypot(*direction)     # no overflow for huge components
+    norm = math.hypot(*direction)
+    if math.isinf(norm):     # |d| above the float range: scale d first
+        direction = [x / max(map(abs, direction)) for x in direction]
+        norm = math.hypot(*direction)
     if norm == 0.0:
         raise SchemaError("electron.direction", "must be a nonzero vector")
     out["electron"] = {"gamma": gamma,
@@ -558,9 +561,13 @@ def _cmd_preset(args) -> int:
         return EXIT_SCHEMA
     text = json.dumps(cfg, indent=1) + "\n"
     if args.emit_config:
-        with open(args.emit_config, "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.emit_config, "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
         print(f"wrote {args.emit_config}")
     else:
         sys.stdout.write(text)

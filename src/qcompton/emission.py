@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, E_SQUARED, ELECTRON_MASS_EV
-from .minkowski import (EmissionGeometry, FourVector, circular_polarization,
-                        mdot)
+from .minkowski import EmissionGeometry, FourVector
 from .photon_statistics import PhaseAveragedStatistics
 from .special_functions import (MAX_ORDER, bessel_j_triple,
                                 bessel_j_triples)
@@ -146,14 +145,13 @@ def _drive_dot(p: FourVector, omega: float) -> float:
 
 
 def _direction_invariants(p: FourVector, omega: float, theta, phi):
-    """Direction invariants kappa = k.n', pi' = p.n' and n'.eps =
-    (k'.eps)/omega' of n' = (1, sin t cos p, sin t sin p, cos t), for
-    scalar or equal-shape array angles.
+    """Direction invariants kappa = k.n' and pi' = p.n', and the
+    transverse components (n_x, n_y), of n' = (1, sin t cos p,
+    sin t sin p, cos t), for scalar or equal-shape array angles.
 
     kappa = omega (1 - cos t) cancels toward t = 0, where an electron
     riding with the drive radiates; there it is taken as 2 omega
     sin^2(t/2) instead."""
-    eps = circular_polarization()
     sin_th = np.sin(theta)
     nx = sin_th * np.cos(phi)
     ny = sin_th * np.sin(phi)
@@ -161,23 +159,25 @@ def _direction_invariants(p: FourVector, omega: float, theta, phi):
     kappa = np.where(nz > 0.0, 2.0 * omega * np.sin(0.5 * theta) ** 2,
                      omega - omega * nz)
     piprime = _light_cone_dot(p, nx, ny, nz)
-    ke_unit = -(eps.x * nx + eps.y * ny + eps.z * nz)
-    return kappa, piprime, ke_unit
+    return kappa, piprime, nx, ny
 
 
-def _point_factors(p: FourVector, kp: float, kappa, ke_unit, omega_prime,
+def _point_factors(p: FourVector, kp: float, kappa, nx, ny, omega_prime,
                    kpprime):
     """Order-independent factors of the amplitude at omega' along a
-    direction with invariants (kappa, ke_unit), given kp = k.p and
+    direction with invariants (kappa, n_x, n_y), given kp = k.p and
     kpprime = k.p': |d| and X = ((k.p')^2 + (k.p)^2) / (2 m^2 k.k').
 
     d = p.eps/k.p - p'.eps/k.p' with p'.eps = p.eps - omega' n'.eps; the
     two quotients nearly cancel when p.eps != 0, so d is formed as
     (omega'/k.p') (n'.eps - (p.eps) kappa/k.p), its exact rearrangement
-    through k.p - k.p' = omega' kappa."""
-    pe = mdot(p, circular_polarization())
+    through k.p - k.p' = omega' kappa.  For the drive polarization
+    eps = (0, 1, i, 0)/sqrt(2), a.eps = -(a_x + i a_y)/sqrt(2) for both
+    a = n' and a = p, so |d| needs only the transverse components."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        abs_d = np.abs(omega_prime * (ke_unit - pe * kappa / kp) / kpprime)
+        abs_d = (np.abs(omega_prime / kpprime)
+                 * np.hypot(nx - p.x * kappa / kp, ny - p.y * kappa / kp)
+                 / math.sqrt(2.0))
         x_fac = ((kpprime * kpprime + kp * kp)
                  / (2.0 * _MASS_SQ * (omega_prime * kappa)))
     return abs_d, x_fac
@@ -193,8 +193,8 @@ def kinematic_max_frequency(s: int, p: FourVector, omega: float,
     """
     if s < 1:
         raise ValueError(f"harmonic order must be >= 1, got {s}")
-    kappa, piprime, _ = _direction_invariants(p, omega, geometry.theta,
-                                              geometry.phi)
+    kappa, piprime, _, _ = _direction_invariants(p, omega, geometry.theta,
+                                                 geometry.phi)
     return float(s * _drive_dot(p, omega) / (s * kappa + piprime))
 
 
@@ -202,8 +202,8 @@ def absolute_frequency_ceiling(p: FourVector, omega: float,
                                geometry: EmissionGeometry) -> float:
     """s -> infinity accumulation point of the per-order cutoffs."""
     kp = _drive_dot(p, omega)
-    kappa, _, _ = _direction_invariants(p, omega, geometry.theta,
-                                        geometry.phi)
+    kappa, _, _, _ = _direction_invariants(p, omega, geometry.theta,
+                                           geometry.phi)
     if kappa <= 0.0:
         return math.inf
     return float(kp / kappa)
@@ -326,14 +326,14 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     new_dir[1:] = (th[1:] != th[:-1]) | (ph[1:] != ph[:-1])
     heads = np.flatnonzero(new_dir)
     runs = np.diff(np.append(heads, n_pts))
-    kappa, piprime, ke_unit = (
+    kappa, piprime, nx, ny = (
         np.repeat(v, runs)
         for v in _direction_invariants(p, omega, th[heads], ph[heads]))
     kkp = wp * kappa
     # as accurate as the given omega' allows: near the ceiling k.p/kappa
     # the difference only exposes the rounding of omega'
     kpprime = kp - kkp
-    abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit, wp, kpprime)
+    abs_d, x_fac = _point_factors(p, kp, kappa, nx, ny, wp, kpprime)
     alive = (kappa > 0.0) & (kpprime > 0.0)
 
     out = np.zeros(n_pts)
@@ -595,8 +595,8 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
         raise ValueError(f"harmonic order must be >= 1, got {s.min()}")
 
     kp = _drive_dot(p, omega)
-    kappa, piprime, _ = _direction_invariants(p, omega, geometry.theta,
-                                              geometry.phi)
+    kappa, piprime, _, _ = _direction_invariants(p, omega, geometry.theta,
+                                                 geometry.phi)
     if kappa <= 0.0:
         s = s[:0]
     mu = E_SQUARED * amp * amp * kappa / (4.0 * omega * omega * kp)
@@ -623,13 +623,13 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     orders, positions, thetas = coherent_line_positions(
         stats, p, omega, geometry, s_range)
     kp = _drive_dot(p, omega)
-    kappa, piprime, ke_unit = _direction_invariants(p, omega, geometry.theta,
-                                                    geometry.phi)
+    kappa, piprime, nx, ny = _direction_invariants(p, omega, geometry.theta,
+                                                   geometry.phi)
     # k.p' = k.p (pi' + mu) / (s kappa + pi' + mu) = (omega'_s pi' +
     # Theta_s) / s at a line: a sum of positive terms, where k.p - omega'_s
     # kappa cancels near the ceiling
     kpprime = (positions * piprime + thetas) / orders
-    abs_d, x_fac = _point_factors(p, kp, kappa, ke_unit, positions, kpprime)
+    abs_d, x_fac = _point_factors(p, kp, kappa, nx, ny, positions, kpprime)
     xi = E_CHARGE * (stats.peak_amplitude / omega) * abs_d
     brackets = bessel_bracket(orders, xi, thetas / kpprime * x_fac)
     weights = (E_SQUARED * _MASS_SQ * positions ** 3 * brackets

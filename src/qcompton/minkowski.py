@@ -1,4 +1,4 @@
-"""Four-vector algebra and Compton kinematics.
+"""Four-vectors, electron kinematics and emission directions.
 
 Metric convention diag(1, -1, -1, -1).  The drive propagates along +z;
 arbitrary electron incidence is handled by rotating the electron
@@ -29,16 +29,6 @@ class FourVector:
 
 
 @dataclass(frozen=True)
-class ComplexFourVector:
-    """Complex four-vector, used for polarization (dimensionless components)."""
-
-    t: complex
-    x: complex
-    y: complex
-    z: complex
-
-
-@dataclass(frozen=True)
 class ElectronState:
     """Initial electron: four-momentum, Lorentz factor and flight direction."""
 
@@ -64,39 +54,16 @@ class EmissionGeometry:
             raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
 
-def mdot(a, b):
-    """Minkowski product a.b = a^t b^t - a^x b^x - a^y b^y - a^z b^z.
-
-    No implicit conjugation: where a modulus of a complex product is
-    meant, callers conjugate explicitly.
-    """
-    return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
-
-
-def photon_wavevector(omega: float, theta: float, phi: float) -> FourVector:
-    """Null four-wavevector omega * (1, sin t cos p, sin t sin p, cos t).
-
-    Args:
-        omega: photon energy in eV, > 0.
-        theta, phi: propagation direction in radians.
-    """
-    if omega <= 0.0:
-        raise ValueError(f"photon energy must be positive, got {omega}")
-    st = math.sin(theta)
-    return FourVector(omega, omega * st * math.cos(phi),
-                      omega * st * math.sin(phi), omega * math.cos(theta))
-
-
 def electron_momentum(gamma: float, direction) -> ElectronState:
     """Electron four-momentum for a given Lorentz factor and unit direction.
 
     p = (gamma m_e, sqrt(gamma^2 - 1) m_e * direction).  The direction is
     renormalized internally (after validating |direction| = 1 within 1e-12)
-    so each component is accurate to machine precision.  The product
-    mdot(p, p) formed from them is not: it cancels, with a relative error
-    of order gamma^2 eps (0.0 at gamma = 1e8), so the emission core takes
-    p.p = m_e^2 as given.  Raises ValueError when gamma^2 overflows and p
-    is not finite.
+    so each component is accurate to machine precision.  The square
+    p.p = (p^t)^2 - |p|^2 formed from them is not: it cancels, with a
+    relative error of order gamma^2 eps (0.0 at gamma = 1e8), so the
+    emission core takes p.p = m_e^2 as given.  Raises ValueError when
+    gamma^2 overflows and p is not finite.
     """
     if gamma < 1.0:
         raise ValueError(f"Lorentz factor must be >= 1, got {gamma}")
@@ -111,9 +78,3 @@ def electron_momentum(gamma: float, direction) -> ElectronState:
         raise ValueError(f"Lorentz factor {gamma:g} is too large: the "
                          "electron momentum overflows")
     return ElectronState(p=p, gamma=gamma, direction=(dx, dy, dz))
-
-
-def circular_polarization() -> ComplexFourVector:
-    """Circular drive polarization (0, 1, i, 0)/sqrt(2)."""
-    r = 1.0 / math.sqrt(2.0)
-    return ComplexFourVector(0.0, r, 1j * r, 0.0)

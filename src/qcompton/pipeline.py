@@ -24,7 +24,7 @@ neither is privileged by the physics at the bandwidths considered here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -172,7 +172,6 @@ class SpectralCurve:
     omega: np.ndarray
     smooth: np.ndarray
     peaks: tuple = ()
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.omega.ndim != 1 or self.omega.size < 2:
@@ -198,7 +197,6 @@ class AngularCurve:
 
     theta: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 def _segment_weights(d, width):
@@ -271,10 +269,7 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     All other segments, every segment of a log or unequal grid and its
     wings, are evaluated as a band of (segment, point) pairs in bounded
     chunks; segments with both ends zero are skipped.  The band's normal
-    cdf is special_functions.ndtr, which costs about three times
-    scipy's per element: one call on a 32 000-node log fig2 grid took
-    0.095-0.115 s with scipy's ndtr and takes 0.112-0.148 s (medians
-    of three rounds of 7-15 calls, 2-core VM).
+    cdf is special_functions.ndtr.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
@@ -418,21 +413,10 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
         raise KinematicallyForbidden(
             "grid extends to %g eV but no emission is possible above "
             "%g eV at this angle" % (hi, ceiling))
-    meta = {
-        "state": scenario.stats.label,
-        "omega_eV": scenario.drive.omega,
-        "rho_eV3": scenario.drive.rho,
-        "delta_omega_eV": scenario.drive.delta_omega,
-        "theta_deg": math.degrees(geometry.theta),
-        "phi_deg": math.degrees(geometry.phi),
-        "broadening": scenario.broadening,
-        "gamma": scenario.electron.gamma,
-        "direction": list(scenario.electron.direction),
-    }
     build = _line_curves if scenario.stats.is_atomic else _smooth_curves
     [curve] = build(scenario, [(geometry, scenario.omega_grid)],
                     diagnostics or Diagnostics())
-    return replace(curve, metadata=meta)
+    return curve
 
 
 def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
@@ -443,7 +427,7 @@ def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     include the pulse duration factor.
     """
     sigma = scenario.drive.delta_omega
-    t_pulse = pulse_duration(sigma).per_eV
+    t_pulse = pulse_duration(sigma)
     p = scenario.electron.p
     omega = scenario.drive.omega
     # a line is kept while twice the kernel reach of its width can touch
@@ -486,7 +470,7 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     if not blocks:
         return []
     sigma = scenario.drive.delta_omega
-    t_pulse = pulse_duration(sigma).per_eV
+    t_pulse = pulse_duration(sigma)
     grids = [grid.points() for _, grid in blocks]
     angles = [(geometry.theta, geometry.phi) for geometry, _ in blocks]
 
@@ -578,13 +562,5 @@ def angular_distribution(scenario: Scenario, band, *,
     for i, curve in zip(live, curves):
         values[i] = band_integrate(curve, (lo, hi)) * (
             math.sin(scenario.thetas[i]) if jacobian else 1.0)
-    meta = {
-        "state": scenario.stats.label,
-        "omega_eV": scenario.drive.omega,
-        "rho_eV3": scenario.drive.rho,
-        "band_eV": [lo, hi],
-        "jacobian": jacobian,
-        "broadening": scenario.broadening,
-    }
     return AngularCurve(theta=np.asarray(scenario.thetas, dtype=float),
-                        values=values, metadata=meta)
+                        values=values)

@@ -12,8 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .constants import (HBAR_EV_S, JOULES_PER_EV, PER_M3_TO_EV3,
-                        SPEED_OF_LIGHT_M_S)
+from .constants import JOULES_PER_EV, PER_M3_TO_EV3, SPEED_OF_LIGHT_M_S
 
 
 @dataclass(frozen=True)
@@ -48,24 +47,11 @@ class NaturalDrive:
     delta_omega: float  # bandwidth, eV
 
 
-@dataclass(frozen=True)
-class PhotonDensity:
-    per_m3: float
-    per_eV3: float
-
-
-@dataclass(frozen=True)
-class PulseDuration:
-    seconds: float
-    per_eV: float       # natural units, eV^-1
-
-
 def intensity_to_photon_density(intensity_W_cm2: float,
-                                photon_energy_eV: float) -> PhotonDensity:
-    """Photon number density of a flux with the given cycle-averaged intensity.
-
-    rho[m^-3] = I / (c * hbar omega in joules); the eV^3 value is the same
-    density expressed in natural units.
+                                photon_energy_eV: float) -> float:
+    """Photon number density, in eV^3, of a flux with the given
+    cycle-averaged intensity: rho[m^-3] = I / (c * hbar omega in joules),
+    expressed in natural units.
     """
     if intensity_W_cm2 < 0.0:
         raise ValueError(f"intensity must be >= 0, got {intensity_W_cm2}")
@@ -74,21 +60,19 @@ def intensity_to_photon_density(intensity_W_cm2: float,
     intensity_W_m2 = intensity_W_cm2 * 1.0e4
     photon_energy_J = photon_energy_eV * JOULES_PER_EV
     per_m3 = intensity_W_m2 / (SPEED_OF_LIGHT_M_S * photon_energy_J)
-    return PhotonDensity(per_m3=per_m3, per_eV3=per_m3 * PER_M3_TO_EV3)
+    return per_m3 * PER_M3_TO_EV3
 
 
-def pulse_duration(delta_omega_eV: float) -> PulseDuration:
-    """Fourier-limited pulse duration T = 2 pi / delta_omega."""
+def pulse_duration(delta_omega_eV: float) -> float:
+    """Fourier-limited pulse duration T = 2 pi / delta_omega, in eV^-1."""
     if delta_omega_eV <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {delta_omega_eV}")
-    per_eV = 2.0 * math.pi / delta_omega_eV
-    return PulseDuration(seconds=per_eV * HBAR_EV_S, per_eV=per_eV)
+    return 2.0 * math.pi / delta_omega_eV
 
 
 def natural_drive(spec: LabDriveSpec) -> NaturalDrive:
     """Resolve a LabDriveSpec into the natural-unit drive parameters."""
-    rho = intensity_to_photon_density(spec.intensity_W_cm2,
-                                      spec.photon_energy_eV)
     return NaturalDrive(omega=spec.photon_energy_eV,
-                        rho=rho.per_eV3,
+                        rho=intensity_to_photon_density(
+                            spec.intensity_W_cm2, spec.photon_energy_eV),
                         delta_omega=spec.relative_bandwidth * spec.photon_energy_eV)

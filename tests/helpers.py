@@ -23,7 +23,8 @@ import numpy as np
 from qcompton import units
 from qcompton.constants import E_SQUARED
 from qcompton.emission import smooth_spectral_density
-from qcompton.minkowski import (EmissionGeometry, mdot, photon_wavevector)
+from oracles import mdot, photon_wavevector
+from qcompton.minkowski import EmissionGeometry
 
 DRIVE_OMEGA = 2.25          # eV
 RELATIVE_BANDWIDTH = 8e-3

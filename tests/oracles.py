@@ -7,7 +7,10 @@ time in plain scalar arithmetic.  They share only bessel_bracket with
 the fused engine (emission.spectral_density_points), which is what
 makes the dual-path comparisons meaningful.
 
-scattered_momentum closes the kinematics for the conservation checks.
+scattered_momentum closes the kinematics for the conservation checks;
+the four-vector algebra they are written in (Minkowski product, photon
+wavevector, circular polarization) lives here too, since the package
+itself needs none of it.
 """
 
 import math
@@ -20,11 +23,48 @@ from qcompton.emission import (DEFAULT_PATIENCE, DEFAULT_REL_TOL,
                                DEFAULT_S_MAX, EDGE_FIELD_FRACTION,
                                TruncationNotConverged, bessel_bracket)
 from qcompton.minkowski import (EmissionGeometry, FourVector,
-                                KinematicallyForbidden,
-                                circular_polarization, mdot,
-                                photon_wavevector)
+                                KinematicallyForbidden)
 
 _EPS = np.finfo(float).eps
+
+@dataclass(frozen=True)
+class ComplexFourVector:
+    """Complex four-vector, used for polarization (dimensionless components)."""
+
+    t: complex
+    x: complex
+    y: complex
+    z: complex
+
+
+def mdot(a, b):
+    """Minkowski product a.b = a^t b^t - a^x b^x - a^y b^y - a^z b^z.
+
+    No implicit conjugation: where a modulus of a complex product is
+    meant, callers conjugate explicitly.
+    """
+    return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
+
+
+def photon_wavevector(omega: float, theta: float, phi: float) -> FourVector:
+    """Null four-wavevector omega * (1, sin t cos p, sin t sin p, cos t).
+
+    Args:
+        omega: photon energy in eV, > 0.
+        theta, phi: propagation direction in radians.
+    """
+    if omega <= 0.0:
+        raise ValueError(f"photon energy must be positive, got {omega}")
+    st = math.sin(theta)
+    return FourVector(omega, omega * st * math.cos(phi),
+                      omega * st * math.sin(phi), omega * math.cos(theta))
+
+
+def circular_polarization() -> ComplexFourVector:
+    """Circular drive polarization (0, 1, i, 0)/sqrt(2)."""
+    r = 1.0 / math.sqrt(2.0)
+    return ComplexFourVector(0.0, r, 1j * r, 0.0)
+
 
 # Kinematically forbidden orders are reported as this marker, not as an
 # exception: hitting the theta cutoff is an ordinary outcome.

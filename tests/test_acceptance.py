@@ -19,14 +19,13 @@ from scipy.integrate import quad
 
 import helpers
 from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
-                     reference_bsv_density, reference_thermal_density,
-                     scattered_momentum)
+                     mdot, photon_wavevector, reference_bsv_density,
+                     reference_thermal_density, scattered_momentum)
 from qcompton import constants
 from qcompton.emission import (bessel_bracket, coherent_peaks,
                                kinematic_max_frequency,
                                smooth_spectral_density)
-from qcompton.minkowski import (EmissionGeometry, electron_momentum, mdot,
-                                photon_wavevector)
+from qcompton.minkowski import EmissionGeometry, electron_momentum
 from qcompton.photon_statistics import (PhaseAveragedStatistics, bsv_stats,
                                         cat_limit_stats, coherent_stats,
                                         fock_limit_stats,

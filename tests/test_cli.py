@@ -13,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from qcompton import cli
+from qcompton import cli, emission
 from qcompton import photon_statistics as ps
+from qcompton.minkowski import EmissionGeometry, electron_momentum
 
 
 def _base_config(**overrides):
@@ -686,3 +687,137 @@ def test_preset_emit_config_round_trip(tmp_path, capsys):
     # stdout mode prints the same document
     assert cli.main(["preset", "fig3", "--state", "bsv"]) == 0
     assert json.loads(capsys.readouterr().out) == cfg
+
+
+def test_preset_emit_config_unwritable_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "scenario.json"
+    assert cli.main(["preset", "fig2", "--emit-config",
+                     str(target)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_huge_direction_components_scale_instead_of_overflowing(tmp_path,
+                                                                 capsys):
+    # |d| of these components lies above the float range, so math.hypot
+    # returns inf; the direction must still resolve to (1, 1, 0)/sqrt(2)
+    cfg = _base_config()
+    cfg["electron"]["direction"] = [1.7e308, 1.7e308, 0.0]
+    cfg["scan"]["samples"] = 20
+    code, report = _run_report(tmp_path, cfg)
+    assert code == 0, capsys.readouterr().err
+    assert report["config"]["electron"]["direction"] == pytest.approx(
+        [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0], rel=1e-15)
+
+
+# ------------------------------------------------------------- smoke runs
+
+REPORT_KEYS = {"code_version", "wall_time_s", "diagnostics", "moment_check",
+               "config"}
+
+
+def _smoke_direction(rng):
+    """An axis direction, or a random one with transverse momentum."""
+    if rng.random() < 0.3:
+        return [0.0, 0.0, rng.choice((1.0, -1.0))]
+    return [rng.gauss(0.0, 1.0) for _ in range(3)]
+
+
+def _smoke_config(rng, state, mode, table):
+    """A valid config with small grids: electron, drive, direction, s_max
+    and broadening drawn from rng, frequencies placed in units of the
+    first harmonic's cutoff; one spectrum in five reaches past the
+    direction's frequency ceiling, which it refuses with exit 2 (an
+    angular band is clipped to each angle's ceiling instead)."""
+    gamma = 10.0 ** rng.uniform(0.0, 1.3)
+    direction = _smoke_direction(rng)
+    norm = math.hypot(*direction)
+    p = electron_momentum(gamma, [x / norm for x in direction]).p
+    cfg = {
+        "electron": {"gamma": gamma, "direction": direction},
+        "drive": {"photon_energy_eV": rng.uniform(1.0, 3.0),
+                  "intensity_W_cm2": 10.0 ** rng.uniform(13.0, 17.5),
+                  "relative_bandwidth": rng.uniform(2e-3, 2e-2),
+                  "state": state},
+        "numerics": {"broadening": rng.choice(("literal", "drive_average")),
+                     "s_max": rng.choice((3, 60, 9_999, 9_999))},
+    }
+    if table is not None:
+        cfg["drive"]["custom_table"] = table
+    omega = cfg["drive"]["photon_energy_eV"]
+    phi = rng.uniform(0.0, 360.0)
+    theta = rng.uniform(20.0, 180.0)
+    geometry = EmissionGeometry(math.radians(theta), math.radians(phi))
+    first = emission.kinematic_max_frequency(1, p, omega, geometry)
+    ceiling = emission.absolute_frequency_ceiling(p, omega, geometry)
+    lo = rng.uniform(0.05, 1.5) * first
+    hi = min(lo + rng.uniform(0.5, 4.0) * first, 0.9 * ceiling)
+    if mode == "spectrum":
+        if rng.random() < 0.2:
+            hi = 1.2 * ceiling
+        cfg["scan"] = {"mode": "spectrum", "theta_prime_deg": theta,
+                       "phi_prime_deg": phi,
+                       "omega_prime_range_eV": [lo, max(hi, 1.01 * lo)],
+                       "samples": rng.randrange(8, 40),
+                       "grid": rng.choice(("linear", "log"))}
+    else:
+        spread = rng.uniform(2.0, 20.0)
+        cfg["scan"] = {"mode": "angular", "phi_prime_deg": phi,
+                       "theta_range_deg": [max(theta - spread, 0.0),
+                                           min(theta + spread, 180.0),
+                                           rng.randrange(2, 5)],
+                       "band_eV": [lo, max(hi, 1.01 * lo)],
+                       "samples": rng.randrange(8, 24),
+                       "jacobian": rng.random() < 0.5}
+    return cfg
+
+
+def _thermal_table(path):
+    """The thermal R(E) as a custom table; the loader rescales E."""
+    stats = ps.thermal_stats(2.25, 1.0)
+    e = np.linspace(0.0, stats.support_max, 200)
+    path.write_text("".join(f"{a!r} {b!r}\n" for a, b in zip(
+        e.tolist(), np.exp(stats.log_r(e)).tolist())))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", [7, 2_718])
+def test_smoke_runs_over_valid_configs(tmp_path, capsys, seed):
+    # two seeded runs of every state (custom: the thermal table) in both
+    # scan modes; each ends in a curve or a reported physics failure
+    rng = random.Random(seed)
+    table = _thermal_table(tmp_path / "thermal_table.txt")
+    codes = []
+    for i, (state, mode) in enumerate(
+            (state, mode) for state in cli.STATE_NAMES
+            for mode in ("spectrum", "angular") for _ in range(2)):
+        cfg = _smoke_config(rng, state, mode,
+                            table if state == "custom" else None)
+        out = tmp_path / f"run{i}.csv"
+        code = cli.main(["run", "--config",
+                         _write_config(tmp_path, cfg, f"run{i}.json"),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, cli.EXIT_PHYSICS, cli.EXIT_NONCONVERGENCE), (
+            cfg, err)
+        assert "Traceback" not in err, (cfg, err)
+        report = json.loads((tmp_path / f"run{i}.csv.report.json")
+                            .read_text())
+        assert set(report) == REPORT_KEYS | (
+            {"output_path"} if code == 0 else {"error", "failure"}), cfg
+        assert list(report["diagnostics"]) == DIAGNOSTICS_KEYS
+        if code == 0:
+            rows = [ln for ln in out.read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            values = np.array([[float(v) for v in ln.split(",")]
+                               for ln in rows])
+            scan = report["config"]["scan"]
+            assert values.shape == (scan["samples"] if mode == "spectrum"
+                                    else scan["theta_range_deg"][2], 2)
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0), cfg
+        else:
+            assert report["error"], cfg
+        codes.append(code)
+    assert codes.count(0) >= len(codes) // 2

@@ -12,8 +12,9 @@ import pytest
 from helpers import (drive_for, dual_path_worst_error, linear_compton_line,
                      sample_triples)
 from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
-                     harmonic_term, reference_bsv_density,
-                     reference_thermal_density, scattered_momentum)
+                     harmonic_term, mdot, photon_wavevector,
+                     reference_bsv_density, reference_thermal_density,
+                     scattered_momentum)
 from qcompton import emission, special_functions
 from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
@@ -22,8 +23,7 @@ from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                kinematic_max_frequency,
                                smooth_spectral_density,
                                spectral_density_points)
-from qcompton.minkowski import (EmissionGeometry, electron_momentum, mdot,
-                                photon_wavevector)
+from qcompton.minkowski import EmissionGeometry, electron_momentum
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         thermal_stats)
 

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from qcompton.constants import ELECTRON_MASS_EV
-from oracles import scattered_momentum
-from qcompton.minkowski import (ComplexFourVector, EmissionGeometry,
-                                FourVector, KinematicallyForbidden,
-                                circular_polarization, electron_momentum,
-                                mdot, photon_wavevector)
+from oracles import (ComplexFourVector, circular_polarization, mdot,
+                     photon_wavevector, scattered_momentum)
+from qcompton.minkowski import (EmissionGeometry, FourVector,
+                                KinematicallyForbidden, electron_momentum)
 
 M = ELECTRON_MASS_EV
 

@@ -265,7 +265,7 @@ def test_coherent_spectrum_lines_carry_duration_times_weight():
     curve = energy_spectrum(sc, BACK)
     assert np.all(curve.smooth == 0.0)
     assert len(curve.peaks) >= 5
-    t_pulse = pulse_duration(sc.drive.delta_omega).per_eV
+    t_pulse = pulse_duration(sc.drive.delta_omega)
     raw = {q.order: q for q in coherent_peaks(
         sc.stats, AT_REST.p, sc.drive.omega, BACK, range(1, 2000))}
     by_center = {pk.center: pk for pk in curve.peaks}
@@ -274,9 +274,6 @@ def test_coherent_spectrum_lines_carry_duration_times_weight():
             pk = by_center[q.omega_prime]
             assert pk.mass == pytest.approx(t_pulse * q.weight, rel=1e-12)
             assert pk.sigma == sc.drive.delta_omega   # literal reading
-    assert curve.metadata["state"] == "coherent"
-    assert curve.metadata["broadening"] == "literal"
-    assert curve.metadata["theta_deg"] == pytest.approx(159.9)
 
 
 def test_line_band_masses_are_error_function_exact():
@@ -450,13 +447,16 @@ def test_angular_distribution_against_direct_spectra():
     # spot-check one angle against an explicitly assembled spectrum
     geom = EmissionGeometry(theta=thetas[1])
     direct = band_integrate(energy_spectrum(sc, geom), band)
-    assert curve.values[1] == direct     # the batched pass is bitwise
+    # the batched pass sends this angle's points to the Bessel layer with
+    # the other angles', and a Miller sweep starts above its call's
+    # largest order and argument, so its densities differ from the direct
+    # pass's by rounding (up to 4.7e-14 relative over these 132 points)
+    assert curve.values[1] == pytest.approx(direct, rel=1e-12, abs=0.0)
     # jacobian flag multiplies by sin(theta')
     jac = angular_distribution(sc, band, jacobian=True)
     np.testing.assert_allclose(jac.values,
                                curve.values * np.sin(curve.theta),
                                rtol=1e-12)
-    assert curve.metadata["band_eV"] == [band[0], band[1]]
 
 
 @pytest.mark.parametrize("maker", [thermal_stats, bsv_stats])
