@@ -37,12 +37,9 @@ DEFAULT_REL_TOL = 1e-10     # truncation: term / accumulated sum
 DEFAULT_PATIENCE = 5        # consecutive below-tolerance orders required
 DEFAULT_S_MAX = MAX_ORDER - 1   # hard order cap: J_{s+1} stays in contract
 
-# The engine takes harmonic orders in blocks of up to ORDER_BLOCK, one
-# Bessel sweep per block, while the block holds at most BLOCK_ELEMENTS
-# (order, point) entries; a pass wider than BLOCK_ELEMENTS / 2 points
-# takes one order at a time.  Narrow passes (angular scans) are bound by
-# the per-step overhead of the sweep, which a block shares among its
-# orders.
+# The engine's order blocks (see spectral_density_points): up to
+# ORDER_BLOCK orders share one Bessel sweep, and so its per-step
+# overhead, within BLOCK_ELEMENTS (order, point) entries.
 ORDER_BLOCK = 32
 BLOCK_ELEMENTS = 4096
 
@@ -85,9 +82,8 @@ class Diagnostics:
     evaluated; for a ladder both are its highest kept line.  edge_guarded
     counts terms zeroed on the kinematic edge.  overcomputed counts the
     Bessel elements an engine order block evaluated and did not sum:
-    rows below a point's first allowed order, rows after it converged
-    and every row past a block's early end.  Rows below the first order
-    and rows trimmed off a converging point sit at xi = 0, which costs
+    rows below a point's first allowed order and rows after it
+    converged.  Rows below the first order sit at xi = 0, which costs
     the sweep nothing, and still count.  Across passes the counts add
     up, and the order fields keep their maximum.
     """
@@ -237,14 +233,6 @@ def _log_terms(stats: PhaseAveragedStatistics, bracket, e_field):
     return log_term, np.sign(bracket)
 
 
-def _rows_kept(streak, n_rows: int):
-    """Leading rows of an n_rows block each column gets entries in: a
-    point with a streak st >= 1 converges at row DEFAULT_PATIENCE - 1 - st
-    while its terms stay negligible, so it needs DEFAULT_PATIENCE - st
-    rows; any other point needs all of them."""
-    return np.where(streak >= 1.0, DEFAULT_PATIENCE - streak, n_rows)
-
-
 def _only(mask, on):
     """mask at the columns `on` only; on None stands for all of them."""
     return mask if on is None else mask & on
@@ -273,18 +261,8 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     pass of more than BLOCK_ELEMENTS / 2 points takes one order at a
     time.  The rows are then summed in order, exactly as one order at a
     time would sum them: a point joins at its own first allowed order,
-    and its rows after it converged are dropped unsummed.  Both kinds of
-    unsummed entries are counted as overcomputed.
-
-    A point already summing at a block's start whose streak st of
-    negligible terms is at least 1 converges at row DEFAULT_PATIENCE -
-    1 - st if its terms stay negligible, so its later rows are trimmed:
-    they sit at xi = 0, like rows below a first order, and skip the
-    sweep.  Should one of its terms grow again, the block ends at the
-    first row where a summing point has no entry; its later rows count
-    as overcomputed, its joiners not yet reached go back to the points
-    not joined, and the next block starts at that order.  The rows are
-    still summed in order, so this changes no sum.
+    and its rows after it converged are evaluated but not summed.  Both
+    kinds of unsummed entries are counted as overcomputed.
 
     The state is one table with a column per live point, sorted once by
     first allowed order; the joined, unconverged points are its leading
@@ -297,11 +275,13 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     Per point, the sum starts at the lowest kinematically allowed order
     and stops once DEFAULT_PATIENCE consecutive orders contribute less
     than rel_tol of the running sum (terms are accumulated in log space
-    with a running max-shift, so far-tail orders underflow harmlessly).
-    Raises TruncationNotConverged if any point is still live at s_max,
-    and ValueError if a summed term is NaN, as statistics whose log R(E)
-    is NaN make it; either names the lowest-index failing point, and
-    carries it as `failure` (see with_failure).
+    with a running max-shift, so far-tail orders underflow harmlessly);
+    the row loop is the one place a point stops.  Raises ValueError for
+    a NaN or infinite theta, phi or omega' before any work; TruncationNotConverged if
+    a point is still live at s_max, or starts above it (before any
+    order); ValueError if a summed term is NaN, as statistics whose log
+    R(E) is NaN make it.  The last two name the lowest-index failing
+    point and carry it as `failure` (see with_failure).
     Counters go into `diagnostics` order by order, so they survive a raise.
     """
     if stats.is_atomic:
@@ -314,6 +294,9 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     if not (th.shape == ph.shape == wp.shape and th.ndim == 1):
         raise ValueError("theta, phi, omega_prime must be equal-length "
                          "1-D arrays")
+    for name, v in (("theta", th), ("phi", ph), ("omega_prime", wp)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite {name}: {v[~np.isfinite(v)][0]}")
     if np.any(wp <= 0.0):
         raise ValueError("omega_prime must be > 0")
     n_pts = th.size
@@ -346,6 +329,17 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         b_lin = wp * piprime              # theta argument: s*(k.p') - b_lin
         s_min = np.where(alive, np.floor(b_lin / kpprime) + 1.0, np.inf)
     s_min = np.where(alive & (s_min < 1.0), 1.0, s_min)
+
+    def capped(pts, why):
+        i = int(pts.min())
+        return with_failure(TruncationNotConverged(
+            f"{pts.size} of {n_pts} points {why} s_max={s_max}; first at "
+            f"theta'={math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} eV"),
+            th[i], wp[i], s_max)
+
+    late = np.flatnonzero(alive & (s_min > s_max))
+    if late.size:
+        raise capped(late, "start above the order cap")
 
     edge_field = EDGE_FIELD_FRACTION * math.sqrt(2.0 * stats.energy_density)
     support_max = stats.support_max
@@ -404,14 +398,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         # are not live sit at xi = 0, which costs the sweep nothing
         on_edge = e_field < edge_field
         live = ~on_edge if ends[0] == n else (orders >= sm) & ~on_edge
-        # a converging point gets no entries past its patience; one row
-        # is never cut, as a summing point's streak is below the patience
-        cut_rows = set()
-        if n_rows > 1:
-            kept = _rows_kept(streak, n_rows)
-            cut_rows = set(kept[kept < n_rows].tolist())
-            if cut_rows:
-                live &= orders < s + kept
         every = bool(live.all())
         if every:
             log_term, sign = _log_terms(
@@ -426,17 +412,8 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
 
         # the rows in order, each summed as one order at a time would be
         summing = None                    # all, until a point converges
-        ended = n_rows
         with np.errstate(divide="ignore", invalid="ignore"):
             for row in range(n_rows):
-                if row in cut_rows and (summing is None
-                                        or summing[kept == row].any()):
-                    # a trimmed point is still summing: the rows from
-                    # here were evaluated in vain, and the next block
-                    # starts at this order
-                    diagnostics.add(overcomputed=(n_rows - row) * n)
-                    ended = row
-                    break
                 order = s + row
                 m = int(ends[row])
                 # the columns summing this order: the first m, less any
@@ -509,17 +486,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                     if summing is None:
                         summing = np.ones(n, dtype=bool)
                     summing[:m] &= ~done
-        s += ended
-        if ended < n_rows:
-            # the joiners of the rows left go back to the points not yet
-            # joined, where their columns came from
-            keep = int(ends[ended - 1])
-            table[:, joined - (n - keep):joined] = table[:, keep:n]
-            joined -= n - keep
-            n = keep
-            index, acc, shift = table[6:9, :n]
-            if summing is not None:
-                summing = summing[:n]
+        s += n_rows
 
         # the block's converged points leave, their density written out;
         # kept columns from the end fill their places
@@ -531,14 +498,10 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
             holes = np.flatnonzero(gone[:n])
             table[:, holes] = table[:, n + np.flatnonzero(summing[n:])]
 
-    left = np.concatenate((table[6, :n], table[6, joined:]))   # indices
-    if left.size:
-        i = int(left.min())
-        raise with_failure(TruncationNotConverged(
-            f"{left.size} of {n_pts} points still above rel_tol={rel_tol} "
-            f"at order cap s_max={s_max}; first at theta'="
-            f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} eV"),
-            th[i], wp[i], s_max)
+    # every point has joined by s_max, so those left are the first n
+    if n:
+        raise capped(table[6, :n],
+                     f"still above rel_tol={rel_tol} at order cap")
     return out
 
 

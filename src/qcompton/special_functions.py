@@ -295,17 +295,14 @@ def bessel_j_triple(s: int, x):
     """bessel_j_triples from order s on, for a scalar or array argument.
 
     A scalar or 1-D x takes order s at every point: the orders stay one
-    column, and a scalar gives three floats.  A 2-D x of shape (B, N) is
-    a block of consecutive orders, row b at order s + b, evaluated in one
-    sweep with an order per element; a single row is the 1-D case.
+    column.  A 2-D x of shape (B, N) is a block of consecutive orders,
+    row b at order s + b, evaluated in one sweep with an order per
+    element; a single row is the 1-D case.
     """
     xa = np.asarray(x, dtype=float)
     if xa.ndim == 2 and len(xa) > 1:
         return bessel_j_triples(s + np.arange(len(xa))[:, None], xa)
-    out = bessel_j_triples(s, xa)
-    if np.isscalar(x):
-        return tuple(float(v) for v in out)
-    return out
+    return bessel_j_triples(s, xa)
 
 
 _I0_SERIES_MAX = 30.0

@@ -383,8 +383,11 @@ FAILURE_KEYS = ["theta_prime_deg", "omega_prime_eV", "order", "e_field_eV2"]
 
 
 def test_nonconvergence_report_counts_thermal_pass(tmp_path, capsys):
+    # below 4 eV every point's first allowed order is at most 2, so the
+    # pass scans up to the cap
     cfg = _base_config(numerics={"s_max": 2})
     cfg["drive"]["state"] = "thermal"
+    cfg["scan"]["omega_prime_range_eV"] = [0.5, 4.0]
     code, report = _run_report(tmp_path, cfg)
     assert code == cli.EXIT_NONCONVERGENCE
     assert report["diagnostics"]["points"] > 0
@@ -397,6 +400,31 @@ def test_nonconvergence_report_counts_thermal_pass(tmp_path, capsys):
     assert f"omega'={failure['omega_prime_eV']:.6g} eV" in report["error"]
     assert failure["order"] == 2
     assert failure["e_field_eV2"] is None
+
+
+def test_nonconvergence_report_names_first_point_past_the_cap(tmp_path,
+                                                             capsys):
+    # points above the order-2 cutoff cannot start below the cap: the pass
+    # fails before it scans an order, naming the lowest such frequency
+    cfg = _base_config(numerics={"s_max": 2})
+    cfg["drive"]["state"] = "thermal"
+    code, report = _run_report(tmp_path, cfg)
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert "start above the order cap s_max=2" in report["error"]
+    assert report["diagnostics"]["points"] > 0
+    assert report["diagnostics"]["orders_scanned"] == 0
+    failure = report["failure"]
+    assert list(failure) == FAILURE_KEYS
+    assert failure["theta_prime_deg"] == pytest.approx(159.9, rel=1e-12)
+    assert f"omega'={failure['omega_prime_eV']:.6g} eV" in report["error"]
+    assert failure["order"] == 2
+    assert failure["e_field_eV2"] is None
+    geometry = EmissionGeometry(math.radians(159.9))
+    cutoff = emission.kinematic_max_frequency(
+        2, electron_momentum(1.0, [0, 0, 1]).p, 2.25, geometry)
+    grid = np.linspace(0.5, 12.0, 200)
+    assert failure["omega_prime_eV"] == pytest.approx(grid[grid > cutoff][0],
+                                                      rel=1e-12)
 
 
 def test_nonconvergence_report_counts_coherent_ladder(tmp_path, capsys):
@@ -819,5 +847,9 @@ def test_smoke_runs_over_valid_configs(tmp_path, capsys, seed):
             assert np.all(np.isfinite(values)) and np.all(values >= 0.0), cfg
         else:
             assert report["error"], cfg
+        # a failure that names its point carries it as an object
+        error = report.get("error", "")
+        if code == cli.EXIT_NONCONVERGENCE or "theta'=" in error:
+            assert list(report["failure"]) == FAILURE_KEYS, cfg
         codes.append(code)
     assert codes.count(0) >= len(codes) // 2

@@ -15,7 +15,7 @@ from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
                      harmonic_term, mdot, photon_wavevector,
                      reference_bsv_density, reference_thermal_density,
                      scattered_momentum)
-from qcompton import emission, special_functions
+from qcompton import emission
 from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
 from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
@@ -217,13 +217,61 @@ def test_engine_diagnostics_keys():
     assert diag.highest_order >= 1
     assert diag.orders_scanned >= diag.highest_order
     assert diag.edge_guarded >= 0
-    # a pass stopped by the cap keeps its counts, up to the cap itself
+    # a pass stopped by the cap keeps its counts, up to the cap itself;
+    # below 4 eV every point's first allowed order is at most 2
     capped = Diagnostics()
+    low = grid[grid < 4.0]
     with pytest.raises(TruncationNotConverged):
-        smooth_spectral_density(stats, AT_REST, OMEGA, geom, grid,
+        smooth_spectral_density(stats, AT_REST, OMEGA, geom, low,
                                 s_max=2, diagnostics=capped)
-    assert capped.points == grid.size
+    assert capped.points == low.size
     assert capped.orders_scanned == 2
+
+
+def test_first_order_past_the_cap_fails_before_any_order():
+    # a point whose first allowed order lies above s_max can never
+    # converge: the pass says so before it sums a single order, however
+    # slowly its other points converge, and names the lowest-index such
+    # point at the cap
+    drive = drive_for(9e16)
+    stats = thermal_stats(drive.omega, drive.rho)
+    geom = EmissionGeometry(theta=math.radians(159.9))
+    cuts = [kinematic_max_frequency(s, AT_REST, OMEGA, geom)
+            for s in (1, 40, 50)]
+    wp = np.array([0.5 * cuts[0], 1.01 * cuts[2], 1.01 * cuts[1]])
+    th, ph = np.full_like(wp, geom.theta), np.zeros_like(wp)
+    diag = Diagnostics()
+    with pytest.raises(TruncationNotConverged) as cap_error:
+        spectral_density_points(stats, AT_REST, OMEGA, th, ph, wp,
+                                s_max=45, diagnostics=diag)
+    assert str(cap_error.value).startswith(
+        f"1 of 3 points start above the order cap s_max=45; first at "
+        f"theta'=159.9 deg, omega'={wp[1]:.6g} eV")
+    assert cap_error.value.failure == {
+        "theta_prime_deg": pytest.approx(159.9, rel=1e-12),
+        "omega_prime_eV": wp[1], "order": 45, "e_field_eV2": None}
+    assert diag == Diagnostics(points=3)
+    # the same points under a cap they can all reach converge
+    assert np.all(spectral_density_points(stats, AT_REST, OMEGA, th, ph,
+                                          wp) > 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["theta", "phi", "omega_prime"])
+def test_non_finite_input_raises_before_any_work(name, bad):
+    # a NaN or infinite angle or frequency is refused by name, not summed
+    # into a silent zero or left to fail inside the pass
+    drive = drive_for(9e16)
+    stats = thermal_stats(drive.omega, drive.rho)
+    args = {"theta": np.full(4, math.radians(159.9)), "phi": np.zeros(4),
+            "omega_prime": np.linspace(0.5, 3.0, 4)}
+    args[name][2] = bad
+    diag = Diagnostics()
+    with pytest.raises(ValueError, match=f"^non-finite {name}: {bad}$"):
+        spectral_density_points(stats, AT_REST, OMEGA, args["theta"],
+                                args["phi"], args["omega_prime"],
+                                diagnostics=diag)
+    assert diag == Diagnostics()
 
 
 def test_input_validation():
@@ -525,12 +573,17 @@ def test_order_blocks_raise_as_single_orders(monkeypatch):
     assert messages[0] == messages[1]
     assert fields[0] == fields[1]
 
-    # a cap that is not a multiple of the block cuts the last block short
+    # a cap that is not a multiple of the block cuts the last block short;
+    # at 135 degrees the first allowed orders run from 116 to 231, and
+    # the points converge by order 253
+    p, th, wp = _fig3_points()
+    side = th == math.radians(135.0)
     capped = []
     for block in (1, BLOCK):
         with pytest.raises(TruncationNotConverged,
-                           match="s_max=45") as cap_error:
-            _engine_run(monkeypatch, block, _fig3_points(), s_max=45)
+                           match="still above .* s_max=245") as cap_error:
+            _engine_run(monkeypatch, block, (p, th[side], wp[side]),
+                        s_max=245)
         capped.append(str(cap_error.value))
     assert capped[0] == capped[1]
 
@@ -604,8 +657,8 @@ def _bumped_points():
 def _bumped_thermal():
     # thermal statistics at 9e18 W/cm^2 whose log R(E) is lifted by 30
     # between 3.5 and 4.5 times sqrt(2u), where many points' terms have
-    # just turned negligible: a point trimmed at a block's start sees its
-    # term grow again, so that block must end where it has no entry
+    # just turned negligible: a point's streak is broken inside a block,
+    # and blocks must still sum exactly as single orders do
     drive = drive_for(9e18)
     thermal = thermal_stats(drive.omega, drive.rho)
     amp = math.sqrt(2.0 * thermal.energy_density)
@@ -617,45 +670,19 @@ def _bumped_thermal():
     return replace(thermal, log_r_fn=log_r)
 
 
-def test_blocks_end_where_a_trimmed_point_grows_again(monkeypatch):
+def test_blocks_match_single_orders_when_terms_grow_again(monkeypatch):
     one, diag_one, calls_one = _engine_run(
         monkeypatch, 1, _bumped_points(), stats=_bumped_thermal())
     blocked, diag, calls = _engine_run(
         monkeypatch, BLOCK, _bumped_points(), stats=_bumped_thermal())
-    # a block that ended early is followed by one that starts inside it
-    assert any(s_next < s + rows for (s, rows, _), (s_next, _, _)
-               in zip(calls, calls[1:]))
     assert np.array_equal(blocked, one)
     assert np.count_nonzero(one) > 0.5 * one.size
     assert _old_fields(diag) == _old_fields(diag_one)
-    # every element a block evaluated but did not sum counts, the rows
-    # past an early end included; single orders sum all they evaluate
+    # every element a block evaluated but did not sum counts; single
+    # orders sum all they evaluate
     assert diag_one.overcomputed == 0
     assert diag.overcomputed == (sum(size for _, _, size in calls)
                                  - sum(size for _, _, size in calls_one))
-
-
-def test_trimming_spares_the_sweep_and_changes_no_bit(monkeypatch):
-    # on the fig3 thermal pass, points about to converge get no rows past
-    # their patience: fewer elements reach Miller's sweep, and the
-    # density and the counts are those of a pass that trims nothing
-    miller = special_functions._miller_rows
-    elements = []
-
-    def counted(s, x):
-        elements[-1] += x.size
-        return miller(s, x)
-
-    monkeypatch.setattr(special_functions, "_miller_rows", counted)
-    elements.append(0)
-    trimmed, diag, _ = _engine_run(monkeypatch, BLOCK, _fig3_points())
-    monkeypatch.setattr(emission, "_rows_kept",
-                        lambda streak, n_rows: np.full_like(streak, n_rows))
-    elements.append(0)
-    full, diag_full, _ = _engine_run(monkeypatch, BLOCK, _fig3_points())
-    assert 0 < elements[0] < elements[1]
-    assert np.array_equal(trimmed, full)
-    assert diag == diag_full
 
 
 def test_engine_restores_the_error_state():
