@@ -214,9 +214,16 @@ def _segment_weights(d, width):
     lo, hi = -d, width - d
     upper = lo > 0.0
     mass = ndtr(np.where(upper, -lo, hi)) - ndtr(np.where(upper, -hi, lo))
-    dpdf = (np.exp(-0.5 * lo * lo) - np.exp(-0.5 * hi * hi)) / math.sqrt(
-        2.0 * math.pi)
-    return (hi * mass - dpdf) / width, (d * mass + dpdf) / width
+    return _weights(lo, hi, mass, np.exp(-0.5 * lo * lo) - np.exp(
+        -0.5 * hi * hi), width)
+
+
+def _weights(lo, hi, mass, dexp, width):
+    """(left, right) weights from the segment's end offsets lo, hi (in
+    sigmas, from the evaluation point), its Gaussian mass and the
+    difference of exp(-u^2 / 2) at its ends."""
+    dpdf = dexp / math.sqrt(2.0 * math.pi)
+    return (hi * mass - dpdf) / width, (dpdf - lo * mass) / width
 
 
 def _uniform_run(x_nodes, x_eval, reach=0.0):
@@ -268,8 +275,14 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     taps.  A linear grid with its _extended_nodes wings is one such run.
     All other segments, every segment of a log or unequal grid and its
     wings, are evaluated as a band of (segment, point) pairs in bounded
-    chunks; segments with both ends zero are skipped.  The band's normal
-    cdf is special_functions.ndtr.
+    chunks; segments with both ends zero are skipped.  Adjacent segments
+    share a node, so the band takes one Gaussian tail (the mass beyond
+    the node, away from the point; special_functions.ndtr) and one
+    exp(-u^2 / 2) per (node, point) pair, over the points either of its
+    segments reaches, and a segment's mass and pdf difference come from
+    its two nodes' values: the tail of its far node taken from its near
+    node's when it lies on one side of the point, one minus both when it
+    spans it.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
@@ -294,9 +307,9 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     seg = np.nonzero(band)[0]
     x0, x1 = x_nodes[seg], x_nodes[seg + 1]
     y0, y1 = y_nodes[seg], y_nodes[seg + 1]
-    width = (x1 - x0) / sigma
     j0 = np.searchsorted(x_eval, x0 - reach, side="left")
-    counts = np.searchsorted(x_eval, x1 + reach, side="right") - j0
+    j1 = np.searchsorted(x_eval, x1 + reach, side="right")
+    counts = j1 - j0
     ends = np.cumsum(counts)
     starts = ends - counts
     shift = j0 - starts       # point index minus pair index
@@ -306,8 +319,30 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
                                            side="right")))
         rows = np.repeat(np.arange(a, b), counts[a:b])
         cols = np.arange(starts[a], ends[b - 1]) + shift[rows]
-        left, right = _segment_weights((x_eval[cols] - x0[rows]) / sigma,
-                                       width[rows])
+        # the chunk's nodes; segment i runs from node k[i] to k[i] + 1,
+        # and a node's points span from its lower segment's first to its
+        # upper segment's last: at a node two segments share, the second
+        # assignment of each pair below is the one that stays
+        nodes = np.union1d(seg[a:b], seg[a:b] + 1)
+        k = np.searchsorted(nodes, seg[a:b])
+        first = np.empty(nodes.size, dtype=np.intp)
+        last = np.empty_like(first)
+        first[k], first[k + 1] = j0[a:b], j0[a:b]
+        last[k + 1], last[k] = j1[a:b], j1[a:b]
+        size = last - first
+        base = np.cumsum(size) - size - first   # (node, point) -> pair
+        u = (np.repeat(x_nodes[nodes], size) - x_eval[
+            np.arange(size.sum()) - np.repeat(base, size)]) / sigma
+        tail = ndtr(-np.abs(u))
+        gauss = np.exp(-0.5 * u * u)
+        at = base[k][rows - a] + cols
+        at_hi = base[k + 1][rows - a] + cols
+        lo, hi = u[at], u[at_hi]
+        t_lo, t_hi = tail[at], tail[at_hi]
+        mass = np.where(lo > 0.0, t_lo - t_hi,
+                        np.where(hi > 0.0, 1.0 - t_lo - t_hi, t_hi - t_lo))
+        left, right = _weights(lo, hi, mass, gauss[at] - gauss[at_hi],
+                               hi - lo)
         out += np.bincount(cols, weights=y0[rows] * left + y1[rows] * right,
                            minlength=m)
         a = b

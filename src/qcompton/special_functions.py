@@ -2,27 +2,36 @@
 the normal cdf.
 
 These are the only special functions the package needs: J_{s-1}, J_s,
-J_{s+1} at the harmonic argument xi_s (orders into the thousands at
-high intensity), I0 inside one of the photon-statistics limits, and the
+J_{s+1} at the harmonic argument xi_s (orders into the thousands at high
+intensity), I0 inside one of the photon-statistics limits, and the
 normal cdf in the pipeline's exact Gaussian convolution.  J_n is
 evaluated in-package rather than through a platform math library so
-results are bit-stable across OSes.  One evaluator, _bessel_rows,
-takes one order per element: it owns the contract check and splits
-elements into x = 0, the ascending series for small argument
-(rows s and s+1 summed in one pass, row s-1 formed from their scaled
-sums; a shared order column stops on a scalar bound) and Miller
-backward recurrence with sum-rule normalization elsewhere (DLMF
-10.74), one sweep per call.  The sweep takes a call's elements as
-maximal runs of one order, as engine blocks and ladder batches lay them
-out, and copies each run into its row as one slice as it passes the
-run's orders.  A mixed call gathers each regime's orders from the
-per-element orders once; x = 0 sets J_0 = 1 and nothing else.  The sweep
-forms each step in place and rescales by the exact power of two 2^-600,
-as dense multiplies, testing for it only as often as the call's own
-growth bound requires: the largest growth a step can have from the
-call's start order at its smallest argument fixes how many steps stay
-clear of overflow, and an exact rescale gives the same bits whenever it
-is made.  Two entry
+results are bit-stable across OSes.  One evaluator, _bessel_rows, takes
+one order per element: it owns the contract check and splits elements
+into four regimes.  x = 0 sets J_0 = 1 and nothing else.  The ascending
+series takes small arguments (rows s and s+1 summed in one pass, row s-1
+formed from their scaled sums; a shared order column stops on a scalar
+bound).  The rest take Miller's backward recurrence, one sweep per
+regime and call, in one of two forms.  Elements with anchor order nu =
+s-1 >= 160 and x <= 0.64 nu (the Debye regime; the thermal fig3 scan's
+high orders far from their turning points) take a sweep that stops at
+the lowest order it captures and scales each triple to J_{s-1} from
+Debye's expansion (DLMF 10.19.3).  J_{s-1} is the largest of the three
+rows below the turning point, so the sweep supplies only ratios of at
+most 1, J_s / J_{s-1} and J_{s+1} / J_{s-1}, underflow reaches the
+smaller rows first, and the three rows share one scale, so the
+near-cancelling bracket keeps its digits.  Over the region the anchored
+rows stay within 2e-13 of mpmath.  All other elements take the full
+sweep to order 0 with sum-rule normalization (DLMF 10.74).  A sweep
+takes a call's elements as maximal runs of one order, as engine blocks
+and ladder batches lay them out, and copies each run into its row as one
+slice as it passes the run's orders.  A mixed call gathers each regime's
+orders from the per-element orders once.  The sweep forms each step in
+place and rescales by the exact power of two 2^-600, as dense
+multiplies, testing for it only as often as the call's own growth bound
+requires: the largest growth a step can have from the call's start order
+at its smallest argument fixes how many steps stay clear of overflow,
+and an exact rescale gives the same bits whenever it is made.  Two entry
 points share it: bessel_j_triples takes an order array shaped like the
 argument (a coherent ladder batch in one call), bessel_j_triple one
 order for every point of a 1-D argument, or a block of consecutive
@@ -30,12 +39,11 @@ orders, one per row of a 2-D argument (an engine pass, whose narrow
 order steps then share one sweep).  Regime boundaries were fixed by
 cross-validation against an arbitrary-precision oracle and are
 constants, not runtime heuristics.  I0 is offered only exponentially
-scaled, as log(e^-x I0(x)), the form its one caller must cancel in;
-from 1e16 on, where its expansion's corrections are below half an ulp,
-a call returns the leading term -log(2 pi x)/2 alone, the same bits.
-The normal cdf, ndtr, ports to numpy the Cephes rational
-approximations that scipy.special.ndtr evaluates, so the package needs
-numpy alone.
+scaled, as log(e^-x I0(x)), the form its one caller must cancel in; from
+1e16 on, where its expansion's corrections are below half an ulp, a call
+returns the leading term -log(2 pi x)/2 alone, the same bits.  The
+normal cdf, ndtr, ports to numpy the Cephes rational approximations that
+scipy.special.ndtr evaluates, so the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -73,6 +81,42 @@ _MILLER_PAD_SCALE = 15.0
 _RESCALE_THRESHOLD = 2.0 ** 600
 _RESCALE_FACTOR = 2.0 ** -600
 _RESCALE_HEADROOM = 2.0 ** 400
+
+# Debye regime: anchor order nu = s - 1 >= _DEBYE_MIN_ORDER and x <=
+# _DEBYE_MAX_RATIO nu, above the series.  _DEBYE_TERMS terms of DLMF
+# 10.19.3 give J_nu within 2e-13 of mpmath over the region (u_8 / nu^8
+# is still 5e-13 at its corner (160, 0.64)); just outside it the error
+# grows to 7e-13 at (160, 0.70) and 3e-12 at (100, 0.64), so the bounds
+# stay inside those measured points.
+_DEBYE_MIN_ORDER = 160
+_DEBYE_MAX_RATIO = 0.64
+_DEBYE_TERMS = 9
+
+
+def _debye_polynomials(terms: int) -> np.ndarray:
+    """Q[k, j]: the Debye polynomials as u_k(p) = p^k sum_j Q[k, j] p^2j.
+
+    u_0 = 1 and u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2 + int_0^p (1 - 5
+    q^2) u_k(q) dq / 8 (DLMF 10.41.10), run on coefficient lists of p in
+    floats; u_k has degree 3k and only the powers p^k, p^(k+2), ...
+    """
+    q = np.zeros((terms, terms))
+    q[0, 0] = 1.0
+    u = [1.0]
+    for k in range(1, terms):
+        new = [0.0] * (len(u) + 3)
+        for n in range(1, len(u)):
+            new[n + 1] += 0.5 * n * u[n]
+            new[n + 3] -= 0.5 * n * u[n]
+        for n, c in enumerate(u):
+            new[n + 1] += c / (8.0 * (n + 1))
+            new[n + 3] -= 5.0 * c / (8.0 * (n + 3))
+        u = new
+        q[k, :k + 1] = u[k::2]
+    return q
+
+
+_DEBYE_Q = _debye_polynomials(_DEBYE_TERMS)
 
 # log n! for every order a triple can reach, so the series looks its
 # leading terms up instead of calling lgamma per element
@@ -156,6 +200,28 @@ def _miller_start(n_max: int, x_max: float) -> int:
     return m_start + m_start % 2
 
 
+def _debye_j(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) from _DEBYE_TERMS terms of Debye's expansion, inside the
+    Debye regime (nu >= _DEBYE_MIN_ORDER, 0 < x <= _DEBYE_MAX_RATIO nu).
+
+    With z = x / nu = sech a, t = tanh a = sqrt((1 - z)(1 + z)) and p = 1
+    / t, J_nu(x) = e^(nu (t - a)) / sqrt(2 pi nu t) sum_k u_k(p) / nu^k
+    (DLMF 10.19.3).  The exponent is formed as nu (t - log1p(t) + log z),
+    which is t - a without the cancellation of an arctanh, the prefactor
+    enters it as a log, and e^-745 and below flush to zero as the contract
+    allows.  u_k(p) / nu^k = (p / nu)^k Q_k(p^2) for all k at once is one
+    product of the powers of p^2 with _DEBYE_Q.
+    """
+    z = x / nu
+    t = np.sqrt((1.0 - z) * (1.0 + z))
+    p = 1.0 / t
+    log_j = nu * (t - np.log1p(t) + np.log(z)) - 0.5 * np.log(
+        2.0 * math.pi * nu * t)
+    terms = (np.vander(p * p, _DEBYE_TERMS, increasing=True) @ _DEBYE_Q.T
+             * np.vander(p / nu, _DEBYE_TERMS, increasing=True))
+    return np.exp(log_j) * terms.sum(axis=1)
+
+
 def _rescale_interval(m_start: int, x_min: float) -> int:
     """Steps between two rescale tests of a sweep from m_start whose
     smallest argument is x_min: the most steps L with g^L within
@@ -164,26 +230,38 @@ def _rescale_interval(m_start: int, x_min: float) -> int:
     return int(math.log(_RESCALE_HEADROOM, 2.0 * m_start / x_min + 1.0))
 
 
-def _miller_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Backward recurrence with sum-rule normalization, one sweep.
+def _miller_rows(s: np.ndarray, x: np.ndarray,
+                 anchor: np.ndarray | None = None) -> np.ndarray:
+    """Backward recurrence, one sweep, normalized by the sum rule or by
+    an anchor.
 
     Returns J_{s-1}, J_s, J_{s+1} at x as a (3, x.size) array, s one
     order per element of x or a single order for all.  The sweep starts
     above the largest order and argument of the call and captures each
-    entry as m passes its order; each element is normalized by its own
-    sum.  The elements are taken as maximal runs of one order (a shared
-    order is one run, an engine block or a ladder batch ascending runs),
-    so a capture copies a run into its row as one contiguous slice; any
-    order layout works, unsorted orders just form more runs.  All x must
-    exceed _SERIES_CAP; the caller routes smaller arguments to the
-    series.  Every _rescale_interval steps, elements with J_m or J_{m+1}
-    above _RESCALE_THRESHOLD are scaled by the exact power of two
-    _RESCALE_FACTOR, as dense multiplies by a factor that is 1 for the
-    others; the growth bound beside those constants keeps the steps
-    between two tests finite.
+    entry as m passes its order.  The elements are taken as maximal runs
+    of one order (a shared order is one run, an engine block or a ladder
+    batch ascending runs), so a capture copies a run into its row as one
+    contiguous slice; any order layout works, unsorted orders just form
+    more runs.  All x must exceed _SERIES_CAP; the caller routes smaller
+    arguments to the series.  Every _rescale_interval steps, elements
+    with J_m or J_{m+1} above _RESCALE_THRESHOLD are scaled by the exact
+    power of two _RESCALE_FACTOR, as dense multiplies by a factor that is
+    1 for the others; the growth bound beside those constants keeps the
+    steps between two tests finite.
+
+    Without an anchor the sweep runs to order 0 and each element is
+    normalized by its own sum, J_0 + 2 sum_k J_2k (DLMF 10.74).  With
+    anchor, the true J_{s-1} per element (the Debye regime's), it stops
+    at the lowest order it captures and keeps no sum: each triple is
+    (rows / rows[0]) * anchor, the ratios formed before the product so
+    that a tiny anchor does not underflow against large raw rows.  An
+    element leaves the recurrence once its triple is captured, so later
+    rescales of the sweep cannot flush its rows to zero.
     """
     m_start = _miller_start(int(s.max()) + 1, float(x.max()))
     every = _rescale_interval(m_start, float(x.min()))
+    sum_rule = anchor is None
+    lowest = 0 if sum_rule else int(s.min()) - 1
 
     # J order -> (row, run) of the entries it fills: row k of a run of
     # order r holds J_{r-1+k}; a run of one element (a ladder batch) is
@@ -205,7 +283,7 @@ def _miller_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     # doubling once is exactly doubling every term
     even = np.zeros_like(x)
     out = np.zeros((3, x.size))
-    for m in range(m_start, 0, -1):
+    for m in range(m_start, lowest, -1):
         # J_{m-1} = (2m / x) J_m - J_{m+1}, formed in place
         np.multiply(inv_x, 2.0 * m, out=t)
         t *= j_lo
@@ -225,9 +303,13 @@ def _miller_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         if idx in capture:
             for row, run in capture[idx]:
                 out[row, run] = j_lo[run]
-        if idx and idx % 2 == 0:
+                if row == 0 and not sum_rule:
+                    j_lo[run] = j_hi[run] = 0.0
+        if sum_rule and idx and idx % 2 == 0:
             even += j_lo
-    return out / (2.0 * even + j_lo)
+    if sum_rule:
+        return out / (2.0 * even + j_lo)
+    return out / out[0] * anchor
 
 
 def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -237,11 +319,15 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     them; the rows then stay one column, so the series forms its
     divisors per row rather than per point.  The one regime dispatch of
     the module, made per element: x = 0 is exact, x up to
-    _series_threshold(s - 1) takes the series, the rest Miller's
-    recurrence.  A call whose points all share a regime returns that
-    regime's array directly.  A mixed call gathers each regime's orders
-    from s once and scatters its rows back; x = 0 needs no rows of its
-    own, as only J_0 = 1 is non-zero there.
+    _series_threshold(s - 1) takes the series, and the rest Miller's
+    recurrence, split in two sweeps.  Elements of the Debye regime,
+    s - 1 >= _DEBYE_MIN_ORDER and x <= _DEBYE_MAX_RATIO (s - 1), take
+    the sweep anchored to _debye_j at J_{s-1}, which stops at the call's
+    lowest order: below it the recurrence would only carry the sum rule
+    down.  The others take the full sweep.  A call whose points all
+    share a regime returns that regime's array directly.  A mixed call
+    gathers each regime's orders from s once and scatters its rows back;
+    x = 0 needs no rows of its own, as only J_0 = 1 is non-zero there.
     """
     bad = (s != np.round(s)) | (s < 1) | (s >= MAX_ORDER)   # NaN: first
     if bad.any():
@@ -257,9 +343,14 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     small = ~zero & (x <= _series_threshold(s - 1.0))
     if small.all():
         return _jn_series(s + triple, x)
-    rest = ~zero & ~small
+    sweep = ~zero & ~small
+    debye = sweep & (s > _DEBYE_MIN_ORDER) & (
+        x <= _DEBYE_MAX_RATIO * (s - 1.0))
+    rest = sweep & ~debye
     if rest.all():
         return _miller_rows(s, x)
+    if debye.all():
+        return _miller_rows(s, x, _debye_j(s - 1.0, x))
 
     def orders(mask):
         return s if s.size == 1 else s[mask]
@@ -268,6 +359,9 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     out[0, zero & (s == 1.0)] = 1.0
     if small.any():
         out[:, small] = _jn_series(orders(small) + triple, x[small])
+    if debye.any():
+        s_d, x_d = orders(debye), x[debye]
+        out[:, debye] = _miller_rows(s_d, x_d, _debye_j(s_d - 1.0, x_d))
     if rest.any():
         out[:, rest] = _miller_rows(orders(rest), x[rest])
     return out

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcompton import cli, emission
+from qcompton import cli, emission, special_functions
 from qcompton import photon_statistics as ps
 from qcompton.minkowski import EmissionGeometry, electron_momentum
 
@@ -754,12 +754,13 @@ def _smoke_direction(rng):
 
 
 def _smoke_config(rng, state, mode, table):
-    """A valid config with small grids: electron, drive, direction, s_max
-    and broadening drawn from rng, frequencies placed in units of the
-    first harmonic's cutoff; one spectrum in five reaches past the
+    """A valid config with small grids: electron (gamma 1 to 1e6), drive,
+    direction, s_max (log-uniform over 50 to 9 999, or 3 in one config
+    in eight) and broadening drawn from rng, frequencies placed in units
+    of the first harmonic's cutoff; one spectrum in five reaches past the
     direction's frequency ceiling, which it refuses with exit 2 (an
     angular band is clipped to each angle's ceiling instead)."""
-    gamma = 10.0 ** rng.uniform(0.0, 1.3)
+    gamma = 10.0 ** rng.uniform(0.0, 6.0)
     direction = _smoke_direction(rng)
     norm = math.hypot(*direction)
     p = electron_momentum(gamma, [x / norm for x in direction]).p
@@ -770,7 +771,8 @@ def _smoke_config(rng, state, mode, table):
                   "relative_bandwidth": rng.uniform(2e-3, 2e-2),
                   "state": state},
         "numerics": {"broadening": rng.choice(("literal", "drive_average")),
-                     "s_max": rng.choice((3, 60, 9_999, 9_999))},
+                     "s_max": 3 if rng.random() < 0.125 else min(9_999, round(
+                         10.0 ** rng.uniform(math.log10(50.0), 4.0)))},
     }
     if table is not None:
         cfg["drive"]["custom_table"] = table
@@ -780,7 +782,7 @@ def _smoke_config(rng, state, mode, table):
     geometry = EmissionGeometry(math.radians(theta), math.radians(phi))
     first = emission.kinematic_max_frequency(1, p, omega, geometry)
     ceiling = emission.absolute_frequency_ceiling(p, omega, geometry)
-    lo = rng.uniform(0.05, 1.5) * first
+    lo = min(10.0 ** rng.uniform(-1.3, 2.5) * first, 0.8 * ceiling)
     hi = min(lo + rng.uniform(0.5, 4.0) * first, 0.9 * ceiling)
     if mode == "spectrum":
         if rng.random() < 0.2:
@@ -812,9 +814,14 @@ def _thermal_table(path):
 
 
 @pytest.mark.parametrize("seed", [7, 2_718])
-def test_smoke_runs_over_valid_configs(tmp_path, capsys, seed):
+def test_smoke_runs_over_valid_configs(tmp_path, capsys, monkeypatch, seed):
     # two seeded runs of every state (custom: the thermal table) in both
-    # scan modes; each ends in a curve or a reported physics failure
+    # scan modes; each ends in a curve or a reported physics failure, and
+    # the draws reach the Bessel layer's Debye regime
+    debye = []
+    anchor = special_functions._debye_j
+    monkeypatch.setattr(special_functions, "_debye_j",
+                        lambda nu, x: debye.append(x.size) or anchor(nu, x))
     rng = random.Random(seed)
     table = _thermal_table(tmp_path / "thermal_table.txt")
     codes = []
@@ -853,3 +860,42 @@ def test_smoke_runs_over_valid_configs(tmp_path, capsys, seed):
             assert list(report["failure"]) == FAILURE_KEYS, cfg
         codes.append(code)
     assert codes.count(0) >= len(codes) // 2
+    assert debye
+
+
+def test_custom_thermal_table_gives_the_thermal_curve(tmp_path, capsys,
+                                                      monkeypatch):
+    # metamorphic: the thermal R(E) tabulated and loaded as a custom state
+    # gives the thermal curve within the table's interpolation error.  log
+    # R is quadratic in E, so log-linear interpolation on a step h errs by
+    # at most h^2 / (8 omega rho) in log R (1 % for _thermal_table), and a
+    # curve weighs R with positive kernels.  fig3's angles from 130 deg on
+    # reach harmonic orders past 160, so both runs cross the Bessel
+    # layer's Debye regime
+    table = _thermal_table(tmp_path / "thermal_table.txt")
+    e = np.loadtxt(table)[:, 0]
+    tolerance = np.diff(e).max() ** 2 / (8.0 * 2.25)
+    anchored = []
+    anchor = special_functions._debye_j
+    monkeypatch.setattr(special_functions, "_debye_j",
+                        lambda nu, x: anchored.append(x.size) or anchor(nu, x))
+    curves = {}
+    for state in ("thermal", "custom"):
+        cfg = cli.make_preset("fig3", state="thermal", intensity_index=3)
+        del cfg["output"]
+        cfg["drive"]["state"] = state
+        if state == "custom":
+            cfg["drive"]["custom_table"] = table
+        cfg["scan"].update(theta_range_deg=[130.0, 170.0, 5], samples=64)
+        out = tmp_path / f"{state}.csv"
+        anchored.clear()
+        assert cli.main(["run", "--config",
+                         _write_config(tmp_path, cfg, f"{state}.json"),
+                         "--out", str(out)]) == 0, capsys.readouterr().err
+        assert anchored, state
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        curves[state] = np.array([float(ln.split(",")[1]) for ln in rows])
+    want = curves["thermal"]
+    assert np.all(want > 0.0)
+    assert np.all(np.abs(curves["custom"] - want) <= tolerance * want)

@@ -197,18 +197,18 @@ def test_convolution_on_extended_grids_matches_exact_sum(spacing):
 def test_linear_grid_and_its_wings_convolve_as_one_run(monkeypatch, lo):
     # with or without the left wing cut at omega' = 0, the only segment
     # weights formed are the run's 2k + 1 taps: no wing segment is left
-    # to the (segment, point) band
+    # to the (segment, point) band, whose weights come from _weights too
     sigma = 0.018
     grid = OmegaGrid(lo, 1.0, 800).points()
     x = _extended_nodes(grid, sigma)
     sizes = []
-    weights = pipeline._segment_weights
+    weights = pipeline._weights
 
-    def counted(d, width):
-        sizes.append(np.size(d))
-        return weights(d, width)
+    def counted(lo, hi, mass, dexp, width):
+        sizes.append(np.size(lo))
+        return weights(lo, hi, mass, dexp, width)
 
-    monkeypatch.setattr(pipeline, "_segment_weights", counted)
+    monkeypatch.setattr(pipeline, "_weights", counted)
     _gaussian_convolve_linear(x, _wing_density(x), sigma, grid)
     h = (grid[-1] - grid[0]) / (grid.size - 1)
     assert sizes == [2 * (math.ceil(9.0 * sigma / h) + 1) + 1]

@@ -3,6 +3,7 @@ the normal cdf also against scipy's, whose approximations it ports."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 import scipy.special
 
 from qcompton import special_functions
-from qcompton.special_functions import (_I0_TAIL_CUT, _NDTR_CLIP,
+from qcompton.special_functions import (_DEBYE_MAX_RATIO,
+                                        _DEBYE_MIN_ORDER, _DEBYE_Q,
+                                        _DEBYE_TERMS,
+                                        _I0_TAIL_CUT, _NDTR_CLIP,
                                         _NDTR_P, _NDTR_Q, _NDTR_R,
                                         _NDTR_S, _NDTR_T, _NDTR_U,
                                         _RESCALE_FACTOR, _RESCALE_HEADROOM,
@@ -261,7 +265,9 @@ _GROWTH_CORNER = (np.array([1, MAX_ORDER - 1]),
 
 # order 50 at x = 340 grows through eight rescales on its way down from
 # the start set by order 2000 (whose J underflows to zero), yet x_min is
-# large enough for more than 100 steps between two tests
+# large enough for more than 100 steps between two tests.  Through the
+# regime dispatch order 2000 at x = 320 takes the Debye regime's sweep,
+# so the full sweep is called directly
 _LONG_CADENCE = (np.array([2000, 50]), np.array([320.0, 340.0]))
 
 
@@ -280,7 +286,7 @@ def test_rescale_interval_changes_no_bit(monkeypatch):
         return [np.array(bessel_j_triple(700, block_x)),
                 np.array(bessel_j_triples(*mixed)),
                 np.array(bessel_j_triples(*_GROWTH_CORNER)),
-                np.array(bessel_j_triples(*_LONG_CADENCE))]
+                _miller_rows(*_LONG_CADENCE)]
 
     sparse = evaluate()
     assert np.all(sparse[-1][:, 1] != 0.0)
@@ -398,19 +404,194 @@ def _order_layouts():
     yield "repeated-runs", np.repeat([40.0, 3.0, 40.0, 41.0], 64), wide
 
 
+def _in_debye_regime(s, x):
+    """Elements above the series with anchor order s - 1 >= the Debye
+    regime's lowest and x within its ratio of s - 1."""
+    return ((x > _series_threshold(s - 1.0)) & (s - 1.0 >= _DEBYE_MIN_ORDER)
+            & (x <= _DEBYE_MAX_RATIO * (s - 1.0)))
+
+
+def _assert_triples_match_oracle(s, x, rows):
+    """Each triple in rows against the oracle at 1e-12, below the flush
+    floor absolutely."""
+    for col, (order, xv) in enumerate(zip(
+            np.broadcast_to(s, x.shape).tolist(), x.tolist())):
+        for row in range(3):
+            n = int(order) - 1 + row
+            want = _oracle_jn(n, xv)
+            got = rows[row, col]
+            if abs(want) < 1e-290:
+                assert abs(got) <= 1e-280, (n, xv, got)
+            else:
+                assert _close(got, want, 1e-12), (n, xv, got, want)
+
+
 @pytest.mark.parametrize("name, s, x", list(_order_layouts()),
                          ids=[c[0] for c in _order_layouts()])
 def test_miller_runs_match_the_slot_map(name, s, x):
     # capturing by order runs moves the same values into the same rows
-    # as the slot map did: the sweep, and a whole call through the
-    # regime dispatch, keep every bit
-    assert np.array_equal(_bessel_rows(s, x), _rows_by_slot_map(s, x))
+    # as the slot map did: the sweep keeps every bit, and so does a whole
+    # call through the regime dispatch outside the Debye regime, whose
+    # elements take a sweep of their own and meet the oracle instead
+    rows = _bessel_rows(s, x)
+    debye = _in_debye_regime(s, x)
+    outside = ~debye
+    assert np.array_equal(rows[:, outside], _rows_by_slot_map(
+        s if s.size == 1 else s[outside], x[outside]))
+    _assert_triples_match_oracle(s if s.size == 1 else s[debye], x[debye],
+                                 rows[:, debye])
     rest = x > _series_threshold(s - 1.0)
     if rest.any():
         part = s if s.size == 1 else s[rest]
         n = part + np.arange(-1.0, 2.0)[:, None]
         assert np.array_equal(_miller_rows(part, x[rest]),
                               _miller_slot_map(n, x[rest]))
+
+
+@pytest.fixture
+def debye_calls(monkeypatch):
+    """The elements each call of the Debye anchor received."""
+    calls = []
+    anchor = special_functions._debye_j
+
+    def spy(nu, x):
+        calls.append(x.size)
+        return anchor(nu, x)
+
+    monkeypatch.setattr(special_functions, "_debye_j", spy)
+    return calls
+
+
+def test_debye_regime_corner_against_oracle(debye_calls):
+    # the regime's corner, where all its Debye terms count (u_8 / nu^8
+    # is 5e-13), beside the nearest elements outside it, which the full
+    # sweep keeps
+    nu = _DEBYE_MIN_ORDER
+    x = _DEBYE_MAX_RATIO * nu
+    s = np.array([nu + 1.0, nu + 1.0, nu])
+    xs = np.array([x, np.nextafter(x, np.inf), x])
+    assert _in_debye_regime(s, xs).tolist() == [True, False, False]
+    rows = np.array(bessel_j_triples(s, xs))
+    assert debye_calls == [1]
+    _assert_triples_match_oracle(s, xs, rows)
+
+
+@pytest.mark.parametrize("nu", [_DEBYE_MIN_ORDER, 300, MAX_ORDER - 2])
+def test_debye_regime_at_the_series_edge(nu, debye_calls):
+    # one ulp above the series threshold an element leaves the series for
+    # the Debye regime; the smallest x / nu it takes is 2 / sqrt(nu),
+    # 0.02 at the largest anchor order, where J has underflowed
+    x = float(np.nextafter(_series_threshold(float(nu)), np.inf))
+    s = np.array([nu + 1.0])
+    rows = np.array(bessel_j_triples(s, np.array([x])))
+    assert debye_calls == [1]
+    _assert_triples_match_oracle(s, np.array([x]), rows)
+    assert (rows[:, 0] > 0.0).all() == (nu < MAX_ORDER - 2)
+
+
+# J_nu, J_nu+1 and J_nu+2 at x = 0.64 nu as 25-digit values, from
+# mpmath.besselj at the oracle's 40 + 0.55 x digits (unchanged at 60
+# digits): about 0.3 s each there.  Near nu = 3000 they cross the smallest
+# normal double (2.2e-308) and then the smallest subnormal (4.9e-324).
+_J_AT_THE_UNDERFLOW_EDGE = {
+    2760: (5.056772154465785499418418e-300, 1.829125506891182136070094e-300,
+           6.613160752970695930419337e-301),
+    2950: (1.689181574547073069091599e-320, 6.110287083343226722452394e-321,
+           2.209304151717682506072369e-321),
+    2990: (8.26069982396528019474137e-325, 2.98816838936145098565919e-325,
+           1.080449478480475721779535e-325)}
+
+
+def test_debye_regime_at_the_underflow_edge(debye_calls):
+    # normal values keep 1e-12, subnormal ones their absolute resolution,
+    # and values below the smallest subnormal flush to exactly zero
+    nus = list(_J_AT_THE_UNDERFLOW_EDGE)
+    s = np.array(nus) + 1.0
+    rows = np.array(bessel_j_triples(s, _DEBYE_MAX_RATIO * (s - 1.0)))
+    assert debye_calls == [len(nus)]
+    tiny = np.finfo(float).tiny
+    for col, nu in enumerate(nus):
+        for row, want in enumerate(_J_AT_THE_UNDERFLOW_EDGE[nu]):
+            got = rows[row, col]
+            if want >= tiny:
+                assert _close(got, want, 1e-12), (nu, row, got, want)
+            else:
+                assert abs(got - want) <= 1e-12 * tiny, (nu, row, got)
+    assert (rows[:, -1] == 0.0).all()
+
+
+def test_debye_regime_flushes_without_warnings(debye_calls):
+    # the largest order at the regime's edge: every row far below the
+    # double range, exactly zero, and no overflow, underflow or 0 / 0
+    # reaches a warning
+    s = MAX_ORDER - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = bessel_j_triples(s, _DEBYE_MAX_RATIO * (s - 1))
+    assert debye_calls == [1]
+    assert [float(r) for r in rows] == [0.0, 0.0, 0.0]
+
+
+def test_debye_regime_keeps_the_recurrence():
+    # J_{s-1} + J_{s+1} = (2s / x) J_s for a seeded sample of the region,
+    # in one call; below x < s - 1 the three terms have one sign, so the
+    # identity holds relative to its right side
+    rng = np.random.default_rng(31)
+    nu = rng.integers(_DEBYE_MIN_ORDER, 2_500, 400).astype(float)
+    x = rng.uniform(_series_threshold(nu), _DEBYE_MAX_RATIO * nu)
+    s = nu + 1.0
+    assert _in_debye_regime(s, x).all()
+    jm, j0, jp = bessel_j_triples(s, x)
+    rhs = 2.0 * s / x * j0
+    keep = rhs > 1e-290
+    assert keep.sum() > 100
+    assert np.all(np.abs(jm + jp - rhs)[keep] <= 1e-12 * rhs[keep])
+
+
+def test_debye_regime_elements_leave_the_sweep_once_captured():
+    # a ladder call, one order each from 1 to 3000 at x = 0.6 s + 5: the
+    # Debye sweep runs from order 3 000 down to 160 and grows the high
+    # orders' recurrence by about 2^1000 through their turning points.
+    # Kept in the sweep, their captured rows would ride those rescales
+    # into zero, and rows / rows[0] would be 0 / 0
+    s = np.arange(1.0, 3001.0)
+    x = 0.6 * s + 5.0
+    debye = _in_debye_regime(s, x)
+    assert debye.sum() > 2_000
+    rows = np.array(bessel_j_triples(s, x))
+    assert np.isfinite(rows).all()
+    for i in np.flatnonzero(debye)[::250].tolist():
+        alone = np.array(bessel_j_triples(s[i], x[i]))
+        assert np.allclose(rows[:, i], alone, rtol=1e-13, atol=0.0), i
+
+
+def _debye_polynomials_exactly(terms):
+    """u_k(p) by the recurrence of DLMF 10.41.10 in exact rationals, as
+    coefficient lists of p."""
+    polys = [[Fraction(1)]]
+    for _ in range(1, terms):
+        u = polys[-1]
+        new = [Fraction(0)] * (len(u) + 3)
+        for n, c in enumerate(u):
+            # p^2 (1 - p^2) u'(p) / 2 + int_0^p (1 - 5 q^2) u(q) dq / 8
+            new[n + 1] += n * c / 2 + c / (8 * (n + 1))
+            new[n + 3] += -n * c / 2 - 5 * c / (8 * (n + 3))
+        polys.append(new)
+    return polys
+
+
+def test_debye_polynomials_match_exact_rationals():
+    exact = _debye_polynomials_exactly(_DEBYE_TERMS)
+    # DLMF 10.41.10's first two
+    assert exact[1] == [0, Fraction(3, 24), 0, Fraction(-5, 24)]
+    assert exact[2] == [0, 0, Fraction(81, 1152), 0, Fraction(-462, 1152),
+                        0, Fraction(385, 1152)]
+    want = np.zeros_like(_DEBYE_Q)
+    for k, u in enumerate(exact):
+        # only p^k, p^(k+2), ..., p^3k
+        assert not any(u[:k]) and not any(u[k + 1::2])
+        want[k, :k + 1] = [float(c) for c in u[k::2]]
+    assert np.all(np.abs(_DEBYE_Q - want) <= 4e-16 * np.abs(want))
 
 
 def test_empty_calls_never_reach_the_sweep(monkeypatch):
