@@ -26,6 +26,3 @@ E_CHARGE = math.sqrt(E_SQUARED)
 
 # 1 m^-3 expressed in eV^3 (number density conversion)
 PER_M3_TO_EV3 = HBARC_EV_M ** 3
-
-# 1 m^2 expressed in eV^-2 (cross-section conversion)
-M2_TO_PER_EV2 = 1.0 / HBARC_EV_M ** 2

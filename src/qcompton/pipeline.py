@@ -150,9 +150,9 @@ class GaussianPeak:
         return out
 
     def band_mass(self, lo: float, hi: float) -> float:
-        """Energy of the line inside [lo, hi], as for _segment_weights
-        from the tail beyond the band, so a band far above or below the
-        center keeps its digits."""
+        """Energy of the line inside [lo, hi], as in _weights from the
+        tail beyond the band, so a band far above or below the center
+        keeps its digits."""
         scale = self.sigma * math.sqrt(2.0)
         a, b = (lo - self.center) / scale, (hi - self.center) / scale
         if a > 0.0:
@@ -199,31 +199,26 @@ class AngularCurve:
     values: np.ndarray
 
 
-def _segment_weights(d, width):
+def _node_terms(u):
+    """Terms of nodes u sigmas from their evaluation points: the offsets
+    u, the Gaussian tail beyond each node, away from its point
+    (special_functions.ndtr), and exp(-u^2 / 2)."""
+    return u, ndtr(-np.abs(u)), np.exp(-0.5 * u * u)
+
+
+def _weights(lo, hi, width):
     """Weights (left, right) of a linear segment's end values y0, y1 in
-    its convolution with a unit Gaussian, so that the segment adds
-    y0 * left + y1 * right at the evaluation point.
-
-    Arguments are in units of sigma: d = (t - x0) / sigma is the offset
-    of the evaluation point t from the left node, width = (x1 - x0) /
-    sigma.  The Gaussian mass over the segment is taken from the tail
-    that lies beyond it, so a segment far above t keeps its digits, and
-    each weight is formed from its own node's offset, (x1 - t) for the
-    left and (t - x0) for the right, never as a difference of the two.
-    """
-    lo, hi = -d, width - d
-    upper = lo > 0.0
-    mass = ndtr(np.where(upper, -lo, hi)) - ndtr(np.where(upper, -hi, lo))
-    return _weights(lo, hi, mass, np.exp(-0.5 * lo * lo) - np.exp(
-        -0.5 * hi * hi), width)
-
-
-def _weights(lo, hi, mass, dexp, width):
-    """(left, right) weights from the segment's end offsets lo, hi (in
-    sigmas, from the evaluation point), its Gaussian mass and the
-    difference of exp(-u^2 / 2) at its ends."""
-    dpdf = dexp / math.sqrt(2.0 * math.pi)
-    return (hi * mass - dpdf) / width, (dpdf - lo * mass) / width
+    its convolution with a unit Gaussian: the segment adds y0 * left + y1
+    * right at the evaluation point.  lo and hi are its ends' _node_terms
+    and width its length, in sigmas.  Its Gaussian mass is the difference
+    of the two tails when it lies on one side of the point and one minus
+    both when it spans it, so a segment far away keeps its digits."""
+    u0, tail0, gauss0 = lo
+    u1, tail1, gauss1 = hi
+    mass = np.where(u0 > 0.0, tail0 - tail1,
+                    np.where(u1 > 0.0, 1.0 - tail0 - tail1, tail1 - tail0))
+    dpdf = (gauss0 - gauss1) / math.sqrt(2.0 * math.pi)
+    return (u1 * mass - dpdf) / width, (dpdf - u0 * mass) / width
 
 
 def _uniform_run(x_nodes, x_eval, reach=0.0):
@@ -265,24 +260,21 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     The data (x_nodes, y_nodes) define a piecewise-linear density that
     is zero outside [x_nodes[0], x_nodes[-1]].  Each linear segment
     convolved with N(0, sigma^2) has a closed form in the normal cdf and
-    pdf (_segment_weights), so the result carries no quadrature error;
-    a segment adds to the evaluation points within KERNEL_REACH sigmas.
+    pdf (_weights of its ends' _node_terms), so the result carries no
+    quadrature error; a segment adds to the points within KERNEL_REACH
+    sigmas.
 
     When x_eval is an equally spaced run of the nodes, every segment of
     the run, widened over the nodes within reach that continue its
-    lattice, sees the same weights at offsets k h, so the run is two
-    discrete convolutions of its left- and right-node values with those
-    taps.  A linear grid with its _extended_nodes wings is one such run.
-    All other segments, every segment of a log or unequal grid and its
-    wings, are evaluated as a band of (segment, point) pairs in bounded
-    chunks; segments with both ends zero are skipped.  Adjacent segments
-    share a node, so the band takes one Gaussian tail (the mass beyond
-    the node, away from the point; special_functions.ndtr) and one
-    exp(-u^2 / 2) per (node, point) pair, over the points either of its
-    segments reaches, and a segment's mass and pdf difference come from
-    its two nodes' values: the tail of its far node taken from its near
-    node's when it lies on one side of the point, one minus both when it
-    spans it.
+    lattice, sees the same weights at offsets j h, so the run is two
+    discrete convolutions of its left- and right-node values with 2k + 1
+    taps, from node terms at offsets j h / sigma; k is the reach in
+    steps, but at most the run's length.  A linear grid with its
+    _extended_nodes wings is one such run.  All other segments, every
+    segment of a log or unequal grid and its wings, form a band of
+    (segment, point) pairs in bounded chunks, skipping segments with both
+    ends zero; the band forms the node terms once per (node, point)
+    pair, shared by the node's two segments.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
@@ -295,9 +287,12 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     run = _uniform_run(x_nodes, x_eval, reach)
     if run is not None:
         a, i0, b, h = run
-        k = math.ceil(reach / h) + 1
-        left, right = _segment_weights(np.arange(-k, k + 1) * (h / sigma),
-                                       h / sigma)
+        k = min(math.ceil(reach / h) + 1, b - a)
+        # the tap at offset d = j h of the point from a segment's left
+        # node, j = -k..k, sees the segment's nodes at -d and h - d
+        terms = _node_terms(np.arange(k + 1, -k - 1, -1) * (h / sigma))
+        left, right = _weights([t[1:] for t in terms],
+                               [t[:-1] for t in terms], h / sigma)
         y = y_nodes[a:b]
         c = k + i0 - a
         out += (np.convolve(y[:-1], left)
@@ -331,18 +326,11 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
         last[k + 1], last[k] = j1[a:b], j1[a:b]
         size = last - first
         base = np.cumsum(size) - size - first   # (node, point) -> pair
-        u = (np.repeat(x_nodes[nodes], size) - x_eval[
-            np.arange(size.sum()) - np.repeat(base, size)]) / sigma
-        tail = ndtr(-np.abs(u))
-        gauss = np.exp(-0.5 * u * u)
-        at = base[k][rows - a] + cols
-        at_hi = base[k + 1][rows - a] + cols
-        lo, hi = u[at], u[at_hi]
-        t_lo, t_hi = tail[at], tail[at_hi]
-        mass = np.where(lo > 0.0, t_lo - t_hi,
-                        np.where(hi > 0.0, 1.0 - t_lo - t_hi, t_hi - t_lo))
-        left, right = _weights(lo, hi, mass, gauss[at] - gauss[at_hi],
-                               hi - lo)
+        terms = _node_terms((np.repeat(x_nodes[nodes], size) - x_eval[
+            np.arange(size.sum()) - np.repeat(base, size)]) / sigma)
+        at, at_hi = base[k][rows - a] + cols, base[k + 1][rows - a] + cols
+        lo, hi = [t[at] for t in terms], [t[at_hi] for t in terms]
+        left, right = _weights(lo, hi, hi[0] - lo[0])
         out += np.bincount(cols, weights=y0[rows] * left + y1[rows] * right,
                            minlength=m)
         a = b
@@ -350,30 +338,35 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     return np.maximum(out, 0.0)
 
 
+# Most nodes one wing of _extended_nodes may take.  A grid step far
+# below the kernel width would otherwise ask for billions of nodes.
+_MAX_WING_NODES = 1 << 20
+
+
 def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
     """User grid plus sampling wings one kernel reach past both ends.
 
     Without the wings, density just outside the requested window could
-    not bleed into it under convolution.  A linear grid whose step h is
-    at most sigma/2 continues its own lattice, ceil(reach / h) nodes
-    grid[0] + i h per side, so the convolution sees one equally spaced
-    run.  Other grids take wings spaced by the finer of their median
-    step and sigma/2.  The left wing stops above omega' = 0.
+    not bleed into it under convolution.  Each wing takes ceil(reach /
+    w) steps w = min(h, sigma/2) away from its end of the grid, h the run
+    step of a grid that is one equally spaced run (whose wings then
+    continue its lattice when h <= sigma/2) and the median step of any
+    other.  The left wing stops above omega' = 0.  Wings of more than
+    _MAX_WING_NODES nodes raise ValueError.
     """
     reach = KERNEL_REACH * sigma
     run = _uniform_run(grid, grid)
-    if run is not None and run[3] <= 0.5 * sigma:
-        h = run[3]
-        n = math.ceil(reach / h)
-        left = grid[0] + h * np.arange(-n, 0)
-        right = grid[0] + h * np.arange(grid.size, grid.size + n)
-        return np.concatenate([left[left > 0.0], grid, right])
-    step = min(float(np.median(np.diff(grid))), 0.5 * sigma)
-    n = max(2, int(math.ceil(reach / step)))
-    left = grid[0] - reach * np.linspace(1.0, 0.0, n, endpoint=False)
-    left = left[left > 0.0]
-    right = grid[-1] + reach * np.linspace(0.0, 1.0, n + 1)[1:]
-    return np.concatenate([left, grid, right])
+    h = run[3] if run is not None else float(np.median(np.diff(grid)))
+    w = min(h, 0.5 * sigma)
+    n = math.ceil(reach / w)
+    if n > _MAX_WING_NODES:
+        raise ValueError(
+            f"convolution wings need {n} nodes per side at step {w:.6g} eV "
+            f"for sigma {sigma:.6g} eV, above {_MAX_WING_NODES}; the "
+            f"omega' grid is too fine for the drive bandwidth")
+    left = grid[0] - w * np.arange(n, 0, -1)
+    right = grid[-1] + w * np.arange(1, n + 1)
+    return np.concatenate([left[left > 0.0], grid, right])
 
 
 def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,

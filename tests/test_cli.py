@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,39 @@ def test_exit_code_on_kinematically_dead_grid(tmp_path, capsys):
                      "--out", out])
     assert code == cli.EXIT_PHYSICS
     assert "physics error" in capsys.readouterr().err
+
+
+# a log grid over [3.2e-12, 3.3e-11] eV beside sigma = 0.042 eV (a draw of
+# test_smoke_runs_over_valid_configs at seed 0), and a 2-sample linear
+# window 1e-12 eV wide: unbounded wings of grid steps over 9 sigma would
+# ask for 2.97 TiB and 1.18 TiB
+OVERSIZED_WINGS = [
+    {"electron": {"gamma": 324259.2, "direction": [0.0, 0.0, 1.0]},
+     "drive": {"photon_energy_eV": 2.933098, "intensity_W_cm2": 1.824859e13,
+               "relative_bandwidth": 0.01417163, "state": "bsv"},
+     "numerics": {"s_max": 189},
+     "scan": {"mode": "spectrum", "theta_prime_deg": 90.77025,
+              "phi_prime_deg": 214.8449,
+              "omega_prime_range_eV": [3.184392e-12, 3.278428e-11],
+              "samples": 27, "grid": "log"}},
+    _base_config(
+        drive={"photon_energy_eV": 2.25, "intensity_W_cm2": 9e16,
+               "relative_bandwidth": 8e-3, "state": "bsv"},
+        scan={"mode": "spectrum", "theta_prime_deg": 159.9,
+              "omega_prime_range_eV": [1e-12, 2e-12], "samples": 2}),
+]
+
+
+@pytest.mark.parametrize("cfg", OVERSIZED_WINGS, ids=["log", "linear"])
+def test_exit_code_on_oversized_convolution_wings(tmp_path, capsys, cfg):
+    started = time.perf_counter()
+    code, report = _run_report(tmp_path, cfg)
+    assert time.perf_counter() - started < 1.0
+    assert code == cli.EXIT_PHYSICS
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "convolution wings need" in err
+    assert report["error"].startswith("convolution wings need")
+    assert "output_path" not in report
 
 
 @pytest.mark.parametrize("state, broadening, bandwidth, limit", [
@@ -813,7 +847,7 @@ def _thermal_table(path):
     return str(path)
 
 
-@pytest.mark.parametrize("seed", [7, 2_718])
+@pytest.mark.parametrize("seed", [0, 7, 29, 2_718])
 def test_smoke_runs_over_valid_configs(tmp_path, capsys, monkeypatch, seed):
     # two seeded runs of every state (custom: the thermal table) in both
     # scan modes; each ends in a curve or a reported physics failure, and

@@ -182,7 +182,9 @@ def test_convolution_on_extended_grids_matches_exact_sum(spacing):
         assert x[0] <= h
         assert np.abs(np.diff(x) - h).max() <= 4.0 * np.spacing(x[-1])
     else:
-        assert x[-1] - grid[-1] == pytest.approx(reach)
+        # steps of the finer of the median step and sigma / 2
+        w = min(float(np.median(np.diff(grid))), 0.5 * sigma)
+        assert reach <= x[-1] - grid[-1] < reach + w
     y = _wing_density(x)
     got = _gaussian_convolve_linear(x, y, sigma, grid)
     peak = got.max()
@@ -204,9 +206,9 @@ def test_linear_grid_and_its_wings_convolve_as_one_run(monkeypatch, lo):
     sizes = []
     weights = pipeline._weights
 
-    def counted(lo, hi, mass, dexp, width):
-        sizes.append(np.size(lo))
-        return weights(lo, hi, mass, dexp, width)
+    def counted(lo, hi, width):
+        sizes.append(np.size(lo[0]))
+        return weights(lo, hi, width)
 
     monkeypatch.setattr(pipeline, "_weights", counted)
     _gaussian_convolve_linear(x, _wing_density(x), sigma, grid)
@@ -255,6 +257,53 @@ def test_convolution_keeps_its_digits_off_a_harmonic_edge():
     for got in (on_run[idx],
                 _gaussian_convolve_linear(x, y, sigma, grid[idx])):
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_run_taps_match_exact_sum_on_a_fig2_curve():
+    # fig2 bsv at 9e14 W/cm^2, theta' 157.75 deg (bench config t35 of
+    # spectrum-smooth), at three points 4e-11 to 2e-9 of the peak: taps
+    # whose segments share each node's terms, formed at the node's own
+    # offset j h / sigma, are 5e-13 to 1.1e-12 from the 40-digit sum.
+    # Forming a segment's upper offset as h / sigma - d instead puts
+    # them 1.6e-11 to 1.9e-11 off
+    drive = drive_for(9e14)
+    stats = bsv_stats(drive.omega, drive.rho)
+    sigma = drive.delta_omega
+    grid = OmegaGrid(0.02, 8.0, 32000).points()
+    x = _extended_nodes(grid, sigma)
+    y = emission.spectral_density_points(
+        stats, AT_REST.p, drive.omega, np.full(x.size, math.radians(157.75)),
+        np.zeros(x.size), x)
+    got = _gaussian_convolve_linear(x, y, sigma, grid)
+    for i in (9394, 9433, 9439):
+        want = _exact_convolution(x, y, sigma, grid[i])
+        assert got[i] == pytest.approx(want, rel=1e-11, abs=0.0), grid[i]
+
+
+def test_run_taps_stop_at_the_run_length():
+    # two nodes 1e-12 eV apart: the reach is 1.6e11 steps, but no offset
+    # beyond the run's length occurs, so 2k + 1 taps with k = 2 serve
+    sigma = 0.018
+    x = np.array([1e-12, 2e-12])
+    got = _gaussian_convolve_linear(x, np.ones(2), sigma, x)
+    want = [_exact_convolution(x, np.ones(2), sigma, t) for t in x]
+    assert got.tolist() == pytest.approx(want, rel=1e-9)
+    assert got[0] == pytest.approx(2.216e-11, rel=1e-3)
+
+
+def test_wings_past_their_cap_raise():
+    # a 5e-8 eV step beside sigma = 0.018 eV would need 3.2e6 nodes a
+    # wing, past the cap of 2^20: refused before any node is built
+    with pytest.raises(ValueError, match="convolution wings need 3240000 "):
+        _extended_nodes(np.linspace(1.0, 1.0 + 1e-7, 3), 0.018)
+    # a steep window below the cap keeps its full wings: 512 nodes over
+    # 10 meV, a lattice step of 2e-5 eV
+    diagnostics = Diagnostics()
+    curve = energy_spectrum(
+        _scenario(9e14, bsv_stats, OmegaGrid(2.0, 2.01, 512)), BACK,
+        diagnostics)
+    assert diagnostics.points == 17_070
+    assert np.all(np.isfinite(curve.smooth)) and curve.smooth.max() > 0.0
 
 
 # ------------------------------------------------------- coherent spectra
