@@ -223,21 +223,6 @@ def bessel_bracket(s, xi, zeta_x):
     return zeta_x * (jm * jm + jp * jp - 2.0 * jc * jc) - jc * jc
 
 
-def _log_terms(stats: PhaseAveragedStatistics, bracket, e_field):
-    """log |term| (-inf for a zero bracket) and sign of each bracket
-    entry, weighted by R at its effective field."""
-    log_w = stats.log_r(e_field.ravel()).reshape(e_field.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.where(bracket != 0.0, np.log(np.abs(bracket)) + log_w,
-                            -np.inf)
-    return log_term, np.sign(bracket)
-
-
-def _only(mask, on):
-    """mask at the columns `on` only; on None stands for all of them."""
-    return mask if on is None else mask & on
-
-
 def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                             omega: float, theta, phi, omega_prime, *,
                             rel_tol: float = DEFAULT_REL_TOL,
@@ -259,10 +244,13 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     sideband factor are closed form in s, so a block is one (B, points)
     array expression, one bessel_bracket sweep and one log R call; a
     pass of more than BLOCK_ELEMENTS / 2 points takes one order at a
-    time.  The rows are then summed in order, exactly as one order at a
-    time would sum them: a point joins at its own first allowed order,
-    and its rows after it converged are evaluated but not summed.  Both
-    kinds of unsummed entries are counted as overcomputed.
+    time.  Every entry that is not live gets a zero term (log term -inf,
+    sign 0), whatever log R is there: rows before a point's first
+    allowed order, fields under the edge guard and, once a point
+    converges, its later rows in the block.  The rows are then summed
+    in order, exactly as one order at a time would sum them, each over
+    a prefix of the columns with no mask.  Rows before a point's first
+    order and after it converged are counted as overcomputed.
 
     The state is one table with a column per live point, sorted once by
     first allowed order; the joined, unconverged points are its leading
@@ -394,33 +382,27 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         xi = 2.0 * q * ad
         zeta_x = theta_arg / kpp * xf
 
-        # one Bessel sweep and one log R call for the block; entries that
-        # are not live sit at xi = 0, which costs the sweep nothing
+        # one Bessel sweep and one log R call over the whole block.  An
+        # entry that is not live, a row before its point's first order
+        # (where xi is already 0) or a field under the edge guard, gets a
+        # zero term, log term -inf and sign 0, whatever log R is there
         on_edge = e_field < edge_field
-        live = ~on_edge if ends[0] == n else (orders >= sm) & ~on_edge
-        every = bool(live.all())
-        if every:
-            log_term, sign = _log_terms(
-                stats, bessel_bracket(s, xi, zeta_x), e_field)
-        else:
-            log_term = np.full(live.shape, -np.inf)
-            sign = np.zeros(live.shape)
-            if live.any():
-                bracket = bessel_bracket(s, np.where(live, xi, 0.0), zeta_x)
-                log_term[live], sign[live] = _log_terms(
-                    stats, bracket[live], e_field[live])
-
-        # the rows in order, each summed as one order at a time would be
-        summing = None                    # all, until a point converges
+        bracket = np.where((orders >= sm) & ~on_edge,
+                           bessel_bracket(s, xi, zeta_x), 0.0)
+        sign = np.sign(bracket)
         with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = stats.log_r(e_field.ravel()).reshape(e_field.shape)
+            log_term = np.where(bracket != 0.0,
+                                np.log(np.abs(bracket)) + log_w, -np.inf)
+
+            # the rows in order, each summed as one order at a time would
+            # be: a row sums its first m columns, of which `settled`
+            # converged earlier in the block and see only zero terms
+            settled = 0
             for row in range(n_rows):
                 order = s + row
                 m = int(ends[row])
-                # the columns summing this order: the first m, less any
-                # that converged earlier in the block
-                on = None if summing is None else summing[:m]
-                n_now = m if on is None else int(np.count_nonzero(on))
-                if n_now == 0:
+                if m == settled:
                     # evaluated in vain: points before their s_min or
                     # after they converged
                     diagnostics.add(overcomputed=n)
@@ -430,7 +412,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                 zero_term = ~np.isfinite(lt)
                 any_zero = bool(zero_term.any())
                 if any_zero:
-                    bad = _only(np.isnan(lt), on)
+                    bad = np.isnan(lt)
                     if bad.any():
                         cols = np.flatnonzero(bad)
                         c = cols[np.argmin(index[cols])]
@@ -441,13 +423,12 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                             f"{wp[i]:.6g} eV, E={e_now[c]:.6g} eV^2 (log "
                             f"R(E) or the Bessel bracket is NaN)"),
                             th[i], wp[i], order, e_now[c])
-                all_zero = any_zero and not _only(~zero_term, on).any()
                 diagnostics.add(
-                    highest_order=0 if all_zero else order,
+                    highest_order=(0 if any_zero and zero_term.all()
+                                   else order),
                     orders_scanned=order,
-                    edge_guarded=0 if every else int(np.count_nonzero(
-                        _only(on_edge[row, :m], on))),
-                    overcomputed=n - n_now)
+                    edge_guarded=int(np.count_nonzero(on_edge[row, :m])),
+                    overcomputed=n - m + settled)
 
                 # max-shift accumulation, in place: with d = lt - shift,
                 # exp(-|d|) is exp(shift - lt) for a growing term, which
@@ -461,8 +442,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                 a, sh, st = acc[:m], shift[:m], streak[:m]
                 sg = sign[row, :m]
                 e = lt - sh                   # NaN where both are -inf
-                grow = _only(e > 0.0, on)
-                rest = _only(~grow, on)
+                grow = e > 0.0
                 np.abs(e, out=e)
                 np.negative(e, out=e)
                 np.exp(e, out=e)
@@ -470,7 +450,7 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                     e[zero_term] = 0.0
                 grown = a * e
                 grown += sg
-                np.add(a, sg * e, out=a, where=rest)
+                np.add(a, sg * e, out=a, where=~grow)
                 np.copyto(a, grown, where=grow)
                 np.copyto(sh, lt, where=grow)
                 np.copyto(e, 1.0, where=grow)
@@ -479,24 +459,30 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                     small = np.where(a == 0.0,
                                      zero_term & (e_now > support_max),
                                      small | zero_term)
-                np.add(st, 1.0, out=st, where=True if on is None else on)
-                np.copyto(st, 0.0, where=_only(~small, on))
-                done = _only(st >= DEFAULT_PATIENCE, on)
-                if done.any():
-                    if summing is None:
-                        summing = np.ones(n, dtype=bool)
-                    summing[:m] &= ~done
+                st += 1.0
+                np.copyto(st, 0.0, where=~small)
+                # a point converges when its streak reaches the patience,
+                # and its later rows get zero terms.  Those stay
+                # negligible, and E_s grows with s, so a point with no sum
+                # stays beyond support_max: its streak only grows and
+                # equals the patience exactly once
+                done = np.flatnonzero(st == DEFAULT_PATIENCE)
+                if done.size:
+                    settled += done.size
+                    log_term[row + 1:, done] = -np.inf
+                    sign[row + 1:, done] = 0.0
+                    on_edge[row + 1:, done] = False
         s += n_rows
 
         # the block's converged points leave, their density written out;
         # kept columns from the end fill their places
-        if summing is not None:
-            gone = ~summing
+        if settled:
+            gone = streak >= DEFAULT_PATIENCE
             i = index[gone].astype(np.intp)
             out[i] = prefactor[i] * acc[gone] * np.exp(shift[gone])
             n -= i.size
             holes = np.flatnonzero(gone[:n])
-            table[:, holes] = table[:, n + np.flatnonzero(summing[n:])]
+            table[:, holes] = table[:, n + np.flatnonzero(~gone[n:])]
 
     # every point has joined by s_max, so those left are the first n
     if n:

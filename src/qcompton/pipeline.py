@@ -269,7 +269,10 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     lattice, sees the same weights at offsets j h, so the run is two
     discrete convolutions of its left- and right-node values with 2k + 1
     taps, from node terms at offsets j h / sigma; k is the reach in
-    steps, but at most the run's length.  A linear grid with its
+    steps, but at most the run's length.  They are formed at the m
+    points alone, over the m + 2k segments whose taps reach them, so a
+    kernel far wider than the window costs m (2k + 1), not the run's
+    length times the taps.  A linear grid with its
     _extended_nodes wings is one such run.  All other segments, every
     segment of a log or unequal grid and its wings, form a band of
     (segment, point) pairs in bounded chunks, skipping segments with both
@@ -293,10 +296,14 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
         terms = _node_terms(np.arange(k + 1, -k - 1, -1) * (h / sigma))
         left, right = _weights([t[1:] for t in terms],
                                [t[:-1] for t in terms], h / sigma)
-        y = y_nodes[a:b]
-        c = k + i0 - a
-        out += (np.convolve(y[:-1], left)
-                + np.convolve(y[1:], right))[c:c + m]
+        # the end values of the segments i0 - k ... i0 + m + k - 1, whose
+        # taps reach the points, zero off the run: mode "valid" gives the
+        # m outputs alone
+        lo, hi = max(a, i0 - k), min(b - 1, i0 + m + k)
+        y = np.zeros((2, m + 2 * k))
+        y[:, lo - i0 + k:hi - i0 + k] = y_nodes[lo:hi], y_nodes[lo + 1:hi + 1]
+        out += (np.convolve(y[0], left, "valid")
+                + np.convolve(y[1], right, "valid"))
         band[a:b - 1] = False
 
     seg = np.nonzero(band)[0]
@@ -352,7 +359,10 @@ def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
     step of a grid that is one equally spaced run (whose wings then
     continue its lattice when h <= sigma/2) and the median step of any
     other.  The left wing stops above omega' = 0.  Wings of more than
-    _MAX_WING_NODES nodes raise ValueError.
+    _MAX_WING_NODES nodes raise ValueError, and so do nodes that are not
+    strictly increasing: a step below the float spacing at the grid's
+    end leaves wing nodes on top of each other, whose segments have no
+    width.
     """
     reach = KERNEL_REACH * sigma
     run = _uniform_run(grid, grid)
@@ -366,7 +376,13 @@ def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
             f"omega' grid is too fine for the drive bandwidth")
     left = grid[0] - w * np.arange(n, 0, -1)
     right = grid[-1] + w * np.arange(1, n + 1)
-    return np.concatenate([left[left > 0.0], grid, right])
+    nodes = np.concatenate([left[left > 0.0], grid, right])
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ValueError(
+            f"convolution nodes are not strictly increasing at step "
+            f"{w:.6g} eV for sigma {sigma:.6g} eV, below the float spacing "
+            f"of the omega' grid; the drive bandwidth is too narrow for it")
+    return nodes
 
 
 def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,

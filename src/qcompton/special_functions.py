@@ -209,17 +209,25 @@ def _debye_j(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     (DLMF 10.19.3).  The exponent is formed as nu (t - log1p(t) + log z),
     which is t - a without the cancellation of an arctanh, the prefactor
     enters it as a log, and e^-745 and below flush to zero as the contract
-    allows.  u_k(p) / nu^k = (p / nu)^k Q_k(p^2) for all k at once is one
-    product of the powers of p^2 with _DEBYE_Q.
+    allows.  The sum of u_k(p) / nu^k = (p / nu)^k Q_k(p^2) is two Horner
+    evaluations: every Q_k at p^2 at once, one power of p^2 per step,
+    then the polynomial in p / nu whose coefficients they are.
     """
     z = x / nu
     t = np.sqrt((1.0 - z) * (1.0 + z))
     p = 1.0 / t
     log_j = nu * (t - np.log1p(t) + np.log(z)) - 0.5 * np.log(
         2.0 * math.pi * nu * t)
-    terms = (np.vander(p * p, _DEBYE_TERMS, increasing=True) @ _DEBYE_Q.T
-             * np.vander(p / nu, _DEBYE_TERMS, increasing=True))
-    return np.exp(log_j) * terms.sum(axis=1)
+    y, r = p * p, p / nu
+    q = np.zeros((_DEBYE_TERMS, p.size))      # Q_k(p^2), one row per k
+    for j in range(_DEBYE_TERMS - 1, -1, -1):
+        # Q_k has degree k, so only rows k >= j have a p^2j term
+        q[j:] *= y
+        q[j:] += _DEBYE_Q[j:, j, None]
+    total = q[-1]
+    for q_k in q[-2::-1]:
+        total = total * r + q_k
+    return np.exp(log_j) * total
 
 
 def _rescale_interval(m_start: int, x_min: float) -> int:

@@ -345,6 +345,27 @@ def test_exit_code_on_oversized_convolution_wings(tmp_path, capsys, cfg):
     assert "output_path" not in report
 
 
+@pytest.mark.parametrize("bandwidth, scan", [
+    (1e-16, {"mode": "spectrum", "theta_prime_deg": 159.9,
+             "omega_prime_range_eV": [0.5, 4.0], "samples": 50}),
+    (1e-17, {"mode": "angular", "theta_range_deg": [150.0, 170.0, 3],
+             "band_eV": [1.0, 4.0]}),
+], ids=["spectrum", "angular"])
+def test_exit_code_on_sub_ulp_bandwidth(tmp_path, capsys, bandwidth, scan):
+    # sigma / 2, the wing step, below the float spacing at the window's
+    # end: wing nodes fall on each other, and their zero-width segments
+    # would put NaN into the convolution
+    cfg = _base_config(scan=scan)
+    cfg["drive"].update(state="thermal", relative_bandwidth=bandwidth)
+    code, report = _run_report(tmp_path, cfg)
+    assert code == cli.EXIT_PHYSICS
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "not strictly increasing" in err
+    assert report["error"].startswith(
+        "convolution nodes are not strictly increasing")
+    assert "output_path" not in report
+
+
 @pytest.mark.parametrize("state, broadening, bandwidth, limit", [
     ("thermal", "drive_average", 0.2, "0.127399"),
     ("coherent", "drive_average", 1.5, "1"),

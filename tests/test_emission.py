@@ -685,6 +685,46 @@ def test_blocks_match_single_orders_when_terms_grow_again(monkeypatch):
                                  - sum(size for _, _, size in calls_one))
 
 
+@pytest.mark.parametrize("points", [_staggered_points, _converging_points])
+def test_entries_that_are_not_live_ignore_log_r(monkeypatch, points):
+    # a block evaluates log R over all its entries, and those it does not
+    # sum get zero terms whatever log R is there: NaN below the edge
+    # field (E = 0 included, before a point's first order) and above the
+    # largest field any point sums before it converges.  Neither pass
+    # raises, and blocks and single orders give the clean bits (these
+    # points' Bessel values do not depend on the block)
+    drive = drive_for(9e16)
+    thermal = thermal_stats(drive.omega, drive.rho)
+    fields = []
+
+    def seen(e):
+        fields.append(e)
+        return thermal.log_r(e)
+
+    # one order at a time log R sees the summed fields alone
+    clean, diag_clean, _ = _engine_run(
+        monkeypatch, 1, points(), stats=replace(thermal, log_r_fn=seen))
+    top = max(e.max() for e in fields)
+    edge = emission.EDGE_FIELD_FRACTION * math.sqrt(
+        2.0 * thermal.energy_density)
+
+    def log_r(e):
+        fields.append(e)
+        return np.where((e < edge) | (e > top), np.nan, thermal.log_r(e))
+
+    for block in (1, BLOCK):
+        fields.clear()
+        out, diag, calls = _engine_run(monkeypatch, block, points(),
+                                       stats=replace(thermal, log_r_fn=log_r))
+        assert np.array_equal(out, clean)
+        assert _old_fields(diag) == _old_fields(diag_clean)
+    assert max(_rows(calls)) > 1
+    e = np.concatenate(fields)
+    assert np.any(e > top)
+    assert np.any(e == 0.0) == (points is _staggered_points)
+    assert np.count_nonzero(clean) > 0.5 * clean.size
+
+
 def test_engine_restores_the_error_state():
     # the row loop holds one np.errstate per block: whether the pass
     # returns or raises, the caller's floating-point error state is back

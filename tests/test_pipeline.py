@@ -1,6 +1,7 @@
 """Observable assembly: broadening, band integrals, angular scans."""
 
 import math
+import time
 import warnings
 from dataclasses import asdict, replace
 
@@ -289,6 +290,24 @@ def test_run_taps_stop_at_the_run_length():
     want = [_exact_convolution(x, np.ones(2), sigma, t) for t in x]
     assert got.tolist() == pytest.approx(want, rel=1e-9)
     assert got[0] == pytest.approx(2.216e-11, rel=1e-3)
+
+
+def test_narrow_window_under_a_wide_kernel_costs_only_its_points():
+    # 50 points at the start of a 2^16-node lattice that the kernel
+    # reaches past (sigma 20 eV beside a 1 meV step, k = 2^16 taps a
+    # side): the run is formed at the points alone, 50 (2k + 1) products
+    # a side, not the lattice length times the taps (8.6e9)
+    sigma = 20.0
+    x = 0.5 + 1e-3 * np.arange(1 << 16)
+    y = 2.0 + np.sin(x / 7.0)
+    pts = x[:50]
+    started = time.perf_counter()
+    got = _gaussian_convolve_linear(x, y, sigma, pts)
+    assert time.perf_counter() - started < 1.0
+    # a single point takes the (segment, point) band, a direct sum
+    for i in (0, 25, 49):
+        want = _gaussian_convolve_linear(x, y, sigma, pts[i:i + 1])
+        assert got[i] == pytest.approx(want[0], rel=1e-12)
 
 
 def test_wings_past_their_cap_raise():
