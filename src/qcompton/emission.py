@@ -384,11 +384,14 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
 
         # one Bessel sweep and one log R call over the whole block.  An
         # entry that is not live, a row before its point's first order
-        # (where xi is already 0) or a field under the edge guard, gets a
-        # zero term, log term -inf and sign 0, whatever log R is there
+        # (where xi is already 0; there are none when every point joined
+        # by the first row) or a field under the edge guard, gets a zero
+        # bracket, so a zero term: log term -inf and sign 0, whatever log
+        # R is there
         on_edge = e_field < edge_field
-        bracket = np.where((orders >= sm) & ~on_edge,
-                           bessel_bracket(s, xi, zeta_x), 0.0)
+        bracket = bessel_bracket(s, xi, zeta_x)
+        np.copyto(bracket, 0.0, where=on_edge if ends[0] == n
+                  else on_edge | (orders < sm))
         sign = np.sign(bracket)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_w = stats.log_r(e_field.ravel()).reshape(e_field.shape)
@@ -427,7 +430,9 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                     highest_order=(0 if any_zero and zero_term.all()
                                    else order),
                     orders_scanned=order,
-                    edge_guarded=int(np.count_nonzero(on_edge[row, :m])),
+                    # an edge term is a zero term
+                    edge_guarded=(int(np.count_nonzero(on_edge[row, :m]))
+                                  if any_zero else 0),
                     overcomputed=n - m + settled)
 
                 # max-shift accumulation, in place: with d = lt - shift,
@@ -462,16 +467,17 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                 st += 1.0
                 np.copyto(st, 0.0, where=~small)
                 # a point converges when its streak reaches the patience,
-                # and its later rows get zero terms.  Those stay
-                # negligible, and E_s grows with s, so a point with no sum
-                # stays beyond support_max: its streak only grows and
-                # equals the patience exactly once
-                done = np.flatnonzero(st == DEFAULT_PATIENCE)
-                if done.size:
-                    settled += done.size
-                    log_term[row + 1:, done] = -np.inf
-                    sign[row + 1:, done] = 0.0
-                    on_edge[row + 1:, done] = False
+                # and its later rows in the block get zero terms (off the
+                # edge count too).  Those stay negligible, and E_s grows
+                # with s, so a point with no sum stays beyond support_max:
+                # its streak only grows and equals the patience exactly
+                # once
+                done = st == DEFAULT_PATIENCE
+                if done.any():
+                    settled += int(np.count_nonzero(done))
+                    np.copyto(log_term[row + 1:, :m], -np.inf, where=done)
+                    np.copyto(sign[row + 1:, :m], 0.0, where=done)
+                    np.copyto(on_edge[row + 1:, :m], False, where=done)
         s += n_rows
 
         # the block's converged points leave, their density written out;
