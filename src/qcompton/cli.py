@@ -40,6 +40,12 @@ EXIT_NONCONVERGENCE = 3
 
 STATE_NAMES = tuple(ps.FAMILIES)
 
+# Most grid points one scan may ask for: a spectrum's samples, or an
+# angular scan's count x max(samples, 64) as angular_distribution builds
+# them.  The largest presets ask for 46 592 (fig3, 91 x 512) and 32 000
+# (fig2 at intensity index 1).
+_MAX_SCAN_POINTS = 1 << 20
+
 
 class SchemaError(ValueError):
     """Config validation failure, carrying the offending field path."""
@@ -201,7 +207,8 @@ def validate_config(cfg: dict) -> dict:
             raise SchemaError("scan.omega_prime_range_eV",
                               f"lower edge must be > 0, got {rng[0]}")
         out["scan"]["omega_prime_range_eV"] = rng
-        out["scan"]["samples"] = _integer(sc, "scan", "samples", lo=2)
+        out["scan"]["samples"] = _integer(sc, "scan", "samples", lo=2,
+                                          hi=_MAX_SCAN_POINTS)
         out["scan"]["grid"] = _choice(sc, "scan", "grid", ("linear", "log"),
                                       default="linear")
     else:
@@ -224,6 +231,11 @@ def validate_config(cfg: dict) -> dict:
         out["scan"]["band_eV"] = band
         out["scan"]["samples"] = _integer(sc, "scan", "samples", lo=2,
                                           default=512)
+        points = cnt * max(out["scan"]["samples"], 64)
+        if points > _MAX_SCAN_POINTS:
+            raise SchemaError("scan.theta_range_deg", f"count x max(samples, "
+                              f"64) is {points} grid points, above "
+                              f"{_MAX_SCAN_POINTS}")
         jacobian = _field(sc, "scan", "jacobian", False)
         if not isinstance(jacobian, bool):
             raise SchemaError("scan.jacobian",

@@ -221,13 +221,13 @@ def _weights(lo, hi, width):
     return (u1 * mass - dpdf) / width, (dpdf - u0 * mass) / width
 
 
-def _uniform_run(x_nodes, x_eval, reach=0.0):
+def _uniform_run(x_nodes, x_eval):
     """(a, i0, b, h) if x_eval is the run x_nodes[i0:i0 + x_eval.size]
     of at least two nodes spaced h apart, up to the rounding of
     np.linspace (each node within a few ulps of x_eval[0] + i h), else
-    None.  x_nodes[a:b] widens the run, by at most ceil(reach / h) + 1
-    nodes past either end, over the nodes that continue its lattice,
-    such as the wings _extended_nodes gives a linear grid."""
+    None.  x_nodes[a:b] is the whole array when every node lies on that
+    lattice, as the wings _extended_nodes gives a linear grid do, and
+    the window alone otherwise."""
     m = x_eval.size
     if m < 2:
         return None
@@ -235,18 +235,12 @@ def _uniform_run(x_nodes, x_eval, reach=0.0):
     if not np.array_equal(x_nodes[i0:i0 + m], x_eval):
         return None
     h = (x_eval[-1] - x_eval[0]) / (m - 1)
-    pad = math.ceil(reach / h) + 1
-    lo, hi = max(0, i0 - pad), min(x_nodes.size, i0 + m + pad)
-    near = x_nodes[lo:hi]
-    tol = 4.0 * np.spacing(max(abs(near[0]), abs(near[-1])))
-    off = np.abs(near - (x_eval[0] + h * np.arange(lo - i0, hi - i0))) > tol
-    if off[i0 - lo:i0 - lo + m].any():
+    tol = 4.0 * np.spacing(max(abs(x_nodes[0]), abs(x_nodes[-1])))
+    lattice = x_eval[0] + h * np.arange(-i0, x_nodes.size - i0)
+    off = np.abs(x_nodes - lattice) > tol
+    if off[i0:i0 + m].any():
         return None
-    before = np.flatnonzero(off[:i0 - lo])
-    after = np.flatnonzero(off[i0 - lo + m:])
-    a = lo + before[-1] + 1 if before.size else lo
-    b = i0 + m + after[0] if after.size else hi
-    return a, i0, b, h
+    return (i0, i0, i0 + m, h) if off.any() else (0, i0, x_nodes.size, h)
 
 
 # The band of segment x evaluation-point pairs is formed this many pairs
@@ -265,19 +259,19 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     sigmas.
 
     When x_eval is an equally spaced run of the nodes, every segment of
-    the run, widened over the nodes within reach that continue its
-    lattice, sees the same weights at offsets j h, so the run is two
+    the run sees the same weights at offsets j h, so the run is two
     discrete convolutions of its left- and right-node values with 2k + 1
     taps, from node terms at offsets j h / sigma; k is the reach in
-    steps, but at most the run's length.  They are formed at the m
-    points alone, over the m + 2k segments whose taps reach them, so a
-    kernel far wider than the window costs m (2k + 1), not the run's
-    length times the taps.  A linear grid with its
-    _extended_nodes wings is one such run.  All other segments, every
-    segment of a log or unequal grid and its wings, form a band of
-    (segment, point) pairs in bounded chunks, skipping segments with both
-    ends zero; the band forms the node terms once per (node, point)
-    pair, shared by the node's two segments.
+    steps, but at most the run's length.  The run is the whole node array
+    when every node lies on the window's lattice, as a linear grid's
+    _extended_nodes wings do at h <= sigma / 2, else the window alone.
+    The taps are formed at the m points alone, over the m + 2k segments
+    whose taps reach them, so a kernel far wider than the window costs
+    m (2k + 1), not the run's length times the taps.  All other segments
+    form a band of (segment, point) pairs in bounded chunks, skipping
+    those with both ends zero.  A node's terms are formed once, at the
+    points of both its segments (from its lower neighbour's reach to its
+    upper neighbour's), and read by those of its segments in the band.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
@@ -287,7 +281,7 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     reach = KERNEL_REACH * sigma
     band = (y_nodes[:-1] != 0.0) | (y_nodes[1:] != 0.0)
 
-    run = _uniform_run(x_nodes, x_eval, reach)
+    run = _uniform_run(x_nodes, x_eval)
     if run is not None:
         a, i0, b, h = run
         k = min(math.ceil(reach / h) + 1, b - a)
@@ -322,16 +316,12 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
         rows = np.repeat(np.arange(a, b), counts[a:b])
         cols = np.arange(starts[a], ends[b - 1]) + shift[rows]
         # the chunk's nodes; segment i runs from node k[i] to k[i] + 1,
-        # and a node's points span from its lower segment's first to its
-        # upper segment's last: at a node two segments share, the second
-        # assignment of each pair below is the one that stays
+        # and a node takes the points of both segments beside it
         nodes = np.union1d(seg[a:b], seg[a:b] + 1)
         k = np.searchsorted(nodes, seg[a:b])
-        first = np.empty(nodes.size, dtype=np.intp)
-        last = np.empty_like(first)
-        first[k], first[k + 1] = j0[a:b], j0[a:b]
-        last[k + 1], last[k] = j1[a:b], j1[a:b]
-        size = last - first
+        near = x_nodes[np.clip(nodes + [[-1], [1]], 0, x_nodes.size - 1)]
+        first = np.searchsorted(x_eval, near[0] - reach)
+        size = np.searchsorted(x_eval, near[1] + reach, side="right") - first
         base = np.cumsum(size) - size - first   # (node, point) -> pair
         terms = _node_terms((np.repeat(x_nodes[nodes], size) - x_eval[
             np.arange(size.sum()) - np.repeat(base, size)]) / sigma)

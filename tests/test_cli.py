@@ -302,6 +302,47 @@ def test_exit_code_on_schema_error(tmp_path, capsys):
     assert "scan.samples" in capsys.readouterr().err
 
 
+def test_validate_bounds_the_scan_size():
+    # a spectrum's grid points are its samples, an angular scan's count x
+    # max(samples, 64); 2^20 is allowed and one more point is not
+    spectrum = _base_config()
+    spectrum["scan"]["samples"] = 1 << 20
+    cli.validate_config(spectrum)
+    spectrum["scan"]["samples"] += 1
+    with pytest.raises(cli.SchemaError) as err:
+        cli.validate_config(spectrum)
+    assert err.value.path == "scan.samples"
+    angular = _angular_config()
+    angular["scan"]["theta_range_deg"] = [90, 180, 1 << 14]
+    for samples in (2, 64):
+        angular["scan"]["samples"] = samples
+        cli.validate_config(angular)
+    angular["scan"]["samples"] = 65
+    with pytest.raises(cli.SchemaError) as err:
+        cli.validate_config(angular)
+    assert err.value.path == "scan.theta_range_deg"
+
+
+@pytest.mark.parametrize("scan, path", [
+    ({"mode": "spectrum", "theta_prime_deg": 159.9,
+      "omega_prime_range_eV": [0.5, 12.0], "samples": 10 ** 13},
+     "scan.samples"),
+    ({"mode": "angular", "theta_range_deg": [90.0, 180.0, 10 ** 12],
+      "band_eV": [100.0, 200.0]}, "scan.theta_range_deg"),
+], ids=["spectrum", "angular"])
+def test_exit_code_on_oversized_scan(tmp_path, capsys, scan, path):
+    # 10^13 samples ended in a numpy allocation traceback (72.8 TiB) with
+    # no report, and 10^12 angles would have been built as one tuple
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--config",
+                     _write_config(tmp_path, _base_config(scan=scan)),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SCHEMA
+    assert f"config error at {path}" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("x.csv*"))
+
+
 def test_exit_code_on_kinematically_dead_grid(tmp_path, capsys):
     cfg = _base_config()
     cfg["scan"]["omega_prime_range_eV"] = [1.0, 3.0e5]   # above the ceiling

@@ -166,14 +166,90 @@ def _wing_density(x):
     return x * np.exp(-2.0 * x) + 0.4 * np.exp(-0.5 * ((x - 0.61) / 0.01) ** 2)
 
 
+WING_SIGMA = 0.018
+
+
+def _wing_case(spacing):
+    """An 800-node grid on [0.02, 1] eV, its _extended_nodes at
+    WING_SIGMA and _wing_density there."""
+    grid = OmegaGrid(0.02, 1.0, 800, spacing).points()
+    x = _extended_nodes(grid, WING_SIGMA)
+    return grid, x, _wing_density(x)
+
+
+def _extended_grid_points(grid):
+    """Indices of the grid nodes nearest to the points checked on it."""
+    reach = 9.0 * WING_SIGMA
+    return [int(np.argmin(np.abs(grid - t)))
+            for t in (0.02, 0.021, 0.02 + reach, 0.3, 0.58, 0.6, 0.61, 0.64,
+                      0.7, 1.0 - reach, 0.999, 1.0)]
+
+
+def _few_point_sets(grid):
+    """A single point, two adjacent nodes (the shortest equally spaced
+    run), two nodes apart and two points off the nodes."""
+    return (grid[[400]], grid[[0]], grid[[-1]], np.array([0.6037]),
+            grid[400:402], grid[-2:], grid[[10, 500]], np.array([0.5, 0.61]))
+
+
+def _wing_oracles():
+    """_exact_convolution on the _wing_case nodes: at _extended_grid_points
+    of both grids, and at _few_point_sets of the linear one."""
+    tables = {}
+    for spacing in ("linear", "log"):
+        grid, x, y = _wing_case(spacing)
+        tables[spacing] = tuple(_exact_convolution(x, y, WING_SIGMA, grid[i])
+                                for i in _extended_grid_points(grid))
+    grid, x, y = _wing_case("linear")
+    tables["few"] = tuple(tuple(_exact_convolution(x, y, WING_SIGMA, t)
+                                for t in pts) for pts in _few_point_sets(grid))
+    return tables
+
+
+# _wing_oracles(), read as literals: the 40-digit sums took 1.4-1.9 s per
+# test.  `PYTHONPATH=src python tests/test_pipeline.py` prints them again,
+# for when _extended_nodes, _wing_density or the points change.
+_WING_ORACLES = {'few': ((0.18378615792255115,),
+                         (0.01985109327497502,),
+                         (0.1353352547664026,),
+                         (0.36573837950730154,),
+                         (0.18378615792255115, 0.1837773825458301),
+                         (0.13550113979704828, 0.1353352547664026),
+                         (0.02992867152679631, 0.2809980797515812),
+                         (0.1838204437880444, 0.3742154034607514)),
+                 'linear': (0.01985109327497502,
+                            0.020821526973297432,
+                            0.12605803884764363,
+                            0.1643168371258019,
+                            0.25146874136103253,
+                            0.3538464507245246,
+                            0.3742175063683835,
+                            0.2480482874591256,
+                            0.17263447736174464,
+                            0.15677533099443178,
+                            0.13550113979704828,
+                            0.1353352547664026),
+                 'log': (0.019849995137083562,
+                         0.020643222340334607,
+                         0.1260924732906575,
+                         0.164362346389072,
+                         0.25252739659959933,
+                         0.3567902954991198,
+                         0.37393742787052797,
+                         0.24298512431479866,
+                         0.17263670196756709,
+                         0.15673711522208414,
+                         0.1353352471695903,
+                         0.1353352471695903)}
+
+
 @pytest.mark.parametrize("spacing", ["linear", "log"])
 def test_convolution_on_extended_grids_matches_exact_sum(spacing):
     # the grid's left wing is cut at omega' = 0, as on fig2; a linear
     # grid is one equally spaced run of the nodes, a log grid is not
-    sigma = 0.018
+    sigma = WING_SIGMA
     reach = 9.0 * sigma
-    grid = OmegaGrid(0.02, 1.0, 800, spacing).points()
-    x = _extended_nodes(grid, sigma)
+    grid, x, y = _wing_case(spacing)
     assert 0.0 < x[0] < grid[0] < reach
     if spacing == "linear":
         # the wings continue the grid's lattice, ceil(reach / h) steps
@@ -186,13 +262,10 @@ def test_convolution_on_extended_grids_matches_exact_sum(spacing):
         # steps of the finer of the median step and sigma / 2
         w = min(float(np.median(np.diff(grid))), 0.5 * sigma)
         assert reach <= x[-1] - grid[-1] < reach + w
-    y = _wing_density(x)
     got = _gaussian_convolve_linear(x, y, sigma, grid)
     peak = got.max()
-    for t in (0.02, 0.021, 0.02 + reach, 0.3, 0.58, 0.6, 0.61, 0.64, 0.7,
-              1.0 - reach, 0.999, 1.0):
-        i = int(np.argmin(np.abs(grid - t)))
-        want = _exact_convolution(x, y, sigma, grid[i])
+    for i, want in zip(_extended_grid_points(grid), _WING_ORACLES[spacing],
+                       strict=True):
         assert abs(got[i] - want) <= 1e-12 * peak, (spacing, grid[i])
 
 
@@ -217,20 +290,36 @@ def test_linear_grid_and_its_wings_convolve_as_one_run(monkeypatch, lo):
     assert sizes == [2 * (math.ceil(9.0 * sigma / h) + 1) + 1]
 
 
+def test_band_does_not_depend_on_its_chunk(monkeypatch):
+    # each chunk adds its pairs with its own bincount, so chunk sizes
+    # reorder the sums at a point and agree to rounding, not bit for bit.
+    # The 800-node log grid and its wings are all band; a 64-node window
+    # whose lattice step is above sigma / 2 is a run of its own nodes,
+    # with its finer wings in the band
+    grid, x, y = _wing_case("log")
+    wide = OmegaGrid(1.0, 4.0, 64).points()
+    x_wide = _extended_nodes(wide, WING_SIGMA)
+    a, i0, b, _ = pipeline._uniform_run(x_wide, wide)
+    assert (a, b) == (i0, i0 + wide.size)
+    assert 0 < a and b < x_wide.size
+    cases = [(x, y, grid, (97, 4096)),
+             (x_wide, _wing_density(x_wide), wide, (1,))]
+    wants = [_gaussian_convolve_linear(nodes, values, WING_SIGMA, points)
+             for nodes, values, points, _ in cases]
+    for (nodes, values, points, chunks), want in zip(cases, wants):
+        for chunk in chunks:
+            monkeypatch.setattr(pipeline, "_BAND_CHUNK", chunk)
+            got = _gaussian_convolve_linear(nodes, values, WING_SIGMA, points)
+            assert np.abs(got - want).max() <= 1e-14 * want.max(), chunk
+
+
 def test_convolution_of_one_and_two_points_matches_exact_sum():
-    # a single point, two adjacent nodes (the shortest equally spaced
-    # run), two nodes apart and two points off the nodes
-    sigma = 0.018
-    grid = np.linspace(0.02, 1.0, 800)
-    x = _extended_nodes(grid, sigma)
-    y = _wing_density(x)
-    for pts in (grid[[400]], grid[[0]], grid[[-1]], np.array([0.6037]),
-                grid[400:402], grid[-2:], grid[[10, 500]],
-                np.array([0.5, 0.61])):
+    grid, x, y = _wing_case("linear")
+    for pts, want in zip(_few_point_sets(grid), _WING_ORACLES["few"],
+                         strict=True):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _gaussian_convolve_linear(x, y, sigma, pts)
-        want = [_exact_convolution(x, y, sigma, t) for t in pts]
+            got = _gaussian_convolve_linear(x, y, WING_SIGMA, pts)
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -629,3 +718,8 @@ def test_diagnostics_accumulate_across_passes():
                          diagnostics=scan)
     assert scan.points == 3 * 120
     assert scan.highest_order >= 3
+
+
+if __name__ == "__main__":
+    import pprint
+    pprint.pprint(_wing_oracles(), width=72)
