@@ -60,15 +60,19 @@ class TruncationNotConverged(RuntimeError):
 
 
 def with_failure(exc: Exception, theta: float, omega_prime, order: int,
-                 e_field=None) -> Exception:
+                 e_field=None, last_term_ratio=None) -> Exception:
     """exc carrying the point it failed at as its `failure` attribute,
     the record a run report writes: theta' (deg), omega' (eV), the order
-    reached and, for a NaN term, the effective field E (eV^2)."""
+    reached, for a NaN term the effective field E (eV^2), and for a sum
+    stopped at the order cap the ratio its stop rule last compared with
+    rel_tol (None where there is none)."""
     exc.failure = {"theta_prime_deg": math.degrees(theta),
                    "omega_prime_eV": (None if omega_prime is None
                                       else float(omega_prime)),
                    "order": int(order),
-                   "e_field_eV2": None if e_field is None else float(e_field)}
+                   "e_field_eV2": None if e_field is None else float(e_field),
+                   "last_term_ratio": (None if last_term_ratio is None
+                                       else float(last_term_ratio))}
     return exc
 
 
@@ -318,12 +322,12 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         s_min = np.where(alive, np.floor(b_lin / kpprime) + 1.0, np.inf)
     s_min = np.where(alive & (s_min < 1.0), 1.0, s_min)
 
-    def capped(pts, why):
+    def capped(pts, why, ratio=None):
         i = int(pts.min())
         return with_failure(TruncationNotConverged(
             f"{pts.size} of {n_pts} points {why} s_max={s_max}; first at "
             f"theta'={math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} eV"),
-            th[i], wp[i], s_max)
+            th[i], wp[i], s_max, last_term_ratio=ratio)
 
     late = np.flatnonzero(alive & (s_min > s_max))
     if late.size:
@@ -479,6 +483,17 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                     np.copyto(sign[row + 1:, :m], 0.0, where=done)
                     np.copyto(on_edge[row + 1:, :m], False, where=done)
         s += n_rows
+        if s > s_max and settled < n:
+            # points still live after the row at s_max (every point has
+            # joined by then): the first one's last term over its sum,
+            # the ratio its stop rule compared with rel_tol, comes from
+            # that row and the running sum
+            left = np.flatnonzero(streak < DEFAULT_PATIENCE)
+            c = left[np.argmin(index[left])]
+            ratio = (math.exp(log_term[-1, c] - shift[c]) / abs(acc[c])
+                     if acc[c] != 0.0 else None)
+            raise capped(index[left],
+                         f"still above rel_tol={rel_tol} at order cap", ratio)
 
         # the block's converged points leave, their density written out;
         # kept columns from the end fill their places
@@ -490,10 +505,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
             holes = np.flatnonzero(gone[:n])
             table[:, holes] = table[:, n + np.flatnonzero(~gone[n:])]
 
-    # every point has joined by s_max, so those left are the first n
-    if n:
-        raise capped(table[6, :n],
-                     f"still above rel_tol={rel_tol} at order cap")
     return out
 
 

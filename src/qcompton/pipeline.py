@@ -150,14 +150,11 @@ class GaussianPeak:
         return out
 
     def band_mass(self, lo: float, hi: float) -> float:
-        """Energy of the line inside [lo, hi], as in _weights from the
-        tail beyond the band, so a band far above or below the center
-        keeps its digits."""
-        scale = self.sigma * math.sqrt(2.0)
-        a, b = (lo - self.center) / scale, (hi - self.center) / scale
-        if a > 0.0:
-            return 0.5 * self.mass * (math.erfc(a) - math.erfc(b))
-        return 0.5 * self.mass * (math.erfc(-b) - math.erfc(-a))
+        """Energy of the line inside [lo, hi] (_line_band_masses), from
+        the tail beyond the band when the band lies on one side of the
+        center, so a band far above or below it keeps its digits."""
+        return float(_line_band_masses(self.center, self.mass, self.sigma,
+                                       lo, hi))
 
 
 @dataclass(frozen=True)
@@ -206,19 +203,36 @@ def _node_terms(u):
     return u, ndtr(-np.abs(u)), np.exp(-0.5 * u * u)
 
 
+def _mass(lo, hi):
+    """Unit-Gaussian mass of the intervals from nodes lo to hi, given as
+    their _node_terms: the difference of the two tails when an interval
+    lies on one side of its point and one minus both when it spans it,
+    so an interval far away keeps its digits."""
+    u0, tail0, _ = lo
+    u1, tail1, _ = hi
+    return np.where(u0 > 0.0, tail0 - tail1,
+                    np.where(u1 > 0.0, 1.0 - tail0 - tail1, tail1 - tail0))
+
+
 def _weights(lo, hi, width):
     """Weights (left, right) of a linear segment's end values y0, y1 in
     its convolution with a unit Gaussian: the segment adds y0 * left + y1
     * right at the evaluation point.  lo and hi are its ends' _node_terms
-    and width its length, in sigmas.  Its Gaussian mass is the difference
-    of the two tails when it lies on one side of the point and one minus
-    both when it spans it, so a segment far away keeps its digits."""
-    u0, tail0, gauss0 = lo
-    u1, tail1, gauss1 = hi
-    mass = np.where(u0 > 0.0, tail0 - tail1,
-                    np.where(u1 > 0.0, 1.0 - tail0 - tail1, tail1 - tail0))
+    and width its length, in sigmas; the segment's Gaussian mass is
+    _mass."""
+    u0, _, gauss0 = lo
+    u1, _, gauss1 = hi
+    mass = _mass(lo, hi)
     dpdf = (gauss0 - gauss1) / math.sqrt(2.0 * math.pi)
     return (u1 * mass - dpdf) / width, (dpdf - u0 * mass) / width
+
+
+def _line_band_masses(center, mass, sigma, lo, hi):
+    """Energies inside [lo, hi] of Gaussian lines with these centers,
+    masses and widths (arrays or scalars, elementwise): each mass times
+    the _mass of the band's ends, lo and hi in sigmas from the center."""
+    return mass * _mass(_node_terms((lo - center) / sigma),
+                        _node_terms((hi - center) / sigma))
 
 
 def _uniform_run(x_nodes, x_eval):
@@ -339,21 +353,19 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
 # below the kernel width would otherwise ask for billions of nodes.
 _MAX_WING_NODES = 1 << 20
 
+# Most grid and wing nodes one literal engine pass may take: a spectrum
+# of 2^20 samples with two full wings.  Each angle of a scan over a
+# narrow band may stay under the wing cap while the scan's one pass
+# asks for over 10^8 nodes.
+_MAX_PASS_NODES = 3 * _MAX_WING_NODES
 
-def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
-    """User grid plus sampling wings one kernel reach past both ends.
 
-    Without the wings, density just outside the requested window could
-    not bleed into it under convolution.  Each wing takes ceil(reach /
-    w) steps w = min(h, sigma/2) away from its end of the grid, h the run
-    step of a grid that is one equally spaced run (whose wings then
-    continue its lattice when h <= sigma/2) and the median step of any
-    other.  The left wing stops above omega' = 0.  Wings of more than
-    _MAX_WING_NODES nodes raise ValueError, and so do nodes that are not
-    strictly increasing: a step below the float spacing at the grid's
-    end leaves wing nodes on top of each other, whose segments have no
-    width.
-    """
+def _wing_step(grid: np.ndarray, sigma: float) -> tuple:
+    """(w, n): the step and node count of each _extended_nodes wing of
+    grid, n = ceil(reach / w) steps w = min(h, sigma/2), h the run step
+    of a grid that is one equally spaced run (whose wings then continue
+    its lattice when h <= sigma/2) and the median step of any other.
+    Raises ValueError when n exceeds _MAX_WING_NODES."""
     reach = KERNEL_REACH * sigma
     run = _uniform_run(grid, grid)
     h = run[3] if run is not None else float(np.median(np.diff(grid)))
@@ -364,6 +376,21 @@ def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
             f"convolution wings need {n} nodes per side at step {w:.6g} eV "
             f"for sigma {sigma:.6g} eV, above {_MAX_WING_NODES}; the "
             f"omega' grid is too fine for the drive bandwidth")
+    return w, n
+
+
+def _extended_nodes(grid: np.ndarray, sigma: float) -> np.ndarray:
+    """User grid plus sampling wings one kernel reach past both ends.
+
+    Without the wings, density just outside the requested window could
+    not bleed into it under convolution.  Each wing takes the n steps w
+    of _wing_step away from its end of the grid, which raises
+    ValueError past _MAX_WING_NODES.  The left wing stops above omega' =
+    0.  Nodes that are not strictly increasing raise ValueError too: a
+    step below the float spacing at the grid's end leaves wing nodes on
+    top of each other, whose segments have no width.
+    """
+    w, n = _wing_step(grid, sigma)
     left = grid[0] - w * np.arange(n, 0, -1)
     right = grid[-1] + w * np.arange(1, n + 1)
     nodes = np.concatenate([left[left > 0.0], grid, right])
@@ -385,7 +412,9 @@ def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,
     total weight.  Line positions are closed-form, so orders above w_max
     are dropped before any Bessel work, and the scan ends at the first
     batch with no line left.  Each batch adds its highest line to both
-    order fields of `diagnostics`.
+    order fields of `diagnostics`.  A ladder still gaining weight at
+    s_max raises TruncationNotConverged, its `failure` naming the highest
+    line and the last batch's weight over the running total.
     """
     diagnostics = diagnostics or Diagnostics()
     entries = []
@@ -413,10 +442,11 @@ def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,
             f"coherent ladder still gaining weight at order {s_max}; "
             f"theta'={math.degrees(geometry.theta):.6g} deg"),
         geometry.theta, None if last is None else last.omega_prime,
-        s_max if last is None else last.order)
+        s_max if last is None else last.order,
+        last_term_ratio=got / total if total > 0.0 else None)
 
 
-def _peak_sigmas(scenario: Scenario, geometry, entries) -> list:
+def _peak_sigmas(scenario: Scenario, geometry, entries) -> np.ndarray:
     """Line widths for the drive-average reading, aligned with entries:
     |d omega'_s / d nu| times the bandwidth, by centered difference at
     fixed energy density.  kappa is proportional to nu, so every line
@@ -427,7 +457,7 @@ def _peak_sigmas(scenario: Scenario, geometry, entries) -> list:
     lo, hi = (emission.coherent_line_positions(
         scenario.stats, scenario.electron.p, nu, geometry, orders)[1]
         for nu in (omega - sigma, omega + sigma))
-    return (np.abs(hi - lo) / 2.0).tolist()
+    return np.abs(hi - lo) / 2.0
 
 
 def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
@@ -435,10 +465,11 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
     """Broadened energy spectrum (eV per eV per sr) at one direction.
 
     The power spectral density is resolved on the scenario grid (smooth
-    drives) or into discrete lines (coherent-like drives), broadened
-    according to scenario.broadening, and multiplied by the pulse
-    duration T = 2 pi / delta_omega.  A caller-supplied Diagnostics
-    record accumulates the truncation counters of all internal passes.
+    drives) or into discrete lines, one GaussianPeak each (coherent-like
+    drives), broadened according to scenario.broadening, and multiplied
+    by the pulse duration T = 2 pi / delta_omega.  A caller-supplied
+    Diagnostics record accumulates the truncation counters of all
+    internal passes.
     """
     hi = scenario.omega_grid.hi
     ceiling = emission.absolute_frequency_ceiling(
@@ -447,18 +478,28 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
         raise KinematicallyForbidden(
             "grid extends to %g eV but no emission is possible above "
             "%g eV at this angle" % (hi, ceiling))
-    build = _line_curves if scenario.stats.is_atomic else _smooth_curves
-    [curve] = build(scenario, [(geometry, scenario.omega_grid)],
-                    diagnostics or Diagnostics())
-    return curve
+    blocks = [(geometry, scenario.omega_grid)]
+    diagnostics = diagnostics or Diagnostics()
+    if not scenario.stats.is_atomic:
+        [curve] = _smooth_curves(scenario, blocks, diagnostics)
+        return curve
+    [lines] = _lines(scenario, blocks, diagnostics)
+    grid = scenario.omega_grid.points()
+    return SpectralCurve(
+        omega=grid, smooth=np.zeros_like(grid),
+        peaks=tuple(map(GaussianPeak, *(v.tolist() for v in lines))))
 
 
-def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
-    """Energy curves of a coherent-like drive for (geometry, OmegaGrid)
-    blocks: one line ladder per block, each line an analytic Gaussian.
+def _lines(scenario: Scenario, blocks, diagnostics: Diagnostics):
+    """Lines of a coherent-like drive for (geometry, OmegaGrid) blocks:
+    one ladder per block, given as three arrays in order of the line
+    order: centers, masses (the pulse duration times the line weight,
+    eV/sr) and widths, all in eV.  Each line is a Gaussian of that mass
+    and width; energy_spectrum makes them GaussianPeaks, while an
+    angular scan integrates the arrays.
 
-    Every block adds its grid nodes to diagnostics.points.  Curves
-    include the pulse duration factor.
+    Every block adds its grid size, omega_grid.count, to
+    diagnostics.points; no grid is built.
     """
     sigma = scenario.drive.delta_omega
     t_pulse = pulse_duration(sigma)
@@ -470,14 +511,14 @@ def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     # 3 (omega'_s / omega) sigma, so there the bound scales with the grid
     reach = 2.0 * KERNEL_REACH * sigma
     shrink = 1.0 - 3.0 * reach / omega
-    curves = []
+    lines = []
     for geometry, omega_grid in blocks:
-        grid = omega_grid.points()
-        diagnostics.add(points=grid.size)
+        diagnostics.add(points=omega_grid.count)
+        top = float(omega_grid.hi)      # the grid's last node
         if scenario.broadening == "literal":
-            w_top = grid[-1] + reach
+            w_top = top + reach
         else:
-            w_top = grid[-1] / shrink if shrink > 0.0 else math.inf
+            w_top = top / shrink if shrink > 0.0 else math.inf
         w_top = min(w_top, emission.absolute_frequency_ceiling(
             p, omega, geometry))
         entries = _ladder(scenario.stats, p, omega, geometry, w_top,
@@ -485,13 +526,11 @@ def _line_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
         if scenario.broadening == "drive_average":
             widths = _peak_sigmas(scenario, geometry, entries)
         else:
-            widths = [sigma] * len(entries)
-        peaks = tuple(GaussianPeak(center=q.omega_prime,
-                                   mass=t_pulse * q.weight, sigma=width)
-                      for q, width in zip(entries, widths))
-        curves.append(SpectralCurve(omega=grid, smooth=np.zeros_like(grid),
-                                    peaks=peaks))
-    return curves
+            widths = np.full(len(entries), sigma)
+        lines.append((np.array([q.omega_prime for q in entries]),
+                      t_pulse * np.array([q.weight for q in entries]),
+                      widths))
+    return lines
 
 
 def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
@@ -500,6 +539,8 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     All blocks share one spectral_density_points call (one per Hermite
     node for drive_average), so a scan pays the engine's order loop once,
     not once per direction.  Curves include the pulse duration factor.
+    A literal pass whose grid and wing nodes (_wing_step) exceed
+    _MAX_PASS_NODES raises ValueError before any wing is built.
     """
     if not blocks:
         return []
@@ -526,6 +567,15 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
                 a += (w / math.sqrt(math.pi)) * d
         smooth = [t_pulse * a for a in acc]
     else:
+        # the pass's size is known from the wing steps before any wing
+        # is built
+        size = sum(grid.size + 2 * _wing_step(grid, sigma)[1]
+                   for grid in grids)
+        if size > _MAX_PASS_NODES:
+            raise ValueError(
+                f"convolution needs {size} grid and wing nodes in one "
+                f"engine pass, above {_MAX_PASS_NODES}; the omega' grids "
+                f"are too fine for the drive bandwidth")
         wings = [_extended_nodes(grid, sigma) for grid in grids]
         dens = density(scenario.drive.omega, wings)
         smooth = [t_pulse * _gaussian_convolve_linear(x, d, sigma, grid)
@@ -538,9 +588,10 @@ def band_integrate(curve: SpectralCurve, band) -> float:
     """Energy per steradian in [lo, hi]: exact on the curve's model.
 
     The smooth part is integrated as the piecewise-linear interpolant it
-    is (exact, including fractional end segments); analytic peaks
-    contribute their error-function band mass.  Model error is set by
-    the sampling grid and is the caller's concern.
+    is (exact, including fractional end segments); analytic peaks add
+    their band masses, all from one _line_band_masses call over the
+    peaks in order, summed by np.sum.  Model error is set by the
+    sampling grid and is the caller's concern.
     """
     lo, hi = float(band[0]), float(band[1])
     if not hi > lo:
@@ -554,8 +605,11 @@ def band_integrate(curve: SpectralCurve, band) -> float:
         xs = np.concatenate([[a], inner, [b]])
         ys = np.interp(xs, x, y)
         total += float(np.trapezoid(ys, xs))
-    for pk in curve.peaks:
-        total += pk.band_mass(lo, hi)
+    if curve.peaks:
+        center, mass, sigma = np.array(
+            [(pk.center, pk.mass, pk.sigma) for pk in curve.peaks]).T
+        total += float(np.sum(_line_band_masses(center, mass, sigma,
+                                                lo, hi)))
     return total
 
 
@@ -569,8 +623,12 @@ def angular_distribution(scenario: Scenario, band, *,
     grid covering the band (clipped to the kinematic ceiling) and
     integrated over [lo, hi].  Values are per steradian; jacobian=True
     multiplies by sin(theta') for per-polar-angle reading.  For a smooth
-    drive the whole scan is one engine pass over all angles' points;
-    coherent-like drives resolve each angle's line ladder in turn.
+    drive the whole scan is one engine pass over all angles' points, and
+    each angle's curve goes through band_integrate.  Coherent-like drives
+    resolve each angle's line ladder in turn and build no curve or peak:
+    the band masses of all angles' lines come from one _line_band_masses
+    call, and each angle's are summed as band_integrate sums a curve's
+    peaks, so the value equals band_integrate of its energy_spectrum.
     """
     lo, hi = float(band[0]), float(band[1])
     if not hi > lo:
@@ -590,11 +648,19 @@ def angular_distribution(scenario: Scenario, band, *,
         if g_hi > g_lo:
             live.append(i)
             blocks.append((geometry, OmegaGrid(g_lo, g_hi, count)))
-    build = _line_curves if scenario.stats.is_atomic else _smooth_curves
-    curves = build(scenario, blocks, diagnostics or Diagnostics())
+    diagnostics = diagnostics or Diagnostics()
+    if not scenario.stats.is_atomic:
+        sums = [band_integrate(curve, (lo, hi))
+                for curve in _smooth_curves(scenario, blocks, diagnostics)]
+    elif blocks:
+        lines = _lines(scenario, blocks, diagnostics)
+        ends = np.cumsum([center.size for center, _, _ in lines])
+        energy = _line_band_masses(*map(np.concatenate, zip(*lines)), lo, hi)
+        sums = [float(np.sum(e)) for e in np.split(energy, ends[:-1])]
+    else:
+        sums = []
     values = np.zeros(len(scenario.thetas))
-    for i, curve in zip(live, curves):
-        values[i] = band_integrate(curve, (lo, hi)) * (
-            math.sin(scenario.thetas[i]) if jacobian else 1.0)
+    for i, v in zip(live, sums):
+        values[i] = v * (math.sin(scenario.thetas[i]) if jacobian else 1.0)
     return AngularCurve(theta=np.asarray(scenario.thetas, dtype=float),
                         values=values)

@@ -386,6 +386,24 @@ def test_exit_code_on_oversized_convolution_wings(tmp_path, capsys, cfg):
     assert "output_path" not in report
 
 
+def test_exit_code_on_oversized_scan_pass(tmp_path, capsys, monkeypatch):
+    # every angle's wings stay under their cap, but the fig3 scan's one
+    # engine pass would take 91 x (512 + 2 x 827 821) = 150 710 014
+    # points; the pass is refused before the engine is called
+    calls = []
+    monkeypatch.setattr(emission, "spectral_density_points",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = cli.make_preset("fig3", state="thermal")
+    cfg["scan"]["band_eV"] = [1719.0, 1719.0001]
+    code, report = _run_report(tmp_path, cfg)
+    assert code == cli.EXIT_PHYSICS
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "150710014 grid and wing nodes" in err
+    assert report["error"].startswith("convolution needs 150710014 grid")
+    assert "output_path" not in report
+    assert calls == []
+
+
 @pytest.mark.parametrize("bandwidth, scan", [
     (1e-16, {"mode": "spectrum", "theta_prime_deg": 159.9,
              "omega_prime_range_eV": [0.5, 4.0], "samples": 50}),
@@ -475,7 +493,8 @@ def _run_report(tmp_path, cfg):
     return code, json.loads((tmp_path / "x.csv.report.json").read_text())
 
 
-FAILURE_KEYS = ["theta_prime_deg", "omega_prime_eV", "order", "e_field_eV2"]
+FAILURE_KEYS = ["theta_prime_deg", "omega_prime_eV", "order", "e_field_eV2",
+                "last_term_ratio"]
 
 
 def test_nonconvergence_report_counts_thermal_pass(tmp_path, capsys):
@@ -496,6 +515,9 @@ def test_nonconvergence_report_counts_thermal_pass(tmp_path, capsys):
     assert f"omega'={failure['omega_prime_eV']:.6g} eV" in report["error"]
     assert failure["order"] == 2
     assert failure["e_field_eV2"] is None
+    # the ratio the stop rule last compared with rel_tol, at the cap
+    assert math.isfinite(failure["last_term_ratio"])
+    assert failure["last_term_ratio"] > 0.0
 
 
 def test_nonconvergence_report_names_first_point_past_the_cap(tmp_path,
@@ -515,6 +537,7 @@ def test_nonconvergence_report_names_first_point_past_the_cap(tmp_path,
     assert f"omega'={failure['omega_prime_eV']:.6g} eV" in report["error"]
     assert failure["order"] == 2
     assert failure["e_field_eV2"] is None
+    assert failure["last_term_ratio"] is None       # it summed no term
     geometry = EmissionGeometry(math.radians(159.9))
     cutoff = emission.kinematic_max_frequency(
         2, electron_momentum(1.0, [0, 0, 1]).p, 2.25, geometry)
@@ -534,6 +557,8 @@ def test_nonconvergence_report_counts_coherent_ladder(tmp_path, capsys):
     assert failure["theta_prime_deg"] == pytest.approx(159.9, rel=1e-12)
     assert failure["order"] == 2 and failure["omega_prime_eV"] > 0.0
     assert failure["e_field_eV2"] is None
+    # the last batch's weight over the running total, above rel_tol
+    assert failure["last_term_ratio"] > emission.DEFAULT_REL_TOL
 
 
 @pytest.mark.parametrize("s_max", [9999, 2])
@@ -586,6 +611,7 @@ def test_nan_log_r_exits_2_and_writes_report(tmp_path, capsys, monkeypatch):
         f"{failure['theta_prime_deg']:.6g} deg, omega'="
         f"{failure['omega_prime_eV']:.6g} eV, E="
         f"{failure['e_field_eV2']:.6g} eV^2")
+    assert failure["last_term_ratio"] is None
     # the moment check meets the same NaN; it is recorded, not raised
     assert "NaN" in report["moment_check"]["error"]
 

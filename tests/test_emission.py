@@ -249,7 +249,8 @@ def test_first_order_past_the_cap_fails_before_any_order():
         f"theta'=159.9 deg, omega'={wp[1]:.6g} eV")
     assert cap_error.value.failure == {
         "theta_prime_deg": pytest.approx(159.9, rel=1e-12),
-        "omega_prime_eV": wp[1], "order": 45, "e_field_eV2": None}
+        "omega_prime_eV": wp[1], "order": 45, "e_field_eV2": None,
+        "last_term_ratio": None}
     assert diag == Diagnostics(points=3)
     # the same points under a cap they can all reach converge
     assert np.all(spectral_density_points(stats, AT_REST, OMEGA, th, ph,

@@ -616,14 +616,16 @@ def test_angular_distribution_against_direct_spectra():
                                rtol=1e-12)
 
 
-@pytest.mark.parametrize("maker", [thermal_stats, bsv_stats])
+@pytest.mark.parametrize("maker", [thermal_stats, bsv_stats, coherent_stats])
 @pytest.mark.parametrize("broadening", ["literal", "drive_average"])
 def test_angular_scan_equals_per_angle_spectra(maker, broadening):
-    # one engine pass over all angles gives each angle exactly what its
-    # own energy_spectrum + band_integrate gives.  An electron riding
-    # with the drive at gamma = 1e5 puts the first harmonics of its
-    # forward cone into the band, while at 180 deg the ceiling m/4gamma
-    # ~ 1.3 eV lies below it: that angle adds no points and reads 0.
+    # one engine pass over all angles (or, for the coherent drive, one
+    # band-mass call over all angles' lines) gives each angle exactly
+    # what its own energy_spectrum + band_integrate gives.  An electron
+    # riding with the drive at gamma = 1e5 puts the first harmonics of
+    # its forward cone into the band, while at 180 deg the ceiling
+    # m/4gamma ~ 1.3 eV lies below it: that angle adds no points and
+    # reads 0.
     band = (1.5, 3.0)
     thetas = (0.3e-5, 0.5e-5, 0.7e-5, 1e-5, math.pi)
     sc = _scenario(9e15, maker, OmegaGrid(band[0], band[1], 64),
@@ -649,6 +651,40 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
     jac = angular_distribution(sc, band, jacobian=True)
     assert np.array_equal(jac.values,
                           [v * math.sin(th) for v, th in zip(expect, thetas)])
+
+
+@pytest.mark.parametrize("broadening", ["literal", "drive_average"])
+def test_coherent_angular_scan_builds_no_peaks(monkeypatch, broadening):
+    # a coherent scan integrates each angle's lines as arrays: with
+    # GaussianPeak replaced by a class that refuses to be built it gives
+    # the values it gives unpatched, each equal to band_integrate of that
+    # angle's energy_spectrum, which still builds them.  The fig3 band
+    # and electron, at angles whose literal ladders keep 185 and 53 lines
+    thetas = tuple(math.radians(d) for d in (140.0, 160.0))
+    band = (1719.4, 3438.8)
+    sc = _scenario(9e16, coherent_stats, OmegaGrid(band[0], band[1], 512),
+                   electron=HEAD_ON, thetas=thetas, broadening=broadening)
+    p, omega = sc.electron.p, sc.drive.omega
+    spectra = []
+    for th in thetas:
+        geom = EmissionGeometry(theta=th)
+        top = min(band[1], absolute_frequency_ceiling(p, omega, geom))
+        spectra.append((replace(sc, omega_grid=OmegaGrid(band[0], top, 512)),
+                        geom))
+    curves = [energy_spectrum(*args) for args in spectra]
+    assert min(len(curve.peaks) for curve in curves) >= 53
+    want = angular_distribution(sc, band).values
+    assert np.array_equal(want, [band_integrate(c, band) for c in curves])
+    assert np.all(want > 0.0)
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a GaussianPeak was built")
+
+    monkeypatch.setattr(pipeline, "GaussianPeak", Refused)
+    assert np.array_equal(angular_distribution(sc, band).values, want)
+    with pytest.raises(AssertionError, match="GaussianPeak was built"):
+        energy_spectrum(*spectra[0])
 
 
 def test_dead_band_returns_zero():
