@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,12 +108,12 @@ class Diagnostics:
         self.overcomputed += overcomputed
 
 
-@dataclass(frozen=True)
-class PeakEntry:
+class PeakEntry(NamedTuple):
     """One coherent-drive emission line: order, position, integrated power.
 
     weight is the emitted power per steradian integrated across the line
-    (the omega'-delta resolved analytically).
+    (the omega'-delta resolved analytically).  A tuple, so a ladder's
+    entries read as one (lines, 3) array.
     """
 
     order: int
@@ -600,7 +601,5 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     brackets = bessel_bracket(orders, xi, thetas / kpprime * x_fac)
     weights = (E_SQUARED * _MASS_SQ * positions ** 3 * brackets
                / (8.0 * math.pi ** 2 * orders * kp * p.t))
-    return tuple(
-        PeakEntry(order=s, omega_prime=wps, weight=weight)
-        for s, wps, weight in zip(orders.tolist(), positions.tolist(),
-                                  weights.tolist()))
+    return tuple(map(PeakEntry._make, zip(
+        orders.tolist(), positions.tolist(), weights.tolist())))

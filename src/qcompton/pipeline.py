@@ -42,8 +42,12 @@ from .special_functions import ndtr
 KERNEL_REACH = 9.0
 
 # Gauss-Hermite order for the drive-frequency average.  21 nodes
-# integrate polynomials up to degree 41 exactly; the density varies on
-# the scale of omega while the weight has width delta_omega << omega.
+# integrate polynomials up to degree 41 exactly, but the density is not
+# smooth on the weight's scale delta_omega: at a fixed omega', harmonic s
+# switches on at a drive frequency nu_s with a kink or a narrow spike,
+# and where nu_s falls inside the weight the average is off (7.6 % low at
+# omega' = 2.2515 eV on a mixed_diagonal 9e17 W/cm^2 fig2 curve at
+# theta' 157.75 deg, against a 40 001-node trapezoid in nu).
 _HERMITE_ORDER = 21
 
 # drive_average evaluates a smooth drive at nu = omega + sqrt(2) delta_omega x
@@ -527,9 +531,8 @@ def _lines(scenario: Scenario, blocks, diagnostics: Diagnostics):
             widths = _peak_sigmas(scenario, geometry, entries)
         else:
             widths = np.full(len(entries), sigma)
-        lines.append((np.array([q.omega_prime for q in entries]),
-                      t_pulse * np.array([q.weight for q in entries]),
-                      widths))
+        _, centers, weights = np.array(entries).reshape(-1, 3).T
+        lines.append((centers, t_pulse * weights, widths))
     return lines
 
 

@@ -9,9 +9,14 @@ evaluated in-package rather than through a platform math library so
 results are bit-stable across OSes.  One evaluator, _bessel_rows, takes
 one order per element: it owns the contract check and splits elements
 into four regimes.  x = 0 sets J_0 = 1 and nothing else.  The ascending
-series takes small arguments (rows s and s+1 summed in one pass, row s-1
-formed from their scaled sums; a shared order column stops on a scalar
-bound).  The rest take Miller's backward recurrence, one sweep per
+series takes small arguments: rows s and s+1 are polynomials in q =
+x^2/4, summed by Horner's rule over one term count per call, fixed
+before the loop from two majorants of every element's terms so that the
+first dropped term is at most _SERIES_MARGIN of 1 plus the sum of
+|terms|, a margin at which more terms changed no bit on the benchmark's
+series calls; row s-1 is formed from their scaled sums, and the leads
+(x/2)^n / n! from one exponential for row s-1 and a multiplication per
+row above.  The rest take Miller's backward recurrence, one sweep per
 regime and call, in one of two forms.  Elements with anchor order nu =
 s-1 >= 160 and x <= 0.64 nu (the Debye regime; the thermal fig3 scan's
 high orders far from their turning points) take a sweep that stops at
@@ -61,6 +66,14 @@ MAX_ARGUMENT = 1.0e4
 # alternating series has ratio < 1 from the first term, so no
 # cancellation growth; the absolute cap keeps small-order sums short.
 _SERIES_CAP = 8.0
+
+# Series stop margin: a call sums terms until a majorant's next term is
+# at most this fraction of 1 plus the majorant's sum (_series_terms).
+# Horner's rule feeds a dropped term's change through every level, so it
+# moves an element's last bit with a chance of about its size in ulps:
+# over the 30.2 M series elements of 48 benchmark bank curves, six more
+# terms moved 256 elements by an ulp at 1e-20, 3 at 1e-22 and none here.
+_SERIES_MARGIN = 1e-23
 
 # Backward recurrence start offset above max(n, x); the cube-root term
 # tracks the Airy-zone width of J_m(x) around m = x.
@@ -132,64 +145,87 @@ def _series_threshold(n: np.ndarray) -> np.ndarray:
     return np.maximum(_SERIES_CAP, 2.0 * np.sqrt(n))
 
 
+def _series_terms(pair: np.ndarray, q: np.ndarray) -> int:
+    """The number of terms K past the leading 1 that the series sums for
+    the orders pair (rows s and s+1, one column or one per element) at q
+    = x^2 / 4.
+
+    Two majorants bound every element's |term_k| = q^k / (k! (n+1)_k) in
+    both rows: q_max^k / (k! (n_min+1)_k), and (max q / (n+1))^k / k!,
+    which stays short when small orders sit beside large arguments at
+    large orders.  Each dominates in ratio as well: every earlier term
+    of an element over its term k is at least the majorant's, so an
+    element's first dropped term over 1 plus the sum of its |terms| is
+    at most the majorant's.  K is the smaller count at which either
+    majorant's next term falls to _SERIES_MARGIN of 1 plus its sum, and
+    at least 1, so that Horner's rule starts from a term.  With one order
+    column max q / (n+1) is q_max / (n_min+1), without a pass over the
+    elements.
+    """
+    q_max = float(q.max(initial=0.0))
+    n_min = float(pair[0].min(initial=np.inf))
+    p = q_max / (n_min + 1.0) if pair.shape[1] == 1 else float(
+        (q / (pair[0] + 1.0)).max(initial=0.0))
+    top_a = top_b = bound_a = bound_b = 1.0
+    k = 0
+    while True:
+        k += 1
+        top_a *= q_max / (k * (n_min + k))
+        top_b *= p / k
+        if top_a <= _SERIES_MARGIN * bound_a or (
+                top_b <= _SERIES_MARGIN * bound_b):
+            return max(k - 1, 1)
+        bound_a += top_a
+        bound_b += top_b
+
+
 def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Ascending power series for a triple's three rows, x > 0.
 
     n holds the orders s-1, s, s+1 as rows, one column per element of x
     or a single column shared by all.  Valid for each x below
     _series_threshold of its lowest order.  Only rows s and s+1 are
-    summed, in one loop over k; it stops once the slowest entry has
-    converged.  An entry that converged earlier only sees further terms
-    below 1e-18 of its sum (past the peak of its terms), which is under
-    half an ulp, so its value is the one a loop of its own would give.
-    Row s-1 comes from the two scaled sums T_n = J_n / lead_n through
-    T_{s-1} = T_s - x^2 / (4 s (s+1)) T_{s+1} and its own lead; unlike
-    (2s/x) J_s - J_{s+1}, that cannot lose J_{s-1} to an underflowed J_s.
+    summed, as the polynomials T_n = sum_k (-q)^k / (k! (n+1)_k) in q =
+    x^2 / 4 by Horner's rule over the call's term count _series_terms,
+    from reciprocals 1 / (k (n+k)) tabulated once, (K, 2, 1) for one
+    order column or (K, 2, N) for an order per element.  Every element's
+    first dropped term is at most _SERIES_MARGIN of 1 plus its sum of
+    |terms|, a margin at which further terms changed no bit of any
+    benchmark element, so an element's value does not depend on the
+    call around it.  Row s-1 comes from the two sums through T_{s-1} =
+    T_s - x^2 / (4 s (s+1)) T_{s+1}; unlike (2s/x) J_s - J_{s+1}, that
+    cannot lose J_{s-1} to an underflowed J_s.  The leads (x/2)^n / n!
+    take one exponential, for row s-1 (flushed to 0 below e^-745), and
+    rows s and s+1 one multiplication by x / 2n each.
     """
-    # leading term (x/2)^n / n! in log space; flush underflow to 0
-    log_lead = n * np.log(x / 2.0) - _LOG_FACTORIAL[n.astype(np.intp)]
-    lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
-    neg_q = -(x * x / 4.0)
+    q = x * x / 4.0
+    neg_q = -q
     pair = n[1:]
-    term = np.ones((2, x.size))
-    # rows s and s+1 are summed in place; row s-1 is filled in at the end
-    rows = np.ones((3, x.size))
+    k = np.arange(_series_terms(pair, q), 0, -1.0)[:, None, None]
+    # 1 / (k (n+k)), formed in place: one table's memory at most
+    recips = pair + k
+    recips *= k
+    np.divide(1.0, recips, out=recips)
+    rows = np.empty((3, x.size))
     total = rows[1:]
-    # updated in place: on wide calls, fresh (rows x points) temporaries
-    # every step cost more than the arithmetic
-    mag = np.empty_like(term)
-    tol = np.empty_like(term)
-    # no |total| exceeds 1 plus the largest |term| of every step so far,
-    # so the test below cannot pass while the largest |term| is above
-    # 1e-18 of that bound; until then it is skipped (twice the bound
-    # covers its rounding), which stops the loop at the same k.  With one
-    # order column the largest |term| is row s at the largest q: rounding
-    # is monotone, so a scalar repeating that entry's steps gives it
-    # exactly, without abs and max over the array.
-    shared = n.shape[1] == 1
-    q_max = float(-neg_q.min(initial=0.0))
-    n_s = float(pair[0, 0]) if shared else 0.0
-    top = 1.0
-    bound = 1.0
-    for k in range(1, 200):
-        term *= neg_q
-        term /= k * (pair + k)
-        total += term
-        if shared:
-            top = top * q_max / (k * (n_s + k))
-        else:
-            top = np.abs(term, out=mag).max(initial=0.0)
-        bound += top
-        if top > 2e-18 * bound:
-            continue
-        np.abs(term, out=mag)
-        np.abs(total, out=tol)
-        tol *= 1e-18
-        if np.all(mag <= tol):
-            break
+    # from the innermost level 1 - q / (K (n+K)) outwards, in place: on
+    # wide calls, fresh (rows x points) temporaries every step cost more
+    # than the arithmetic
+    np.multiply(recips[0], neg_q, out=total)
+    total += 1.0
+    for recip in recips[1:]:
+        total *= recip
+        total *= neg_q
+        total += 1.0
     np.multiply(neg_q / (n[1] * n[2]), total[1], out=rows[0])
     rows[0] += total[0]
-    rows *= lead
+    half = x / 2.0
+    log_lead = n[0] * np.log(half) - _LOG_FACTORIAL[n[0].astype(np.intp)]
+    lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
+    rows[0] *= lead
+    for row in (1, 2):
+        lead *= half / n[row]
+        rows[row] *= lead
     return rows
 
 
@@ -323,7 +359,7 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     s holds one order per element of x, or a single order for all of
     them; the rows then stay one column, so the series forms its
-    divisors per row rather than per point.  The one regime dispatch of
+    reciprocals per row rather than per point.  The one regime dispatch of
     the module, made per element: x = 0 is exact, x up to
     _series_threshold(s - 1) takes the series, and the rest Miller's
     recurrence, split in two sweeps.  Elements of the Debye regime,
@@ -331,7 +367,9 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     the sweep anchored to _debye_j at J_{s-1}, which stops at the call's
     lowest order: below it the recurrence would only carry the sum rule
     down.  The others take the full sweep.  A call whose points all take
-    the series returns its array directly.  Any other call gathers each
+    the series returns its array directly; with one order, that is found
+    from the smallest and largest argument, which the contract check
+    reads anyway, without element masks.  Any other call gathers each
     regime's orders from s once and scatters its rows back; x = 0 needs
     no rows of its own, as only J_0 = 1 is non-zero there.
     """
@@ -339,15 +377,18 @@ def _bessel_rows(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     if bad.any():
         raise OutOfContract(f"triple orders must be integers in [1, "
                             f"{MAX_ORDER - 1}], got {s[bad][0]}")
-    if np.any(x < 0.0) or np.any(x > MAX_ARGUMENT):
+    lo, hi = x.min(initial=np.inf), x.max(initial=0.0)
+    if not (lo >= 0.0 and hi <= MAX_ARGUMENT):         # NaN fails both
         raise OutOfContract(f"argument must lie in [0, {MAX_ARGUMENT:g}]")
 
-    # integer orders held as floats: exact, and the series then divides
-    # by k (n + k) without casting every step
+    # integer orders held as floats: exact, and the series then forms
+    # its reciprocals 1 / (k (n + k)) without casting
     triple = np.arange(-1.0, 2.0)[:, None]
+    if s.size == 1 and lo > 0.0 and hi <= _series_threshold(s[0] - 1.0):
+        return _jn_series(s + triple, x)
     zero = x == 0.0
     small = ~zero & (x <= _series_threshold(s - 1.0))
-    if small.all():
+    if small.all():                      # orders per element: by masks
         return _jn_series(s + triple, x)
     sweep = ~zero & ~small
     debye = sweep & (s > _DEBYE_MIN_ORDER) & (

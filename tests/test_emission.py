@@ -17,7 +17,8 @@ from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
                      scattered_momentum)
 from qcompton import emission
 from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
-from qcompton.emission import (Diagnostics, TruncationNotConverged,
+from qcompton.emission import (Diagnostics, PeakEntry,
+                               TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
                                coherent_line_positions, coherent_peaks,
                                kinematic_max_frequency,
@@ -325,6 +326,23 @@ def test_coherent_line_positions_below_cutoffs_and_ordered():
         assert 0.0 < q.omega_prime < cutoff
     w_max = max(q.weight for q in peaks)
     assert all(q.weight >= -1e-12 * w_max for q in peaks)
+
+
+def test_peak_entries_keep_their_public_fields():
+    # a ladder's entries are immutable records read by field name, and
+    # read as one (lines, 3) array by order, position and weight
+    drive = drive_for(9e16)
+    stats = coherent_stats(drive.omega, drive.rho)
+    peaks = coherent_peaks(stats, AT_REST, OMEGA,
+                           EmissionGeometry(theta=math.radians(90.0)),
+                           range(1, 4))
+    assert PeakEntry._fields == ("order", "omega_prime", "weight")
+    q = peaks[1]
+    assert isinstance(q, PeakEntry) and type(q.order) is int
+    assert (q.order, q.omega_prime, q.weight) == tuple(q)
+    assert np.array(peaks).tolist() == [list(p) for p in peaks]
+    with pytest.raises(AttributeError):
+        q.weight = 0.0
 
 
 def test_coherent_line_low_intensity_reaches_compton_formula():

@@ -19,13 +19,14 @@ from qcompton.special_functions import (_DEBYE_MAX_RATIO,
                                         _NDTR_S, _NDTR_T, _NDTR_U,
                                         _RESCALE_FACTOR, _RESCALE_HEADROOM,
                                         _RESCALE_THRESHOLD, _SERIES_CAP,
+                                        _SERIES_MARGIN,
                                         MAX_ARGUMENT, MAX_ORDER,
                                         OutOfContract, _bessel_rows,
                                         _horner, _i0_asymptotic_tail,
                                         _jn_series, _miller_rows,
                                         _miller_start,
                                         _rescale_interval,
-                                        _series_threshold,
+                                        _series_terms, _series_threshold,
                                         bessel_i0_log_scaled,
                                         bessel_j_triple, bessel_j_triples,
                                         ndtr)
@@ -179,20 +180,19 @@ def test_bessel_j_takes_empty_input(evaluate, shape):
     assert all(row.shape == shape and row.dtype == float for row in rows)
 
 
-def _series_testing_every_step(n, x):
-    """The ascending series with its convergence test at every step."""
-    lgam = np.array([math.lgamma(r + 1) for r in n.ravel().tolist()])
-    log_lead = n * np.log(x / 2.0) - lgam.reshape(n.shape)
-    lead = np.where(log_lead < -745.0, 0.0, np.exp(log_lead))
-    neg_q = -(x * x / 4.0)
-    term = np.ones((len(n), x.size))
-    total = np.ones_like(term)
-    for k in range(1, 200):
-        term = term * neg_q / (k * (n + k))
-        total = total + term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-            break
-    return lead * total
+def _forward_terms(pair, q, count):
+    """|term_k| of the summed rows for k = 1..count, each by the forward
+    recursion the majorants of _series_terms take, and 1 plus their
+    running sums: two (count, 2, elements) arrays."""
+    term = np.ones(np.broadcast_shapes(pair.shape, q.shape))
+    bound = np.ones_like(term)
+    terms, bounds = [], []
+    for k in range(1, count + 1):
+        term = term * (q / (k * (pair + k)))
+        terms.append(term)
+        bounds.append(bound)
+        bound = bound + term
+    return np.array(terms), np.array(bounds)
 
 
 # near zeros of J_0 and J_1 the sums cancel far below the terms
@@ -214,13 +214,50 @@ def _series_cases():
         yield n + rng.integers(0, 3, x.size), x
 
 
-def test_series_stops_where_a_test_at_every_step_would():
-    # the series sums rows s and s+1 and skips its convergence test while
-    # no term can pass it; it must stop at the step a test at every step
-    # over those rows would, so both rows are bitwise the same
+def test_series_drops_only_terms_below_its_margin():
+    # Horner's rule sums a term count fixed per call: in both summed rows
+    # and both order layouts, every element's first dropped term is at
+    # most _SERIES_MARGIN of 1 plus the sum of its |terms| before it
     for n, x in _series_cases():
-        assert (_jn_series(n, x)[1:]
-                == _series_testing_every_step(n[1:], x)).all()
+        pair, q = n[1:], x * x / 4.0
+        count = _series_terms(pair, q)
+        terms, bounds = _forward_terms(pair, q, count + 1)
+        assert np.all(terms[-1] <= _SERIES_MARGIN * bounds[-1]), count
+
+
+def test_series_more_terms_change_no_bit(monkeypatch):
+    # at the margin, summing six terms more moves no bit of any element
+    want = [_jn_series(n, x) for n, x in _series_cases()]
+    count = special_functions._series_terms
+    monkeypatch.setattr(special_functions, "_series_terms",
+                        lambda pair, q: count(pair, q) + 6)
+    for (n, x), rows in zip(_series_cases(), want):
+        assert np.array_equal(_jn_series(n, x), rows)
+
+
+@pytest.mark.parametrize("s, x", [(1, 1e-3), (1, 2.404825557695773),
+                                  (2, 3.831705970207512), (7, 3.3),
+                                  (40, 7.0), (400, 30.0)])
+def test_series_element_does_not_depend_on_its_call(s, x):
+    # the term count is the call's, yet an element's triple is the same
+    # bits alone, in a 5 000-point one-order call and beside an element
+    # of much larger q / (n + 1) in a per-element call; engine blocks and
+    # angular scans rely on it to be independent of their batch shape
+    rng = np.random.default_rng(11)
+    wide = rng.uniform(1e-3, float(_series_threshold(s - 1.0)), 5000)
+    wide[1234] = x
+    neighbour = (1, 7.9)
+    alone = np.array(bessel_j_triple(s, x))
+    assert np.array_equal(np.array(bessel_j_triple(s, wide))[:, 1234], alone)
+    beside = bessel_j_triples([s, neighbour[0]], [x, neighbour[1]])
+    assert np.array_equal(np.array(beside)[:, 0], alone)
+    # the three calls sum different numbers of terms
+    pair = s + np.arange(2.0)[:, None]
+    pairs = np.array([[s, neighbour[0]], [s + 1, neighbour[0] + 1]], float)
+    counts = [_series_terms(pair, np.array([x * x / 4.0])),
+              _series_terms(pair, wide * wide / 4.0),
+              _series_terms(pairs, np.array([x, neighbour[1]]) ** 2 / 4.0)]
+    assert counts[0] not in counts[1:], counts
 
 
 def test_series_row_below_against_oracle():
@@ -664,6 +701,18 @@ def test_bessel_triple_consistency():
             rhs = 2.0 * s * j0 / x
             scale = max(abs(jm), abs(j0), abs(jp))
             assert abs(lhs - rhs) <= 1e-9 * max(scale, abs(rhs))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: bessel_j_triples(5, [np.nan]),
+    lambda: bessel_j_triples(5, [1.0, np.nan]),
+    lambda: bessel_j_triples([5, 6], [np.nan, 1.0]),
+    lambda: bessel_j_triple(5, [[1.0, 2.0], [np.nan, 3.0]])],
+    ids=["one-order", "one-order-beside-series", "per-element", "block"])
+def test_bessel_j_triples_rejects_nan_arguments(evaluate):
+    # NaN is outside the argument contract in every order layout
+    with pytest.raises(OutOfContract):
+        evaluate()
 
 
 def test_bessel_j_contract_bounds():
