@@ -28,7 +28,11 @@ smaller rows first, and the three rows share one scale, so the
 near-cancelling bracket keeps its digits.  Over the region the anchored
 rows stay within 2e-13 of mpmath.  All other elements take the full
 sweep to order 0 with sum-rule normalization (DLMF 10.74).  A sweep
-takes a call's elements as maximal runs of one order, as engine blocks
+starts at the latest order any of its elements needs: an element below
+its turning point, x < n for its highest order n, needs only as many
+orders above n as it takes J's decay at x / n to shrink the start's
+contamination to 2^-106, one near or above it the pad of the Airy zone.
+It takes a call's elements as maximal runs of one order, as engine blocks
 and ladder batches lay them out, and copies each run into its row as one
 slice as it passes the run's orders.  A mixed call gathers each regime's
 orders from the per-element orders once.  The sweep forms each step in
@@ -75,8 +79,16 @@ _SERIES_CAP = 8.0
 # terms moved 256 elements by an ulp at 1e-20, 3 at 1e-22 and none here.
 _SERIES_MARGIN = 1e-23
 
-# Backward recurrence start offset above max(n, x); the cube-root term
-# tracks the Airy-zone width of J_m(x) around m = x.
+# Backward recurrence start (_miller_start).  Below its turning point, x
+# < n, an element's sweep converges at its own rate: per order up from n
+# the minimal solution J_m falls, and the dominant Y_m grows, by at least
+# e^arccosh(n / x), so from p orders above n the contamination is at most
+# e^(-2 p arccosh(n / x)), and _MILLER_DECAY = 53 ln 2 keeps it at 2^-106,
+# a factor of two in the exponent below one ulp (W. Gautschi, SIAM Rev. 9
+# (1967); DLMF 3.6).  Near and above the turning point that rate tends to
+# 1, and the pad above max(n, x) takes over: its cube-root term tracks
+# the Airy-zone width of J_m(x) around m = x.
+_MILLER_DECAY = 53.0 * math.log(2.0)
 _MILLER_PAD = 40
 _MILLER_PAD_SCALE = 15.0
 
@@ -89,8 +101,8 @@ _MILLER_PAD_SCALE = 15.0
 # smallest argument; the test then runs every L steps, g^L within
 # _RESCALE_HEADROOM.  Between two tests no value passes 2^600 g^L <=
 # 2^1000, below finfo.max ~ 2^1024, and one rescale brings it back under
-# 2^400.  L is 35 at the MAX_ORDER corner and 78-145 on the sweeps of
-# the fig3 thermal scan.
+# 2^400.  L is 35 at the MAX_ORDER corner and 82-187 on the sweeps of
+# the benchmark's fig3 thermal scan curves.
 _RESCALE_THRESHOLD = 2.0 ** 600
 _RESCALE_FACTOR = 2.0 ** -600
 _RESCALE_HEADROOM = 2.0 ** 400
@@ -229,10 +241,23 @@ def _jn_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _miller_start(n_max: int, x_max: float) -> int:
-    """The (even) order the backward sweep starts from."""
-    base = max(n_max, int(math.ceil(x_max)))
-    m_start = base + _MILLER_PAD + int(_MILLER_PAD_SCALE * base ** (1.0 / 3.0))
+def _miller_start(n: np.ndarray, x: np.ndarray) -> int:
+    """The (even) order a backward sweep starts from: the latest start any
+    element needs, n the highest row s + 1 of each element of x, or one
+    for all.
+
+    An element needs the earlier of its decay start, n + ceil(_MILLER_DECAY
+    / arccosh(n / x)) for x < n, and its Airy start, max(n, x) +
+    _MILLER_PAD + floor(_MILLER_PAD_SCALE max(n, x)^(1/3)), so no call
+    starts later than at the Airy start of its largest order and argument.
+    """
+    base = np.maximum(n, np.ceil(x))
+    airy = base + _MILLER_PAD + np.floor(
+        _MILLER_PAD_SCALE * base ** (1.0 / 3.0))
+    with np.errstate(divide="ignore"):         # x >= n: no decay start
+        decay = n + np.ceil(
+            _MILLER_DECAY / np.arccosh(np.maximum(n / x, 1.0)))
+    m_start = int(np.minimum(decay, airy).max())
     return m_start + m_start % 2
 
 
@@ -281,17 +306,17 @@ def _miller_rows(s: np.ndarray, x: np.ndarray,
 
     Returns J_{s-1}, J_s, J_{s+1} at x as a (3, x.size) array, s one
     order per element of x or a single order for all.  The sweep starts
-    above the largest order and argument of the call and captures each
-    entry as m passes its order.  The elements are taken as maximal runs
-    of one order (a shared order is one run, an engine block or a ladder
-    batch ascending runs), so a capture copies a run into its row as one
-    contiguous slice; any order layout works, unsorted orders just form
-    more runs.  All x must exceed _SERIES_CAP; the caller routes smaller
-    arguments to the series.  Every _rescale_interval steps, elements
-    with J_m or J_{m+1} above _RESCALE_THRESHOLD are scaled by the exact
-    power of two _RESCALE_FACTOR, as dense multiplies by a factor that is
-    1 for the others; the growth bound beside those constants keeps the
-    steps between two tests finite.
+    at _miller_start, the latest start any of its elements needs, and
+    captures each entry as m passes its order.  The elements are taken as
+    maximal runs of one order (a shared order is one run, an engine block
+    or a ladder batch ascending runs), so a capture copies a run into its
+    row as one contiguous slice; any order layout works, unsorted orders
+    just form more runs.  All x must exceed _SERIES_CAP; the caller
+    routes smaller arguments to the series.  Every _rescale_interval
+    steps, elements with J_m or J_{m+1} above _RESCALE_THRESHOLD are
+    scaled by the exact power of two _RESCALE_FACTOR, as dense multiplies
+    by a factor that is 1 for the others; the growth bound beside those
+    constants keeps the steps between two tests finite.
 
     Without an anchor the sweep runs to order 0 and each element is
     normalized by its own sum, J_0 + 2 sum_k J_2k (DLMF 10.74).  With
@@ -302,7 +327,7 @@ def _miller_rows(s: np.ndarray, x: np.ndarray,
     element leaves the recurrence once its triple is captured, so later
     rescales of the sweep cannot flush its rows to zero.
     """
-    m_start = _miller_start(int(s.max()) + 1, float(x.max()))
+    m_start = _miller_start(s + 1.0, x)
     every = _rescale_interval(m_start, float(x.min()))
     sum_rule = anchor is None
     lowest = 0 if sum_rule else int(s.min()) - 1

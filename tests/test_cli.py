@@ -376,9 +376,12 @@ OVERSIZED_WINGS = [
 
 @pytest.mark.parametrize("cfg", OVERSIZED_WINGS, ids=["log", "linear"])
 def test_exit_code_on_oversized_convolution_wings(tmp_path, capsys, cfg):
+    # refused before any wing node is built or any point reaches the
+    # engine: by the clock, and by the engine's own count of points
     started = time.perf_counter()
     code, report = _run_report(tmp_path, cfg)
     assert time.perf_counter() - started < 1.0
+    assert report["diagnostics"]["points"] == 0
     assert code == cli.EXIT_PHYSICS
     err = capsys.readouterr().err
     assert "Traceback" not in err and "convolution wings need" in err

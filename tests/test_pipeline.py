@@ -381,18 +381,39 @@ def test_run_taps_stop_at_the_run_length():
     assert got[0] == pytest.approx(2.216e-11, rel=1e-3)
 
 
-def test_narrow_window_under_a_wide_kernel_costs_only_its_points():
+def test_narrow_window_under_a_wide_kernel_costs_only_its_points(
+        monkeypatch):
     # 50 points at the start of a 2^16-node lattice that the kernel
     # reaches past (sigma 20 eV beside a 1 meV step, k = 2^16 taps a
     # side): the run is formed at the points alone, 50 (2k + 1) products
-    # a side, not the lattice length times the taps (8.6e9)
+    # a side, not the lattice length times the taps (8.6e9).  Checked by
+    # the clock and by the work itself: two convolutions of 50 outputs
+    # each, and no (segment, point) pair, so node terms at the 2k + 2 tap
+    # offsets alone
     sigma = 20.0
     x = 0.5 + 1e-3 * np.arange(1 << 16)
     y = 2.0 + np.sin(x / 7.0)
     pts = x[:50]
+    convolved, termed = [], []
+    convolve, node_terms = np.convolve, pipeline._node_terms
+
+    def count_convolve(a, v, mode):
+        convolved.append((len(a) - len(v) + 1, len(v), mode))
+        return convolve(a, v, mode)
+
+    def count_terms(u):
+        termed.append(np.size(u))
+        return node_terms(u)
+
+    monkeypatch.setattr(pipeline.np, "convolve", count_convolve)
+    monkeypatch.setattr(pipeline, "_node_terms", count_terms)
     started = time.perf_counter()
     got = _gaussian_convolve_linear(x, y, sigma, pts)
     assert time.perf_counter() - started < 1.0
+    k = x.size
+    assert convolved == [(50, 2 * k + 1, "valid")] * 2
+    assert termed == [2 * k + 2]
+    monkeypatch.undo()
     # a single point takes the (segment, point) band, a direct sum
     for i in (0, 25, 49):
         want = _gaussian_convolve_linear(x, y, sigma, pts[i:i + 1])
@@ -605,9 +626,9 @@ def test_angular_distribution_against_direct_spectra():
     geom = EmissionGeometry(theta=thetas[1])
     direct = band_integrate(energy_spectrum(sc, geom), band)
     # the batched pass sends this angle's points to the Bessel layer with
-    # the other angles', and a Miller sweep starts above its call's
-    # largest order and argument, so its densities differ from the direct
-    # pass's by rounding (up to 4.7e-14 relative over these 132 points)
+    # the other angles', and a Miller sweep starts where the most
+    # demanding element of its call needs, so its densities may differ
+    # from the direct pass's by rounding (none of these 132 points does)
     assert curve.values[1] == pytest.approx(direct, rel=1e-12, abs=0.0)
     # jacobian flag multiplies by sin(theta')
     jac = angular_distribution(sc, band, jacobian=True)

@@ -14,7 +14,8 @@ from qcompton import special_functions
 from qcompton.special_functions import (_DEBYE_MAX_RATIO,
                                         _DEBYE_MIN_ORDER, _DEBYE_Q,
                                         _DEBYE_TERMS,
-                                        _I0_TAIL_CUT, _NDTR_CLIP,
+                                        _I0_TAIL_CUT, _MILLER_PAD,
+                                        _MILLER_PAD_SCALE, _NDTR_CLIP,
                                         _NDTR_P, _NDTR_Q, _NDTR_R,
                                         _NDTR_S, _NDTR_T, _NDTR_U,
                                         _RESCALE_FACTOR, _RESCALE_HEADROOM,
@@ -137,7 +138,8 @@ def test_bessel_j_triples_mixed_batch():
                 # x = 0 and the series do not depend on the batch
                 assert got == single[row], (n, x)
             else:
-                # the batch's sweep starts above the largest order
+                # the batch's sweep starts where its most demanding
+                # element needs, above this element's own start
                 assert got == pytest.approx(single[row], rel=2e-14), (n, x)
 
 
@@ -295,7 +297,7 @@ def test_series_row_below_survives_underflow(s, x):
 
 
 # order 1 just inside Miller's regime, where one step grows J the most,
-# beside the largest order and argument, which set the sweep's start
+# beside the largest order and argument, whose Airy start is the sweep's
 _GROWTH_CORNER = (np.array([1, MAX_ORDER - 1]),
                   np.array([np.nextafter(_SERIES_CAP, np.inf), MAX_ARGUMENT]))
 
@@ -316,7 +318,7 @@ def test_rescale_interval_changes_no_bit(monkeypatch):
     pairs = _ZERO + _SERIES + _MILLER
     mixed = (np.array([s for s, _ in pairs]), np.array([x for _, x in pairs]))
     orders, xs = _LONG_CADENCE
-    assert _rescale_interval(_miller_start(orders.max() + 1, xs.max()),
+    assert _rescale_interval(_miller_start(orders + 1.0, xs),
                              xs.min()) > 100
 
     def evaluate():
@@ -339,30 +341,40 @@ def test_rescale_headroom_is_provable():
     # m_start grows max(|J_m|, |J_{m+1}|) by at most g = 2 m_start / x_min
     # + 1.  Over the steps between two tests a value from just below the
     # threshold must stay finite, and one rescale must bring it back
-    # under; the cadence is the longest the headroom allows
+    # under; the cadence is the longest the headroom allows.  The start is
+    # the sweep's own: the calls reach the latest Airy start (the
+    # MAX_ORDER corner), the earliest decay start (the largest order at
+    # the smallest argument, 5 orders above it, made even), and the ratios
+    # x / n near 0.99 where the two starts meet
     x_low = float(np.nextafter(_SERIES_CAP, np.inf))
     calls = [(1, x_low, x_low), (MAX_ORDER - 1, MAX_ARGUMENT, MAX_ARGUMENT),
-             (MAX_ORDER - 1, MAX_ARGUMENT, x_low)]
+             (MAX_ORDER - 1, MAX_ARGUMENT, x_low),
+             (MAX_ORDER - 1, x_low, x_low)]
     for s in (1, 7, 60, 700, 3000, MAX_ORDER - 1):
         for x_max in np.geomspace(x_low, MAX_ARGUMENT, 7):
             calls += [(s, x_max, x_min)
                       for x_min in np.geomspace(x_low, x_max, 5)]
+        calls += [(s, x, x) for x in (s + 1.0) * np.linspace(0.9, 1.0, 11)
+                  if x_low <= x <= MAX_ARGUMENT]
     for s, x_max, x_min in calls:
-        m_start = _miller_start(s + 1, x_max)
+        m_start = _miller_start(np.array([s + 1.0]), np.array([x_max, x_min]))
         growth = 2.0 * m_start / x_min + 1.0
         every = _rescale_interval(m_start, x_min)
         assert every >= 1
         assert _RESCALE_THRESHOLD * growth ** every < np.finfo(float).max
         assert growth ** every <= _RESCALE_THRESHOLD
         assert growth ** (every + 1) > _RESCALE_HEADROOM
+    assert _miller_start(np.array([MAX_ORDER + 0.0]),
+                         np.array([x_low])) == MAX_ORDER + 6
 
 
 def _miller_slot_map(n, x):
     """The backward sweep as it captured before order runs: orders n as
     (3, elements) rows or one shared column, each order's entries found
     by a stable argsort, unique, split and divmod, and gathered and
-    scattered as index arrays."""
-    m_start = _miller_start(int(n.max()), float(x.max()))
+    scattered as index arrays.  It starts where the sweep does, from the
+    highest rows n[-1]."""
+    m_start = _miller_start(n[-1], x)
     every = _rescale_interval(m_start, float(x.min()))
     if n.shape[1] == 1:
         slot = {int(r): (row, slice(None))
@@ -483,6 +495,135 @@ def test_miller_runs_match_the_slot_map(name, s, x):
         n = part + np.arange(-1.0, 2.0)[:, None]
         assert np.array_equal(_miller_rows(part, x[rest]),
                               _miller_slot_map(n, x[rest]))
+
+
+def _airy_start(n_max, x_max):
+    """The start every sweep took before starts were set per element: the
+    Airy start of the call's largest order and argument."""
+    base = max(n_max, math.ceil(x_max))
+    m_start = base + _MILLER_PAD + int(_MILLER_PAD_SCALE * base ** (1 / 3))
+    return m_start + m_start % 2
+
+
+def _sweep_calls():
+    """(orders, x) of sweeps: the Miller elements of every order layout,
+    then seeded calls across the contract, x / (s + 1) from 0.01 to 3,
+    and calls at and beside each perfect cube, where a rounded cube root
+    could lift the Airy start's floor."""
+    for _, s, x in _order_layouts():
+        rest = x > _series_threshold(s - 1.0)
+        yield (s if s.size == 1 else s[rest]), x[rest]
+    rng = np.random.default_rng(43)
+    for size in (1, 2, 7, 60, 400) * 8:
+        s = rng.integers(1, MAX_ORDER, size).astype(float)
+        x = np.minimum((s + 1.0) * np.exp(rng.uniform(np.log(0.01),
+                                                      np.log(3.0), size)),
+                       MAX_ARGUMENT)
+        keep = x > _series_threshold(s - 1.0)
+        if keep.any():
+            yield s[keep], x[keep]
+    for k in range(3, 22):
+        cube = float(k ** 3)
+        for s, x in ((cube - 1.0, cube - 0.5), (cube - 1.0, cube),
+                     (cube - 2.0, cube), (cube - 3.0, cube + 1.0)):
+            if x > _series_threshold(s - 1.0):
+                yield np.array([s]), np.array([x])
+
+
+def test_miller_start_is_never_later_than_the_airy_start():
+    for s, x in _sweep_calls():
+        assert _miller_start(s + 1.0, x) <= _airy_start(
+            int(s.max()) + 1, float(x.max())), (s, x)
+
+
+# The start-rule corners: orders at and around the Debye regime's lowest
+# anchor up to the largest, at x / (s + 1) from far below the turning
+# point through it to beyond it, above the series and inside the contract
+_START_ORDERS = (9, 159, 160, 1000, 3000, MAX_ORDER - 2)
+_START_RATIOS = (0.05, 0.5, 0.64, 0.9, 0.99, 0.999, 1.0, 1.1)
+_START_CORNERS = [(s, r, r * (s + 1.0)) for s in _START_ORDERS
+                  for r in _START_RATIOS
+                  if _series_threshold(s - 1.0) < r * (s + 1.0)
+                  <= MAX_ARGUMENT]
+
+
+def test_miller_start_leaves_no_trace_of_itself(monkeypatch):
+    # each corner alone, from its own start and from 200 orders higher.
+    # The start decides how much of the dominant solution the captured
+    # rows carry, so the rows over the triple's largest agree within
+    # 1e-14.  The normalization is a sum over the whole sweep, whose
+    # rounding through the orders below x moves the rows together by up
+    # to 2e-14 between any two starts, the Airy start's included; the
+    # oracle test below holds them to the contract
+    near = [np.array(bessel_j_triples(s, x)) for s, _, x in _START_CORNERS]
+    start = special_functions._miller_start
+    monkeypatch.setattr(special_functions, "_miller_start",
+                        lambda n, x: start(n, x) + 200)
+    for (s, _, x), got in zip(_START_CORNERS, near):
+        far = np.array(bessel_j_triples(s, x))
+        top = np.argmax(np.abs(far))
+        if far[top] == 0.0:
+            assert not got.any(), (s, x, got)
+            continue
+        assert np.all(np.abs(got / got[top] - far / far[top]) <= 1e-14), (
+            s, x, got, far)
+
+
+# J_{s-1}, J_s and J_{s+1} at the start-rule corners of the two largest
+# orders, as 25-digit values from mpmath.besselj at the oracle's 40 + 0.55
+# x digits (unchanged at 60 more): a corner's three values at both
+# precisions took up to 2 s at s = 3000 and up to 110 s at s = 9998.  0.0
+# stands for values below the smallest subnormal.
+_J_AT_START_CORNERS = {
+    (3000, 0.05): (0.0, 0.0, 0.0),
+    (3000, 0.5): (0.0, 0.0, 0.0),
+    (3000, 0.64): (0.0, 0.0, 0.0),
+    (3000, 0.9): (5.156867646508628662555019e-43,
+                  3.233143551795865825907583e-43,
+                  2.025501678818186214786908e-43),
+    (3000, 0.99): (0.001485760141652417576964389,
+                   0.001283682009406222801640929,
+                   0.001106672702765549961034231),
+    (3000, 0.999): (0.02904550813472425705412051,
+                    0.0270909432250044557914127,
+                    0.02517254175456081135122143),
+    (3000, 1.0): (0.03493443307100537897789006,
+                  0.03298375871762100933559449,
+                  0.03101110251903995791433485),
+    (3000, 1.1): (-0.01242687155386167561207378,
+                  -0.0186232773544207216677458,
+                  -0.02142234965316759272036081),
+    (9998, 0.05): (0.0, 0.0, 0.0),
+    (9998, 0.5): (0.0, 0.0, 0.0),
+    (9998, 0.64): (0.0, 0.0, 0.0),
+    (9998, 0.9): (2.883832334544538618985928e-138,
+                  1.807700947872908260559588e-138,
+                  1.13287913145391368367527e-138),
+    (9998, 0.99): (1.084743665846202590373025e-6,
+                   9.398354514689550569566198e-7,
+                   8.137239271326129583040126e-7),
+    (9998, 0.999): (0.01397823415171500039960165,
+                    0.01320738353875415945270122,
+                    0.01246032974881200595768766),
+    (9998, 1.0): (0.02252811468477168175770816,
+                  0.02164765102166097461704903,
+                  0.02076285739534961521624046),
+}
+
+
+def test_miller_start_corners_against_oracle():
+    # each corner alone, so that it sweeps from its own start
+    for s, ratio, x in _START_CORNERS:
+        wants = _J_AT_START_CORNERS.get((s, ratio))
+        if wants is None:
+            wants = [_oracle_jn(n, x) for n in (s - 1, s, s + 1)]
+        rows = bessel_j_triples(s, x)
+        for row, want in enumerate(wants):
+            got = float(rows[row])
+            if abs(want) < 1e-290:
+                assert abs(got) <= 1e-280, (s, x, row, got)
+            else:
+                assert _close(got, want, 1e-12), (s, x, row, got, want)
 
 
 @pytest.fixture
@@ -632,8 +773,8 @@ def test_debye_polynomials_match_exact_rationals():
 
 
 def test_empty_calls_never_reach_the_sweep(monkeypatch):
-    # a sweep starts from its call's largest order and argument, which an
-    # empty call has not got: it is answered before the sweep
+    # a sweep starts where its call's elements need, and an empty call has
+    # none: it is answered before the sweep
     def no_sweep(s, x):
         raise AssertionError("empty call reached the sweep")
 
