@@ -19,7 +19,7 @@ from .photon_statistics import (NonNormalizable, PhaseAveragedStatistics,
                                 custom_tabulated_stats, fock_limit_stats,
                                 mixed_diagonal_stats, moments, thermal_stats,
                                 tabulated_stats_from_file)
-from .emission import (Diagnostics, PeakEntry, TruncationNotConverged,
+from .emission import (Diagnostics, TruncationNotConverged,
                        absolute_frequency_ceiling, coherent_peaks,
                        kinematic_max_frequency, smooth_spectral_density,
                        spectral_density_points)
@@ -41,7 +41,6 @@ __all__ = [
     "NaturalDrive",
     "NonNormalizable",
     "OmegaGrid",
-    "PeakEntry",
     "PhaseAveragedStatistics",
     "Scenario",
     "SpectralCurve",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,19 +105,6 @@ class Diagnostics:
         self.orders_scanned = max(self.orders_scanned, orders_scanned)
         self.edge_guarded += edge_guarded
         self.overcomputed += overcomputed
-
-
-class PeakEntry(NamedTuple):
-    """One coherent-drive emission line: order, position, integrated power.
-
-    weight is the emitted power per steradian integrated across the line
-    (the omega'-delta resolved analytically).  A tuple, so a ladder's
-    entries read as one (lines, 3) array.
-    """
-
-    order: int
-    omega_prime: float        # eV
-    weight: float             # eV^2 per steradian
 
 
 def _light_cone_dot(p: FourVector, nx, ny, nz):
@@ -585,7 +571,10 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
         weight_s = e^2 m^2 omega'_s^3 bracket_s / (8 pi^2 s (k.p) p^t).
 
     The brackets of all orders come from one bessel_bracket call.
-    Returns a tuple of PeakEntry sorted by order.
+    Returns the arrays (s, omega'_s, weight_s) over s_range, as
+    coherent_line_positions does: integer orders, positions in eV and
+    weights, the power per steradian integrated across each line, in
+    eV^2 per steradian.
     """
     orders, positions, thetas = coherent_line_positions(
         stats, p, omega, geometry, s_range)
@@ -601,5 +590,4 @@ def coherent_peaks(stats: PhaseAveragedStatistics, p: FourVector,
     brackets = bessel_bracket(orders, xi, thetas / kpprime * x_fac)
     weights = (E_SQUARED * _MASS_SQ * positions ** 3 * brackets
                / (8.0 * math.pi ** 2 * orders * kp * p.t))
-    return tuple(map(PeakEntry._make, zip(
-        orders.tolist(), positions.tolist(), weights.tolist())))
+    return orders, positions, weights

@@ -153,13 +153,6 @@ class GaussianPeak:
                      * np.exp(-0.5 * z[near] * z[near]))
         return out
 
-    def band_mass(self, lo: float, hi: float) -> float:
-        """Energy of the line inside [lo, hi] (_line_band_masses), from
-        the tail beyond the band when the band lies on one side of the
-        center, so a band far above or below it keeps its digits."""
-        return float(_line_band_masses(self.center, self.mass, self.sigma,
-                                       lo, hi))
-
 
 @dataclass(frozen=True)
 class SpectralCurve:
@@ -415,13 +408,15 @@ def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,
     resolved until a whole batch adds less than rel_tol of the running
     total weight.  Line positions are closed-form, so orders above w_max
     are dropped before any Bessel work, and the scan ends at the first
-    batch with no line left.  Each batch adds its highest line to both
+    batch with no line left.  Returns a (lines, 3) array in order of the
+    line order, with columns order, omega' and weight (coherent_peaks);
+    orders are exact as floats.  Each batch adds its highest line to both
     order fields of `diagnostics`.  A ladder still gaining weight at
     s_max raises TruncationNotConverged, its `failure` naming the highest
     line and the last batch's weight over the running total.
     """
     diagnostics = diagnostics or Diagnostics()
-    entries = []
+    batches = [np.zeros((0, 3))]
     total = 0.0
     s_lo = 1
     while s_lo <= s_max:
@@ -430,34 +425,36 @@ def _ladder(stats, p, omega, geometry, w_max, rel_tol, s_max,
             stats, p, omega, geometry, np.arange(s_lo, s_hi + 1))
         kept = orders[wps <= w_max]
         if kept.size == 0:
-            return entries
+            return np.concatenate(batches)
         batch = emission.coherent_peaks(stats, p, omega, geometry, kept)
-        top = batch[-1].order
+        top = int(kept[-1])
         diagnostics.add(highest_order=top, orders_scanned=top)
-        entries.extend(batch)
-        got = sum(q.weight for q in batch)
+        batches.append(np.column_stack(batch))
+        # summed left to right (cumsum adds in order, np.sum in pairs),
+        # so the stop rule does not depend on numpy's summation blocks
+        got = float(np.cumsum(batch[2])[-1])
         total += got
         if total > 0.0 and got <= rel_tol * total:
-            return entries
+            return np.concatenate(batches)
         s_lo = s_hi + 1
-    last = entries[-1] if entries else None     # the highest line reached
+    lines = np.concatenate(batches)
+    last = lines[-1] if lines.size else None    # the highest line reached
     raise emission.with_failure(
         emission.TruncationNotConverged(
             f"coherent ladder still gaining weight at order {s_max}; "
             f"theta'={math.degrees(geometry.theta):.6g} deg"),
-        geometry.theta, None if last is None else last.omega_prime,
-        s_max if last is None else last.order,
+        geometry.theta, None if last is None else last[1],
+        s_max if last is None else last[0],
         last_term_ratio=got / total if total > 0.0 else None)
 
 
-def _peak_sigmas(scenario: Scenario, geometry, entries) -> np.ndarray:
-    """Line widths for the drive-average reading, aligned with entries:
-    |d omega'_s / d nu| times the bandwidth, by centered difference at
-    fixed energy density.  kappa is proportional to nu, so every line
-    has a position at nu +- delta_omega as well."""
+def _peak_sigmas(scenario: Scenario, geometry, orders) -> np.ndarray:
+    """Line widths for the drive-average reading of the lines of these
+    orders: |d omega'_s / d nu| times the bandwidth, by centered
+    difference at fixed energy density.  kappa is proportional to nu, so
+    every line has a position at nu +- delta_omega as well."""
     omega = scenario.drive.omega
     sigma = scenario.drive.delta_omega
-    orders = [q.order for q in entries]
     lo, hi = (emission.coherent_line_positions(
         scenario.stats, scenario.electron.p, nu, geometry, orders)[1]
         for nu in (omega - sigma, omega + sigma))
@@ -525,13 +522,13 @@ def _lines(scenario: Scenario, blocks, diagnostics: Diagnostics):
             w_top = top / shrink if shrink > 0.0 else math.inf
         w_top = min(w_top, emission.absolute_frequency_ceiling(
             p, omega, geometry))
-        entries = _ladder(scenario.stats, p, omega, geometry, w_top,
-                          scenario.rel_tol, scenario.s_max, diagnostics)
+        orders, centers, weights = _ladder(
+            scenario.stats, p, omega, geometry, w_top, scenario.rel_tol,
+            scenario.s_max, diagnostics).T
         if scenario.broadening == "drive_average":
-            widths = _peak_sigmas(scenario, geometry, entries)
+            widths = _peak_sigmas(scenario, geometry, orders)
         else:
-            widths = np.full(len(entries), sigma)
-        _, centers, weights = np.array(entries).reshape(-1, 3).T
+            widths = np.full(orders.size, sigma)
         lines.append((centers, t_pulse * weights, widths))
     return lines
 

@@ -5,8 +5,9 @@ These are the only special functions the package needs: J_{s-1}, J_s,
 J_{s+1} at the harmonic argument xi_s (orders into the thousands at high
 intensity), I0 inside one of the photon-statistics limits, and the
 normal cdf in the pipeline's exact Gaussian convolution.  J_n is
-evaluated in-package rather than through a platform math library so
-results are bit-stable across OSes.  One evaluator, _bessel_rows, takes
+evaluated in-package, so no platform math library decides its bits,
+but numpy picks its exp, log and pow loops by CPU: the bits hold for
+one numpy build and dispatch target.  One evaluator, _bessel_rows, takes
 one order per element: it owns the contract check and splits elements
 into four regimes.  x = 0 sets J_0 = 1 and nothing else.  The ascending
 series takes small arguments: rows s and s+1 are polynomials in q =

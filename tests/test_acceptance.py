@@ -49,9 +49,9 @@ def test_01_thomson_limit_total_power(acceptance_log):
     stats = coherent_stats(drive.omega, drive.rho)
 
     def per_polar_angle(theta):
-        peak = coherent_peaks(stats, AT_REST.p, drive.omega,
-                              EmissionGeometry(theta=theta), (1,))[0]
-        return 2.0 * math.pi * math.sin(theta) * peak.weight
+        _, _, (weight,) = coherent_peaks(stats, AT_REST.p, drive.omega,
+                                         EmissionGeometry(theta=theta), (1,))
+        return 2.0 * math.pi * math.sin(theta) * weight
 
     power, _ = quad(per_polar_angle, 0.0, math.pi,
                     epsabs=0.0, epsrel=1e-10, limit=200)
@@ -72,15 +72,14 @@ def test_02_linear_line_positions(acceptance_log):
 
     worst = 0.0
     for theta in np.linspace(math.radians(1.0), math.radians(179.0), 50):
-        line = coherent_peaks(stats, AT_REST.p, drive.omega,
-                              EmissionGeometry(theta=float(theta)),
-                              (1,))[0].omega_prime
+        _, (line,), _ = coherent_peaks(stats, AT_REST.p, drive.omega,
+                                       EmissionGeometry(theta=float(theta)),
+                                       (1,))
         oracle = helpers.linear_compton_line(drive.omega, float(theta))
         worst = max(worst, abs(line / oracle - 1.0))
 
-    back = coherent_peaks(stats, COUNTER.p, drive.omega,
-                          EmissionGeometry(theta=math.pi),
-                          (1,))[0].omega_prime
+    _, (back,), _ = coherent_peaks(stats, COUNTER.p, drive.omega,
+                                   EmissionGeometry(theta=math.pi), (1,))
     oracle = helpers.relativistic_line_oracle(7.09, drive.omega, math.pi)
     boost_dev = abs(back / oracle - 1.0)
 
@@ -157,12 +156,11 @@ def test_05_fock_and_cat_states_match_coherent(acceptance_log):
         stats = maker(drive.omega, drive.rho)
         peaks = coherent_peaks(stats, AT_REST.p, drive.omega, geom, orders)
         # same code path: the line builder consumes only the shared
-        # peak amplitude, so the tuples must be equal bit for bit
-        exact = exact and peaks == base
+        # peak amplitude, so the arrays must be equal bit for bit
+        exact = exact and all(map(np.array_equal, peaks, base))
         spot = max(spot,
-                   max(abs(a.weight / b.weight - 1.0) for a, b in zip(peaks, base)),
-                   max(abs(a.omega_prime / b.omega_prime - 1.0)
-                       for a, b in zip(peaks, base)))
+                   np.max(np.abs(peaks[2] / base[2] - 1.0)),
+                   np.max(np.abs(peaks[1] / base[1] - 1.0)))
         curve = energy_spectrum(
             Scenario(electron=AT_REST, drive=drive, stats=stats,
                      omega_grid=grid), geom)
@@ -193,9 +191,9 @@ def test_06_high_intensity_cutoff_ratios(acceptance_log):
     best_deg, best_val = None, -1.0
     for deg in range(30, 180, 5):
         geom = EmissionGeometry(theta=math.radians(deg))
-        entries = _ladder(stats_c, AT_REST.p, drive.omega, geom, math.inf,
-                          1e-9, 5000)
-        val = math.sin(geom.theta) * sum(q.weight for q in entries)
+        lines = _ladder(stats_c, AT_REST.p, drive.omega, geom, math.inf,
+                        1e-9, 5000)
+        val = math.sin(geom.theta) * sum(lines[:, 2])
         if val > best_val:
             best_deg, best_val = deg, val
 
@@ -247,13 +245,12 @@ def test_07_band_integrated_angular_gain(acceptance_log):
     reach = 0.0
     for deg in range(90, 181):
         geom = EmissionGeometry(theta=math.radians(deg))
-        entries = _ladder(stats_c, COUNTER.p, drive.omega, geom, math.inf,
-                          1e-9, 5000)
-        if not entries:
+        _, positions, weights = _ladder(stats_c, COUNTER.p, drive.omega,
+                                        geom, math.inf, 1e-9, 5000).T
+        if not weights.size:
             continue
-        w_max = max(q.weight for q in entries)
-        reach = max(reach, max(q.omega_prime for q in entries
-                               if q.weight > 1e-6 * w_max))
+        reach = max(reach,
+                    positions[weights > 1e-6 * weights.max()].max())
     band = (1.1 * reach, 2.2 * reach)
 
     thetas = tuple(np.radians(np.linspace(90.0, 180.0, 46)))
@@ -379,10 +376,10 @@ def test_09_narrow_gaussian_matches_line_weight(acceptance_log):
     geom = EmissionGeometry(theta=math.radians(159.9))
     amp = math.sqrt(2.0 * drive.omega * drive.rho)
 
-    ref = coherent_peaks(coherent_stats(drive.omega, drive.rho),
-                         AT_REST.p, drive.omega, geom, (1, 2))
-    w_ref, pos = ref[0].weight, ref[0].omega_prime
-    assert ref[1].omega_prime > pos * 1.9      # next line far from the window
+    _, (pos, pos_next), (w_ref, _) = coherent_peaks(
+        coherent_stats(drive.omega, drive.rho), AT_REST.p, drive.omega,
+        geom, (1, 2))
+    assert pos_next > pos * 1.9      # next line far from the window
 
     errs = {}
     for frac in (1e-2, 1e-3):
@@ -428,8 +425,9 @@ def test_10_intensity_redshift_of_first_line(acceptance_log):
     def line_at(intensity):
         drive = helpers.drive_for(intensity)
         stats = coherent_stats(drive.omega, drive.rho)
-        return coherent_peaks(stats, AT_REST.p, drive.omega, geom,
-                              (1,))[0].omega_prime
+        _, (line,), _ = coherent_peaks(stats, AT_REST.p, drive.omega, geom,
+                                       (1,))
+        return line
 
     strong = [line_at(i) for i in (1e14, 1e16, 1e18)]
     monotone = strong[0] > strong[1] > strong[2]

@@ -2,8 +2,9 @@
 
 bench/tracing.py wraps package functions by attribute name and reads
 their arguments by position (len(a[4]) for coherent_peaks, np.size(a[3])
-for spectral_density_points, int(a[0]) for bessel_j_triple), so a
-refactor that renames a function or moves an argument breaks
+for spectral_density_points, int(a[0]) for bessel_j_triple) and the
+len() of _ladder's result, one row per line, so a refactor that renames
+a function, moves an argument or changes what the ladder returns breaks
 `bench/run.py --trace 1`.  These tests load the tracer from bench/
 without changing anything there, trace two small curves and hold the
 counts to what the package reports itself.

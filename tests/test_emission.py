@@ -17,8 +17,7 @@ from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
                      scattered_momentum)
 from qcompton import emission
 from qcompton.constants import E_SQUARED, ELECTRON_MASS_EV
-from qcompton.emission import (Diagnostics, PeakEntry,
-                               TruncationNotConverged,
+from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
                                coherent_line_positions, coherent_peaks,
                                kinematic_max_frequency,
@@ -305,44 +304,45 @@ def test_coherent_line_positions_solve_field_equation():
     drive = drive_for(9e17)
     stats = coherent_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(110.0), phi=0.3)
-    peaks = coherent_peaks(stats, AT_REST, OMEGA, geom, range(1, 6))
-    assert len(peaks) == 5
-    for q in peaks:
-        e_s = effective_field(q.order, AT_REST, K_DRIVE,
-                              _kprime(q.omega_prime, geom))
-        assert e_s == pytest.approx(stats.peak_amplitude, rel=1e-8), q.order
+    orders, positions, _ = coherent_peaks(stats, AT_REST, OMEGA, geom,
+                                          range(1, 6))
+    assert orders.size == 5
+    for s, wp in zip(orders.tolist(), positions.tolist()):
+        e_s = effective_field(s, AT_REST, K_DRIVE, _kprime(wp, geom))
+        assert e_s == pytest.approx(stats.peak_amplitude, rel=1e-8), s
 
 
 def test_coherent_line_positions_below_cutoffs_and_ordered():
     drive = drive_for(9e16)
     stats = coherent_stats(drive.omega, drive.rho)
     geom = EmissionGeometry(theta=math.radians(90.0))
-    peaks = coherent_peaks(stats, AT_REST, OMEGA, geom, range(1, 101))
-    assert [q.order for q in peaks] == list(range(1, 101))
-    pos = [q.omega_prime for q in peaks]
+    orders, positions, weights = coherent_peaks(stats, AT_REST, OMEGA, geom,
+                                                range(1, 101))
+    assert orders.tolist() == list(range(1, 101))
+    pos = positions.tolist()
     assert all(a < b for a, b in zip(pos, pos[1:]))
-    for q in peaks:
-        cutoff = kinematic_max_frequency(q.order, AT_REST, OMEGA, geom)
-        assert 0.0 < q.omega_prime < cutoff
-    w_max = max(q.weight for q in peaks)
-    assert all(q.weight >= -1e-12 * w_max for q in peaks)
+    for s, wp in zip(orders.tolist(), pos):
+        cutoff = kinematic_max_frequency(s, AT_REST, OMEGA, geom)
+        assert 0.0 < wp < cutoff
+    assert np.all(weights >= -1e-12 * weights.max())
 
 
-def test_peak_entries_keep_their_public_fields():
-    # a ladder's entries are immutable records read by field name, and
-    # read as one (lines, 3) array by order, position and weight
+def test_coherent_peaks_are_three_arrays_at_the_closed_form_positions():
+    # lines are three equal-length arrays in order of the order: integer
+    # orders, the positions coherent_line_positions solves for, weights
     drive = drive_for(9e16)
     stats = coherent_stats(drive.omega, drive.rho)
-    peaks = coherent_peaks(stats, AT_REST, OMEGA,
-                           EmissionGeometry(theta=math.radians(90.0)),
-                           range(1, 4))
-    assert PeakEntry._fields == ("order", "omega_prime", "weight")
-    q = peaks[1]
-    assert isinstance(q, PeakEntry) and type(q.order) is int
-    assert (q.order, q.omega_prime, q.weight) == tuple(q)
-    assert np.array(peaks).tolist() == [list(p) for p in peaks]
-    with pytest.raises(AttributeError):
-        q.weight = 0.0
+    geom = EmissionGeometry(theta=math.radians(90.0))
+    orders, positions, weights = coherent_peaks(stats, AT_REST, OMEGA, geom,
+                                                range(1, 40))
+    assert orders.shape == positions.shape == weights.shape == (39,)
+    assert orders.dtype.kind == "i" and np.all(np.diff(orders) > 0)
+    assert orders.tolist() == list(range(1, 40))
+    want_orders, want, _ = coherent_line_positions(stats, AT_REST, OMEGA,
+                                                   geom, range(1, 40))
+    assert np.array_equal(orders, want_orders)
+    assert np.array_equal(positions, want)
+    assert weights.dtype == np.float64
 
 
 def test_coherent_line_low_intensity_reaches_compton_formula():
@@ -356,9 +356,10 @@ def test_coherent_line_low_intensity_reaches_compton_formula():
         for intensity in (1e6, 1e2, 1.0):     # effectively free electron
             drive = drive_for(intensity)
             stats = coherent_stats(drive.omega, drive.rho)
-            (pk,) = coherent_peaks(stats, AT_REST, OMEGA, geom, (1,))
-            assert pk.omega_prime == pytest.approx(want, rel=1e-9)
-            lines.append((pk.omega_prime, pk.weight / intensity))
+            _, (wp,), (weight,) = coherent_peaks(stats, AT_REST, OMEGA, geom,
+                                                 (1,))
+            assert wp == pytest.approx(want, rel=1e-9)
+            lines.append((wp, weight / intensity))
         for position, per_intensity in lines[1:]:
             assert position == pytest.approx(lines[0][0], rel=1e-9)
             assert per_intensity == pytest.approx(lines[0][1], rel=1e-9)
@@ -386,21 +387,21 @@ def test_coherent_line_weights_match_transcribed_amplitude():
             kp, m2 = mdot(K_DRIVE, p), mdot(p, p)
             for geom in geoms:
                 peaks = coherent_peaks(stats, p, OMEGA, geom, range(1, 60))
-                assert [q.order for q in peaks] == list(range(1, 60))
-                top = max(abs(q.weight) for q in peaks)
-                for q in peaks:
-                    kprime = _kprime(q.omega_prime, geom)
-                    zeta, xi = harmonic_coefficients(q.order, p, K_DRIVE,
+                assert peaks[0].tolist() == list(range(1, 60))
+                top = np.abs(peaks[2]).max()
+                for s, wp, weight in zip(*(a.tolist() for a in peaks)):
+                    kprime = _kprime(wp, geom)
+                    zeta, xi = harmonic_coefficients(s, p, K_DRIVE,
                                                      kprime, amp)
                     kpp = mdot(K_DRIVE, scattered_momentum(p, K_DRIVE,
                                                            kprime))
                     x = (kpp * kpp + kp * kp) / (
                         2.0 * m2 * mdot(K_DRIVE, kprime))
-                    bracket = float(bessel_bracket(q.order, xi, zeta * x)[0])
-                    want = (E_SQUARED * m2 * q.omega_prime ** 3 * bracket
-                            / (8.0 * math.pi ** 2 * q.order * kp * p.t))
+                    bracket = float(bessel_bracket(s, xi, zeta * x)[0])
+                    want = (E_SQUARED * m2 * wp ** 3 * bracket
+                            / (8.0 * math.pi ** 2 * s * kp * p.t))
                     if abs(want) > 1e-6 * top:
-                        worst = max(worst, abs(q.weight - want) / abs(want))
+                        worst = max(worst, abs(weight - want) / abs(want))
     assert worst < 1e-8, worst
 
 
@@ -475,15 +476,14 @@ def test_ultra_relativistic_electrons_keep_their_digits():
             assert got.tolist() == pytest.approx(lines, rel=1e-12), case
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                peaks = coherent_peaks(stats, el.p, drive.omega, geom,
-                                       (1, 2, 3))
-            assert all(math.isfinite(q.weight) and q.weight > 0.0
-                       for q in peaks), case
+                _, _, got_weights = coherent_peaks(stats, el.p, drive.omega,
+                                                   geom, (1, 2, 3))
+            assert np.all(np.isfinite(got_weights) & (got_weights > 0.0)), case
             # a transverse momentum makes p.eps != 0, where |d| cancelled
             # (xi enters the weights of s = 2, 3 as xi^2 and xi^4); near
             # the ceiling k.p - omega' kappa cancelled, which put 1.4e-12
             # into the s = 3 weight at gamma 1e8, theta' = 180 deg
-            assert [q.weight for q in peaks] == pytest.approx(
+            assert got_weights.tolist() == pytest.approx(
                 weights, rel=1e-12, abs=0.0), case
 
 

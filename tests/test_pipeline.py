@@ -22,6 +22,7 @@ from qcompton.photon_statistics import (bsv_stats, coherent_stats,
 from qcompton.pipeline import (AngularCurve, GaussianPeak, OmegaGrid,
                                Scenario, SpectralCurve, _extended_nodes,
                                _gaussian_convolve_linear, _ladder,
+                               _line_band_masses,
                                angular_distribution, band_integrate,
                                energy_spectrum)
 from qcompton.units import pulse_duration
@@ -444,13 +445,13 @@ def test_coherent_spectrum_lines_carry_duration_times_weight():
     assert np.all(curve.smooth == 0.0)
     assert len(curve.peaks) >= 5
     t_pulse = pulse_duration(sc.drive.delta_omega)
-    raw = {q.order: q for q in coherent_peaks(
-        sc.stats, AT_REST.p, sc.drive.omega, BACK, range(1, 2000))}
+    _, positions, weights = coherent_peaks(
+        sc.stats, AT_REST.p, sc.drive.omega, BACK, range(1, 2000))
     by_center = {pk.center: pk for pk in curve.peaks}
-    for order, q in raw.items():
-        if q.omega_prime in by_center:
-            pk = by_center[q.omega_prime]
-            assert pk.mass == pytest.approx(t_pulse * q.weight, rel=1e-12)
+    for wp, weight in zip(positions.tolist(), weights.tolist()):
+        if wp in by_center:
+            pk = by_center[wp]
+            assert pk.mass == pytest.approx(t_pulse * weight, rel=1e-12)
             assert pk.sigma == sc.drive.delta_omega   # literal reading
 
 
@@ -473,13 +474,14 @@ def test_line_band_mass_keeps_its_digits_far_from_the_line(edges):
     # band, 10 sigma above it, inside it and straddling its lower edge.
     # Far from the line both cdf values round to 1 (or to 0 on the
     # other side), so only the tail beyond the band keeps the mass.
-    pk = GaussianPeak(center=2.1, mass=3.7, sigma=0.018)
-    lo, hi = (pk.center + e * pk.sigma for e in edges)
+    center, mass, sigma = 2.1, 3.7, 0.018
+    lo, hi = (center + e * sigma for e in edges)
     with mp.workdps(40):
-        c, s = mp.mpf(pk.center), mp.mpf(pk.sigma)
-        want = float(mp.mpf(pk.mass) * (mp.ncdf((mp.mpf(hi) - c) / s)
-                                        - mp.ncdf((mp.mpf(lo) - c) / s)))
-    assert pk.band_mass(lo, hi) == pytest.approx(want, rel=1e-13, abs=0.0)
+        c, s = mp.mpf(center), mp.mpf(sigma)
+        want = float(mp.mpf(mass) * (mp.ncdf((mp.mpf(hi) - c) / s)
+                                     - mp.ncdf((mp.mpf(lo) - c) / s)))
+    assert float(_line_band_masses(center, mass, sigma, lo, hi)) == (
+        pytest.approx(want, rel=1e-13, abs=0.0))
 
 
 def test_drive_average_linewidths_grow_with_order(monkeypatch):
@@ -548,9 +550,27 @@ def test_ladder_evaluates_only_the_lines_it_keeps(monkeypatch):
     lines = _ladder(coherent_stats(drive.omega, drive.rho), AT_REST.p,
                     drive.omega, BACK, w_max, emission.DEFAULT_REL_TOL,
                     emission.DEFAULT_S_MAX)
-    assert lines and all(q.omega_prime <= w_max for q in lines)
+    assert len(lines) and np.all(lines[:, 1] <= w_max)
     assert sum(evaluated) == len(lines)
     assert 0 not in evaluated
+
+
+def test_a_grid_below_the_first_line_has_an_empty_ladder():
+    # at rest, 159.9 deg, the s = 1 line sits near 2.2 eV, far above a
+    # [0.1, 0.2] eV grid: no line is kept, so there is nothing to emit
+    drive = drive_for(9e16)
+    stats = coherent_stats(drive.omega, drive.rho)
+    lines = _ladder(stats, AT_REST.p, drive.omega, BACK, 0.2,
+                    emission.DEFAULT_REL_TOL, emission.DEFAULT_S_MAX)
+    assert lines.shape == (0, 3)
+    sc = _scenario(9e16, coherent_stats, OmegaGrid(0.1, 0.2, 50))
+    curve = energy_spectrum(sc, BACK)
+    assert curve.peaks == () and np.all(curve.values == 0.0)
+    for broadening in ("literal", "drive_average"):
+        scan = replace(sc, thetas=tuple(np.radians([150.0, 170.0])),
+                       broadening=broadening)
+        values = angular_distribution(scan, (0.1, 0.2)).values
+        assert values.tolist() == [0.0, 0.0], broadening
 
 
 def test_azimuth_never_enters_axis_aligned_scans():

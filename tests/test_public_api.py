@@ -2,7 +2,8 @@
 deliberate."""
 
 import qcompton
-from qcompton import minkowski, units
+from qcompton import emission, minkowski, units
+from qcompton.pipeline import GaussianPeak
 
 PUBLIC_NAMES = [
     "AngularCurve",
@@ -16,7 +17,6 @@ PUBLIC_NAMES = [
     "NaturalDrive",
     "NonNormalizable",
     "OmegaGrid",
-    "PeakEntry",
     "PhaseAveragedStatistics",
     "Scenario",
     "SpectralCurve",
@@ -59,3 +59,8 @@ def test_test_only_kinematics_stay_out_of_the_package():
         assert not hasattr(minkowski, name) and not hasattr(qcompton, name)
     for name in ("PhotonDensity", "PulseDuration"):
         assert not hasattr(units, name)
+    # coherent lines are arrays from the ladder to the band sum, and line
+    # band masses come from one array function
+    assert not hasattr(emission, "PeakEntry")
+    assert not hasattr(qcompton, "PeakEntry")
+    assert not hasattr(GaussianPeak, "band_mass")
