@@ -23,9 +23,8 @@ from .emission import (Diagnostics, TruncationNotConverged,
                        absolute_frequency_ceiling, coherent_peaks,
                        kinematic_max_frequency, smooth_spectral_density,
                        spectral_density_points)
-from .pipeline import (AngularCurve, GaussianPeak, OmegaGrid, Scenario,
-                       SpectralCurve, angular_distribution, band_integrate,
-                       energy_spectrum)
+from .pipeline import (AngularCurve, OmegaGrid, Scenario, SpectralCurve,
+                       angular_distribution, band_integrate, energy_spectrum)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "ElectronState",
     "EmissionGeometry",
     "FourVector",
-    "GaussianPeak",
     "KinematicallyForbidden",
     "LabDriveSpec",
     "NaturalDrive",

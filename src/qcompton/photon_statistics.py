@@ -173,7 +173,7 @@ def mixed_diagonal_stats(omega: float, rho: float) -> PhaseAveragedStatistics:
 
 def custom_tabulated_stats(omega: float, rho: float,
                            samples) -> PhaseAveragedStatistics:
-    """Smooth statistics from tabulated (E, R) samples.
+    """Smooth statistics from tabulated (E, R) samples, all finite.
 
     Log-linear interpolation between nodes (zero outside the table),
     then the abscissa is rescaled by sqrt(2 omega rho m1 / m2) and the
@@ -185,6 +185,8 @@ def custom_tabulated_stats(omega: float, rho: float,
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be an (N, 2) table of (E, R)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tabulated E and R values must be finite")
     e_in, r_in = arr[:, 0], arr[:, 1]
     if np.any(e_in < 0.0):
         raise ValueError("tabulated E values must be >= 0")

@@ -24,7 +24,7 @@ neither is privileged by the physics at the bandwidths considered here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -137,35 +137,18 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class GaussianPeak:
-    """One broadened spectral line: integrated energy `mass` (eV/sr),
-    center and standard deviation in eV."""
-
-    center: float
-    mass: float
-    sigma: float
-
-    def profile(self, omega_prime: np.ndarray) -> np.ndarray:
-        z = (omega_prime - self.center) / self.sigma
-        out = np.zeros_like(z)
-        near = np.abs(z) < KERNEL_REACH
-        out[near] = (self.mass / (self.sigma * math.sqrt(2.0 * math.pi))
-                     * np.exp(-0.5 * z[near] * z[near]))
-        return out
-
-
-@dataclass(frozen=True)
 class SpectralCurve:
     """Energy per unit emitted frequency per steradian on a frequency grid.
 
     The smooth part is sampled on `omega`; discrete lines are kept as
     analytic Gaussians so that band integrals of lines are exact
-    (error-function form) rather than grid-limited.
+    (error-function form) rather than grid-limited.  `lines` holds one
+    row per line: center (eV), mass (eV/sr) and sigma (eV).
     """
 
     omega: np.ndarray
     smooth: np.ndarray
-    peaks: tuple = ()
+    lines: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self):
         if self.omega.ndim != 1 or self.omega.size < 2:
@@ -176,12 +159,20 @@ class SpectralCurve:
             raise ValueError("ordinate shape does not match the grid")
         if np.any(self.smooth < 0.0):
             raise ValueError("curve ordinates must be >= 0")
+        if self.lines.ndim != 2 or self.lines.shape[1] != 3:
+            raise ValueError("lines must be an (n, 3) array of center, mass "
+                             "and sigma")
 
     @property
     def values(self) -> np.ndarray:
+        """smooth plus every line's Gaussian, each zero beyond
+        KERNEL_REACH sigmas."""
         out = self.smooth.copy()
-        for pk in self.peaks:
-            out += pk.profile(self.omega)
+        for center, mass, sigma in self.lines:
+            z = (self.omega - center) / sigma
+            near = np.abs(z) < KERNEL_REACH
+            out[near] += (mass / (sigma * math.sqrt(2.0 * math.pi))
+                          * np.exp(-0.5 * z[near] * z[near]))
         return out
 
 
@@ -466,9 +457,10 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
     """Broadened energy spectrum (eV per eV per sr) at one direction.
 
     The power spectral density is resolved on the scenario grid (smooth
-    drives) or into discrete lines, one GaussianPeak each (coherent-like
-    drives), broadened according to scenario.broadening, and multiplied
-    by the pulse duration T = 2 pi / delta_omega.  A caller-supplied
+    drives) or into discrete lines, one row of the curve's `lines` each
+    (coherent-like drives), broadened according to scenario.broadening,
+    and multiplied by the pulse duration T = 2 pi / delta_omega.  Line
+    masses carry T and the curve's smooth part is zero.  A caller-supplied
     Diagnostics record accumulates the truncation counters of all
     internal passes.
     """
@@ -486,18 +478,15 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
         return curve
     [lines] = _lines(scenario, blocks, diagnostics)
     grid = scenario.omega_grid.points()
-    return SpectralCurve(
-        omega=grid, smooth=np.zeros_like(grid),
-        peaks=tuple(map(GaussianPeak, *(v.tolist() for v in lines))))
+    return SpectralCurve(omega=grid, smooth=np.zeros_like(grid), lines=lines)
 
 
 def _lines(scenario: Scenario, blocks, diagnostics: Diagnostics):
     """Lines of a coherent-like drive for (geometry, OmegaGrid) blocks:
-    one ladder per block, given as three arrays in order of the line
-    order: centers, masses (the pulse duration times the line weight,
-    eV/sr) and widths, all in eV.  Each line is a Gaussian of that mass
-    and width; energy_spectrum makes them GaussianPeaks, while an
-    angular scan integrates the arrays.
+    one ladder per block, given as an (n, 3) array in order of the line
+    order, with columns center (eV), mass (the pulse duration times the
+    line weight, eV/sr) and width (eV), the rows of SpectralCurve.lines.
+    Each line is a Gaussian of that mass and width.
 
     Every block adds its grid size, omega_grid.count, to
     diagnostics.points; no grid is built.
@@ -529,7 +518,7 @@ def _lines(scenario: Scenario, blocks, diagnostics: Diagnostics):
             widths = _peak_sigmas(scenario, geometry, orders)
         else:
             widths = np.full(orders.size, sigma)
-        lines.append((centers, t_pulse * weights, widths))
+        lines.append(np.column_stack((centers, t_pulse * weights, widths)))
     return lines
 
 
@@ -588,10 +577,10 @@ def band_integrate(curve: SpectralCurve, band) -> float:
     """Energy per steradian in [lo, hi]: exact on the curve's model.
 
     The smooth part is integrated as the piecewise-linear interpolant it
-    is (exact, including fractional end segments); analytic peaks add
-    their band masses, all from one _line_band_masses call over the
-    peaks in order, summed by np.sum.  Model error is set by the
-    sampling grid and is the caller's concern.
+    is (exact, including fractional end segments); the lines add their
+    band masses, all from one _line_band_masses call over the lines in
+    order, summed by np.sum.  Model error is set by the sampling grid
+    and is the caller's concern.
     """
     lo, hi = float(band[0]), float(band[1])
     if not hi > lo:
@@ -605,11 +594,7 @@ def band_integrate(curve: SpectralCurve, band) -> float:
         xs = np.concatenate([[a], inner, [b]])
         ys = np.interp(xs, x, y)
         total += float(np.trapezoid(ys, xs))
-    if curve.peaks:
-        center, mass, sigma = np.array(
-            [(pk.center, pk.mass, pk.sigma) for pk in curve.peaks]).T
-        total += float(np.sum(_line_band_masses(center, mass, sigma,
-                                                lo, hi)))
+    total += float(np.sum(_line_band_masses(*curve.lines.T, lo, hi)))
     return total
 
 
@@ -625,10 +610,10 @@ def angular_distribution(scenario: Scenario, band, *,
     multiplies by sin(theta') for per-polar-angle reading.  For a smooth
     drive the whole scan is one engine pass over all angles' points, and
     each angle's curve goes through band_integrate.  Coherent-like drives
-    resolve each angle's line ladder in turn and build no curve or peak:
-    the band masses of all angles' lines come from one _line_band_masses
-    call, and each angle's are summed as band_integrate sums a curve's
-    peaks, so the value equals band_integrate of its energy_spectrum.
+    resolve each angle's line ladder in turn and build no curve: the band
+    masses of all angles' lines come from one _line_band_masses call, and
+    each angle's are summed as band_integrate sums a curve's lines, so
+    the value equals band_integrate of its energy_spectrum.
     """
     lo, hi = float(band[0]), float(band[1])
     if not hi > lo:
@@ -654,8 +639,8 @@ def angular_distribution(scenario: Scenario, band, *,
                 for curve in _smooth_curves(scenario, blocks, diagnostics)]
     elif blocks:
         lines = _lines(scenario, blocks, diagnostics)
-        ends = np.cumsum([center.size for center, _, _ in lines])
-        energy = _line_band_masses(*map(np.concatenate, zip(*lines)), lo, hi)
+        ends = np.cumsum([len(block) for block in lines])
+        energy = _line_band_masses(*np.concatenate(lines).T, lo, hi)
         sums = [float(np.sum(e)) for e in np.split(energy, ends[:-1])]
     else:
         sums = []

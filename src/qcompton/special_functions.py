@@ -253,8 +253,14 @@ def _miller_start(n: np.ndarray, x: np.ndarray) -> int:
     starts later than at the Airy start of its largest order and argument.
     """
     base = np.maximum(n, np.ceil(x))
-    airy = base + _MILLER_PAD + np.floor(
-        _MILLER_PAD_SCALE * base ** (1.0 / 3.0))
+    scale = _MILLER_PAD_SCALE
+    pad = np.floor(scale * np.cbrt(base))
+    # numpy picks its cube-root loop by CPU, and a loop may round a
+    # perfect cube's root down, so exact products settle the floor:
+    # (pad + 1)^3 <= scale^3 base
+    up = pad + 1.0
+    pad += up * up * up <= scale * scale * scale * base
+    airy = base + _MILLER_PAD + pad
     with np.errstate(divide="ignore"):         # x >= n: no decay start
         decay = n + np.ceil(
             _MILLER_DECAY / np.arccosh(np.maximum(n / x, 1.0)))

@@ -266,6 +266,72 @@ def test_cli_setup_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# One process's curves and diagnostics as JSON (repr floats, so exact):
+# the enabled numpy dispatch targets it ran with, then a small fig2 bsv
+# spectrum and two 4-angle fig3 scans (thermal, coherent)
+_DISPATCH_RUN = """
+import dataclasses, json
+from qcompton import cli
+from qcompton.emission import Diagnostics
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:                     # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+out = {"targets": [t for t in umath.__cpu_dispatch__
+                   if umath.__cpu_features__.get(t)]}
+for name, state, index, scan in (
+        ("fig2", "bsv", 1, {"omega_prime_range_eV": [2.0, 2.5],
+                            "samples": 2001}),
+        ("fig3", "thermal", 3, {"theta_range_deg": [95.625, 163.125, 4]}),
+        ("fig3", "coherent", 3, {"theta_range_deg": [95.625, 163.125, 4]})):
+    cfg = cli.make_preset(name, state=state, intensity_index=index)
+    cfg["scan"].update(scan)
+    resolved = cli.validate_config(cfg)
+    diagnostics = Diagnostics()
+    _, rows = cli._scan_rows(cli._build_scenario(resolved), resolved["scan"],
+                             diagnostics)
+    out[name + " " + state] = {"values": [y for _, y in rows],
+                               "diagnostics": dataclasses.asdict(diagnostics)}
+print(json.dumps(out))
+"""
+
+
+def test_curves_agree_across_numpy_dispatch_targets():
+    # numpy picks its exp, log and pow loops by CPU.  One process runs
+    # with every dispatch target it would use, the other with all of them
+    # disabled (NPY_DISABLE_CPU_FEATURES, read per process), so on the
+    # baseline loops alone.  Integer decisions must not move: the
+    # diagnostics are identical.  Values may move in their last bits: on
+    # an AVX-512 CPU (numpy 2.4.6) 982 of the spectrum's 2 001 values
+    # differ, by up to 8.1e-13 relative, through the convolution taps; the
+    # thermal scan is identical and one coherent value moves by 1.4e-16.
+    # rtol 1e-11 leaves a margin over that; exact taps (ROADMAP item 3)
+    # should let it tighten to near 1e-14
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = src
+
+    def run(extra):
+        out = subprocess.run([sys.executable, "-c", _DISPATCH_RUN],
+                             env={**env, **extra}, capture_output=True,
+                             text=True, check=True)
+        return json.loads(out.stdout)
+
+    full = run({})
+    if not full["targets"]:
+        pytest.skip("numpy runs only its baseline loops on this CPU: one "
+                    "dispatch target, nothing to compare")
+    base = run({"NPY_DISABLE_CPU_FEATURES": " ".join(full["targets"])})
+    assert base.pop("targets") == []
+    full.pop("targets")
+    assert full.keys() == base.keys()
+    for name, got in base.items():
+        assert got["diagnostics"] == full[name]["diagnostics"], name
+        np.testing.assert_allclose(got["values"], full[name]["values"],
+                                   rtol=1e-11, atol=0.0, err_msg=name)
+
+
 def test_package_source_imports_no_scipy():
     # the tests keep scipy as an oracle; the package needs numpy alone
     package = os.path.dirname(cli.__file__)
@@ -662,6 +728,20 @@ def test_exit_code_on_degenerate_custom_table(tmp_path, capsys):
     code = cli.main(["run", "--config", _write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x.csv")])
     assert code == cli.EXIT_PHYSICS
+
+
+def test_exit_code_on_non_finite_custom_table(tmp_path, capsys):
+    table = tmp_path / "nan.txt"
+    table.write_text("0.1 1.0\n0.2 nan\n0.3 1.0\n")
+    cfg = _base_config()
+    cfg["drive"]["state"] = "custom"
+    cfg["drive"]["custom_table"] = str(table)
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)])
+    assert code == cli.EXIT_PHYSICS
+    assert "E and R values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- run outputs

@@ -195,6 +195,17 @@ def test_custom_table_validation():
             OMEGA, RHO, np.column_stack([good_e, np.zeros(3)]))
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_custom_table_rejects_non_finite_samples(column, bad):
+    # refused before any arithmetic, which a NaN R would take to np.repeat
+    # with a RuntimeWarning, and an inf E to a NaN log R(E)
+    table = np.column_stack([[0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 2.0, 1.0]])
+    table[2, column] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        custom_tabulated_stats(OMEGA, RHO, table)
+
+
 def test_tabulated_from_file(tmp_path):
     e = np.linspace(0.01, 5.0, 200)
     r = np.exp(-e)

@@ -19,8 +19,8 @@ from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
                                 electron_momentum)
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         thermal_stats)
-from qcompton.pipeline import (AngularCurve, GaussianPeak, OmegaGrid,
-                               Scenario, SpectralCurve, _extended_nodes,
+from qcompton.pipeline import (AngularCurve, OmegaGrid, Scenario,
+                               SpectralCurve, _extended_nodes,
                                _gaussian_convolve_linear, _ladder,
                                _line_band_masses,
                                angular_distribution, band_integrate,
@@ -90,6 +90,9 @@ def test_spectral_curve_validation():
         SpectralCurve(omega=x, smooth=-np.ones(5))
     with pytest.raises(ValueError):
         SpectralCurve(omega=x, smooth=np.zeros(4))
+    for lines in (np.zeros(3), np.zeros((2, 2))):    # rows of 3 columns
+        with pytest.raises(ValueError):
+            SpectralCurve(omega=x, smooth=np.zeros(5), lines=lines)
 
 
 def test_spectrum_rejects_grid_beyond_ceiling():
@@ -101,7 +104,7 @@ def test_spectrum_rejects_grid_beyond_ceiling():
     ceiling = absolute_frequency_ceiling(AT_REST.p, sc.drive.omega, BACK)
     inside = _scenario(9e15, coherent_stats,
                        OmegaGrid(1.0, 1.04 * ceiling, 200))
-    assert energy_spectrum(inside, BACK).peaks
+    assert len(energy_spectrum(inside, BACK).lines)
     outside = _scenario(9e15, coherent_stats,
                         OmegaGrid(1.0, 1.06 * ceiling, 200))
     with pytest.raises(KinematicallyForbidden):
@@ -443,28 +446,29 @@ def test_coherent_spectrum_lines_carry_duration_times_weight():
     sc = _scenario(9e16, coherent_stats, grid)
     curve = energy_spectrum(sc, BACK)
     assert np.all(curve.smooth == 0.0)
-    assert len(curve.peaks) >= 5
+    assert len(curve.lines) >= 5
     t_pulse = pulse_duration(sc.drive.delta_omega)
     _, positions, weights = coherent_peaks(
         sc.stats, AT_REST.p, sc.drive.omega, BACK, range(1, 2000))
-    by_center = {pk.center: pk for pk in curve.peaks}
+    by_center = {line[0]: line for line in curve.lines.tolist()}
     for wp, weight in zip(positions.tolist(), weights.tolist()):
         if wp in by_center:
-            pk = by_center[wp]
-            assert pk.mass == pytest.approx(t_pulse * weight, rel=1e-12)
-            assert pk.sigma == sc.drive.delta_omega   # literal reading
+            _, mass, sigma = by_center[wp]
+            assert mass == pytest.approx(t_pulse * weight, rel=1e-12)
+            assert sigma == sc.drive.delta_omega   # literal reading
 
 
 def test_line_band_masses_are_error_function_exact():
     grid = OmegaGrid(0.5, 12.0, 200)
     sc = _scenario(9e16, coherent_stats, grid)
     curve = energy_spectrum(sc, BACK)
-    pk = curve.peaks[0]
-    lo, hi = pk.center - 0.5 * pk.sigma, pk.center + 2.0 * pk.sigma
-    want = pk.mass * (ndtr(2.0) - ndtr(-0.5))
+    center, mass, sigma = curve.lines[0]
+    lo, hi = center - 0.5 * sigma, center + 2.0 * sigma
+    want = mass * (ndtr(2.0) - ndtr(-0.5))
     assert band_integrate(
         SpectralCurve(omega=curve.omega, smooth=np.zeros_like(curve.omega),
-                      peaks=(pk,)), (lo, hi)) == pytest.approx(want, rel=1e-12)
+                      lines=curve.lines[:1]),
+        (lo, hi)) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("edges", [(10.0, 12.5), (-12.5, -10.0),
@@ -501,14 +505,14 @@ def test_drive_average_linewidths_grow_with_order(monkeypatch):
     curve_avg = energy_spectrum(avg, BACK)
     # widths come from closed-form line positions: no extra Bessel work
     assert 0 < len(calls) - n_lit <= n_lit
-    assert all(pk.sigma == lit.drive.delta_omega for pk in curve_lit.peaks)
-    sig = {i + 1: pk.sigma for i, pk in enumerate(curve_avg.peaks[:3])}
+    assert np.all(curve_lit.lines[:, 2] == lit.drive.delta_omega)
+    sig = {i + 1: sigma for i, sigma in enumerate(curve_avg.lines[:3, 2])}
     # d omega'_s / d nu ~ s near backscatter, so widths scale with order
     assert sig[2] / sig[1] == pytest.approx(2.0, rel=1e-2)
     assert sig[3] / sig[1] == pytest.approx(3.0, rel=1e-2)
     # masses are the same under either reading
-    for a, b in zip(curve_lit.peaks[:3], curve_avg.peaks[:3]):
-        assert a.mass == pytest.approx(b.mass, rel=1e-12)
+    for a, b in zip(curve_lit.lines[:3, 1], curve_avg.lines[:3, 1]):
+        assert a == pytest.approx(b, rel=1e-12)
 
 
 @pytest.mark.parametrize("broadening", ["literal", "drive_average"])
@@ -565,7 +569,7 @@ def test_a_grid_below_the_first_line_has_an_empty_ladder():
     assert lines.shape == (0, 3)
     sc = _scenario(9e16, coherent_stats, OmegaGrid(0.1, 0.2, 50))
     curve = energy_spectrum(sc, BACK)
-    assert curve.peaks == () and np.all(curve.values == 0.0)
+    assert curve.lines.shape == (0, 3) and np.all(curve.values == 0.0)
     for broadening in ("literal", "drive_average"):
         scan = replace(sc, thetas=tuple(np.radians([150.0, 170.0])),
                        broadening=broadening)
@@ -590,8 +594,8 @@ def test_azimuth_never_enters_axis_aligned_scans():
 def test_band_integrate_exact_on_linear_plus_peak():
     x = np.linspace(0.0, 10.0, 11) + 1.0
     smooth = 2.0 + 3.0 * x
-    pk = GaussianPeak(center=6.0, mass=2.0, sigma=0.1)
-    curve = SpectralCurve(omega=x, smooth=smooth, peaks=(pk,))
+    curve = SpectralCurve(omega=x, smooth=smooth,
+                          lines=np.array([[6.0, 2.0, 0.1]]))
     lo, hi = 1.35, 8.77
     linear_part = 2.0 * (hi - lo) + 1.5 * (hi * hi - lo * lo)
     peak_part = 2.0 * (ndtr((hi - 6.0) / 0.1) - ndtr((lo - 6.0) / 0.1))
@@ -695,12 +699,11 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
 
 
 @pytest.mark.parametrize("broadening", ["literal", "drive_average"])
-def test_coherent_angular_scan_builds_no_peaks(monkeypatch, broadening):
-    # a coherent scan integrates each angle's lines as arrays: with
-    # GaussianPeak replaced by a class that refuses to be built it gives
-    # the values it gives unpatched, each equal to band_integrate of that
-    # angle's energy_spectrum, which still builds them.  The fig3 band
-    # and electron, at angles whose literal ladders keep 185 and 53 lines
+def test_coherent_angular_scan_builds_no_peaks(broadening):
+    # a coherent scan integrates each angle's lines as arrays, each angle
+    # equal to band_integrate of that angle's energy_spectrum, bit for
+    # bit.  The fig3 band and electron, at angles whose literal ladders
+    # keep 185 and 53 lines
     thetas = tuple(math.radians(d) for d in (140.0, 160.0))
     band = (1719.4, 3438.8)
     sc = _scenario(9e16, coherent_stats, OmegaGrid(band[0], band[1], 512),
@@ -713,19 +716,10 @@ def test_coherent_angular_scan_builds_no_peaks(monkeypatch, broadening):
         spectra.append((replace(sc, omega_grid=OmegaGrid(band[0], top, 512)),
                         geom))
     curves = [energy_spectrum(*args) for args in spectra]
-    assert min(len(curve.peaks) for curve in curves) >= 53
+    assert min(len(curve.lines) for curve in curves) >= 53
     want = angular_distribution(sc, band).values
     assert np.array_equal(want, [band_integrate(c, band) for c in curves])
     assert np.all(want > 0.0)
-
-    class Refused:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a GaussianPeak was built")
-
-    monkeypatch.setattr(pipeline, "GaussianPeak", Refused)
-    assert np.array_equal(angular_distribution(sc, band).values, want)
-    with pytest.raises(AssertionError, match="GaussianPeak was built"):
-        energy_spectrum(*spectra[0])
 
 
 def test_dead_band_returns_zero():

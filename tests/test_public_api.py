@@ -2,8 +2,7 @@
 deliberate."""
 
 import qcompton
-from qcompton import emission, minkowski, units
-from qcompton.pipeline import GaussianPeak
+from qcompton import emission, minkowski, pipeline, units
 
 PUBLIC_NAMES = [
     "AngularCurve",
@@ -11,7 +10,6 @@ PUBLIC_NAMES = [
     "ElectronState",
     "EmissionGeometry",
     "FourVector",
-    "GaussianPeak",
     "KinematicallyForbidden",
     "LabDriveSpec",
     "NaturalDrive",
@@ -59,8 +57,9 @@ def test_test_only_kinematics_stay_out_of_the_package():
         assert not hasattr(minkowski, name) and not hasattr(qcompton, name)
     for name in ("PhotonDensity", "PulseDuration"):
         assert not hasattr(units, name)
-    # coherent lines are arrays from the ladder to the band sum, and line
-    # band masses come from one array function
+    # coherent lines are arrays from the ladder to the band sum, and a
+    # spectrum keeps them as one (lines, 3) array, SpectralCurve.lines
     assert not hasattr(emission, "PeakEntry")
     assert not hasattr(qcompton, "PeakEntry")
-    assert not hasattr(GaussianPeak, "band_mass")
+    assert not hasattr(pipeline, "GaussianPeak")
+    assert not hasattr(qcompton, "GaussianPeak")

@@ -536,6 +536,27 @@ def test_miller_start_is_never_later_than_the_airy_start():
             int(s.max()) + 1, float(x.max())), (s, x)
 
 
+@pytest.mark.parametrize("offset", [0, 1])
+def test_miller_airy_pad_is_the_exact_cube_root_floor(monkeypatch, offset):
+    # at x = n no element has a decay start, so the start is the Airy
+    # start of base n.  Its pad is floor(scale n^(1/3)), the largest c
+    # with c^3 <= scale^3 n in integers, which a float cube root rounds
+    # down at perfect cubes (Python's pow at 64, 125, ..., 9261).  At a
+    # cube k^3, k^3 + 40 + 15 k is even, so rounding the start up to even
+    # hides a pad one low; an odd constant pad (offset 1) shows it
+    pad_const = _MILLER_PAD + offset
+    monkeypatch.setattr(special_functions, "_MILLER_PAD", pad_const)
+    scale = int(_MILLER_PAD_SCALE)
+    for base in range(1, 10_002):
+        pad = int(scale * base ** (1 / 3))
+        pad += (pad + 1) ** 3 <= scale ** 3 * base
+        pad -= pad ** 3 > scale ** 3 * base
+        assert (pad + 1) ** 3 > scale ** 3 * base >= pad ** 3
+        m_start = base + pad_const + pad
+        n = np.array([float(base)])
+        assert _miller_start(n, n) == m_start + m_start % 2, base
+
+
 # The start-rule corners: orders at and around the Debye regime's lowest
 # anchor up to the largest, at x / (s + 1) from far below the turning
 # point through it to beyond it, above the series and inside the contract
