@@ -302,11 +302,11 @@ def test_curves_agree_across_numpy_dispatch_targets():
     # disabled (NPY_DISABLE_CPU_FEATURES, read per process), so on the
     # baseline loops alone.  Integer decisions must not move: the
     # diagnostics are identical.  Values may move in their last bits: on
-    # an AVX-512 CPU (numpy 2.4.6) 982 of the spectrum's 2 001 values
-    # differ, by up to 8.1e-13 relative, through the convolution taps; the
-    # thermal scan is identical and one coherent value moves by 1.4e-16.
-    # rtol 1e-11 leaves a margin over that; exact taps (ROADMAP item 3)
-    # should let it tighten to near 1e-14
+    # an AVX-512 CPU (numpy 2.4.6) 436 of the spectrum's 2 001 values
+    # differ, by up to 4.8e-16 relative; the thermal scan is identical and
+    # one coherent value moves by 1.4e-16.  rtol 5e-15 leaves a tenfold
+    # margin.  The closed-form convolution taps, which cancel to about
+    # 2|u| / w, amplified the same change to 8.1e-13
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {k: v for k, v in os.environ.items()
            if k != "NPY_DISABLE_CPU_FEATURES"}
@@ -329,7 +329,7 @@ def test_curves_agree_across_numpy_dispatch_targets():
     for name, got in base.items():
         assert got["diagnostics"] == full[name]["diagnostics"], name
         np.testing.assert_allclose(got["values"], full[name]["values"],
-                                   rtol=1e-11, atol=0.0, err_msg=name)
+                                   rtol=5e-15, atol=0.0, err_msg=name)
 
 
 def test_package_source_imports_no_scipy():

@@ -95,6 +95,17 @@ def test_spectral_curve_validation():
             SpectralCurve(omega=x, smooth=np.zeros(5), lines=lines)
 
 
+def test_curves_compare_by_identity():
+    # a generated field-wise __eq__ compares the arrays as a tuple, and
+    # raised numpy's "truth value ... is ambiguous" on two distinct curves
+    x = np.linspace(1.0, 2.0, 5)
+    for make in (lambda: SpectralCurve(omega=x, smooth=np.zeros(5)),
+                 lambda: AngularCurve(theta=x, values=np.zeros(5))):
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert len({a, b}) == 2
+
+
 def test_spectrum_rejects_grid_beyond_ceiling():
     sc = _scenario(9e15, thermal_stats, OmegaGrid(1.0, 3.0e5, 50))
     with pytest.raises(KinematicallyForbidden):
@@ -275,9 +286,9 @@ def test_convolution_on_extended_grids_matches_exact_sum(spacing):
 
 @pytest.mark.parametrize("lo", [0.02, 0.5])
 def test_linear_grid_and_its_wings_convolve_as_one_run(monkeypatch, lo):
-    # with or without the left wing cut at omega' = 0, the only segment
-    # weights formed are the run's 2k + 1 taps: no wing segment is left
-    # to the (segment, point) band, whose weights come from _weights too
+    # with or without the left wing cut at omega' = 0, no segment weight
+    # comes from _weights: no wing segment is left to the (segment,
+    # point) band, and at h / sigma <= 1/2 the run's taps are series
     sigma = 0.018
     grid = OmegaGrid(lo, 1.0, 800).points()
     x = _extended_nodes(grid, sigma)
@@ -290,8 +301,7 @@ def test_linear_grid_and_its_wings_convolve_as_one_run(monkeypatch, lo):
 
     monkeypatch.setattr(pipeline, "_weights", counted)
     _gaussian_convolve_linear(x, _wing_density(x), sigma, grid)
-    h = (grid[-1] - grid[0]) / (grid.size - 1)
-    assert sizes == [2 * (math.ceil(9.0 * sigma / h) + 1) + 1]
+    assert sizes == []
 
 
 def test_band_does_not_depend_on_its_chunk(monkeypatch):
@@ -355,11 +365,11 @@ def test_convolution_keeps_its_digits_off_a_harmonic_edge():
 
 def test_run_taps_match_exact_sum_on_a_fig2_curve():
     # fig2 bsv at 9e14 W/cm^2, theta' 157.75 deg (bench config t35 of
-    # spectrum-smooth), at three points 4e-11 to 2e-9 of the peak: taps
-    # whose segments share each node's terms, formed at the node's own
-    # offset j h / sigma, are 5e-13 to 1.1e-12 from the 40-digit sum.
-    # Forming a segment's upper offset as h / sigma - d instead puts
-    # them 1.6e-11 to 1.9e-11 off
+    # spectrum-smooth), at three points 4e-11 to 2e-9 of the peak: the
+    # series hat taps are 2.4e-15 to 1.0e-13 from the 40-digit sum, and
+    # within 8e-16 of the same sum over nodes placed on the exact lattice,
+    # so what remains is the grid's nodes sitting ulps off it
+    # (np.linspace).  The closed-form taps were 5e-13 to 1.1e-12 off
     drive = drive_for(9e14)
     stats = bsv_stats(drive.omega, drive.rho)
     sigma = drive.delta_omega
@@ -371,7 +381,107 @@ def test_run_taps_match_exact_sum_on_a_fig2_curve():
     got = _gaussian_convolve_linear(x, y, sigma, grid)
     for i in (9394, 9433, 9439):
         want = _exact_convolution(x, y, sigma, grid[i])
-        assert got[i] == pytest.approx(want, rel=1e-11, abs=0.0), grid[i]
+        assert got[i] == pytest.approx(want, rel=5e-13, abs=0.0), grid[i]
+
+
+def _segment_weight(u, w):
+    """The weight of a node u sigmas above its point through the segment
+    of w sigmas above it, w int_0^1 (1 - t) phi(u + t w) dt = (G(u + w) -
+    G(u)) / w - Phi(u), G(x) = x Phi(x) + phi(x).  The difference loses
+    up to 23 digits (u = 9, w = 1e-4), so it is formed at 70 to keep 40."""
+    with mp.workdps(70):
+        u, w = mp.mpf(u), mp.mpf(w)
+
+        def g(x):
+            return x * mp.ncdf(x) + mp.npdf(x)
+        return (g(u + w) - g(u)) / w - mp.ncdf(u)
+
+
+@pytest.mark.parametrize("w", [1e-4, 1e-3, 0.0139, 0.1, 0.3, 0.5])
+def test_run_taps_match_40_digit_values(w):
+    # the series taps, hat = above + below, at every offset for short tap
+    # sets and at 100 offsets, both ends included, for long ones, out to
+    # the last tap (k + 1) w, 9 to 10.5 sigmas, where the outermost nodes
+    # weigh in through their inner segment alone.  Measured within 3.8e-15
+    # relative, most of it the rounding of u^2 in exp(-u^2 / 2) near the
+    # reach; the closed form is up to 1.2e-10 off at w = 0.0139
+    k = math.ceil(9.0 / w) + 1
+    hat, above, below = pipeline._run_taps(k, w)
+    assert hat.shape == above.shape == below.shape == (2 * k + 2,)
+    j = np.arange(k + 1, -k - 1, -1)
+    for t in np.unique(np.linspace(0, 2 * k + 1, 100).round().astype(int)):
+        u = float(j[t] * w)
+        up = _segment_weight(u, w) if t > 0 else mp.mpf(0)
+        down = _segment_weight(-u, w) if t < 2 * k + 1 else mp.mpf(0)
+        for got, want in ((above[t], up), (below[t], down),
+                          (hat[t], up + down)):
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0.0), u
+
+
+# A lattice step that floats hold exactly, so the run's offsets j h are
+# the nodes' own and _exact_convolution sees the same nodes
+EXACT_STEP = 2.0 ** -7
+
+
+def test_run_end_nodes_with_density_match_exact_sum():
+    # both ends of each run carry density, and each end node belongs to
+    # one run segment, so the hat's other role is taken off.  The whole
+    # lattice, whose ends lie 10 steps (1.6 sigma) from the window; and
+    # the window alone, its off-lattice wings in the band, whose ends are
+    # the window's first and last points, at h / sigma = 0.16 (series
+    # taps) and 0.52 (closed form).  Then a window over two reaches
+    # inside a longer lattice, whose one piece starts and ends beyond the
+    # nodes the window reads.  Measured within 6.2e-16 relative
+    lattice = 1.0 + EXACT_STEP * np.arange(300)
+    wings = np.concatenate([[0.5, 0.7, 0.83, 0.95], lattice[:40],
+                            [1.32, 1.5, 1.61]])
+    for x, pts, sigma, run in (
+            (lattice[:60], lattice[10:50], 0.05, (0, 10, 60)),
+            (wings, lattice[:40], 0.05, (4, 4, 44)),
+            (wings, lattice[:40], 0.015, (4, 4, 44)),
+            (lattice, lattice[125:175], 0.05, (0, 125, 300))):
+        assert pipeline._uniform_run(x, pts)[:3] == run
+        y = 1.0 + x * x
+        got = _gaussian_convolve_linear(x, y, sigma, pts)[[0, 1, 20, -2, -1]]
+        want = [_exact_convolution(x, y, sigma, t)
+                for t in pts[[0, 1, 20, -2, -1]]]
+        assert got.tolist() == pytest.approx(want, rel=2e-15, abs=0.0), sigma
+
+
+def test_run_convolves_only_where_the_density_is_non_zero(monkeypatch):
+    # sigma = 2h on a 400-node lattice: k = 19, and output i reads nodes i
+    # - k ... i + k + 1, so non-zero nodes more than 2k + 2 = 40 apart
+    # share no output.  Density on nodes 20-59 and 80-119 (a gap of 20:
+    # one piece), 220-259 (a gap of 100) and on the last node (a gap of
+    # 139): three pieces, each one "valid" convolution over the outputs
+    # it reaches, k + 1 below its first node to k above its last.  The
+    # outputs between stay exactly 0.  Measured within 4.2e-16 relative
+    # above 1e-6 of the peak and 3.4e-16 of the peak below it
+    x = 1.0 + EXACT_STEP * np.arange(400)
+    sigma = 2.0 * EXACT_STEP
+    y = np.zeros(x.size)
+    for lo, hi in ((20, 60), (80, 120), (220, 260), (399, 400)):
+        y[lo:hi] = 1.0 + np.sin(7.0 * x[lo:hi])
+    convolved = []
+    convolve = np.convolve
+
+    def count_convolve(a, v, mode):
+        convolved.append((len(a) - len(v) + 1, len(v), mode))
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(pipeline.np, "convolve", count_convolve)
+    got = _gaussian_convolve_linear(x, y, sigma, x)
+    monkeypatch.undo()
+    assert convolved == [(139, 40, "valid"), (79, 40, "valid"),
+                         (21, 40, "valid")]
+    unreached = np.r_[139:200, 279:379]
+    assert np.all(got[unreached] == 0.0)
+    reached = np.setdiff1d(np.arange(x.size), unreached)
+    assert np.all(got[reached] > 0.0)
+    pts = np.r_[reached[::9], 138, 200, 278, 379]
+    want = [_exact_convolution(x, y, sigma, t) for t in x[pts]]
+    assert got[pts].tolist() == pytest.approx(
+        want, rel=2e-15, abs=1e-15 * got.max())
 
 
 def test_run_taps_stop_at_the_run_length():
@@ -389,11 +499,11 @@ def test_narrow_window_under_a_wide_kernel_costs_only_its_points(
         monkeypatch):
     # 50 points at the start of a 2^16-node lattice that the kernel
     # reaches past (sigma 20 eV beside a 1 meV step, k = 2^16 taps a
-    # side): the run is formed at the points alone, 50 (2k + 1) products
-    # a side, not the lattice length times the taps (8.6e9).  Checked by
-    # the clock and by the work itself: two convolutions of 50 outputs
-    # each, and no (segment, point) pair, so node terms at the 2k + 2 tap
-    # offsets alone
+    # side): the run is formed at the points alone, 50 (2k + 2) products,
+    # not the lattice length times the taps (8.6e9).  Checked by the
+    # clock and by the work itself: the density has no zero, so one piece
+    # and one convolution of 50 outputs, and no (segment, point) pair, so
+    # node terms at the 2k + 2 tap offsets alone
     sigma = 20.0
     x = 0.5 + 1e-3 * np.arange(1 << 16)
     y = 2.0 + np.sin(x / 7.0)
@@ -415,7 +525,7 @@ def test_narrow_window_under_a_wide_kernel_costs_only_its_points(
     got = _gaussian_convolve_linear(x, y, sigma, pts)
     assert time.perf_counter() - started < 1.0
     k = x.size
-    assert convolved == [(50, 2 * k + 1, "valid")] * 2
+    assert convolved == [(50, 2 * k + 2, "valid")]
     assert termed == [2 * k + 2]
     monkeypatch.undo()
     # a single point takes the (segment, point) band, a direct sum

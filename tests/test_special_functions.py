@@ -499,9 +499,14 @@ def test_miller_runs_match_the_slot_map(name, s, x):
 
 def _airy_start(n_max, x_max):
     """The start every sweep took before starts were set per element: the
-    Airy start of the call's largest order and argument."""
+    Airy start of the call's largest order and argument.  Its pad is the
+    largest c with c^3 <= 15^3 base, settled in integers: Python's pow
+    puts 15 base^(1/3) one low at 18 of the 21 perfect cubes <= 10 001."""
     base = max(n_max, math.ceil(x_max))
-    m_start = base + _MILLER_PAD + int(_MILLER_PAD_SCALE * base ** (1 / 3))
+    scale = int(_MILLER_PAD_SCALE)
+    pad = int(scale * base ** (1 / 3))
+    pad += (pad + 1) ** 3 <= scale ** 3 * base
+    m_start = base + _MILLER_PAD + pad
     return m_start + m_start % 2
 
 
