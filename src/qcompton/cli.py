@@ -25,6 +25,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__
 from .minkowski import EmissionGeometry, electron_momentum
 from .units import LabDriveSpec, natural_drive
@@ -338,19 +340,18 @@ def _metadata_lines(resolved: dict) -> list[str]:
     return lines
 
 
-def _write_curve(path: str, fmt: str, columns, rows, meta_lines):
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_curve(path: str, fmt: str, columns, table, meta_lines):
+    """Write float `table` a row a line: CSV spells values %.17g in one %."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if fmt == "csv":
             for line in meta_lines:
                 fh.write(f"# {line}\n")
             fh.write(",".join(columns) + "\n")
             row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-            fh.write("".join([row_fmt % tuple(row) for row in rows]))
-    else:
-        doc = {"meta": meta_lines, "columns": list(columns),
-               "rows": [list(map(float, row)) for row in rows]}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
+            fh.write(row_fmt * len(table) % tuple(table.ravel().tolist()))
+        else:
+            json.dump({"meta": meta_lines, "columns": list(columns),
+                       "rows": table.tolist()}, fh, indent=1)
             fh.write("\n")
 
 
@@ -365,22 +366,21 @@ def _moment_check(stats) -> dict:
 
 
 def _scan_rows(scenario: Scenario, scan: dict, diagnostics: Diagnostics):
-    """The curve's CSV columns and rows for the configured scan."""
+    """The curve's column names and (rows, 2) table for the scan."""
     if scan["mode"] == "spectrum":
         geometry = EmissionGeometry(
             theta=math.radians(scan["theta_prime_deg"]),
             phi=math.radians(scan["phi_prime_deg"]))
         curve = energy_spectrum(scenario, geometry, diagnostics=diagnostics)
         columns = ("omega_prime_eV", "energy_per_eV_sr")
-        rows = list(zip(curve.omega.tolist(), curve.values.tolist()))
+        x, y = curve.omega, curve.values
     else:
         ang = angular_distribution(scenario, tuple(scan["band_eV"]),
                                    jacobian=scan["jacobian"],
                                    diagnostics=diagnostics)
         columns = ("theta_prime_deg", "band_energy_per_sr")
-        rows = list(zip([math.degrees(t) for t in ang.theta.tolist()],
-                        ang.values.tolist()))
-    return columns, rows
+        x, y = [math.degrees(t) for t in ang.theta.tolist()], ang.values
+    return columns, np.column_stack((x, y))
 
 
 def _write_report(path: str, wall: float, diagnostics: Diagnostics, stats,
@@ -425,7 +425,7 @@ def run_config(resolved: dict, out_path: str | None,
     diagnostics = Diagnostics()
     started = time.perf_counter()
     try:
-        columns, rows = _scan_rows(scenario, resolved["scan"], diagnostics)
+        columns, table = _scan_rows(scenario, resolved["scan"], diagnostics)
     except (TruncationNotConverged, ValueError) as exc:
         _write_report(path, time.perf_counter() - started, diagnostics,
                       scenario.stats, resolved, error=str(exc),
@@ -433,7 +433,7 @@ def run_config(resolved: dict, out_path: str | None,
         raise
     wall = time.perf_counter() - started
 
-    _write_curve(path, fmt, columns, rows, _metadata_lines(resolved))
+    _write_curve(path, fmt, columns, table, _metadata_lines(resolved))
     report_path = _write_report(path, wall, diagnostics, scenario.stats,
                                 resolved, output_path=path)
     print(f"wrote {path} and {report_path} ({wall:.2f} s)")

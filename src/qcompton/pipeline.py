@@ -340,6 +340,13 @@ def _gaussian_convolve_linear(x_nodes, y_nodes, sigma, x_eval):
     A node's terms are formed once, at the points of both its segments
     (from its lower neighbour's reach to its upper neighbour's), and read
     by those of its segments in the band.
+
+    Exact means exact for the density the run sees: _uniform_run accepts
+    nodes within 4 ulps of the lattice x_eval[0] + j h, and the run
+    convolves them as if they sat on it.  At the fig2 bsv test points (4e-11
+    to 2e-9 of the peak, beside harmonic edges) the result is within
+    7.8e-16 of a 40-digit sum over lattice-placed nodes and 1.0e-13 of one
+    over the np.linspace nodes themselves.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)

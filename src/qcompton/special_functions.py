@@ -93,6 +93,17 @@ _MILLER_DECAY = 53.0 * math.log(2.0)
 _MILLER_PAD = 40
 _MILLER_PAD_SCALE = 15.0
 
+# The decay start's ceiling without an arccosh, whose loop numpy picks by
+# CPU: ceil(_MILLER_DECAY / arccosh(r)) <= c exactly when r >= cosh(
+# _MILLER_DECAY / c), so a correctly rounded r = n / x is looked up among
+# these thresholds, c = 364 down to 1.  Each is raised by 2^-46 relative,
+# more than the roundings of _MILLER_DECAY / c (up to 37 * 2^-53 in the
+# cosh) and of cosh itself, so an r just short of a threshold never
+# passes it: near one, the rule errs to the later start.  The Airy pad is
+# at most 363 (at MAX_ORDER), so beyond c = 364 the Airy start applies.
+_DECAY_THRESHOLDS = np.array([math.cosh(_MILLER_DECAY / c) * (1.0 + 2.0 ** -46)
+                              for c in range(364, 0, -1)])
+
 # Miller rescaling: an element whose unnormalized J passes 2^600 is
 # scaled by 2^-600, which is exact, so when it happens changes no bit
 # (bar entries that underflow, which flush to zero by contract).  A call
@@ -261,11 +272,16 @@ def _miller_start(n: np.ndarray, x: np.ndarray) -> int:
     up = pad + 1.0
     pad += up * up * up <= scale * scale * scale * base
     airy = base + _MILLER_PAD + pad
-    with np.errstate(divide="ignore"):         # x >= n: no decay start
-        decay = n + np.ceil(
-            _MILLER_DECAY / np.arccosh(np.maximum(n / x, 1.0)))
+    decay = n + _decay_pad(n / x)
     m_start = int(np.minimum(decay, airy).max())
     return m_start + m_start % 2
+
+
+def _decay_pad(r: np.ndarray) -> np.ndarray:
+    """ceil(_MILLER_DECAY / arccosh(r)) from _DECAY_THRESHOLDS, or inf
+    where that is above 364 (r <= 1 included)."""
+    passed = np.searchsorted(_DECAY_THRESHOLDS, r, side="right")
+    return np.where(passed > 0, len(_DECAY_THRESHOLDS) + 1.0 - passed, np.inf)
 
 
 def _debye_j(nu: np.ndarray, x: np.ndarray) -> np.ndarray:

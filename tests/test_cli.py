@@ -288,9 +288,9 @@ for name, state, index, scan in (
     cfg["scan"].update(scan)
     resolved = cli.validate_config(cfg)
     diagnostics = Diagnostics()
-    _, rows = cli._scan_rows(cli._build_scenario(resolved), resolved["scan"],
-                             diagnostics)
-    out[name + " " + state] = {"values": [y for _, y in rows],
+    _, table = cli._scan_rows(cli._build_scenario(resolved), resolved["scan"],
+                              diagnostics)
+    out[name + " " + state] = {"values": table[:, 1].tolist(),
                                "diagnostics": dataclasses.asdict(diagnostics)}
 print(json.dumps(out))
 """
@@ -791,18 +791,43 @@ def test_csv_json_round_trip(tmp_path):
 
 
 def test_csv_rows_keep_the_digits_of_format_17g(tmp_path):
-    # the body is written in one piece; each value must read exactly as
-    # format(v, ".17g") spells it, down to zeros and subnormals
+    # the body is written in one piece from an (n, 2) float table; each
+    # value must read exactly as format(v, ".17g") spells it, down to
+    # zeros and subnormals, and the JSON rows read back bit for bit
     tiny = 5e-324
     values = [0.0, -0.0, tiny, 2.2250738585072014e-308, 1e-310, 1.0,
               0.1, 1.0 / 3.0, 123456789.123, 1.7976931348623157e308,
               -2.5e300, 1e16, 12345678901234567890.0]
     rows = [(a, b) for a, b in zip(values, reversed(values))]
     path = tmp_path / "rows.csv"
-    cli._write_curve(str(path), "csv", ("a", "b"), rows, ["meta"])
+    cli._write_curve(str(path), "csv", ("a", "b"), np.array(rows), ["meta"])
     want = "# meta\na,b\n" + "".join(
         ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
     assert path.read_bytes() == want.encode("utf-8")
+
+    path = tmp_path / "rows.json"
+    cli._write_curve(str(path), "json", ("a", "b"), np.array(rows), ["meta"])
+    doc = json.loads(path.read_text())
+    assert doc["meta"] == ["meta"] and doc["columns"] == ["a", "b"]
+    got = np.array(doc["rows"])
+    assert got.shape == (len(rows), 2)
+    assert got.tobytes() == np.array(rows).tobytes()   # -0.0 keeps its sign
+
+    # an angular scan's degree column is built per element with
+    # math.degrees, so each angle reads as format(math.degrees(theta), ".17g")
+    cfg = cli.make_preset("fig3", state="coherent", intensity_index=1)
+    cfg["scan"]["theta_range_deg"] = [95.625, 163.125, 5]
+    resolved = cli.validate_config(cfg)
+    scenario = cli._build_scenario(resolved)
+    columns, table = cli._scan_rows(scenario, resolved["scan"],
+                                    emission.Diagnostics())
+    assert columns == ("theta_prime_deg", "band_energy_per_sr")
+    assert table.shape == (5, 2) and table.dtype == np.float64
+    path = tmp_path / "ang.csv"
+    cli._write_curve(str(path), "csv", columns, table, [])
+    body = path.read_text().splitlines()[1:]
+    assert [ln.split(",")[0] for ln in body] == [
+        format(math.degrees(t), ".17g") for t in scenario.thetas]
 
 
 def test_rerun_is_bitwise_reproducible(tmp_path):

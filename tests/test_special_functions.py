@@ -13,8 +13,9 @@ import scipy.special
 from qcompton import special_functions
 from qcompton.special_functions import (_DEBYE_MAX_RATIO,
                                         _DEBYE_MIN_ORDER, _DEBYE_Q,
-                                        _DEBYE_TERMS,
-                                        _I0_TAIL_CUT, _MILLER_PAD,
+                                        _DEBYE_TERMS, _DECAY_THRESHOLDS,
+                                        _I0_TAIL_CUT, _MILLER_DECAY,
+                                        _MILLER_PAD,
                                         _MILLER_PAD_SCALE, _NDTR_CLIP,
                                         _NDTR_P, _NDTR_Q, _NDTR_R,
                                         _NDTR_S, _NDTR_T, _NDTR_U,
@@ -23,6 +24,7 @@ from qcompton.special_functions import (_DEBYE_MAX_RATIO,
                                         _SERIES_MARGIN,
                                         MAX_ARGUMENT, MAX_ORDER,
                                         OutOfContract, _bessel_rows,
+                                        _decay_pad,
                                         _horner, _i0_asymptotic_tail,
                                         _jn_series, _miller_rows,
                                         _miller_start,
@@ -560,6 +562,32 @@ def test_miller_airy_pad_is_the_exact_cube_root_floor(monkeypatch, offset):
         m_start = base + pad_const + pad
         n = np.array([float(base)])
         assert _miller_start(n, n) == m_start + m_start % 2, base
+
+
+def _exact_decay_pad(r: float) -> float:
+    """ceil(_MILLER_DECAY / arccosh(r)) at 50 digits; inf above 364."""
+    if r <= 1.0:
+        return math.inf
+    with mp.workdps(50):
+        pad = int(mp.ceil(mp.mpf(_MILLER_DECAY) / mp.acosh(mp.mpf(r))))
+    return pad if pad <= 364 else math.inf
+
+
+def test_decay_pad_is_the_exact_ceiling():
+    # the decay start's ceiling comes from cosh thresholds, not from an
+    # arccosh loop numpy picks by CPU.  On a grid of r = n / x over
+    # (1, 1250], the largest ratio a Miller element reaches (MAX_ORDER over
+    # the series cap), and below it, it equals the 50-digit ceiling.  At
+    # the floats either side of each threshold it is never below the
+    # exact ceiling, so the start suffices, and at most one above it
+    rs = np.concatenate([[0.5, 1.0], np.geomspace(1.0 + 1e-6, 1250.0, 4001)])
+    want = [_exact_decay_pad(r) for r in rs.tolist()]
+    assert _decay_pad(rs).tolist() == want
+    assert min(want) == 5 and want.count(math.inf) > 2
+    for t in _DECAY_THRESHOLDS:
+        for r in (np.nextafter(t, 0.0), np.nextafter(t, np.inf)):
+            exact, pad = _exact_decay_pad(float(r)), float(_decay_pad(r))
+            assert exact <= pad and min(pad, 365) <= exact + 1, (t, r)
 
 
 # The start-rule corners: orders at and around the Debye regime's lowest
