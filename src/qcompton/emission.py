@@ -85,8 +85,8 @@ class Diagnostics:
     fields hold the highest order with a non-zero term and the last order
     evaluated; for a ladder both are its highest kept line.  edge_guarded
     counts terms zeroed on the kinematic edge.  overcomputed counts the
-    Bessel elements an engine order block evaluated and did not sum:
-    rows below a point's first allowed order and rows after it
+    Bessel elements an engine order block evaluated and kept out of its
+    sums: rows below a point's first allowed order and rows after it
     converged.  Rows below the first order sit at xi = 0, which costs
     the sweep nothing, and still count.  Across passes the counts add
     up, and the order fields keep their maximum.
@@ -235,33 +235,39 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     sideband factor are closed form in s, so a block is one (B, points)
     array expression, one bessel_bracket sweep and one log R call; a
     pass of more than BLOCK_ELEMENTS / 2 points takes one order at a
-    time.  Every entry that is not live gets a zero term (log term -inf,
-    sign 0), whatever log R is there: rows before a point's first
-    allowed order, fields under the edge guard and, once a point
-    converges, its later rows in the block.  The rows are then summed
-    in order, exactly as one order at a time would sum them, each over
-    a prefix of the columns with no mask.  Rows before a point's first
-    order and after it converged are counted as overcomputed.
+    time.  Rows before a point's first allowed order and fields under
+    the edge guard get a zero term (log term -inf, sign 0), whatever log
+    R is there.  The summation is elementwise over the block's (B,
+    points) arrays, and keeps in its row loops only what is sequential:
+    the running max-shift, acc * factor + addend (with the roundings of
+    one order at a time) and the streak of negligible terms with the
+    stop test.  A point that converges inside a block is summed on to
+    the block's end with a NaN streak, so that it converges once, and
+    then gets back the sum and shift of its convergence row.  Rows
+    before a point's first order and after it converged are counted as
+    overcomputed.
 
     The state is one table with a column per live point, sorted once by
     first allowed order; the joined, unconverged points are its leading
     columns.  A block's joiners are the next slice of the sorted rest,
-    so the columns a row sums are a prefix, and points that converged
-    in a block leave at its end.  Every Bessel and log R call sees the
-    same elements as a pass in point order, and each step is
-    elementwise, so the result does not depend on the order.
+    and points that converged in a block leave at its end.  Every Bessel
+    and log R call sees the same elements as a pass in point order, and
+    each step is elementwise, so the result does not depend on the
+    order.
 
     Per point, the sum starts at the lowest kinematically allowed order
     and stops once DEFAULT_PATIENCE consecutive orders contribute less
     than rel_tol of the running sum (terms are accumulated in log space
     with a running max-shift, so far-tail orders underflow harmlessly);
-    the row loop is the one place a point stops.  Raises ValueError for
-    a NaN or infinite theta, phi or omega' before any work; TruncationNotConverged if
-    a point is still live at s_max, or starts above it (before any
-    order); ValueError if a summed term is NaN, as statistics whose log
-    R(E) is NaN make it.  The last two name the lowest-index failing
-    point and carry it as `failure` (see with_failure).
-    Counters go into `diagnostics` order by order, so they survive a raise.
+    the streak loop is the one place a point stops.  Raises ValueError
+    for a NaN or infinite theta, phi or omega' before any work;
+    TruncationNotConverged if a point is still live at s_max, or starts
+    above it (before any order); ValueError if a summed term is NaN, as
+    statistics whose log R(E) is NaN make it.  The last two name the
+    lowest-index failing point and carry it as `failure` (see
+    with_failure).  Counters go into `diagnostics` once per block, before
+    any raise, and a block that raises at a NaN term books only its rows
+    before that term's: a raise leaves the counts of one order at a time.
     """
     if stats.is_atomic:
         raise TypeError("atomic-peak statistics produce delta lines; "
@@ -374,101 +380,141 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         zeta_x = theta_arg / kpp * xf
 
         # one Bessel sweep and one log R call over the whole block.  An
-        # entry that is not live, a row before its point's first order
-        # (where xi is already 0; there are none when every point joined
-        # by the first row) or a field under the edge guard, gets a zero
-        # bracket, so a zero term: log term -inf and sign 0, whatever log
-        # R is there
+        # entry before its point's first order (where xi is already 0;
+        # there are none when every point joined by the first row) or
+        # under the edge guard gets a zero bracket, so a zero term: log
+        # term -inf and sign 0, whatever log R is there
         on_edge = e_field < edge_field
+        unjoined = None if ends[0] == n else orders < sm
         bracket = bessel_bracket(s, xi, zeta_x)
-        np.copyto(bracket, 0.0, where=on_edge if ends[0] == n
-                  else on_edge | (orders < sm))
+        np.copyto(bracket, 0.0, where=on_edge if unjoined is None
+                  else on_edge | unjoined)
         sign = np.sign(bracket)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_w = stats.log_r(e_field.ravel()).reshape(e_field.shape)
             log_term = np.where(bracket != 0.0,
                                 np.log(np.abs(bracket)) + log_w, -np.inf)
+            finite = np.isfinite(log_term)
+            all_finite = bool(finite.all())
+            if not all_finite:
+                zero_term = ~finite
 
-            # the rows in order, each summed as one order at a time would
-            # be: a row sums its first m columns, of which `settled`
-            # converged earlier in the block and see only zero terms
-            settled = 0
-            for row in range(n_rows):
-                order = s + row
-                m = int(ends[row])
-                if m == settled:
-                    # evaluated in vain: points before their s_min or
-                    # after they converged
-                    diagnostics.add(overcomputed=n)
-                    continue
-                lt = log_term[row, :m]
-                e_now = e_field[row, :m]
-                zero_term = ~np.isfinite(lt)
-                any_zero = bool(zero_term.any())
-                if any_zero:
-                    bad = np.isnan(lt)
-                    if bad.any():
-                        cols = np.flatnonzero(bad)
-                        c = cols[np.argmin(index[cols])]
-                        i = int(index[c])
-                        raise with_failure(ValueError(
-                            f"emission term is NaN at order {order}, theta'="
-                            f"{math.degrees(th[i]):.6g} deg, omega'="
-                            f"{wp[i]:.6g} eV, E={e_now[c]:.6g} eV^2 (log "
-                            f"R(E) or the Bessel bracket is NaN)"),
-                            th[i], wp[i], order, e_now[c])
-                diagnostics.add(
-                    highest_order=(0 if any_zero and zero_term.all()
-                                   else order),
-                    orders_scanned=order,
-                    # an edge term is a zero term
-                    edge_guarded=(int(np.count_nonzero(on_edge[row, :m]))
-                                  if any_zero else 0),
-                    overcomputed=n - m + settled)
+            # max-shift accumulation.  sh holds each column's shift
+            # before the block and after each row: a running max, which a
+            # zero or NaN term leaves.  Over the new shift a term is
+            # exp(lt - shift), 1 if it grew the shift, and the sum so far
+            # is scaled by exp(shift before - shift after), 1 unless the
+            # term grew it.  Where they are not 1, both are the exp(-|lt -
+            # shift before|) of one order at a time
+            sh = np.empty((n_rows + 1, n))
+            sh[0] = shift
+            for before, after, lt in zip(sh[:-1], sh[1:], log_term):
+                np.fmax(before, lt, out=after)
+            # each row the factor of its order until the loop turns it
+            # into the sum after that order.  A shift that stays at -inf
+            # or +inf makes the factor NaN, which is 1
+            sums = np.subtract(sh[:-1], sh[1:])
+            np.exp(sums, out=sums)
+            np.fmin(sums, 1.0, out=sums)
+            term = np.subtract(log_term, sh[1:])
+            np.exp(term, out=term)
+            if not all_finite:
+                # a zero term adds nothing, unless it is +inf and grew the
+                # shift: then it counts 1 and the factor 0 drops the sum
+                np.copyto(term, log_term > sh[:-1], where=zero_term)
+            addend = np.multiply(sign, term, out=sign)
+            # the sums, row by row: acc * factor + addend is acc * e +
+            # sign for a growing term and acc + sign * e for any other,
+            # the roundings of one order at a time (acc * 1 is acc)
+            before = acc
+            for after, add in zip(sums, addend):
+                after *= before
+                after += add
+                before = after
 
-                # max-shift accumulation, in place: with d = lt - shift,
-                # exp(-|d|) is exp(shift - lt) for a growing term, which
-                # becomes the new shift, and exp(lt - shift) for any
-                # other; a zero term adds nothing.  Then the convergence
-                # bookkeeping: a term is negligible if it is below rel_tol
-                # of the running sum (over the new shift a growing term is
-                # 1); an exact zero with no sum yet only counts once the
-                # effective field has left the statistics' support
-                # (protects states whose R starts above E = 0).
-                a, sh, st = acc[:m], shift[:m], streak[:m]
-                sg = sign[row, :m]
-                e = lt - sh                   # NaN where both are -inf
-                grow = e > 0.0
-                np.abs(e, out=e)
-                np.negative(e, out=e)
-                np.exp(e, out=e)
-                if any_zero:
-                    e[zero_term] = 0.0
-                grown = a * e
-                grown += sg
-                np.add(a, sg * e, out=a, where=~grow)
-                np.copyto(a, grown, where=grow)
-                np.copyto(sh, lt, where=grow)
-                np.copyto(e, 1.0, where=grow)
-                small = e / np.abs(a) < rel_tol
-                if any_zero:
-                    small = np.where(a == 0.0,
-                                     zero_term & (e_now > support_max),
-                                     small | zero_term)
-                st += 1.0
-                np.copyto(st, 0.0, where=~small)
-                # a point converges when its streak reaches the patience,
-                # and its later rows in the block get zero terms (off the
-                # edge count too).  Those stay negligible, and E_s grows
-                # with s, so a point with no sum stays beyond support_max:
-                # its streak only grows and equals the patience exactly
-                # once
-                done = st == DEFAULT_PATIENCE
-                if done.any():
-                    settled += int(np.count_nonzero(done))
-                    np.copyto(log_term[row + 1:, :m], -np.inf, where=done)
-                    np.copyto(sign[row + 1:, :m], 0.0, where=done)
-                    np.copyto(on_edge[row + 1:, :m], False, where=done)
+            # a term is negligible below rel_tol of the running sum; a
+            # zero term is, once there is a sum, and with no sum yet only
+            # once the field has left the statistics' support (protects
+            # states whose R starts above E = 0)
+            if not all_finite:
+                np.copyto(term, -np.inf, where=zero_term)   # ratio -inf
+            small = np.divide(term, np.abs(sums)) < rel_tol
+            if not all_finite:
+                beyond = zero_term & (e_field > support_max)
+                if unjoined is not None:
+                    beyond &= ~unjoined
+                small = np.where(sums == 0.0, beyond, small)
+
+            # the streaks, row by row.  A point converges when its streak
+            # reaches the patience; the streak turns NaN, so it converges
+            # once, and the point is summed on to the block's end, where
+            # its sum and shift are put back to those of its row
+            converged = []
+            for row, negligible in enumerate(small):
+                streak += 1.0
+                streak *= negligible
+                if np.fmax.reduce(streak) >= DEFAULT_PATIENCE:
+                    done = streak == DEFAULT_PATIENCE
+                    streak[done] = np.nan
+                    converged.append((row, done))
+
+        # the counters, once per block and before any raise.  A column is
+        # live from its first order to its last row: the one it converged
+        # at, or the block's last; every other entry was evaluated in vain
+        settled = 0
+        if converged:
+            gone = np.isnan(streak)
+            settled = int(np.count_nonzero(gone))
+        early = [(row, done) for row, done in converged if row < n_rows - 1]
+        if early or not all_finite:
+            last = np.full(n, n_rows - 1)
+            for row, done in early:
+                last[done] = row
+        n_unjoined = 0 if unjoined is None else n * n_rows - int(ends.sum())
+        if all_finite or np.count_nonzero(zero_term) == n_unjoined:
+            # every live term is non-zero
+            top = n_rows - 1 if settled < n else converged[-1][0]
+            diagnostics.add(
+                highest_order=s + top, orders_scanned=s + top,
+                overcomputed=n_unjoined + (n * (n_rows - 1) - int(last.sum())
+                                           if early else 0))
+        else:
+            live = orders <= s + last
+            if unjoined is not None:
+                live &= ~unjoined
+            # the first row with a NaN term of a live point raises, with
+            # the rows before it booked
+            bad = np.isnan(log_term) & live
+            hit = bad.any(axis=1)
+            rows = int(hit.argmax()) if hit.any() else n_rows
+            live = live[:rows]
+            scanned = np.flatnonzero(live.any(axis=1))
+            summed = np.flatnonzero((live & finite[:rows]).any(axis=1))
+            diagnostics.add(
+                highest_order=s + int(summed[-1]) if summed.size else 0,
+                orders_scanned=s + int(scanned[-1]) if scanned.size else 0,
+                # an edge term is a zero term
+                edge_guarded=int(np.count_nonzero(on_edge[:rows] & live)),
+                overcomputed=rows * n - int(np.count_nonzero(live)))
+            if rows < n_rows:
+                cols = np.flatnonzero(bad[rows])
+                c = cols[np.argmin(index[cols])]
+                i = int(index[c])
+                order = s + rows
+                raise with_failure(ValueError(
+                    f"emission term is NaN at order {order}, theta'="
+                    f"{math.degrees(th[i]):.6g} deg, omega'={wp[i]:.6g} eV, "
+                    f"E={e_field[rows, c]:.6g} eV^2 (log R(E) or the Bessel "
+                    f"bracket is NaN)"), th[i], wp[i], order, e_field[rows, c])
+
+        # each point's sum and shift as of its last row
+        if early:
+            cols = np.arange(n)
+            acc[:] = sums[last, cols]
+            shift[:] = sh[last + 1, cols]
+        else:
+            acc[:] = sums[-1]
+            shift[:] = sh[-1]
         s += n_rows
         if s > s_max and settled < n:
             # points still live after the row at s_max (every point has
@@ -485,7 +531,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
         # the block's converged points leave, their density written out;
         # kept columns from the end fill their places
         if settled:
-            gone = streak >= DEFAULT_PATIENCE
             i = index[gone].astype(np.intp)
             out[i] = prefactor[i] * acc[gone] * np.exp(shift[gone])
             n -= i.size

@@ -110,8 +110,8 @@ _DECAY_THRESHOLDS = np.array([math.cosh(_MILLER_DECAY / c) * (1.0 + 2.0 ** -46)
 # tests for it only as often as its own growth bound requires.  Every
 # Miller element has x > _SERIES_CAP, so one step grows max(|J_m|,
 # |J_{m+1}|) by at most g = 2 m_start / x_min + 1, x_min the call's
-# smallest argument; the test then runs every L steps, g^L within
-# _RESCALE_HEADROOM.  Between two tests no value passes 2^600 g^L <=
+# smallest argument; the test then runs every L steps, L the largest
+# with g^L within _RESCALE_HEADROOM, exactly.  Between two tests no value passes 2^600 g^L <=
 # 2^1000, below finfo.max ~ 2^1024, and one rescale brings it back under
 # 2^400.  L is 35 at the MAX_ORDER corner and 82-187 on the sweeps of
 # the benchmark's fig3 thermal scan curves.
@@ -318,8 +318,24 @@ def _rescale_interval(m_start: int, x_min: float) -> int:
     """Steps between two rescale tests of a sweep from m_start whose
     smallest argument is x_min: the most steps L with g^L within
     _RESCALE_HEADROOM, g = 2 m_start / x_min + 1 the largest growth of
-    one step."""
-    return int(math.log(_RESCALE_HEADROOM, 2.0 * m_start / x_min + 1.0))
+    one step.
+
+    L is decided in integers, so no libm rounding can move it: with g =
+    num / 2^k, g^L <= 2^400 is num^L <= 2^(400 + k L).  The logarithm
+    only gives the first guess, from which L steps to the answer."""
+    g = 2.0 * m_start / x_min + 1.0
+    num, den = g.as_integer_ratio()
+    k = den.bit_length() - 1
+    cap = int(_RESCALE_HEADROOM)
+    steps = int(math.log(_RESCALE_HEADROOM, g))
+    power = num ** steps
+    while power > cap << k * steps:
+        steps -= 1
+        power //= num
+    while power * num <= cap << k * (steps + 1):
+        steps += 1
+        power *= num
+    return steps
 
 
 def _miller_rows(s: np.ndarray, x: np.ndarray,

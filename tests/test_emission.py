@@ -25,6 +25,7 @@ from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                spectral_density_points)
 from qcompton.minkowski import EmissionGeometry, electron_momentum
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
+                                        custom_tabulated_stats,
                                         thermal_stats)
 
 AT_REST = electron_momentum(1.0, (0.0, 0.0, 1.0)).p
@@ -489,6 +490,9 @@ def test_ultra_relativistic_electrons_keep_their_digits():
 
 # ------------------------------------------------------------- order blocks
 
+_BRACKET = emission.bessel_bracket
+
+
 def _fig3_points():
     # the fig3 scan (gamma = 7.09 head-on, 9e16 W/cm^2, band [1719.4,
     # 3438.8] eV) at 90, 135 and 180 degrees: orders up to several hundred
@@ -592,6 +596,34 @@ def test_order_blocks_raise_as_single_orders(monkeypatch):
     assert messages[0] == messages[1]
     assert fields[0] == fields[1]
 
+    # a NaN bracket for every point at order 17, after three of the
+    # staggered points converged within the same block (orders 2 ... 33 at
+    # 9e18 W/cm^2): only the points still summing see it, and the block
+    # books its counters up to the row before
+    drive = drive_for(9e18)
+    stats = thermal_stats(drive.omega, drive.rho)
+
+    def nan_row(s, xi, zeta_x):
+        out = _BRACKET(s, xi, zeta_x)
+        if s <= 17 < s + len(out):
+            out[17 - s] = np.nan
+        return out
+
+    monkeypatch.setattr(emission, "bessel_bracket", nan_row)
+    p, th, wp = _staggered_points()
+    raised = []
+    for block in (1, BLOCK):
+        monkeypatch.setattr(emission, "ORDER_BLOCK", block)
+        diag = Diagnostics()
+        with pytest.raises(ValueError, match="NaN at order 17") as nan_error:
+            spectral_density_points(stats, p, OMEGA, th, np.zeros_like(th),
+                                    wp, diagnostics=diag)
+        raised.append((str(nan_error.value), nan_error.value.failure,
+                       _old_fields(diag)))
+    assert raised[0] == raised[1]
+    assert raised[0][2]["orders_scanned"] == 16
+    monkeypatch.setattr(emission, "bessel_bracket", _BRACKET)
+
     # a cap that is not a multiple of the block cuts the last block short;
     # at 135 degrees the first allowed orders run from 116 to 231, and
     # the points converge by order 253
@@ -605,6 +637,113 @@ def test_order_blocks_raise_as_single_orders(monkeypatch):
                         s_max=245)
         capped.append(str(cap_error.value))
     assert capped[0] == capped[1]
+
+
+def _fixed_brackets(monkeypatch, seen, spike_order=None):
+    """Make emission.bessel_bracket evaluate each row of a block at its
+    own order with a 1-D call, recording every value by (order, xi,
+    zeta_x) in `seen`, and scale order spike_order's bracket up 1e6
+    times; returns a count of the elements evaluated."""
+    evaluated = []
+
+    def by_row(s, xi, zeta_x):
+        rows = []
+        for row, (x, z) in enumerate(zip(xi, zeta_x)):
+            out = _BRACKET(s + row, x, z)
+            for key in zip(x.tolist(), z.tolist(), out.tolist()):
+                assert seen.setdefault((s + row,) + key[:2], key[2]) == key[2]
+            rows.append(out * 1e6 if s + row == spike_order else out)
+        evaluated.append(xi.size)
+        return np.array(rows)
+
+    monkeypatch.setattr(emission, "bessel_bracket", by_row)
+    return lambda: sum(evaluated)
+
+
+def test_block_sums_do_not_depend_on_the_block_size(monkeypatch):
+    # with the Bessel values fixed per order, a block of 32 orders must sum
+    # every point to the bits of one order at a time.  At 9e18 W/cm^2 the
+    # staggered points converge at orders 11 ... 68, three of them inside
+    # the first block (orders 2 ... 33) before a spike at order 17: it
+    # must enter neither their sums nor a second convergence, while the
+    # points still summing take it in both runs
+    drive = drive_for(9e18)
+    stats = thermal_stats(drive.omega, drive.rho)
+    p, th, wp = _staggered_points()
+    seen = {}
+    runs = []
+    for block in (1, BLOCK):
+        monkeypatch.setattr(emission, "ORDER_BLOCK", block)
+        evaluated = _fixed_brackets(monkeypatch, seen, spike_order=17)
+        diag = Diagnostics()
+        out = spectral_density_points(stats, p, OMEGA, th,
+                                      np.zeros_like(th), wp,
+                                      diagnostics=diag)
+        runs.append((out, diag, evaluated()))
+    (one, diag_one, n_one), (blocked, diag, n_blocked) = runs
+    assert np.array_equal(blocked, one)
+    assert np.all(one > 0.0)
+    assert _old_fields(diag) == _old_fields(diag_one)
+    assert diag_one.overcomputed == 0
+    assert diag.overcomputed == n_blocked - n_one > 0
+
+
+def _edge_case(monkeypatch):
+    # points just below the cutoffs of orders 2 ... 40 join at a field
+    # near 0, under an edge guard raised to 0.1 sqrt(2u): each point's
+    # first term is an edge term, inside a block of many rows
+    monkeypatch.setattr(emission, "EDGE_FIELD_FRACTION", 0.1)
+    geom = EmissionGeometry(theta=math.radians(159.9))
+    wp = np.array([kinematic_max_frequency(s, AT_REST, OMEGA, geom)
+                   for s in range(2, 41)]) * (1.0 - 1e-6)
+    drive = drive_for(9e16)
+    return (thermal_stats(drive.omega, drive.rho),
+            (AT_REST, np.full_like(wp, geom.theta), wp))
+
+
+def _mixed_points():
+    p, th, wp = _staggered_points()
+    _, th_low, wp_low = _converging_points()
+    return p, np.concatenate((th, th_low)), np.concatenate((wp, wp_low))
+
+
+def _table_case(monkeypatch):
+    # a tabulated bump whose R vanishes outside [0.16, 1.63] sqrt(2u):
+    # most points start beyond it and stop on zero terms with no sum, the
+    # others sum from below it into it
+    drive = drive_for(9e16)
+    e = np.linspace(0.2, 2.0, 41)
+    table = np.column_stack((e, np.exp(-((e - 1.1) / 0.45) ** 2)))
+    return (custom_tabulated_stats(drive.omega, drive.rho, table),
+            _mixed_points())
+
+
+def _bsv_case(monkeypatch):
+    drive = drive_for(9e16)
+    return bsv_stats(drive.omega, drive.rho), _mixed_points()
+
+
+@pytest.mark.parametrize("case", [_edge_case, _table_case, _bsv_case])
+def test_zero_terms_and_block_counters_match_single_orders(monkeypatch,
+                                                           case):
+    # zero terms inside blocks of many rows (edge terms, a table's empty
+    # range before and after a sum, rows before a point's first order)
+    # and the counters booked once per block: as one order at a time,
+    # to the Bessel values' last bits
+    stats, points = case(monkeypatch)
+    one, diag_one, _ = _engine_run(monkeypatch, 1, points, stats=stats)
+    blocked, diag, calls = _engine_run(monkeypatch, BLOCK, points,
+                                       stats=stats)
+    assert max(_rows(calls)) > 1
+    assert _old_fields(diag) == _old_fields(diag_one)
+    np.testing.assert_allclose(blocked, one, rtol=1e-12,
+                               atol=1e-13 * np.max(one))
+    if case is _edge_case:
+        assert diag.edge_guarded == points[2].size
+    if case is _table_case:
+        assert 0 < np.count_nonzero(one) < 0.5 * one.size
+    else:
+        assert np.all(one > 0.0)
 
 
 def _wide_points():

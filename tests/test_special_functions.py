@@ -370,6 +370,41 @@ def test_rescale_headroom_is_provable():
                          np.array([x_low])) == MAX_ORDER + 6
 
 
+def _x_for_growth(g):
+    # (m_start, x) with 2 m_start / x + 1 == g exactly, searched around
+    # the real solution for a few starts
+    for m_start in (1000, 1001, 777, 4096, 9999):
+        x = 2.0 * m_start / (g - 1.0)
+        for _ in range(8):
+            got = 2.0 * m_start / x + 1.0
+            if got == g:
+                return m_start, x
+            x = float(np.nextafter(x, np.inf if got > g else -np.inf))
+    raise AssertionError(f"no argument gives growth {g!r}")
+
+
+def test_rescale_interval_is_exact():
+    # the cadence is the exact largest L with g^L <= 2^400, checked in
+    # rationals, not what a logarithm rounds to: on drawn sweeps and at
+    # the ties g = 2^(400/L), where g^L lands on the headroom, and their
+    # float neighbours
+    rng = np.random.default_rng(35)
+    m_starts = rng.integers(10, MAX_ORDER + 7, 10_000)
+    x_mins = rng.uniform(_SERIES_CAP, np.minimum(1.5 * m_starts,
+                                                 MAX_ARGUMENT))
+    calls = list(zip(m_starts.tolist(), x_mins.tolist()))
+    for steps in range(20, 301):
+        tie = 2.0 ** (400 / steps)
+        calls += [_x_for_growth(float(g)) for g in (
+            np.nextafter(tie, 0.0), tie, np.nextafter(tie, np.inf))]
+    headroom = Fraction(_RESCALE_HEADROOM)
+    for m_start, x_min in calls:
+        every = _rescale_interval(m_start, x_min)
+        growth = Fraction(2.0 * m_start / x_min + 1.0)
+        assert growth ** every <= headroom < growth ** (every + 1), (
+            m_start, x_min)
+
+
 def _miller_slot_map(n, x):
     """The backward sweep as it captured before order runs: orders n as
     (3, elements) rows or one shared column, each order's entries found
