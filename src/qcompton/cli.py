@@ -33,8 +33,8 @@ from .units import LabDriveSpec, natural_drive
 from . import photon_statistics as ps
 from .emission import (DEFAULT_REL_TOL, DEFAULT_S_MAX, Diagnostics,
                        TruncationNotConverged)
-from .pipeline import (OmegaGrid, Scenario, angular_distribution,
-                       energy_spectrum)
+from .pipeline import (MIN_BAND_SAMPLES, OmegaGrid, Scenario,
+                       angular_distribution, energy_spectrum)
 
 EXIT_SCHEMA = 1
 EXIT_PHYSICS = 2
@@ -43,9 +43,9 @@ EXIT_NONCONVERGENCE = 3
 STATE_NAMES = tuple(ps.FAMILIES)
 
 # Most grid points one scan may ask for: a spectrum's samples, or an
-# angular scan's count x max(samples, 64) as angular_distribution builds
-# them.  The largest presets ask for 46 592 (fig3, 91 x 512) and 32 000
-# (fig2 at intensity index 1).
+# angular scan's count x max(samples, MIN_BAND_SAMPLES) as
+# angular_distribution builds them.  The largest presets ask for 46 592
+# (fig3, 91 x 512) and 32 000 (fig2 at intensity index 1).
 _MAX_SCAN_POINTS = 1 << 20
 
 
@@ -233,11 +233,11 @@ def validate_config(cfg: dict) -> dict:
         out["scan"]["band_eV"] = band
         out["scan"]["samples"] = _integer(sc, "scan", "samples", lo=2,
                                           default=512)
-        points = cnt * max(out["scan"]["samples"], 64)
+        points = cnt * max(out["scan"]["samples"], MIN_BAND_SAMPLES)
         if points > _MAX_SCAN_POINTS:
             raise SchemaError("scan.theta_range_deg", f"count x max(samples, "
-                              f"64) is {points} grid points, above "
-                              f"{_MAX_SCAN_POINTS}")
+                              f"{MIN_BAND_SAMPLES}) is {points} grid points, "
+                              f"above {_MAX_SCAN_POINTS}")
         jacobian = _field(sc, "scan", "jacobian", False)
         if not isinstance(jacobian, bool):
             raise SchemaError("scan.jacobian",
@@ -292,24 +292,12 @@ def _build_stats(resolved: dict):
 
 
 def _build_scenario(resolved: dict) -> Scenario:
+    """The physics of a resolved config; _scan_rows builds the scan."""
     nat, stats = _build_stats(resolved)
     el = resolved["electron"]
-    electron = electron_momentum(el["gamma"], tuple(el["direction"]))
-    scan = resolved["scan"]
-    if scan["mode"] == "spectrum":
-        rng = scan["omega_prime_range_eV"]
-        grid = OmegaGrid(rng[0], rng[1], scan["samples"], scan["grid"])
-        thetas = ()
-    else:
-        lo, hi, cnt = scan["theta_range_deg"]
-        band = scan["band_eV"]
-        grid = OmegaGrid(band[0], band[1], scan["samples"])
-        step = (hi - lo) / (cnt - 1)
-        thetas = tuple(math.radians(lo + i * step) for i in range(cnt))
     return Scenario(
-        electron=electron, drive=nat, stats=stats, omega_grid=grid,
-        thetas=thetas, phi=math.radians(scan["phi_prime_deg"]),
-        broadening=resolved["numerics"]["broadening"],
+        electron=electron_momentum(el["gamma"], tuple(el["direction"])),
+        drive=nat, stats=stats, broadening=resolved["numerics"]["broadening"],
         rel_tol=resolved["numerics"]["rel_tol"],
         s_max=resolved["numerics"]["s_max"])
 
@@ -334,6 +322,7 @@ def _metadata_lines(resolved: dict) -> list[str]:
     else:
         lines.append("theta_range_deg: %s" % " ".join(
             format(x, ".17g") for x in scan["theta_range_deg"]))
+        lines.append(f"phi_prime_deg: {scan['phi_prime_deg']:.17g}")
         lines.append("band_eV: %s" % " ".join(
             format(x, ".17g") for x in scan["band_eV"]))
         lines.append(f"jacobian: {scan['jacobian']}")
@@ -366,20 +355,26 @@ def _moment_check(stats) -> dict:
 
 
 def _scan_rows(scenario: Scenario, scan: dict, diagnostics: Diagnostics):
-    """The curve's column names and (rows, 2) table for the scan."""
+    """The curve's column names and (rows, 2) table for the scan; an
+    angular scan's theta' column holds its angles lo + i * step as set."""
+    phi = math.radians(scan["phi_prime_deg"])
     if scan["mode"] == "spectrum":
         geometry = EmissionGeometry(
-            theta=math.radians(scan["theta_prime_deg"]),
-            phi=math.radians(scan["phi_prime_deg"]))
-        curve = energy_spectrum(scenario, geometry, diagnostics=diagnostics)
+            theta=math.radians(scan["theta_prime_deg"]), phi=phi)
+        grid = OmegaGrid(*scan["omega_prime_range_eV"], scan["samples"],
+                         scan["grid"])
+        curve = energy_spectrum(scenario, geometry, grid, diagnostics)
         columns = ("omega_prime_eV", "energy_per_eV_sr")
         x, y = curve.omega, curve.values
     else:
-        ang = angular_distribution(scenario, tuple(scan["band_eV"]),
-                                   jacobian=scan["jacobian"],
-                                   diagnostics=diagnostics)
+        lo, hi, cnt = scan["theta_range_deg"]
+        step = (hi - lo) / (cnt - 1)
+        x = [lo + i * step for i in range(cnt)]
+        y = angular_distribution(
+            scenario, [math.radians(d) for d in x],
+            OmegaGrid(*scan["band_eV"], scan["samples"]), phi=phi,
+            jacobian=scan["jacobian"], diagnostics=diagnostics).values
         columns = ("theta_prime_deg", "band_energy_per_sr")
-        x, y = [math.degrees(t) for t in ang.theta.tolist()], ang.values
     return columns, np.column_stack((x, y))
 
 

@@ -12,6 +12,9 @@ emission angle.  This module assembles those observables:
                          polar-angle scan,
   * band_integrate    -- energy in [lo, hi] from a sampled curve.
 
+A Scenario holds the physics alone; each observable takes its own
+omega' grid and direction or angles, so one scenario serves any scan.
+
 Broadening comes in two readings.  "literal" convolves the emitted
 spectrum with a fixed Gaussian of standard deviation delta_omega, and
 turns each discrete line of a coherent-like drive into a Gaussian of the
@@ -69,6 +72,10 @@ CEILING_SLACK = 1.05
 
 BROADENING_MODES = ("literal", "drive_average")
 
+# An angular scan samples each angle's band on max(grid.count, this)
+# nodes; the CLI's scan-size bound counts the same nodes.
+MIN_BAND_SAMPLES = 64
+
 
 @dataclass(frozen=True)
 class OmegaGrid:
@@ -99,19 +106,17 @@ class OmegaGrid:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One physical configuration: electron, drive, statistics, grids.
+    """One physical configuration: electron, drive, statistics,
+    broadening and the truncation numerics (rel_tol, s_max).
 
-    The drive propagates along +z with circular polarization; thetas
-    holds the polar-angle scan (radians) used by angular_distribution,
-    while spectra are evaluated at an explicitly supplied geometry.
+    The drive propagates along +z with circular polarization.  What is
+    scanned is not part of it: energy_spectrum takes its direction and
+    omega' grid, angular_distribution its angles, azimuth and band.
     """
 
     electron: ElectronState
     drive: NaturalDrive
     stats: PhaseAveragedStatistics
-    omega_grid: OmegaGrid
-    thetas: tuple = ()
-    phi: float = 0.0
     broadening: str = "literal"
     rel_tol: float = emission.DEFAULT_REL_TOL
     s_max: int = emission.DEFAULT_S_MAX
@@ -131,9 +136,6 @@ class Scenario:
             raise ValueError(
                 "statistics were built for energy density %g eV^4 but the "
                 "scenario drive has %g eV^4" % (self.stats.energy_density, u))
-        for th in self.thetas:
-            if not 0.0 <= th <= math.pi:
-                raise ValueError(f"scan angle {th} outside [0, pi]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,32 +543,32 @@ def _peak_sigmas(scenario: Scenario, geometry, orders) -> np.ndarray:
 
 
 def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
+                    grid: OmegaGrid,
                     diagnostics: Diagnostics | None = None) -> SpectralCurve:
     """Broadened energy spectrum (eV per eV per sr) at one direction.
 
-    The power spectral density is resolved on the scenario grid (smooth
-    drives) or into discrete lines, one row of the curve's `lines` each
+    The power spectral density is resolved on `grid` (smooth drives) or
+    into discrete lines, one row of the curve's `lines` each
     (coherent-like drives), broadened according to scenario.broadening,
     and multiplied by the pulse duration T = 2 pi / delta_omega.  Line
     masses carry T and the curve's smooth part is zero.  A caller-supplied
     Diagnostics record accumulates the truncation counters of all
     internal passes.
     """
-    hi = scenario.omega_grid.hi
     ceiling = emission.absolute_frequency_ceiling(
         scenario.electron.p, scenario.drive.omega, geometry)
-    if hi > CEILING_SLACK * ceiling:
+    if grid.hi > CEILING_SLACK * ceiling:
         raise KinematicallyForbidden(
             "grid extends to %g eV but no emission is possible above "
-            "%g eV at this angle" % (hi, ceiling))
-    blocks = [(geometry, scenario.omega_grid)]
+            "%g eV at this angle" % (grid.hi, ceiling))
+    blocks = [(geometry, grid)]
     diagnostics = diagnostics or Diagnostics()
     if not scenario.stats.is_atomic:
         [curve] = _smooth_curves(scenario, blocks, diagnostics)
         return curve
     [lines] = _lines(scenario, blocks, diagnostics)
-    grid = scenario.omega_grid.points()
-    return SpectralCurve(omega=grid, smooth=np.zeros_like(grid), lines=lines)
+    omega = grid.points()
+    return SpectralCurve(omega=omega, smooth=np.zeros_like(omega), lines=lines)
 
 
 def _lines(scenario: Scenario, blocks, diagnostics: Diagnostics):
@@ -686,16 +688,18 @@ def band_integrate(curve: SpectralCurve, band) -> float:
     return total
 
 
-def angular_distribution(scenario: Scenario, band, *,
-                         jacobian: bool = False,
+def angular_distribution(scenario: Scenario, thetas, grid: OmegaGrid, *,
+                         phi: float = 0.0, jacobian: bool = False,
                          diagnostics: Diagnostics | None = None
                          ) -> AngularCurve:
-    """Band-integrated energy per steradian across the polar-angle scan.
+    """Band-integrated energy per steradian across a polar-angle scan.
 
-    For each scan angle the energy spectrum is rebuilt on an internal
-    grid covering the band (clipped to the kinematic ceiling) and
-    integrated over [lo, hi].  Values are per steradian; jacobian=True
-    multiplies by sin(theta') for per-polar-angle reading.  For a smooth
+    thetas (radians) lie in the plane of azimuth phi; the band is [grid.lo,
+    grid.hi], and grid must be linear.  Each angle's spectrum is rebuilt
+    on max(grid.count, MIN_BAND_SAMPLES) equally spaced nodes over the
+    band, clipped to the kinematic ceiling, and integrated over it; every
+    angle's EmissionGeometry is validated before any engine work.  Values
+    are per steradian; jacobian=True multiplies by sin(theta').  For a smooth
     drive the whole scan is one engine pass over all angles' points, and
     each angle's curve goes through band_integrate.  Coherent-like drives
     resolve each angle's line ladder in turn and build no curve: the band
@@ -703,18 +707,19 @@ def angular_distribution(scenario: Scenario, band, *,
     each angle's are summed as band_integrate sums a curve's lines, so
     the value equals band_integrate of its energy_spectrum.
     """
-    lo, hi = float(band[0]), float(band[1])
-    if not hi > lo:
-        raise ValueError(f"band must satisfy lo < hi, got [{lo}, {hi}]")
-    if not scenario.thetas:
-        raise ValueError("scenario has no polar-angle scan")
+    if len(thetas) == 0:
+        raise ValueError("angular scan needs at least one polar angle")
+    if grid.spacing != "linear":
+        raise ValueError("an angular scan's band grid must be linear, got "
+                         f"{grid.spacing!r}")
+    lo, hi = grid.lo, grid.hi
     p = scenario.electron.p
     omega = scenario.drive.omega
-    count = max(scenario.omega_grid.count, 64)
+    count = max(grid.count, MIN_BAND_SAMPLES)
 
     live, blocks = [], []
-    for i, th in enumerate(scenario.thetas):
-        geometry = EmissionGeometry(theta=th, phi=scenario.phi)
+    for i, th in enumerate(thetas):
+        geometry = EmissionGeometry(theta=th, phi=phi)
         ceiling = emission.absolute_frequency_ceiling(p, omega, geometry)
         g_lo = max(lo, 1e-6 * omega)
         g_hi = min(hi, ceiling)
@@ -732,8 +737,7 @@ def angular_distribution(scenario: Scenario, band, *,
         sums = [float(np.sum(e)) for e in np.split(energy, ends[:-1])]
     else:
         sums = []
-    values = np.zeros(len(scenario.thetas))
+    values = np.zeros(len(thetas))
     for i, v in zip(live, sums):
-        values[i] = v * (math.sin(scenario.thetas[i]) if jacobian else 1.0)
-    return AngularCurve(theta=np.asarray(scenario.thetas, dtype=float),
-                        values=values)
+        values[i] = v * (math.sin(thetas[i]) if jacobian else 1.0)
+    return AngularCurve(theta=np.asarray(thetas, dtype=float), values=values)

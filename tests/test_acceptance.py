@@ -147,8 +147,7 @@ def test_05_fock_and_cat_states_match_coherent(acceptance_log):
     grid = OmegaGrid(0.5, 12.0, 2000)
     base_curve = energy_spectrum(
         Scenario(electron=AT_REST, drive=drive,
-                 stats=coherent_stats(drive.omega, drive.rho),
-                 omega_grid=grid), geom)
+                 stats=coherent_stats(drive.omega, drive.rho)), geom, grid)
 
     exact = True
     spot = 0.0
@@ -162,8 +161,7 @@ def test_05_fock_and_cat_states_match_coherent(acceptance_log):
                    np.max(np.abs(peaks[2] / base[2] - 1.0)),
                    np.max(np.abs(peaks[1] / base[1] - 1.0)))
         curve = energy_spectrum(
-            Scenario(electron=AT_REST, drive=drive, stats=stats,
-                     omega_grid=grid), geom)
+            Scenario(electron=AT_REST, drive=drive, stats=stats), geom, grid)
         exact = exact and np.array_equal(curve.lines, base_curve.lines) \
             and np.array_equal(curve.smooth, base_curve.smooth)
 
@@ -204,8 +202,8 @@ def test_06_high_intensity_cutoff_ratios(acceptance_log):
     for name, maker in (("coh", coherent_stats), ("th", thermal_stats),
                         ("bsv", bsv_stats)):
         sc = Scenario(electron=AT_REST, drive=drive,
-                      stats=maker(drive.omega, drive.rho), omega_grid=grid)
-        values[name] = energy_spectrum(sc, geom).values
+                      stats=maker(drive.omega, drive.rho))
+        values[name] = energy_spectrum(sc, geom, grid).values
 
     def cutoff(vals, thr):
         keep = np.nonzero(vals >= thr * vals.max())[0]
@@ -258,10 +256,9 @@ def test_07_band_integrated_angular_gain(acceptance_log):
     for name, maker in (("coh", coherent_stats), ("th", thermal_stats),
                         ("bsv", bsv_stats)):
         sc = Scenario(electron=COUNTER, drive=drive,
-                      stats=maker(drive.omega, drive.rho),
-                      omega_grid=OmegaGrid(band[0], band[1], 256),
-                      thetas=thetas)
-        peak[name] = float(angular_distribution(sc, band).values.max())
+                      stats=maker(drive.omega, drive.rho))
+        peak[name] = float(angular_distribution(
+            sc, thetas, OmegaGrid(band[0], band[1], 256)).values.max())
 
     r_th = peak["th"] / peak["coh"]
     r_bsv = peak["bsv"] / peak["coh"]

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qcompton import cli, emission, special_functions
+from qcompton import cli, emission, pipeline, special_functions
 from qcompton import photon_statistics as ps
 from qcompton.minkowski import EmissionGeometry, electron_momentum
 
@@ -370,7 +370,8 @@ def test_exit_code_on_schema_error(tmp_path, capsys):
 
 def test_validate_bounds_the_scan_size():
     # a spectrum's grid points are its samples, an angular scan's count x
-    # max(samples, 64); 2^20 is allowed and one more point is not
+    # max(samples, MIN_BAND_SAMPLES); 2^20 is allowed and one more point
+    # is not
     spectrum = _base_config()
     spectrum["scan"]["samples"] = 1 << 20
     cli.validate_config(spectrum)
@@ -379,11 +380,12 @@ def test_validate_bounds_the_scan_size():
         cli.validate_config(spectrum)
     assert err.value.path == "scan.samples"
     angular = _angular_config()
-    angular["scan"]["theta_range_deg"] = [90, 180, 1 << 14]
-    for samples in (2, 64):
+    floor = pipeline.MIN_BAND_SAMPLES
+    angular["scan"]["theta_range_deg"] = [90, 180, (1 << 20) // floor]
+    for samples in (2, floor):
         angular["scan"]["samples"] = samples
         cli.validate_config(angular)
-    angular["scan"]["samples"] = 65
+    angular["scan"]["samples"] = floor + 1
     with pytest.raises(cli.SchemaError) as err:
         cli.validate_config(angular)
     assert err.value.path == "scan.theta_range_deg"
@@ -813,21 +815,21 @@ def test_csv_rows_keep_the_digits_of_format_17g(tmp_path):
     assert got.shape == (len(rows), 2)
     assert got.tobytes() == np.array(rows).tobytes()   # -0.0 keeps its sign
 
-    # an angular scan's degree column is built per element with
-    # math.degrees, so each angle reads as format(math.degrees(theta), ".17g")
-    cfg = cli.make_preset("fig3", state="coherent", intensity_index=1)
-    cfg["scan"]["theta_range_deg"] = [95.625, 163.125, 5]
-    resolved = cli.validate_config(cfg)
+    # an angular scan's degree column holds its configured angles: the
+    # fig3 preset's [90, 180, 91] reads 90.0, 91.0, ..., 180.0
+    resolved = cli.validate_config(
+        cli.make_preset("fig3", state="coherent", intensity_index=1))
     scenario = cli._build_scenario(resolved)
     columns, table = cli._scan_rows(scenario, resolved["scan"],
                                     emission.Diagnostics())
     assert columns == ("theta_prime_deg", "band_energy_per_sr")
-    assert table.shape == (5, 2) and table.dtype == np.float64
+    assert table.shape == (91, 2) and table.dtype == np.float64
+    assert table[:, 0].tolist() == [90.0 + i for i in range(91)]
     path = tmp_path / "ang.csv"
     cli._write_curve(str(path), "csv", columns, table, [])
     body = path.read_text().splitlines()[1:]
     assert [ln.split(",")[0] for ln in body] == [
-        format(math.degrees(t), ".17g") for t in scenario.thetas]
+        format(90.0 + i, ".17g") for i in range(91)]
 
 
 def test_rerun_is_bitwise_reproducible(tmp_path):
@@ -859,14 +861,17 @@ def test_coherent_spectrum_at_low_intensity_keeps_its_line(tmp_path):
 
 
 def test_angular_run_writes_csv_header(tmp_path):
+    # phi' sets the scan's plane, so the metadata names it
     cfg = _base_config()
     cfg["drive"]["state"] = "thermal"
     cfg["scan"] = {"mode": "angular", "theta_range_deg": [150.0, 170.0, 3],
-                   "band_eV": [1.0, 4.0], "samples": 64}
+                   "band_eV": [1.0, 4.0], "samples": 64,
+                   "phi_prime_deg": 30.0}
     out = tmp_path / "angular.csv"
     assert cli.main(["run", "--config", _write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
+    assert "# phi_prime_deg: 30" in lines
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "theta_prime_deg,band_energy_per_sr"
 

@@ -32,11 +32,10 @@ HEAD_ON = electron_momentum(7.09, (0.0, 0.0, -1.0))
 BACK = EmissionGeometry(theta=math.radians(159.9))
 
 
-def _scenario(intensity, maker, grid, electron=AT_REST, **kw):
+def _scenario(intensity, maker, electron=AT_REST, **kw):
     drive = drive_for(intensity)
     return Scenario(electron=electron, drive=drive,
-                    stats=maker(drive.omega, drive.rho),
-                    omega_grid=grid, **kw)
+                    stats=maker(drive.omega, drive.rho), **kw)
 
 
 # ------------------------------------------------------------- validation
@@ -56,14 +55,16 @@ def test_grid_and_scenario_validation():
     good = thermal_stats(drive.omega, drive.rho)
     with pytest.raises(ValueError):
         Scenario(electron=AT_REST, drive=drive, stats=good,
-                 omega_grid=OmegaGrid(1.0, 2.0, 8), broadening="boxcar")
+                 broadening="boxcar")
     with pytest.raises(ValueError):
         Scenario(electron=AT_REST, drive=drive,
-                 stats=thermal_stats(1.9, drive.rho),
-                 omega_grid=OmegaGrid(1.0, 2.0, 8))
+                 stats=thermal_stats(1.9, drive.rho))
+    scenario = Scenario(electron=AT_REST, drive=drive, stats=good)
     with pytest.raises(ValueError):
-        Scenario(electron=AT_REST, drive=drive, stats=good,
-                 omega_grid=OmegaGrid(1.0, 2.0, 8), thetas=(4.0,))
+        angular_distribution(scenario, (4.0,), OmegaGrid(1.0, 2.0, 8))
+    with pytest.raises(ValueError, match="linear"):
+        angular_distribution(scenario, (3.0,),
+                             OmegaGrid(1.0, 2.0, 8, spacing="log"))
 
 
 def test_scenario_rejects_statistics_built_for_another_intensity():
@@ -71,15 +72,12 @@ def test_scenario_rejects_statistics_built_for_another_intensity():
     # same u reached at another drive frequency is the same R(E), while
     # twice the intensity at the right frequency is a different drive
     drive = drive_for(9e15)
-    grid = OmegaGrid(1.0, 2.0, 8)
     with pytest.raises(ValueError, match="energy density"):
         Scenario(electron=AT_REST, drive=drive,
-                 stats=thermal_stats(drive.omega, 2.0 * drive.rho),
-                 omega_grid=grid)
+                 stats=thermal_stats(drive.omega, 2.0 * drive.rho))
     u = drive.omega * drive.rho
     Scenario(electron=AT_REST, drive=drive,
-             stats=thermal_stats(1.5 * drive.omega, u / (1.5 * drive.omega)),
-             omega_grid=grid)
+             stats=thermal_stats(1.5 * drive.omega, u / (1.5 * drive.omega)))
 
 
 def test_spectral_curve_validation():
@@ -107,19 +105,18 @@ def test_curves_compare_by_identity():
 
 
 def test_spectrum_rejects_grid_beyond_ceiling():
-    sc = _scenario(9e15, thermal_stats, OmegaGrid(1.0, 3.0e5, 50))
+    sc = _scenario(9e15, thermal_stats)
     with pytest.raises(KinematicallyForbidden):
-        energy_spectrum(sc, BACK)
+        energy_spectrum(sc, BACK, OmegaGrid(1.0, 3.0e5, 50))
     # the pipeline's CEILING_SLACK of 1.05, pinned with a coherent drive:
     # a thermal grid that close to the ceiling needs orders beyond s_max
     ceiling = absolute_frequency_ceiling(AT_REST.p, sc.drive.omega, BACK)
-    inside = _scenario(9e15, coherent_stats,
-                       OmegaGrid(1.0, 1.04 * ceiling, 200))
-    assert len(energy_spectrum(inside, BACK).lines)
-    outside = _scenario(9e15, coherent_stats,
-                        OmegaGrid(1.0, 1.06 * ceiling, 200))
+    coherent = _scenario(9e15, coherent_stats)
+    inside = OmegaGrid(1.0, 1.04 * ceiling, 200)
+    assert len(energy_spectrum(coherent, BACK, inside).lines)
+    outside = OmegaGrid(1.0, 1.06 * ceiling, 200)
     with pytest.raises(KinematicallyForbidden):
-        energy_spectrum(outside, BACK)
+        energy_spectrum(coherent, BACK, outside)
 
 
 # ------------------------------------------------------ exact convolution
@@ -542,9 +539,8 @@ def test_wings_past_their_cap_raise():
     # a steep window below the cap keeps its full wings: 512 nodes over
     # 10 meV, a lattice step of 2e-5 eV
     diagnostics = Diagnostics()
-    curve = energy_spectrum(
-        _scenario(9e14, bsv_stats, OmegaGrid(2.0, 2.01, 512)), BACK,
-        diagnostics)
+    curve = energy_spectrum(_scenario(9e14, bsv_stats), BACK,
+                            OmegaGrid(2.0, 2.01, 512), diagnostics)
     assert diagnostics.points == 17_070
     assert np.all(np.isfinite(curve.smooth)) and curve.smooth.max() > 0.0
 
@@ -553,8 +549,8 @@ def test_wings_past_their_cap_raise():
 
 def test_coherent_spectrum_lines_carry_duration_times_weight():
     grid = OmegaGrid(0.5, 12.0, 600)
-    sc = _scenario(9e16, coherent_stats, grid)
-    curve = energy_spectrum(sc, BACK)
+    sc = _scenario(9e16, coherent_stats)
+    curve = energy_spectrum(sc, BACK, grid)
     assert np.all(curve.smooth == 0.0)
     assert len(curve.lines) >= 5
     t_pulse = pulse_duration(sc.drive.delta_omega)
@@ -570,8 +566,8 @@ def test_coherent_spectrum_lines_carry_duration_times_weight():
 
 def test_line_band_masses_are_error_function_exact():
     grid = OmegaGrid(0.5, 12.0, 200)
-    sc = _scenario(9e16, coherent_stats, grid)
-    curve = energy_spectrum(sc, BACK)
+    sc = _scenario(9e16, coherent_stats)
+    curve = energy_spectrum(sc, BACK, grid)
     center, mass, sigma = curve.lines[0]
     lo, hi = center - 0.5 * sigma, center + 2.0 * sigma
     want = mass * (ndtr(2.0) - ndtr(-0.5))
@@ -608,11 +604,11 @@ def test_drive_average_linewidths_grow_with_order(monkeypatch):
 
     monkeypatch.setattr(emission, "bessel_bracket", counted)
     grid = OmegaGrid(0.5, 12.0, 200)
-    lit = _scenario(9e16, coherent_stats, grid)
-    avg = _scenario(9e16, coherent_stats, grid, broadening="drive_average")
-    curve_lit = energy_spectrum(lit, BACK)
+    lit = _scenario(9e16, coherent_stats)
+    avg = _scenario(9e16, coherent_stats, broadening="drive_average")
+    curve_lit = energy_spectrum(lit, BACK, grid)
     n_lit = len(calls)
-    curve_avg = energy_spectrum(avg, BACK)
+    curve_avg = energy_spectrum(avg, BACK, grid)
     # widths come from closed-form line positions: no extra Bessel work
     assert 0 < len(calls) - n_lit <= n_lit
     assert np.all(curve_lit.lines[:, 2] == lit.drive.delta_omega)
@@ -631,19 +627,18 @@ def test_line_spectrum_does_not_depend_on_where_the_window_ends(broadening):
     # drive_average width 0.127 eV is 7 sigma: its profile reaches the
     # window although the line lies more than 18 sigma past it
     lo, hi, n, more = 12.87, 15.248, 200, 100
-    sc = _scenario(9e16, coherent_stats, OmegaGrid(lo, hi, n),
-                   thetas=(BACK.theta,), broadening=broadening)
+    sc = _scenario(9e16, coherent_stats, broadening=broadening)
+    grid = OmegaGrid(lo, hi, n)
     step = (hi - lo) / (n - 1)
-    wide = energy_spectrum(
-        replace(sc, omega_grid=OmegaGrid(lo, hi + more * step, n + more)),
-        BACK)
-    got = energy_spectrum(sc, BACK)
+    wide = energy_spectrum(sc, BACK,
+                           OmegaGrid(lo, hi + more * step, n + more))
+    got = energy_spectrum(sc, BACK, grid)
     np.testing.assert_allclose(got.omega, wide.omega[:n], rtol=1e-15)
     want = wide.values[:n]
     assert np.abs(got.values - want).max() <= 1e-9 * want.max()
     assert got.values[-1] == pytest.approx(want[-1], rel=1e-9)
-    assert angular_distribution(sc, (lo, hi)).values[0] == pytest.approx(
-        band_integrate(wide, (lo, hi)), rel=1e-9)
+    assert angular_distribution(sc, (BACK.theta,), grid).values[0] == (
+        pytest.approx(band_integrate(wide, (lo, hi)), rel=1e-9))
 
 
 def test_ladder_evaluates_only_the_lines_it_keeps(monkeypatch):
@@ -677,24 +672,26 @@ def test_a_grid_below_the_first_line_has_an_empty_ladder():
     lines = _ladder(stats, AT_REST.p, drive.omega, BACK, 0.2,
                     emission.DEFAULT_REL_TOL, emission.DEFAULT_S_MAX)
     assert lines.shape == (0, 3)
-    sc = _scenario(9e16, coherent_stats, OmegaGrid(0.1, 0.2, 50))
-    curve = energy_spectrum(sc, BACK)
+    sc = _scenario(9e16, coherent_stats)
+    grid = OmegaGrid(0.1, 0.2, 50)
+    curve = energy_spectrum(sc, BACK, grid)
     assert curve.lines.shape == (0, 3) and np.all(curve.values == 0.0)
     for broadening in ("literal", "drive_average"):
-        scan = replace(sc, thetas=tuple(np.radians([150.0, 170.0])),
-                       broadening=broadening)
-        values = angular_distribution(scan, (0.1, 0.2)).values
+        scan = replace(sc, broadening=broadening)
+        values = angular_distribution(
+            scan, tuple(np.radians([150.0, 170.0])), grid).values
         assert values.tolist() == [0.0, 0.0], broadening
 
 
 def test_azimuth_never_enters_axis_aligned_scans():
     grid = OmegaGrid(0.5, 6.0, 300)
     for electron in (AT_REST, HEAD_ON):
-        sc = _scenario(9e16, thermal_stats, grid, electron=electron)
-        base = energy_spectrum(sc, EmissionGeometry(theta=2.0, phi=0.0))
+        sc = _scenario(9e16, thermal_stats, electron=electron)
+        base = energy_spectrum(sc, EmissionGeometry(theta=2.0, phi=0.0), grid)
         floor = 1e-12 * float(base.values.max())
         for phi in (1.0, math.pi, 5.0):
-            curve = energy_spectrum(sc, EmissionGeometry(theta=2.0, phi=phi))
+            curve = energy_spectrum(
+                sc, EmissionGeometry(theta=2.0, phi=phi), grid)
             np.testing.assert_allclose(curve.values, base.values,
                                        rtol=1e-10, atol=floor)
 
@@ -738,8 +735,8 @@ def test_band_integral_grid_refinement_thermal():
     geom = BACK
     vals = {}
     for n in (12000, 24000):
-        sc = _scenario(9e17, thermal_stats, OmegaGrid(0.02, 12.0, n))
-        curve = energy_spectrum(sc, geom)
+        sc = _scenario(9e17, thermal_stats)
+        curve = energy_spectrum(sc, geom, OmegaGrid(0.02, 12.0, n))
         for band in ((2.0, 8.0), (6.0, 10.0)):
             vals.setdefault(band, []).append(band_integrate(curve, band))
     for band, (coarse, fine) in vals.items():
@@ -751,21 +748,21 @@ def test_band_integral_grid_refinement_thermal():
 def test_angular_distribution_against_direct_spectra():
     thetas = tuple(math.radians(d) for d in (95.0, 120.0, 145.0, 170.0))
     band = (1719.4, 3438.8)
-    sc = _scenario(9e16, thermal_stats, OmegaGrid(band[0], band[1], 96),
-                   electron=HEAD_ON, thetas=thetas)
-    curve = angular_distribution(sc, band)
+    sc = _scenario(9e16, thermal_stats, electron=HEAD_ON)
+    grid = OmegaGrid(band[0], band[1], 96)
+    curve = angular_distribution(sc, thetas, grid)
     assert isinstance(curve, AngularCurve)
     assert curve.values.shape == (4,)
     # spot-check one angle against an explicitly assembled spectrum
     geom = EmissionGeometry(theta=thetas[1])
-    direct = band_integrate(energy_spectrum(sc, geom), band)
+    direct = band_integrate(energy_spectrum(sc, geom, grid), band)
     # the batched pass sends this angle's points to the Bessel layer with
     # the other angles', and a Miller sweep starts where the most
     # demanding element of its call needs, so its densities may differ
     # from the direct pass's by rounding (none of these 132 points does)
     assert curve.values[1] == pytest.approx(direct, rel=1e-12, abs=0.0)
     # jacobian flag multiplies by sin(theta')
-    jac = angular_distribution(sc, band, jacobian=True)
+    jac = angular_distribution(sc, thetas, grid, jacobian=True)
     np.testing.assert_allclose(jac.values,
                                curve.values * np.sin(curve.theta),
                                rtol=1e-12)
@@ -783,9 +780,10 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
     # reads 0.
     band = (1.5, 3.0)
     thetas = (0.3e-5, 0.5e-5, 0.7e-5, 1e-5, math.pi)
-    sc = _scenario(9e15, maker, OmegaGrid(band[0], band[1], 64),
+    sc = _scenario(9e15, maker,
                    electron=electron_momentum(1e5, (0.0, 0.0, 1.0)),
-                   thetas=thetas, broadening=broadening)
+                   broadening=broadening)
+    grid = OmegaGrid(band[0], band[1], 64)
     p, omega = sc.electron.p, sc.drive.omega
     expect = []
     for th in thetas:
@@ -794,16 +792,16 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
         if top <= band[0]:
             expect.append(0.0)
             continue
-        local = replace(sc, omega_grid=OmegaGrid(band[0], top, 64))
-        expect.append(band_integrate(energy_spectrum(local, geom), band))
+        local = OmegaGrid(band[0], top, 64)
+        expect.append(band_integrate(energy_spectrum(sc, geom, local), band))
     expect = np.array(expect)
     assert np.all(expect[:-1] > 0.0) and expect[-1] == 0.0
     assert absolute_frequency_ceiling(
         p, omega, EmissionGeometry(theta=math.pi)) < band[0]
 
-    got = angular_distribution(sc, band)
+    got = angular_distribution(sc, thetas, grid)
     assert np.array_equal(got.values, expect)
-    jac = angular_distribution(sc, band, jacobian=True)
+    jac = angular_distribution(sc, thetas, grid, jacobian=True)
     assert np.array_equal(jac.values,
                           [v * math.sin(th) for v, th in zip(expect, thetas)])
 
@@ -816,27 +814,26 @@ def test_coherent_angular_scan_builds_no_peaks(broadening):
     # keep 185 and 53 lines
     thetas = tuple(math.radians(d) for d in (140.0, 160.0))
     band = (1719.4, 3438.8)
-    sc = _scenario(9e16, coherent_stats, OmegaGrid(band[0], band[1], 512),
-                   electron=HEAD_ON, thetas=thetas, broadening=broadening)
+    sc = _scenario(9e16, coherent_stats, electron=HEAD_ON,
+                   broadening=broadening)
     p, omega = sc.electron.p, sc.drive.omega
     spectra = []
     for th in thetas:
         geom = EmissionGeometry(theta=th)
         top = min(band[1], absolute_frequency_ceiling(p, omega, geom))
-        spectra.append((replace(sc, omega_grid=OmegaGrid(band[0], top, 512)),
-                        geom))
+        spectra.append((sc, geom, OmegaGrid(band[0], top, 512)))
     curves = [energy_spectrum(*args) for args in spectra]
     assert min(len(curve.lines) for curve in curves) >= 53
-    want = angular_distribution(sc, band).values
+    want = angular_distribution(sc, thetas,
+                                OmegaGrid(band[0], band[1], 512)).values
     assert np.array_equal(want, [band_integrate(c, band) for c in curves])
     assert np.all(want > 0.0)
 
 
 def test_dead_band_returns_zero():
     thetas = (math.radians(120.0), math.radians(160.0))
-    sc = _scenario(9e15, thermal_stats, OmegaGrid(1.0, 5.0, 64),
-                   thetas=thetas)
-    curve = angular_distribution(sc, (1.0e7, 2.0e7))
+    sc = _scenario(9e15, thermal_stats)
+    curve = angular_distribution(sc, thetas, OmegaGrid(1.0e7, 2.0e7, 64))
     assert np.all(curve.values == 0.0)
 
 
@@ -844,25 +841,23 @@ def test_unreachable_band_raises_nonconvergence():
     # below the ceiling but reachable only at orders ~1e6: must raise,
     # not silently return zero
     thetas = (math.radians(30.0),)
-    sc = _scenario(9e15, thermal_stats, OmegaGrid(1.0, 5.0, 64),
-                   thetas=thetas)
+    sc = _scenario(9e15, thermal_stats)
     with pytest.raises(TruncationNotConverged, match="theta'=30 deg"):
-        angular_distribution(sc, (1.0e6, 2.0e6))
+        angular_distribution(sc, thetas, OmegaGrid(1.0e6, 2.0e6, 64))
 
 
 def test_coherent_nonconvergence_names_the_angle():
     thetas = (math.radians(120.0), math.radians(159.9))
-    sc = _scenario(9e16, coherent_stats, OmegaGrid(1.0, 20.0, 64),
-                   thetas=thetas, s_max=3)
+    sc = _scenario(9e16, coherent_stats, s_max=3)
     with pytest.raises(TruncationNotConverged,
                        match=r"order 3; theta'=120 deg"):
-        angular_distribution(sc, (1.0, 20.0))
+        angular_distribution(sc, thetas, OmegaGrid(1.0, 20.0, 64))
 
 
 def test_angular_scan_requires_thetas():
-    sc = _scenario(9e15, thermal_stats, OmegaGrid(1.0, 5.0, 64))
+    sc = _scenario(9e15, thermal_stats)
     with pytest.raises(ValueError):
-        angular_distribution(sc, (1.0, 2.0))
+        angular_distribution(sc, (), OmegaGrid(1.0, 2.0, 64))
 
 
 # ------------------------------------------------------- diagnostics
@@ -876,27 +871,28 @@ def test_diagnostics_accumulate_across_passes():
                             "orders_scanned": 9, "edge_guarded": 3,
                             "overcomputed": 40}
 
-    sc = _scenario(9e16, thermal_stats, OmegaGrid(0.5, 6.0, 120))
+    sc = _scenario(9e16, thermal_stats)
+    grid = OmegaGrid(0.5, 6.0, 120)
     one = Diagnostics()
-    energy_spectrum(sc, BACK, diagnostics=one)
+    energy_spectrum(sc, BACK, grid, diagnostics=one)
     assert one.points > 120          # includes the sampling wings
     assert one.highest_order >= 1
     nodes = Diagnostics()            # one engine pass per Hermite node
-    energy_spectrum(replace(sc, broadening="drive_average"), BACK,
+    energy_spectrum(replace(sc, broadening="drive_average"), BACK, grid,
                     diagnostics=nodes)
     assert nodes.points == 21 * 120
     assert nodes.highest_order >= 1
 
-    sc2 = _scenario(9e16, coherent_stats, OmegaGrid(0.5, 8.0, 120))
+    sc2 = _scenario(9e16, coherent_stats)
+    grid2 = OmegaGrid(0.5, 8.0, 120)
     lines = Diagnostics()
-    energy_spectrum(sc2, BACK, diagnostics=lines)
+    energy_spectrum(sc2, BACK, grid2, diagnostics=lines)
     assert lines.points == 120
     assert lines.highest_order >= 3   # lines near 2.25, 4.5, 6.75 eV
     assert lines.orders_scanned == lines.highest_order
     assert lines.edge_guarded == 0
     scan = Diagnostics()              # one ladder per angle
-    angular_distribution(replace(sc2, thetas=(2.0, 2.5, 3.0)), (0.5, 8.0),
-                         diagnostics=scan)
+    angular_distribution(sc2, (2.0, 2.5, 3.0), grid2, diagnostics=scan)
     assert scan.points == 3 * 120
     assert scan.highest_order >= 3
 
