@@ -10,8 +10,8 @@ bandwidth-broadened energy spectra and band-integrated angular
 distributions.
 """
 
-from .minkowski import (ElectronState, EmissionGeometry, FourVector,
-                        KinematicallyForbidden, electron_momentum)
+from .minkowski import (EmissionGeometry, FourVector, KinematicallyForbidden,
+                        electron_momentum)
 from .units import (LabDriveSpec, NaturalDrive, natural_drive,
                     pulse_duration)
 from .photon_statistics import (NonNormalizable, PhaseAveragedStatistics,
@@ -21,17 +21,14 @@ from .photon_statistics import (NonNormalizable, PhaseAveragedStatistics,
                                 tabulated_stats_from_file)
 from .emission import (Diagnostics, TruncationNotConverged,
                        absolute_frequency_ceiling, coherent_peaks,
-                       kinematic_max_frequency, smooth_spectral_density,
-                       spectral_density_points)
-from .pipeline import (AngularCurve, OmegaGrid, Scenario, SpectralCurve,
+                       kinematic_max_frequency, spectral_density_points)
+from .pipeline import (OmegaGrid, Scenario, SpectralCurve,
                        angular_distribution, band_integrate, energy_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularCurve",
     "Diagnostics",
-    "ElectronState",
     "EmissionGeometry",
     "FourVector",
     "KinematicallyForbidden",
@@ -59,7 +56,6 @@ __all__ = [
     "moments",
     "natural_drive",
     "pulse_duration",
-    "smooth_spectral_density",
     "spectral_density_points",
     "tabulated_stats_from_file",
     "thermal_stats",

@@ -373,7 +373,7 @@ def _scan_rows(scenario: Scenario, scan: dict, diagnostics: Diagnostics):
         y = angular_distribution(
             scenario, [math.radians(d) for d in x],
             OmegaGrid(*scan["band_eV"], scan["samples"]), phi=phi,
-            jacobian=scan["jacobian"], diagnostics=diagnostics).values
+            jacobian=scan["jacobian"], diagnostics=diagnostics)
         columns = ("theta_prime_deg", "band_energy_per_sr")
     return columns, np.column_stack((x, y))
 

@@ -14,10 +14,11 @@ minkowski.electron_momentum builds it: p.p is taken to be m_e^2, not
 formed from the components.  The emitted mode k' is parameterized by
 (theta', phi') measured from +z.
 
-Smooth statistics go through the harmonic sum directly
-(smooth_spectral_density); coherent-like statistics concentrate R into a
-single amplitude, so each harmonic collapses to a delta line in omega'
-that is resolved analytically (coherent_peaks).
+Smooth statistics go through the harmonic sum directly, at flattened
+(direction, frequency) points (spectral_density_points); coherent-like
+statistics concentrate R into a single amplitude, so each harmonic
+collapses to a delta line in omega' that is resolved analytically
+(coherent_peaks).
 """
 
 from __future__ import annotations
@@ -222,11 +223,11 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
                             ) -> np.ndarray:
     """Emitted power per unit omega' per steradian at flattened points.
 
-    The workhorse behind smooth_spectral_density and the pipeline's
-    angular scans: theta, phi, omega_prime are equal-length 1-D arrays,
-    each entry one (direction, frequency) evaluation point.  All points
-    share one pass over the harmonic order, so the expensive Bessel
-    evaluations are vectorized across whatever points are still active.
+    The engine behind every smooth-drive curve, spectra and angular scans
+    alike: theta, phi, omega_prime are equal-length 1-D arrays, each entry
+    one (direction, frequency) evaluation point.  All points share one
+    pass over the harmonic order, so the expensive Bessel evaluations are
+    vectorized across whatever points are still active.
 
     The pass takes the orders in blocks of B = min(ORDER_BLOCK,
     BLOCK_ELEMENTS // n), n the points live within ORDER_BLOCK orders,
@@ -540,22 +541,6 @@ def spectral_density_points(stats: PhaseAveragedStatistics, p: FourVector,
     return out
 
 
-def smooth_spectral_density(stats: PhaseAveragedStatistics, p: FourVector,
-                            omega: float, geometry: EmissionGeometry,
-                            omega_prime, **kwargs):
-    """Master spectral density at fixed direction, vectorized over omega'.
-
-    Power per unit emitted frequency per steradian (eV per eV per sr in
-    natural units).  Scalar omega' in, scalar out.
-    """
-    scalar = np.isscalar(omega_prime)
-    wp = np.atleast_1d(np.asarray(omega_prime, dtype=float))
-    th = np.full_like(wp, geometry.theta)
-    ph = np.full_like(wp, geometry.phi)
-    out = spectral_density_points(stats, p, omega, th, ph, wp, **kwargs)
-    return float(out[0]) if scalar else out
-
-
 def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
                             omega: float, geometry: EmissionGeometry,
                             orders) -> tuple:
@@ -583,7 +568,7 @@ def coherent_line_positions(stats: PhaseAveragedStatistics, p: FourVector,
     """
     if not stats.is_atomic:
         raise TypeError("smooth statistics have no delta lines; use "
-                        "smooth_spectral_density")
+                        "spectral_density_points")
     amp = stats.peak_amplitude
     if amp <= 0.0:
         raise ValueError("peak amplitude must be > 0 (zero drive density "

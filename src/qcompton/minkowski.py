@@ -29,15 +29,6 @@ class FourVector:
 
 
 @dataclass(frozen=True)
-class ElectronState:
-    """Initial electron: four-momentum, Lorentz factor and flight direction."""
-
-    p: FourVector
-    gamma: float
-    direction: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class EmissionGeometry:
     """Emission direction: polar angle theta and azimuth phi, radians.
 
@@ -54,8 +45,9 @@ class EmissionGeometry:
             raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
 
-def electron_momentum(gamma: float, direction) -> ElectronState:
-    """Electron four-momentum for a given Lorentz factor and unit direction.
+def electron_momentum(gamma: float, direction) -> FourVector:
+    """On-shell electron four-momentum for a given Lorentz factor and unit
+    direction.
 
     p = (gamma m_e, sqrt(gamma^2 - 1) m_e * direction).  The direction is
     renormalized internally (after validating |direction| = 1 within 1e-12)
@@ -77,4 +69,4 @@ def electron_momentum(gamma: float, direction) -> ElectronState:
     if not all(map(math.isfinite, (p.t, p.x, p.y, p.z))):
         raise ValueError(f"Lorentz factor {gamma:g} is too large: the "
                          "electron momentum overflows")
-    return ElectronState(p=p, gamma=gamma, direction=(dx, dy, dz))
+    return p

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .minkowski import ElectronState, EmissionGeometry, KinematicallyForbidden
+from .minkowski import EmissionGeometry, FourVector, KinematicallyForbidden
 from .units import NaturalDrive, pulse_duration
 from .photon_statistics import PhaseAveragedStatistics
 from . import emission
@@ -106,15 +106,16 @@ class OmegaGrid:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One physical configuration: electron, drive, statistics,
-    broadening and the truncation numerics (rel_tol, s_max).
+    """One physical configuration: the electron's on-shell four-momentum
+    (electron_momentum), drive, statistics, broadening and the truncation
+    numerics (rel_tol, s_max).
 
     The drive propagates along +z with circular polarization.  What is
     scanned is not part of it: energy_spectrum takes its direction and
     omega' grid, angular_distribution its angles, azimuth and band.
     """
 
-    electron: ElectronState
+    electron: FourVector
     drive: NaturalDrive
     stats: PhaseAveragedStatistics
     broadening: str = "literal"
@@ -177,15 +178,6 @@ class SpectralCurve:
             out[near] += (mass / (sigma * math.sqrt(2.0 * math.pi))
                           * np.exp(-0.5 * z[near] * z[near]))
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class AngularCurve:
-    """Band-integrated energy per steradian versus polar angle; compared
-    by identity, as SpectralCurve."""
-
-    theta: np.ndarray
-    values: np.ndarray
 
 
 def _node_terms(u):
@@ -537,7 +529,7 @@ def _peak_sigmas(scenario: Scenario, geometry, orders) -> np.ndarray:
     omega = scenario.drive.omega
     sigma = scenario.drive.delta_omega
     lo, hi = (emission.coherent_line_positions(
-        scenario.stats, scenario.electron.p, nu, geometry, orders)[1]
+        scenario.stats, scenario.electron, nu, geometry, orders)[1]
         for nu in (omega - sigma, omega + sigma))
     return np.abs(hi - lo) / 2.0
 
@@ -556,7 +548,7 @@ def energy_spectrum(scenario: Scenario, geometry: EmissionGeometry,
     internal passes.
     """
     ceiling = emission.absolute_frequency_ceiling(
-        scenario.electron.p, scenario.drive.omega, geometry)
+        scenario.electron, scenario.drive.omega, geometry)
     if grid.hi > CEILING_SLACK * ceiling:
         raise KinematicallyForbidden(
             "grid extends to %g eV but no emission is possible above "
@@ -583,7 +575,7 @@ def _lines(scenario: Scenario, blocks, diagnostics: Diagnostics):
     """
     sigma = scenario.drive.delta_omega
     t_pulse = pulse_duration(sigma)
-    p = scenario.electron.p
+    p = scenario.electron
     omega = scenario.drive.omega
     # a line is kept while twice the kernel reach of its width can touch
     # the grid.  drive_average widths grow with the line: (pi' + 3 mu) /
@@ -621,8 +613,6 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
     A literal pass whose grid and wing nodes (_wing_step) exceed
     _MAX_PASS_NODES raises ValueError before any wing is built.
     """
-    if not blocks:
-        return []
     sigma = scenario.drive.delta_omega
     t_pulse = pulse_duration(sigma)
     grids = [grid.points() for _, grid in blocks]
@@ -632,7 +622,7 @@ def _smooth_curves(scenario: Scenario, blocks, diagnostics: Diagnostics):
         sizes = [x.size for x in point_sets]
         theta, phi = (np.repeat(a, sizes) for a in zip(*angles))
         out = emission.spectral_density_points(
-            scenario.stats, scenario.electron.p, nu, theta, phi,
+            scenario.stats, scenario.electron, nu, theta, phi,
             np.concatenate(point_sets), rel_tol=scenario.rel_tol,
             s_max=scenario.s_max, diagnostics=diagnostics)
         return np.split(out, np.cumsum(sizes)[:-1])
@@ -691,21 +681,25 @@ def band_integrate(curve: SpectralCurve, band) -> float:
 def angular_distribution(scenario: Scenario, thetas, grid: OmegaGrid, *,
                          phi: float = 0.0, jacobian: bool = False,
                          diagnostics: Diagnostics | None = None
-                         ) -> AngularCurve:
-    """Band-integrated energy per steradian across a polar-angle scan.
+                         ) -> np.ndarray:
+    """Band-integrated energy per steradian across a polar-angle scan: a
+    1-D float array, one value per angle in thetas.
 
     thetas (radians) lie in the plane of azimuth phi; the band is [grid.lo,
     grid.hi], and grid must be linear.  Each angle's spectrum is rebuilt
     on max(grid.count, MIN_BAND_SAMPLES) equally spaced nodes over the
     band, clipped to the kinematic ceiling, and integrated over it; every
-    angle's EmissionGeometry is validated before any engine work.  Values
-    are per steradian; jacobian=True multiplies by sin(theta').  For a smooth
-    drive the whole scan is one engine pass over all angles' points, and
-    each angle's curve goes through band_integrate.  Coherent-like drives
-    resolve each angle's line ladder in turn and build no curve: the band
-    masses of all angles' lines come from one _line_band_masses call, and
-    each angle's are summed as band_integrate sums a curve's lines, so
-    the value equals band_integrate of its energy_spectrum.
+    angle's EmissionGeometry is validated before any engine work.  An
+    angle whose band lies above its ceiling reads 0; when every angle's
+    does, the scan returns its zeros before any engine pass or ladder.
+    Values are per steradian; jacobian=True multiplies by sin(theta').
+    For a smooth drive the whole scan is one engine pass over all angles'
+    points, and each angle's curve goes through band_integrate.
+    Coherent-like drives resolve each angle's line ladder in turn and
+    build no curve: the band masses of all angles' lines come from one
+    _line_band_masses call, and each angle's are summed as band_integrate
+    sums a curve's lines, so the value equals band_integrate of its
+    energy_spectrum.
     """
     if len(thetas) == 0:
         raise ValueError("angular scan needs at least one polar angle")
@@ -713,7 +707,7 @@ def angular_distribution(scenario: Scenario, thetas, grid: OmegaGrid, *,
         raise ValueError("an angular scan's band grid must be linear, got "
                          f"{grid.spacing!r}")
     lo, hi = grid.lo, grid.hi
-    p = scenario.electron.p
+    p = scenario.electron
     omega = scenario.drive.omega
     count = max(grid.count, MIN_BAND_SAMPLES)
 
@@ -726,18 +720,18 @@ def angular_distribution(scenario: Scenario, thetas, grid: OmegaGrid, *,
         if g_hi > g_lo:
             live.append(i)
             blocks.append((geometry, OmegaGrid(g_lo, g_hi, count)))
+    values = np.zeros(len(thetas))
+    if not blocks:
+        return values
     diagnostics = diagnostics or Diagnostics()
     if not scenario.stats.is_atomic:
         sums = [band_integrate(curve, (lo, hi))
                 for curve in _smooth_curves(scenario, blocks, diagnostics)]
-    elif blocks:
+    else:
         lines = _lines(scenario, blocks, diagnostics)
         ends = np.cumsum([len(block) for block in lines])
         energy = _line_band_masses(*np.concatenate(lines).T, lo, hi)
         sums = [float(np.sum(e)) for e in np.split(energy, ends[:-1])]
-    else:
-        sums = []
-    values = np.zeros(len(thetas))
     for i, v in zip(live, sums):
         values[i] = v * (math.sin(thetas[i]) if jacobian else 1.0)
-    return AngularCurve(theta=np.asarray(thetas, dtype=float), values=values)
+    return values

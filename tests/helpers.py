@@ -22,7 +22,7 @@ import numpy as np
 
 from qcompton import units
 from qcompton.constants import E_SQUARED
-from qcompton.emission import smooth_spectral_density
+from qcompton.emission import spectral_density_points
 from oracles import mdot, photon_wavevector
 from qcompton.minkowski import EmissionGeometry
 
@@ -70,6 +70,19 @@ def sample_triples(rng, n, p, *, min_intensity=1e12, max_intensity=1e18,
             wp = u * s * kp / (s * kappa + piprime)
         out.append((intensity, drive, geom, float(wp)))
     return out
+
+
+def smooth_spectral_density(stats, p, omega, geometry, omega_prime,
+                            **kwargs):
+    """The engine's density at one direction, vectorized over omega'
+    (spectral_density_points with theta and phi repeated per point).
+    Scalar omega' in, scalar out."""
+    scalar = np.isscalar(omega_prime)
+    wp = np.atleast_1d(np.asarray(omega_prime, dtype=float))
+    th = np.full_like(wp, geometry.theta)
+    ph = np.full_like(wp, geometry.phi)
+    out = spectral_density_points(stats, p, omega, th, ph, wp, **kwargs)
+    return float(out[0]) if scalar else out
 
 
 def dual_path_worst_error(stats_maker, reference, triples, p):

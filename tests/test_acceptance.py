@@ -23,8 +23,7 @@ from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
                      reference_thermal_density, scattered_momentum)
 from qcompton import constants
 from qcompton.emission import (bessel_bracket, coherent_peaks,
-                               kinematic_max_frequency,
-                               smooth_spectral_density)
+                               kinematic_max_frequency)
 from qcompton.minkowski import EmissionGeometry, electron_momentum
 from qcompton.photon_statistics import (PhaseAveragedStatistics, bsv_stats,
                                         cat_limit_stats, coherent_stats,
@@ -49,7 +48,7 @@ def test_01_thomson_limit_total_power(acceptance_log):
     stats = coherent_stats(drive.omega, drive.rho)
 
     def per_polar_angle(theta):
-        _, _, (weight,) = coherent_peaks(stats, AT_REST.p, drive.omega,
+        _, _, (weight,) = coherent_peaks(stats, AT_REST, drive.omega,
                                          EmissionGeometry(theta=theta), (1,))
         return 2.0 * math.pi * math.sin(theta) * weight
 
@@ -72,13 +71,13 @@ def test_02_linear_line_positions(acceptance_log):
 
     worst = 0.0
     for theta in np.linspace(math.radians(1.0), math.radians(179.0), 50):
-        _, (line,), _ = coherent_peaks(stats, AT_REST.p, drive.omega,
+        _, (line,), _ = coherent_peaks(stats, AT_REST, drive.omega,
                                        EmissionGeometry(theta=float(theta)),
                                        (1,))
         oracle = helpers.linear_compton_line(drive.omega, float(theta))
         worst = max(worst, abs(line / oracle - 1.0))
 
-    _, (back,), _ = coherent_peaks(stats, COUNTER.p, drive.omega,
+    _, (back,), _ = coherent_peaks(stats, COUNTER, drive.omega,
                                    EmissionGeometry(theta=math.pi), (1,))
     oracle = helpers.relativistic_line_oracle(7.09, drive.omega, math.pi)
     boost_dev = abs(back / oracle - 1.0)
@@ -95,12 +94,12 @@ def test_03_engine_matches_transcriptions(acceptance_log):
     """Generic engine equals the per-state transcribed densities."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    triples = helpers.sample_triples(rng, 100, AT_REST.p)
+    triples = helpers.sample_triples(rng, 100, AT_REST)
     worst_th = helpers.dual_path_worst_error(
-        thermal_stats, reference_thermal_density, triples, AT_REST.p)
-    triples = helpers.sample_triples(rng, 100, AT_REST.p)
+        thermal_stats, reference_thermal_density, triples, AT_REST)
+    triples = helpers.sample_triples(rng, 100, AT_REST)
     worst_bsv = helpers.dual_path_worst_error(
-        bsv_stats, reference_bsv_density, triples, AT_REST.p)
+        bsv_stats, reference_bsv_density, triples, AT_REST)
     dt = time.perf_counter() - t0
     ok = acceptance_log(3, "engine vs transcribed densities",
                         worst_th < 1e-12 and worst_bsv < 1e-12 and dt < 30.0,
@@ -143,7 +142,7 @@ def test_05_fock_and_cat_states_match_coherent(acceptance_log):
     orders = range(1, 51)
 
     base = coherent_peaks(coherent_stats(drive.omega, drive.rho),
-                          AT_REST.p, drive.omega, geom, orders)
+                          AT_REST, drive.omega, geom, orders)
     grid = OmegaGrid(0.5, 12.0, 2000)
     base_curve = energy_spectrum(
         Scenario(electron=AT_REST, drive=drive,
@@ -153,7 +152,7 @@ def test_05_fock_and_cat_states_match_coherent(acceptance_log):
     spot = 0.0
     for maker in (fock_limit_stats, cat_limit_stats):
         stats = maker(drive.omega, drive.rho)
-        peaks = coherent_peaks(stats, AT_REST.p, drive.omega, geom, orders)
+        peaks = coherent_peaks(stats, AT_REST, drive.omega, geom, orders)
         # same code path: the line builder consumes only the shared
         # peak amplitude, so the arrays must be equal bit for bit
         exact = exact and all(map(np.array_equal, peaks, base))
@@ -189,7 +188,7 @@ def test_06_high_intensity_cutoff_ratios(acceptance_log):
     best_deg, best_val = None, -1.0
     for deg in range(30, 180, 5):
         geom = EmissionGeometry(theta=math.radians(deg))
-        lines = _ladder(stats_c, AT_REST.p, drive.omega, geom, math.inf,
+        lines = _ladder(stats_c, AT_REST, drive.omega, geom, math.inf,
                         1e-9, 5000)
         val = math.sin(geom.theta) * sum(lines[:, 2])
         if val > best_val:
@@ -243,7 +242,7 @@ def test_07_band_integrated_angular_gain(acceptance_log):
     reach = 0.0
     for deg in range(90, 181):
         geom = EmissionGeometry(theta=math.radians(deg))
-        _, positions, weights = _ladder(stats_c, COUNTER.p, drive.omega,
+        _, positions, weights = _ladder(stats_c, COUNTER, drive.omega,
                                         geom, math.inf, 1e-9, 5000).T
         if not weights.size:
             continue
@@ -258,7 +257,7 @@ def test_07_band_integrated_angular_gain(acceptance_log):
         sc = Scenario(electron=COUNTER, drive=drive,
                       stats=maker(drive.omega, drive.rho))
         peak[name] = float(angular_distribution(
-            sc, thetas, OmegaGrid(band[0], band[1], 256)).values.max())
+            sc, thetas, OmegaGrid(band[0], band[1], 256)).max())
 
     r_th = peak["th"] / peak["coh"]
     r_bsv = peak["bsv"] / peak["coh"]
@@ -297,33 +296,33 @@ def test_08_kinematic_property_suites(acceptance_log):
         geom = EmissionGeometry(theta=float(rng.uniform(0.05, math.pi - 0.01)),
                                 phi=float(rng.uniform(0.0, 2.0 * math.pi)))
         s = int(rng.integers(1, 9))
-        w_cut = kinematic_max_frequency(s, el.p, drive.omega, geom)
+        w_cut = kinematic_max_frequency(s, el, drive.omega, geom)
 
         wp = float(rng.uniform(0.01, 0.995)) * w_cut
         kprime = photon_wavevector(wp, geom.theta, geom.phi)
-        pprime = scattered_momentum(el.p, k, kprime)
+        pprime = scattered_momentum(el, k, kprime)
         worst_shell = max(worst_shell, abs(mdot(pprime, pprime) / m2 - 1.0))
 
-        e_cut = effective_field(s, el.p, k,
+        e_cut = effective_field(s, el, k,
                                 photon_wavevector(w_cut, geom.theta, geom.phi))
-        e_mid = effective_field(s, el.p, k,
+        e_mid = effective_field(s, el, k,
                                 photon_wavevector(0.5 * w_cut, geom.theta,
                                                   geom.phi))
         if e_cut is not NOT_ALLOWED and e_cut > 1e-5 * e_mid:
             boundary_ok = False
 
-        e_s = effective_field(s, el.p, k, kprime)
-        zeta, xi = harmonic_coefficients(s, el.p, k, kprime, e_s)
+        e_s = effective_field(s, el, k, kprime)
+        zeta, xi = harmonic_coefficients(s, el, k, kprime, e_s)
         if not zeta > 0.0:
             zeta_ok = False
 
         # squared-amplitude floor at the sampled physical point (the
         # bound is a positivity statement about the amplitude, so the
         # sideband prefactor must be the physical one, not arbitrary)
-        kp = mdot(k, el.p)
+        kp = mdot(k, el)
         kkp = mdot(k, kprime)
         kpp = mdot(k, pprime)
-        mass2 = mdot(el.p, el.p)
+        mass2 = mdot(el, el)
         zx = zeta * (kpp * kpp + kp * kp) / (2.0 * mass2 * kkp)
         jm, jc, jp = (float(v[0]) for v in
                       bessel_j_triple(s, np.atleast_1d(xi)))
@@ -339,8 +338,8 @@ def test_08_kinematic_property_suites(acceptance_log):
             stats = maker(drive.omega, drive.rho)
             for deg in (45.0, 90.0, 135.0, 160.0):
                 grid = np.linspace(0.02, 30.0, 300)
-                dens = smooth_spectral_density(
-                    stats, el.p, drive.omega,
+                dens = helpers.smooth_spectral_density(
+                    stats, el, drive.omega,
                     EmissionGeometry(theta=math.radians(deg)), grid)
                 if dens.min() < -1e-15 * dens.max():
                     density_ok = False
@@ -348,8 +347,8 @@ def test_08_kinematic_property_suites(acceptance_log):
         stats = maker(drive.omega, drive.rho)
         for deg in (120.0, 170.0):
             grid = np.linspace(50.0, 4200.0, 700)
-            dens = smooth_spectral_density(
-                stats, COUNTER.p, drive.omega,
+            dens = helpers.smooth_spectral_density(
+                stats, COUNTER, drive.omega,
                 EmissionGeometry(theta=math.radians(deg)), grid)
             if dens.min() < -1e-15 * dens.max():
                 density_ok = False
@@ -374,7 +373,7 @@ def test_09_narrow_gaussian_matches_line_weight(acceptance_log):
     amp = math.sqrt(2.0 * drive.omega * drive.rho)
 
     _, (pos, pos_next), (w_ref, _) = coherent_peaks(
-        coherent_stats(drive.omega, drive.rho), AT_REST.p, drive.omega,
+        coherent_stats(drive.omega, drive.rho), AT_REST, drive.omega,
         geom, (1, 2))
     assert pos_next > pos * 1.9      # next line far from the window
 
@@ -398,8 +397,8 @@ def test_09_narrow_gaussian_matches_line_weight(acceptance_log):
         half = max(12.0 * pos * 2e-2 * frac, 200.0 * frac * frac * pos,
                    1e-4 * pos)
         window = np.linspace(pos - half, pos + half, 6001)
-        dens = smooth_spectral_density(stats, AT_REST.p, drive.omega, geom,
-                                       window)
+        dens = helpers.smooth_spectral_density(stats, AT_REST, drive.omega,
+                                               geom, window)
         errs[frac] = abs(float(np.trapezoid(dens, window)) / w_ref - 1.0)
 
     ratio = errs[1e-2] / errs[1e-3]
@@ -422,7 +421,7 @@ def test_10_intensity_redshift_of_first_line(acceptance_log):
     def line_at(intensity):
         drive = helpers.drive_for(intensity)
         stats = coherent_stats(drive.omega, drive.rho)
-        _, (line,), _ = coherent_peaks(stats, AT_REST.p, drive.omega, geom,
+        _, (line,), _ = coherent_peaks(stats, AT_REST, drive.omega, geom,
                                        (1,))
         return line
 

@@ -611,7 +611,7 @@ def test_nonconvergence_report_names_first_point_past_the_cap(tmp_path,
     assert failure["last_term_ratio"] is None       # it summed no term
     geometry = EmissionGeometry(math.radians(159.9))
     cutoff = emission.kinematic_max_frequency(
-        2, electron_momentum(1.0, [0, 0, 1]).p, 2.25, geometry)
+        2, electron_momentum(1.0, [0, 0, 1]), 2.25, geometry)
     grid = np.linspace(0.5, 12.0, 200)
     assert failure["omega_prime_eV"] == pytest.approx(grid[grid > cutoff][0],
                                                       rel=1e-12)
@@ -998,7 +998,7 @@ def _smoke_config(rng, state, mode, table):
     gamma = 10.0 ** rng.uniform(0.0, 6.0)
     direction = _smoke_direction(rng)
     norm = math.hypot(*direction)
-    p = electron_momentum(gamma, [x / norm for x in direction]).p
+    p = electron_momentum(gamma, [x / norm for x in direction])
     cfg = {
         "electron": {"gamma": gamma, "direction": direction},
         "drive": {"photon_energy_eV": rng.uniform(1.0, 3.0),

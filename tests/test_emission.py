@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (drive_for, dual_path_worst_error, linear_compton_line,
-                     sample_triples)
+                     sample_triples, smooth_spectral_density)
 from oracles import (NOT_ALLOWED, effective_field, harmonic_coefficients,
                      harmonic_term, mdot, photon_wavevector,
                      reference_bsv_density, reference_thermal_density,
@@ -21,15 +21,14 @@ from qcompton.emission import (Diagnostics, TruncationNotConverged,
                                absolute_frequency_ceiling, bessel_bracket,
                                coherent_line_positions, coherent_peaks,
                                kinematic_max_frequency,
-                               smooth_spectral_density,
                                spectral_density_points)
 from qcompton.minkowski import EmissionGeometry, electron_momentum
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         custom_tabulated_stats,
                                         thermal_stats)
 
-AT_REST = electron_momentum(1.0, (0.0, 0.0, 1.0)).p
-HEAD_ON = electron_momentum(7.09, (0.0, 0.0, -1.0)).p
+AT_REST = electron_momentum(1.0, (0.0, 0.0, 1.0))
+HEAD_ON = electron_momentum(7.09, (0.0, 0.0, -1.0))
 OMEGA = 2.25
 K_DRIVE = photon_wavevector(OMEGA, 0.0, 0.0)
 BLOCK = emission.ORDER_BLOCK
@@ -371,10 +370,10 @@ def test_coherent_line_weights_match_transcribed_amplitude():
     # (zeta, xi) from harmonic_coefficients, X from the scattered momentum
     # and the weight formula of the coherent_peaks docstring; lines below
     # 1e-6 of an angle's strongest carry too few digits to compare
-    electrons = [electron_momentum(1.0, (0.0, 0.0, 1.0)).p,
-                 electron_momentum(7.09, (0.0, 0.0, -1.0)).p,
-                 electron_momentum(3.0, (1.0, 0.0, 0.0)).p,
-                 electron_momentum(2.0, (0.6, 0.0, 0.8)).p]
+    electrons = [electron_momentum(1.0, (0.0, 0.0, 1.0)),
+                 electron_momentum(7.09, (0.0, 0.0, -1.0)),
+                 electron_momentum(3.0, (1.0, 0.0, 0.0)),
+                 electron_momentum(2.0, (0.6, 0.0, 0.8))]
     geoms = [EmissionGeometry(theta=math.radians(159.9)),
              EmissionGeometry(theta=math.radians(120.0), phi=0.7),
              EmissionGeometry(theta=math.radians(90.0), phi=2.0),
@@ -466,18 +465,18 @@ def test_ultra_relativistic_electrons_keep_their_digits():
             el = electron_momentum(gamma, direction)
             geom = EmissionGeometry(theta=theta)
             ceiling, lines, weights = _closed_form_lines(
-                gamma, el.direction, drive.omega, stats.peak_amplitude,
+                gamma, direction, drive.omega, stats.peak_amplitude,
                 theta)
             case = (gamma, direction, theta)
             assert absolute_frequency_ceiling(
-                el.p, drive.omega, geom) == pytest.approx(
+                el, drive.omega, geom) == pytest.approx(
                     ceiling, rel=1e-12), case
             _, got, _ = coherent_line_positions(
-                stats, el.p, drive.omega, geom, (1, 2, 3))
+                stats, el, drive.omega, geom, (1, 2, 3))
             assert got.tolist() == pytest.approx(lines, rel=1e-12), case
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, _, got_weights = coherent_peaks(stats, el.p, drive.omega,
+                _, _, got_weights = coherent_peaks(stats, el, drive.omega,
                                                    geom, (1, 2, 3))
             assert np.all(np.isfinite(got_weights) & (got_weights > 0.0)), case
             # a transverse momentum makes p.eps != 0, where |d| cancelled
@@ -911,7 +910,7 @@ def test_runs_of_one_theta_keep_their_own_phi():
     # which an electron with transverse momentum makes distinct
     drive = drive_for(9e16)
     stats = thermal_stats(drive.omega, drive.rho)
-    p = electron_momentum(2.0, (0.6, 0.0, 0.8)).p
+    p = electron_momentum(2.0, (0.6, 0.0, 0.8))
     wp = np.linspace(0.5, 3.0, 50)
     th = np.full(2 * wp.size, math.radians(150.0))
     ph = np.repeat([0.3, 2.0], wp.size)

@@ -19,8 +19,7 @@ from qcompton.minkowski import (EmissionGeometry, KinematicallyForbidden,
                                 electron_momentum)
 from qcompton.photon_statistics import (bsv_stats, coherent_stats,
                                         thermal_stats)
-from qcompton.pipeline import (AngularCurve, OmegaGrid, Scenario,
-                               SpectralCurve, _extended_nodes,
+from qcompton.pipeline import (OmegaGrid, Scenario, SpectralCurve, _extended_nodes,
                                _gaussian_convolve_linear, _ladder,
                                _line_band_masses,
                                angular_distribution, band_integrate,
@@ -97,11 +96,9 @@ def test_curves_compare_by_identity():
     # a generated field-wise __eq__ compares the arrays as a tuple, and
     # raised numpy's "truth value ... is ambiguous" on two distinct curves
     x = np.linspace(1.0, 2.0, 5)
-    for make in (lambda: SpectralCurve(omega=x, smooth=np.zeros(5)),
-                 lambda: AngularCurve(theta=x, values=np.zeros(5))):
-        a, b = make(), make()
-        assert a == a and not a == b and a != b
-        assert len({a, b}) == 2
+    a, b = (SpectralCurve(omega=x, smooth=np.zeros(5)) for _ in range(2))
+    assert a == a and not a == b and a != b
+    assert len({a, b}) == 2
 
 
 def test_spectrum_rejects_grid_beyond_ceiling():
@@ -110,7 +107,7 @@ def test_spectrum_rejects_grid_beyond_ceiling():
         energy_spectrum(sc, BACK, OmegaGrid(1.0, 3.0e5, 50))
     # the pipeline's CEILING_SLACK of 1.05, pinned with a coherent drive:
     # a thermal grid that close to the ceiling needs orders beyond s_max
-    ceiling = absolute_frequency_ceiling(AT_REST.p, sc.drive.omega, BACK)
+    ceiling = absolute_frequency_ceiling(AT_REST, sc.drive.omega, BACK)
     coherent = _scenario(9e15, coherent_stats)
     inside = OmegaGrid(1.0, 1.04 * ceiling, 200)
     assert len(energy_spectrum(coherent, BACK, inside).lines)
@@ -349,7 +346,7 @@ def test_convolution_keeps_its_digits_off_a_harmonic_edge():
     grid = np.linspace(2.0, 2.45, 1801)
     x = _extended_nodes(grid, sigma)
     y = emission.spectral_density_points(
-        stats, AT_REST.p, drive.omega, np.full(x.size, math.radians(143.75)),
+        stats, AT_REST, drive.omega, np.full(x.size, math.radians(143.75)),
         np.zeros(x.size), x)
     idx = np.searchsorted(grid, [2.105, 2.12, 2.128, 2.15, 2.38, 2.40])
     want = [_exact_convolution(x, y, sigma, t) for t in grid[idx]]
@@ -373,7 +370,7 @@ def test_run_taps_match_exact_sum_on_a_fig2_curve():
     grid = OmegaGrid(0.02, 8.0, 32000).points()
     x = _extended_nodes(grid, sigma)
     y = emission.spectral_density_points(
-        stats, AT_REST.p, drive.omega, np.full(x.size, math.radians(157.75)),
+        stats, AT_REST, drive.omega, np.full(x.size, math.radians(157.75)),
         np.zeros(x.size), x)
     got = _gaussian_convolve_linear(x, y, sigma, grid)
     for i in (9394, 9433, 9439):
@@ -555,7 +552,7 @@ def test_coherent_spectrum_lines_carry_duration_times_weight():
     assert len(curve.lines) >= 5
     t_pulse = pulse_duration(sc.drive.delta_omega)
     _, positions, weights = coherent_peaks(
-        sc.stats, AT_REST.p, sc.drive.omega, BACK, range(1, 2000))
+        sc.stats, AT_REST, sc.drive.omega, BACK, range(1, 2000))
     by_center = {line[0]: line for line in curve.lines.tolist()}
     for wp, weight in zip(positions.tolist(), weights.tolist()):
         if wp in by_center:
@@ -637,7 +634,7 @@ def test_line_spectrum_does_not_depend_on_where_the_window_ends(broadening):
     want = wide.values[:n]
     assert np.abs(got.values - want).max() <= 1e-9 * want.max()
     assert got.values[-1] == pytest.approx(want[-1], rel=1e-9)
-    assert angular_distribution(sc, (BACK.theta,), grid).values[0] == (
+    assert angular_distribution(sc, (BACK.theta,), grid)[0] == (
         pytest.approx(band_integrate(wide, (lo, hi)), rel=1e-9))
 
 
@@ -655,8 +652,8 @@ def test_ladder_evaluates_only_the_lines_it_keeps(monkeypatch):
     monkeypatch.setattr(emission, "bessel_bracket", counted)
     drive = drive_for(9e16)
     w_max = 12.0
-    assert w_max < absolute_frequency_ceiling(AT_REST.p, drive.omega, BACK)
-    lines = _ladder(coherent_stats(drive.omega, drive.rho), AT_REST.p,
+    assert w_max < absolute_frequency_ceiling(AT_REST, drive.omega, BACK)
+    lines = _ladder(coherent_stats(drive.omega, drive.rho), AT_REST,
                     drive.omega, BACK, w_max, emission.DEFAULT_REL_TOL,
                     emission.DEFAULT_S_MAX)
     assert len(lines) and np.all(lines[:, 1] <= w_max)
@@ -669,7 +666,7 @@ def test_a_grid_below_the_first_line_has_an_empty_ladder():
     # [0.1, 0.2] eV grid: no line is kept, so there is nothing to emit
     drive = drive_for(9e16)
     stats = coherent_stats(drive.omega, drive.rho)
-    lines = _ladder(stats, AT_REST.p, drive.omega, BACK, 0.2,
+    lines = _ladder(stats, AT_REST, drive.omega, BACK, 0.2,
                     emission.DEFAULT_REL_TOL, emission.DEFAULT_S_MAX)
     assert lines.shape == (0, 3)
     sc = _scenario(9e16, coherent_stats)
@@ -679,7 +676,7 @@ def test_a_grid_below_the_first_line_has_an_empty_ladder():
     for broadening in ("literal", "drive_average"):
         scan = replace(sc, broadening=broadening)
         values = angular_distribution(
-            scan, tuple(np.radians([150.0, 170.0])), grid).values
+            scan, tuple(np.radians([150.0, 170.0])), grid)
         assert values.tolist() == [0.0, 0.0], broadening
 
 
@@ -750,9 +747,9 @@ def test_angular_distribution_against_direct_spectra():
     band = (1719.4, 3438.8)
     sc = _scenario(9e16, thermal_stats, electron=HEAD_ON)
     grid = OmegaGrid(band[0], band[1], 96)
-    curve = angular_distribution(sc, thetas, grid)
-    assert isinstance(curve, AngularCurve)
-    assert curve.values.shape == (4,)
+    values = angular_distribution(sc, thetas, grid)
+    assert isinstance(values, np.ndarray) and values.dtype == float
+    assert values.shape == (4,)
     # spot-check one angle against an explicitly assembled spectrum
     geom = EmissionGeometry(theta=thetas[1])
     direct = band_integrate(energy_spectrum(sc, geom, grid), band)
@@ -760,12 +757,10 @@ def test_angular_distribution_against_direct_spectra():
     # the other angles', and a Miller sweep starts where the most
     # demanding element of its call needs, so its densities may differ
     # from the direct pass's by rounding (none of these 132 points does)
-    assert curve.values[1] == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert values[1] == pytest.approx(direct, rel=1e-12, abs=0.0)
     # jacobian flag multiplies by sin(theta')
     jac = angular_distribution(sc, thetas, grid, jacobian=True)
-    np.testing.assert_allclose(jac.values,
-                               curve.values * np.sin(curve.theta),
-                               rtol=1e-12)
+    np.testing.assert_allclose(jac, values * np.sin(thetas), rtol=1e-12)
 
 
 @pytest.mark.parametrize("maker", [thermal_stats, bsv_stats, coherent_stats])
@@ -784,7 +779,7 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
                    electron=electron_momentum(1e5, (0.0, 0.0, 1.0)),
                    broadening=broadening)
     grid = OmegaGrid(band[0], band[1], 64)
-    p, omega = sc.electron.p, sc.drive.omega
+    p, omega = sc.electron, sc.drive.omega
     expect = []
     for th in thetas:
         geom = EmissionGeometry(theta=th)
@@ -800,9 +795,9 @@ def test_angular_scan_equals_per_angle_spectra(maker, broadening):
         p, omega, EmissionGeometry(theta=math.pi)) < band[0]
 
     got = angular_distribution(sc, thetas, grid)
-    assert np.array_equal(got.values, expect)
+    assert np.array_equal(got, expect)
     jac = angular_distribution(sc, thetas, grid, jacobian=True)
-    assert np.array_equal(jac.values,
+    assert np.array_equal(jac,
                           [v * math.sin(th) for v, th in zip(expect, thetas)])
 
 
@@ -816,7 +811,7 @@ def test_coherent_angular_scan_builds_no_peaks(broadening):
     band = (1719.4, 3438.8)
     sc = _scenario(9e16, coherent_stats, electron=HEAD_ON,
                    broadening=broadening)
-    p, omega = sc.electron.p, sc.drive.omega
+    p, omega = sc.electron, sc.drive.omega
     spectra = []
     for th in thetas:
         geom = EmissionGeometry(theta=th)
@@ -825,16 +820,22 @@ def test_coherent_angular_scan_builds_no_peaks(broadening):
     curves = [energy_spectrum(*args) for args in spectra]
     assert min(len(curve.lines) for curve in curves) >= 53
     want = angular_distribution(sc, thetas,
-                                OmegaGrid(band[0], band[1], 512)).values
+                                OmegaGrid(band[0], band[1], 512))
     assert np.array_equal(want, [band_integrate(c, band) for c in curves])
     assert np.all(want > 0.0)
 
 
-def test_dead_band_returns_zero():
+@pytest.mark.parametrize("maker", [thermal_stats, coherent_stats])
+def test_dead_band_returns_zero(maker):
+    # no angle's band lies below its ceiling: the scan returns its zeros
+    # before any engine pass or ladder
     thetas = (math.radians(120.0), math.radians(160.0))
-    sc = _scenario(9e15, thermal_stats)
-    curve = angular_distribution(sc, thetas, OmegaGrid(1.0e7, 2.0e7, 64))
-    assert np.all(curve.values == 0.0)
+    sc = _scenario(9e15, maker)
+    diagnostics = Diagnostics()
+    values = angular_distribution(sc, thetas, OmegaGrid(1.0e7, 2.0e7, 64),
+                                  diagnostics=diagnostics)
+    assert np.array_equal(values, [0.0, 0.0])
+    assert diagnostics.points == 0
 
 
 def test_unreachable_band_raises_nonconvergence():
